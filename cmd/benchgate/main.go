@@ -93,8 +93,9 @@ type benchFile struct {
 
 // latestBaseline finds the lexicographically latest BENCH_*.json in dir
 // (the ISO dates in the names make that the newest) and returns its name
-// plus a bench-name → metrics index. A missing baseline is not an error:
-// the alloc gate still runs, only the deltas are skipped.
+// plus a bench-name → metrics index, keyed without the GOMAXPROCS suffix a
+// snapshot taken on a multi-CPU host carries. A missing baseline is not an
+// error: the alloc gate still runs, only the deltas are skipped.
 func latestBaseline(dir string) (string, map[string]map[string]float64, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
 	if err != nil || len(paths) == 0 {
@@ -112,7 +113,7 @@ func latestBaseline(dir string) (string, map[string]map[string]float64, error) {
 	}
 	idx := make(map[string]map[string]float64, len(bf.Benchmarks))
 	for _, b := range bf.Benchmarks {
-		idx[b.Name] = b.Metrics
+		idx[stripProcs(b.Name)] = b.Metrics
 	}
 	return filepath.Base(path), idx, nil
 }

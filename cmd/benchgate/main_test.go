@@ -128,3 +128,21 @@ func TestLatestBaselineMissingDir(t *testing.T) {
 		t.Fatalf("empty dir should yield no baseline and no error: %q %v %v", name, baseline, err)
 	}
 }
+
+// TestLatestBaselineStripsProcs: a snapshot recorded on a multi-CPU host
+// names its benchmarks with the -<GOMAXPROCS> suffix; the index must match
+// the suffix-free names the gate parses from live output.
+func TestLatestBaselineStripsProcs(t *testing.T) {
+	dir := t.TempDir()
+	snap := `{"benchmarks": [{"name": "BenchmarkNetworkStep/uniform-8x8-2", "metrics": {"ns/op": 9688}}]}`
+	if err := os.WriteFile(filepath.Join(dir, "BENCH_2026-10-16.json"), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, baseline, err := latestBaseline(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := baseline["BenchmarkNetworkStep/uniform-8x8"]["ns/op"]; got != 9688 {
+		t.Fatalf("baseline for the suffix-free name: ns/op %v, index %v", got, baseline)
+	}
+}

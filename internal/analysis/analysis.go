@@ -13,7 +13,7 @@
 //     performance wins are guarded only by a benchmark smoke test that
 //     fires long after the offending code landed.
 //
-// The analyzers in this package (detrange, detsource, hotalloc,
+// The analyzers in this package (detrange, detsource, hotalloc, hotcopy,
 // telemetrysafe) turn both contracts into mechanical findings surfaced by
 // `go run ./cmd/nocvet ./...` in `make lint` and CI. See DESIGN.md §10.
 package analysis

@@ -13,6 +13,8 @@ import (
 //	//nocvet:allowalloc <reason>  hotalloc: the allocation is deliberate —
 //	                              a cold path, or an append into storage
 //	                              pre-sized at construction.
+//	//nocvet:allowcopy <reason>   hotcopy: the by-value copy is deliberate
+//	                              (a cold path reached from a hot root).
 //	//nocvet:nondet <reason>      detsource: the nondeterminism source is
 //	                              deliberate (e.g. tooling that stamps a
 //	                              wall-clock date outside any golden path).
@@ -27,6 +29,7 @@ const annotPrefix = "//nocvet:"
 var knownVerbs = map[string]bool{
 	"orderfree":  true,
 	"allowalloc": true,
+	"allowcopy":  true,
 	"nondet":     true,
 }
 
@@ -77,7 +80,7 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File) (*Annotations, []D
 						Pos:      c.Pos(),
 						Analyzer: "nocvet",
 						Message: "unknown nocvet annotation verb " + quoteVerb(verb) +
-							" (known: allowalloc, nondet, orderfree)",
+							" (known: allowalloc, allowcopy, nondet, orderfree)",
 					})
 				case reason == "":
 					malformed = append(malformed, Diagnostic{

@@ -28,90 +28,107 @@ import (
 // <reason>` on the flagged line — or on the function declaration for a
 // whole cold function — is the escape hatch, and the reason is mandatory.
 func NewHotAlloc(roots []string) *Analyzer {
-	rootSet := map[string]bool{}
-	for _, r := range roots {
-		rootSet[r] = true
-	}
 	a := &Analyzer{
 		Name: "hotalloc",
 		Doc:  "flags allocation-inducing constructs in functions reachable from the simulator hot path",
 	}
 	a.Run = func(pass *Pass) error {
-		// Index every function declaration by its types object.
-		decls := map[*types.Func]*ast.FuncDecl{}
-		names := map[*types.Func]string{}
-		var rootFns []*types.Func
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				decls[obj] = fd
-				name := funcDisplayName(obj)
-				names[obj] = name
-				if rootSet[name] {
-					rootFns = append(rootFns, obj)
-				}
+		for _, hf := range hotFuncs(pass, roots) {
+			// A function-level annotation (on the declaration line or the
+			// last doc line) marks the whole body a sanctioned cold path.
+			if pass.Suppressed(hf.decl.Pos(), "allowalloc") {
+				continue
 			}
-		}
-		// BFS over static intra-package calls; via[f] is the caller through
-		// which f was first reached, for readable "Step → phaseSAST" paths.
-		via := map[*types.Func]*types.Func{}
-		reached := map[*types.Func]bool{}
-		queue := append([]*types.Func{}, rootFns...)
-		for _, r := range rootFns {
-			reached[r] = true
-		}
-		for len(queue) > 0 {
-			fn := queue[0]
-			queue = queue[1:]
-			ast.Inspect(decls[fn].Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := staticCallee(pass.TypesInfo, call)
-				if callee == nil || reached[callee] {
-					return true
-				}
-				if _, inPkg := decls[callee]; !inPkg {
-					return true
-				}
-				reached[callee] = true
-				via[callee] = fn
-				queue = append(queue, callee)
-				return true
-			})
-		}
-		// Iterate files/decls (not the map) for deterministic report order.
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-				if obj == nil || !reached[obj] {
-					continue
-				}
-				// A function-level annotation (on the declaration line or
-				// the last doc line) marks the whole body a sanctioned
-				// cold path.
-				if pass.Suppressed(fd.Pos(), "allowalloc") {
-					continue
-				}
-				path := callPath(obj, via, names)
-				checkAllocs(pass, fd.Body, path)
-			}
+			checkAllocs(pass, hf.decl.Body, hf.path)
 		}
 		return nil
 	}
 	return a
+}
+
+// hotFunc is one function declaration reached from a hot-path root.
+type hotFunc struct {
+	decl *ast.FuncDecl
+	obj  *types.Func
+	path string // discovery chain, e.g. "Network.Step -> Router.phaseSAST"
+}
+
+// hotFuncs walks the package's static intra-package call graph from the
+// named roots ("Recv.Method" or "Func") and returns every reached function
+// declaration in file/declaration order, so reports are deterministic.
+// Dynamic calls (interfaces, func values) are not traversed.
+func hotFuncs(pass *Pass, roots []string) []hotFunc {
+	rootSet := map[string]bool{}
+	for _, r := range roots {
+		rootSet[r] = true
+	}
+	// Index every function declaration by its types object.
+	decls := map[*types.Func]*ast.FuncDecl{}
+	names := map[*types.Func]string{}
+	var rootFns []*types.Func
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			decls[obj] = fd
+			name := funcDisplayName(obj)
+			names[obj] = name
+			if rootSet[name] {
+				rootFns = append(rootFns, obj)
+			}
+		}
+	}
+	// BFS over static intra-package calls; via[f] is the caller through
+	// which f was first reached, for readable "Step → phaseSAST" paths.
+	via := map[*types.Func]*types.Func{}
+	reached := map[*types.Func]bool{}
+	queue := append([]*types.Func{}, rootFns...)
+	for _, r := range rootFns {
+		reached[r] = true
+	}
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		ast.Inspect(decls[fn].Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			callee := staticCallee(pass.TypesInfo, call)
+			if callee == nil || reached[callee] {
+				return true
+			}
+			if _, inPkg := decls[callee]; !inPkg {
+				return true
+			}
+			reached[callee] = true
+			via[callee] = fn
+			queue = append(queue, callee)
+			return true
+		})
+	}
+	// Iterate files/decls (not the map) for deterministic report order.
+	var out []hotFunc
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if obj == nil || !reached[obj] {
+				continue
+			}
+			out = append(out, hotFunc{decl: fd, obj: obj, path: callPath(obj, via, names)})
+		}
+	}
+	return out
 }
 
 // checkAllocs reports allocation-inducing constructs in one reachable body.

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"tasp/internal/detect"
+	"tasp/internal/lob"
 	"tasp/internal/locate"
 	"tasp/internal/noc"
 	"tasp/internal/qos"
@@ -120,6 +121,12 @@ type ExperimentConfig struct {
 	// DetectorHistory overrides the threat detector's fault-history table
 	// capacity (0 = detect.DefaultHistoryCap). Ablation knob.
 	DetectorHistory int
+
+	// EscalationOrder is the L-Ob method order the secured links walk on
+	// consecutive failed retransmissions (nil = lob's default order).
+	// Ablation knob; it is carried by the run, never by shared state, so
+	// runs with different orders may execute concurrently.
+	EscalationOrder []lob.Choice
 
 	// Locate enables the network-level DoS localization layer: the
 	// blocked-port telemetry tap is sampled every SampleEvery cycles and

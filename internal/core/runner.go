@@ -27,6 +27,11 @@ import (
 type Runner struct {
 	arenas map[noc.Config]*arena
 	models map[modelKey]*traffic.Model
+
+	// audit, when set, runs at the end of every simulated cycle, after the
+	// cycle's sampling and any recovery reconfiguration; an error aborts
+	// the run. Tests install noc.Network.CheckInvariants here.
+	audit func(*noc.Network) error
 }
 
 // NewRunner returns an empty Runner; arenas are built on first use per
@@ -457,6 +462,7 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 		w := a.wires[l.ID]
 		w.Reset(tap, cfg.Seed^0x10b^uint64(l.ID))
 		w.Mitigated = mitigated
+		w.Escalation = cfg.EscalationOrder
 		if w.Detector.Cap() != wantCap {
 			w.Detector = detect.New(wantCap)
 		}
@@ -648,6 +654,11 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 						Confidence: ranked[0].Confidence,
 					})
 				}
+			}
+		}
+		if r.audit != nil {
+			if err := r.audit(net); err != nil {
+				return fmt.Errorf("cycle %d: %w", net.Cycle(), err)
 			}
 		}
 	}

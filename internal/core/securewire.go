@@ -26,6 +26,12 @@ import (
 // (otherwise plain), attempt 1 is a plain retry (first fault might be
 // transient), and from attempt 2 on the L-Ob methods are walked in
 // escalation order.
+//
+// On a clean link (Tap is fault.None) a plain traversal skips the SECDED
+// round trip: nothing can corrupt the codeword, and a clean codeword
+// decodes to the word that was encoded, so the outcome is the clean-decode
+// one. The detector and method-log bookkeeping of a mitigated link run as
+// on any clean decode.
 type SecureWire struct {
 	// Tap is the physical fault source on the link (any trojan family,
 	// transient, stuck-at or a chain). Never nil after NewSecureWire.
@@ -36,8 +42,14 @@ type SecureWire struct {
 	Log *lob.MethodLog
 	// Mitigated enables the detector/L-Ob path; when false the wire
 	// behaves exactly like a PlainWire (used for the paper's
-	// no-mitigation runs in Figure 11).
+	// no-mitigation runs in Figure 11). Set it before the run starts: an
+	// unmitigated wire does not latch flows, so turning mitigation on
+	// mid-packet would find no flow for the packet's body flits.
 	Mitigated bool
+	// Escalation is the L-Ob method order walked from attempt 2 on (nil =
+	// lob's default order). It belongs to the run, so concurrent runs with
+	// different orders cannot interfere.
+	Escalation []lob.Choice
 
 	layout  flit.Layout
 	windows *lob.Windows
@@ -95,6 +107,7 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 	w.Detector.Reset()
 	w.Log.Reset()
 	w.Mitigated = true
+	w.Escalation = nil
 	w.key.Reseed(keySeed)
 	clear(w.flows)
 	w.Corrected, w.Dropped, w.Swallowed, w.Obfuscated = 0, 0, 0, 0
@@ -102,10 +115,10 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 }
 
 // flowOf resolves the flow a flit belongs to, latching it from head flits.
-func (w *SecureWire) flowOf(f flit.Flit, vc uint8) lob.FlowKey {
+func (w *SecureWire) flowOf(f *flit.Flit, vc uint8) lob.FlowKey {
 	if f.IsHead() {
-		h := f.Header(w.layout)
-		k := lob.FlowKey{SrcR: h.SrcR, DstR: h.DstR, VC: h.VC}
+		l := &w.layout
+		k := lob.FlowKey{SrcR: l.SrcR(f.Payload), DstR: l.DstR(f.Payload), VC: l.VC(f.Payload)}
 		if !f.IsTail() {
 			w.flows[f.PacketID] = k
 		}
@@ -120,11 +133,8 @@ func (w *SecureWire) flowOf(f flit.Flit, vc uint8) lob.FlowKey {
 	return lob.FlowKey{VC: vc}
 }
 
-// choose picks the obfuscation for this attempt.
+// choose picks the obfuscation for this attempt on a mitigated wire.
 func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {
-	if !w.Mitigated {
-		return lob.Choice{Method: lob.None}
-	}
 	switch {
 	case attempt == 0:
 		if c, ok := w.Log.Lookup(flow); ok {
@@ -134,14 +144,27 @@ func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {
 	case attempt == 1:
 		return lob.Choice{Method: lob.None}
 	default:
-		return lob.Escalate(attempt - 2)
+		return lob.Escalate(w.Escalation, attempt-2)
 	}
 }
 
 // Transmit implements noc.Wire.
 func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) (flit.Flit, noc.TxResult) {
-	flow := w.flowOf(f, vc)
-	choice := w.choose(flow, attempt)
+	// Only a mitigated wire obfuscates, so only it needs the flow: choose and
+	// the method log are the flow's sole readers.
+	var flow lob.FlowKey
+	var choice lob.Choice // the zero Choice is lob.None
+	if w.Mitigated {
+		flow = w.flowOf(&f, vc)
+		choice = w.choose(flow, attempt)
+	}
+	fk := detect.FlitKey{PacketID: f.PacketID, Index: f.Index}
+	if _, clean := w.Tap.(fault.Identity); clean && choice.Method == lob.None {
+		if w.Mitigated {
+			w.Detector.OnClean(fk, choice)
+		}
+		return f, noc.TxResult{OK: true}
+	}
 
 	var key ecc.Codeword
 	if choice.Method == lob.Scramble {
@@ -166,7 +189,6 @@ func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) 
 	}
 	data, st, syn := ecc.Decode(cw)
 
-	fk := detect.FlitKey{PacketID: f.PacketID, Index: f.Index}
 	switch st {
 	case ecc.Uncorrectable:
 		w.Dropped++

@@ -208,17 +208,11 @@ func AblationEscalationOrder(seed uint64) (Table, error) {
 			{Method: lob.Scramble, Gran: lob.PayloadOnly},
 		}},
 	}
-	saved := lob.EscalationOrder
-	defer func() { lob.EscalationOrder = saved }()
 	for _, o := range orders {
-		if o.order != nil {
-			lob.EscalationOrder = o.order
-		} else {
-			lob.EscalationOrder = saved
-		}
 		cfg := core.DefaultExperiment()
 		cfg.Seed = seed
 		cfg.Mitigation = core.S2SLOb
+		cfg.EscalationOrder = o.order
 		res, err := core.Run(cfg)
 		if err != nil {
 			return t, err
@@ -255,8 +249,8 @@ func AblationPlacement(seed uint64) (Table, error) {
 	}
 	hottestTarget := core.ChooseInfectedLinks(m, ncfg, n.LinkSlice(), 2, tasp.ForDest(0))
 	hottestAny := core.ChooseInfectedLinks(m, ncfg, n.LinkSlice(), 2, tasp.ForVC(0)) // VC matcher = all flows
-	arbitrary := []int{11, 29}                                                   // mid-mesh links some target flows cross
-	cold := []int{12, 13}                                                        // 3<->7 edge links the dest-0 flow never crosses
+	arbitrary := []int{11, 29}                                                       // mid-mesh links some target flows cross
+	cold := []int{12, 13}                                                            // 3<->7 edge links the dest-0 flow never crosses
 
 	for _, pl := range []struct {
 		name  string

@@ -77,8 +77,22 @@ func (f InjectorFunc) Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Code
 	return f(cycle, w, fr), Forward
 }
 
+// Identity is the adversary of a healthy link: every codeword passes
+// untouched. It is a comparable zero-size type, so a wire can recognise a
+// clean link by its tap alone and skip the codec: a SECDED codeword that
+// nothing corrupts decodes to exactly the word that was encoded.
+type Identity struct{}
+
+// Inspect implements Injector: the word passes unchanged.
+func (Identity) Inspect(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w }
+
+// Strike implements Adversary: forward unchanged.
+func (Identity) Strike(_ uint64, w ecc.Codeword, _ Framing) (ecc.Codeword, Outcome) {
+	return w, Forward
+}
+
 // None is the identity adversary used on healthy links.
-var None = InjectorFunc(func(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w })
+var None = Identity{}
 
 // Transient flips each wire independently with a (very small) per-traversal
 // probability, modelling single-event upsets. With realistic rates almost

@@ -226,7 +226,7 @@ type Header struct {
 func mask(n uint) uint64 { return (uint64(1) << n) - 1 }
 
 // Encode packs the header into a 64-bit flit payload under this layout.
-func (l Layout) Encode(h Header) uint64 {
+func (l *Layout) Encode(h Header) uint64 {
 	var w uint64
 	w |= (uint64(h.Kind) & mask(l.TypeBits)) << l.TypeShift
 	w |= (uint64(h.VC) & mask(l.VCBits)) << l.VCShift
@@ -241,7 +241,7 @@ func (l Layout) Encode(h Header) uint64 {
 }
 
 // Decode unpacks a 64-bit flit payload into a Header under this layout.
-func (l Layout) Decode(w uint64) Header {
+func (l *Layout) Decode(w uint64) Header {
 	return Header{
 		Kind:  Type((w >> l.TypeShift) & mask(l.TypeBits)),
 		VC:    uint8((w >> l.VCShift) & mask(l.VCBits)),
@@ -255,19 +255,33 @@ func (l Layout) Decode(w uint64) Header {
 	}
 }
 
+// VC extracts only the virtual-channel field of a header payload: the one
+// field Decode would produce, without decoding the rest. The router
+// pipeline reads single fields per flit, so it uses these extractors.
+func (l *Layout) VC(w uint64) uint8 { return uint8((w >> l.VCShift) & mask(l.VCBits)) }
+
+// SrcR extracts only the source-router field of a header payload.
+func (l *Layout) SrcR(w uint64) uint8 { return uint8((w >> l.SrcShift) & mask(l.SrcBits)) }
+
+// DstR extracts only the destination-router field of a header payload.
+func (l *Layout) DstR(w uint64) uint8 { return uint8((w >> l.DstShift) & mask(l.DstBits)) }
+
 // Flit is one 64-bit unit of a packet inside a router, before link encoding.
+// The two byte-sized fields sit together at the end, so a Flit packs into
+// 32 bytes with no padding between words; every buffer in the router
+// pipeline holds flits by value, so the size is part of the hot path.
 type Flit struct {
-	Kind    Type
 	Payload uint64 // raw 64-bit payload; for head flits this is Layout.Encode(hdr)
 	// Bookkeeping (not on the wire): identity for stats and retransmission.
 	PacketID uint64 // globally unique packet id assigned at injection
-	Index    uint8  // position of this flit within its packet
 	InjectAt uint64 // cycle the packet was injected (latency accounting)
+	Kind     Type
+	Index    uint8 // position of this flit within its packet
 }
 
 // Header decodes the routing header carried by a head or single flit under
 // the given layout.
-func (f *Flit) Header(l Layout) Header { return l.Decode(f.Payload) }
+func (f *Flit) Header(l *Layout) Header { return l.Decode(f.Payload) }
 
 // IsHead reports whether the flit leads a packet (Head or Single).
 func (f *Flit) IsHead() bool { return f.Kind == Head || f.Kind == Single }
@@ -296,13 +310,13 @@ func (p *Packet) NumFlits() int {
 // packet with no body words becomes a lone Single flit; otherwise a Head flit
 // followed by Body flits with the final one marked Tail.
 func (p *Packet) Flits(l Layout) []Flit {
-	return p.AppendFlits(make([]Flit, 0, p.NumFlits()), l)
+	return p.AppendFlits(make([]Flit, 0, p.NumFlits()), &l)
 }
 
 // AppendFlits serialises the packet like Flits but appends to the provided
 // slice, letting hot injection paths reuse one scratch buffer instead of
 // allocating per packet.
-func (p *Packet) AppendFlits(out []Flit, l Layout) []Flit {
+func (p *Packet) AppendFlits(out []Flit, l *Layout) []Flit {
 	n := p.NumFlits()
 	if n == 1 {
 		h := p.Hdr

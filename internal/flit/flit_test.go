@@ -195,8 +195,8 @@ func TestPacketFlitsSingle(t *testing.T) {
 	if f.Kind != Single || !f.IsHead() || !f.IsTail() {
 		t.Fatalf("single flit has wrong kind: %v", f.Kind)
 	}
-	if f.Header(Default).DstR != 2 || f.Header(Default).Seq != 7 {
-		t.Fatalf("header not carried: %v", f.Header(Default))
+	if f.Header(&Default).DstR != 2 || f.Header(&Default).Seq != 7 {
+		t.Fatalf("header not carried: %v", f.Header(&Default))
 	}
 	if f.PacketID != 9 || f.InjectAt != 100 {
 		t.Fatalf("bookkeeping not carried: %+v", f)

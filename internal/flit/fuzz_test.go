@@ -3,6 +3,7 @@ package flit
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // clamp masks a header's fields down to what the layout can carry, so a
@@ -79,6 +80,33 @@ func TestHeaderRoundTripAcrossLayouts(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFieldExtractorsMatchDecode checks the one-field extractors the router
+// pipeline uses against a full Decode, for arbitrary payload words across
+// randomized layouts (router bits 1..8, core and vc bits 0..3; layouts that
+// do not fit 64 bits are skipped).
+func TestFieldExtractorsMatchDecode(t *testing.T) {
+	f := func(rb, cb, vb uint8, w uint64) bool {
+		l, err := NewLayout(1+int(rb%8), int(cb%4), int(vb%4))
+		if err != nil {
+			return true
+		}
+		h := l.Decode(w)
+		return l.VC(w) == h.VC && l.SrcR(w) == h.SrcR && l.DstR(w) == h.DstR
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFlitSize pins Flit at four words: router buffers, retransmission
+// entries and NI queues all hold flits by value, so padding between the
+// byte-sized fields would cost memory traffic on every hop.
+func TestFlitSize(t *testing.T) {
+	if got := unsafe.Sizeof(Flit{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Flit{}) = %d, want 32", got)
 	}
 }
 

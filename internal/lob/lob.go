@@ -108,10 +108,12 @@ type Choice struct {
 // String renders the choice.
 func (c Choice) String() string { return c.Method.String() + "/" + c.Gran.String() }
 
-// EscalationOrder is the default sequence the threat detector walks through
-// on consecutive failed retransmissions: whole-flit methods first (maximum
-// coverage), then narrowed granularities that localise the trigger.
-var EscalationOrder = []Choice{
+// defaultEscalation is the sequence the threat detector walks through on
+// consecutive failed retransmissions: whole-flit methods first (maximum
+// coverage), then narrowed granularities that localise the trigger. It is
+// never modified; a run that wants another order carries its own (see
+// Escalate), so concurrent runs cannot see each other's order.
+var defaultEscalation = [...]Choice{
 	{Scramble, WholeFlit},
 	{Invert, WholeFlit},
 	{Shuffle, WholeFlit},
@@ -317,12 +319,16 @@ func (l *MethodLog) Reset() {
 // trigger turned out to alias the obfuscated form too).
 func (l *MethodLog) Forget(k FlowKey) { delete(l.known, k) }
 
-// Escalate returns the n-th choice to try for a flit that has failed n
-// plain transmissions (n starts at 0). Past the end of the order it cycles
-// with the keystream-based scramble, which re-randomises every attempt.
-func Escalate(n int) Choice {
-	if n < len(EscalationOrder) {
-		return EscalationOrder[n]
+// Escalate returns the n-th choice of an escalation order to try for a flit
+// that has failed n plain transmissions (n starts at 0); a nil order is the
+// default one. Past the end of the order it cycles with the keystream-based
+// scramble, which re-randomises every attempt.
+func Escalate(order []Choice, n int) Choice {
+	if order == nil {
+		order = defaultEscalation[:]
+	}
+	if n < len(order) {
+		return order[n]
 	}
 	return Choice{Scramble, WholeFlit}
 }

@@ -162,18 +162,26 @@ func TestPenalties(t *testing.T) {
 }
 
 func TestEscalationOrderStartsWholeFlit(t *testing.T) {
-	for i, c := range EscalationOrder[:4] {
+	order := defaultEscalation[:]
+	for i, c := range order[:4] {
 		if c.Gran != WholeFlit {
 			t.Errorf("escalation step %d is %v, want whole-flit first", i, c)
 		}
 	}
-	for n := 0; n < len(EscalationOrder); n++ {
-		if Escalate(n) != EscalationOrder[n] {
-			t.Errorf("Escalate(%d) = %v", n, Escalate(n))
+	for n := 0; n < len(order); n++ {
+		if Escalate(nil, n) != order[n] {
+			t.Errorf("Escalate(nil, %d) = %v", n, Escalate(nil, n))
 		}
 	}
-	if c := Escalate(100); c.Method != Scramble {
+	if c := Escalate(nil, 100); c.Method != Scramble {
 		t.Errorf("post-order escalation is %v, want scramble", c)
+	}
+	custom := []Choice{{Invert, HeaderOnly}}
+	if c := Escalate(custom, 0); c != custom[0] {
+		t.Errorf("Escalate(custom, 0) = %v, want %v", c, custom[0])
+	}
+	if c := Escalate(custom, 1); c != (Choice{Scramble, WholeFlit}) {
+		t.Errorf("past a custom order escalation is %v, want scramble/flit", c)
 	}
 }
 

@@ -1,6 +1,27 @@
 package noc
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestHotStructSizes pins the sizes of the structs every hop copies: input
+// buffer slots and retransmission entries hold flits by value, so a field
+// reordering that reintroduces padding costs memory traffic on every hop.
+// Change the expected sizes only together with the layout they document.
+func TestHotStructSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"bufFlit", unsafe.Sizeof(bufFlit{}), 40},
+		{"retransEntry", unsafe.Sizeof(retransEntry{}), 64},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
 
 // TestStepAllocationBudget enforces the zero-allocation hot path: once the
 // network has reached steady state under uniform traffic, Network.Step must

@@ -90,7 +90,7 @@ func TestPerVCRetransScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := retransCap(cfg); got != cfg.RetransDepth*cfg.VCs {
+	if got := retransCap(&cfg); got != cfg.RetransDepth*cfg.VCs {
 		t.Fatalf("per-VC cap %d", got)
 	}
 	n.SetWire(0, nackWire{}) // 0 -> 1 refuses everything

@@ -49,9 +49,9 @@ func (n *Network) CheckInvariants() error {
 			if op.disabled {
 				continue
 			}
-			if len(op.entries) > retransCap(n.cfg) {
+			if len(op.entries) > retransCap(&n.cfg) {
 				return fmt.Errorf("r%d %s: retrans holds %d > cap %d",
-					r.id, PortName(p), len(op.entries), retransCap(n.cfg))
+					r.id, PortName(p), len(op.entries), retransCap(&n.cfg))
 			}
 			for _, e := range op.entries {
 				if int(e.vc) >= n.cfg.VCs {
@@ -71,7 +71,7 @@ func (n *Network) CheckInvariants() error {
 			l := n.links[op.linkID]
 			down := n.routers[l.To]
 			for v := 0; v < n.cfg.VCs; v++ {
-				occ := down.inputs[l.ToPort][v].size()
+				occ := down.input(l.ToPort, v).size()
 				inflight := 0
 				for _, e := range op.entries {
 					if int(e.vc) == v {
@@ -85,8 +85,8 @@ func (n *Network) CheckInvariants() error {
 			}
 		}
 		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				ivc := &r.inputs[p][v]
+			for v := 0; v < r.vcs; v++ {
+				ivc := r.input(p, v)
 				if ivc.size() > n.cfg.BufDepth {
 					return fmt.Errorf("r%d %s vc%d: input holds %d > depth %d",
 						r.id, PortName(p), v, ivc.size(), n.cfg.BufDepth)
@@ -105,8 +105,8 @@ func (n *Network) CheckInvariants() error {
 		}
 		inFlits, parked := 0, 0
 		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				inFlits += r.inputs[p][v].size()
+			for v := 0; v < r.vcs; v++ {
+				inFlits += r.input(p, v).size()
 			}
 			parked += len(r.outputs[p].entries)
 		}
@@ -128,8 +128,8 @@ func (r *Router) checkMasks() error {
 	var occ, reqVA uint64
 	var routedTo [MaxPorts]uint64
 	for p := 0; p < r.numPorts; p++ {
-		for v := range r.inputs[p] {
-			ivc := &r.inputs[p][v]
+		for v := 0; v < r.vcs; v++ {
+			ivc := r.input(p, v)
 			bit := uint64(1) << r.occBit(p, v)
 			if ivc.size() > 0 {
 				occ |= bit

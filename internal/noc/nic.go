@@ -138,36 +138,44 @@ func (ni *NI) fullCores(packetFlits int) int {
 // across cores sharing a VC is preserved by injLock: once a core's head flit
 // enters VC v, other cores may not interleave flits on v until the tail.
 func (ni *NI) inject(r *Router, cycle uint64) bool {
-	for k := 0; k < ni.cfg.Concentration; k++ {
-		core := (ni.rrCore + k) % ni.cfg.Concentration
+	conc := ni.cfg.Concentration
+	for k := 0; k < conc; k++ {
+		core := ni.rrCore + k // rrCore <= conc, so one wrap suffices
+		if core >= conc {
+			core -= conc
+		}
 		if ni.qlen(core) == 0 {
 			continue
 		}
-		f := ni.queues[core][ni.heads[core]]
-		v := int(f.Header(ni.layout).VC)
-		if !f.IsHead() {
+		f := &ni.queues[core][ni.heads[core]]
+		head, tail := f.IsHead(), f.IsTail()
+		var v int
+		if head {
+			v = int(ni.layout.VC(f.Payload))
+			if ni.injLock[v] != -1 && ni.injLock[v] != core {
+				continue // VC locked by another core's in-flight packet
+			}
+		} else {
 			// Body/tail flits ride the VC their head locked.
 			v = ni.lockedVC(core)
 			if v < 0 {
 				continue // should not happen; skip defensively
 			}
-		} else if ni.injLock[v] != -1 && ni.injLock[v] != core {
-			continue // VC locked by another core's in-flight packet
 		}
-		if r.inputs[PortLocal][v].size() >= ni.cfg.BufDepth {
+		if r.input(PortLocal, v).size() >= ni.cfg.BufDepth {
 			continue
 		}
-		r.deposit(PortLocal, v, bufFlit{f: f, readyAt: cycle + 1}, cycle)
+		r.deposit(PortLocal, v, bufFlit{f: *f, readyAt: cycle + 1}, cycle)
 		ni.heads[core]++
 		if ni.heads[core] == len(ni.queues[core]) {
 			ni.queues[core] = ni.queues[core][:0]
 			ni.heads[core] = 0
 		}
 		ni.lose(1)
-		if f.IsHead() && !f.IsTail() {
+		if head && !tail {
 			ni.injLock[v] = core
 		}
-		if f.IsTail() {
+		if tail {
 			if v >= 0 && ni.injLock[v] == core {
 				ni.injLock[v] = -1
 			}
@@ -205,7 +213,7 @@ func (ni *NI) receive(f flit.Flit, cycle uint64) (done bool, latency uint64) {
 	}
 	st.flits++
 	if f.IsHead() {
-		st.hdr = f.Header(ni.layout)
+		st.hdr = f.Header(&ni.layout)
 	}
 	if !f.IsTail() {
 		return false, 0

@@ -360,8 +360,8 @@ func TestCreditsNeverExceedDepth(t *testing.T) {
 							n.cycle, r.id, PortName(p), v, cr, n.cfg.BufDepth)
 					}
 				}
-				for v := range r.inputs[p] {
-					if got := r.inputs[p][v].size(); got > n.cfg.BufDepth {
+				for v := 0; v < r.vcs; v++ {
+					if got := r.input(p, v).size(); got > n.cfg.BufDepth {
 						t.Fatalf("input VC overflow: %d flits", got)
 					}
 				}

@@ -64,8 +64,8 @@ func (n *Network) ReclaimTruncated() int {
 	holders := map[uint64]bool{}
 	for _, r := range n.routers {
 		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				ivc := &r.inputs[p][v]
+			for v := 0; v < r.vcs; v++ {
+				ivc := r.input(p, v)
 				for i := ivc.head; i < len(ivc.buf); i++ {
 					f := &ivc.buf[i].f
 					holders[f.PacketID] = true
@@ -123,8 +123,8 @@ func (n *Network) purgePacket(pkt uint64) int {
 	dropped := 0
 	for _, r := range n.routers {
 		for p := 0; p < r.numPorts; p++ {
-			for v := range r.inputs[p] {
-				ivc := &r.inputs[p][v]
+			for v := 0; v < r.vcs; v++ {
+				ivc := r.input(p, v)
 				idx := r.occBit(p, v)
 				if ivc.empty() {
 					// Empty but possibly still held mid-stream: the wormhole
@@ -138,11 +138,13 @@ func (n *Network) purgePacket(pkt uint64) int {
 				}
 				frontWasPkt := ivc.front().f.PacketID == pkt
 				// FIFO surgery: drop the packet's flits, keep everyone else's.
+				// The survivors are compacted within the live region, so the
+				// front index stays valid whether or not anything was removed.
 				rest := ivc.buf[ivc.head:]
 				w := 0
 				for i := range rest {
 					if rest[i].f.PacketID != pkt {
-						ivc.buf[w] = rest[i]
+						rest[w] = rest[i]
 						w++
 					}
 				}
@@ -150,8 +152,7 @@ func (n *Network) purgePacket(pkt uint64) int {
 				if removed == 0 {
 					continue
 				}
-				ivc.buf = ivc.buf[:w]
-				ivc.head = 0
+				ivc.buf = ivc.buf[:ivc.head+w]
 				r.loseIn(removed)
 				dropped += removed
 				if up := r.ups[p]; up != nil {

@@ -144,3 +144,52 @@ func TestDisableLinkReclaimPurgesCutWormholes(t *testing.T) {
 		t.Fatalf("after drain: %v", err)
 	}
 }
+
+// TestPurgeLeavesOtherFIFOsIntact is the unit regression test for the
+// conviction-driven recovery crash (a nil buffer front in phaseVA). purgePacket
+// compacted every input FIFO it scanned down to index 0 but rewound the ring
+// head only when it had removed a flit, so in a FIFO holding none of the
+// purged packet's flits, with its head past index 0, the front flit vanished
+// and the one behind it appeared twice. A head flit lost that way left its
+// VC requesting VA with a body flit, and later nothing, at the front. Purging
+// a packet that exists nowhere must leave every FIFO exactly as it was.
+func TestPurgeLeavesOtherFIFOsIntact(t *testing.T) {
+	n := mkNet(t)
+	load := newStepLoad(n, 3, 0.05)
+	live := func() (fifos [][]bufFlit, offset bool) {
+		for _, r := range n.routers {
+			for i := range r.ivcs {
+				ivc := &r.ivcs[i]
+				fifos = append(fifos, append([]bufFlit(nil), ivc.buf[ivc.head:]...))
+				offset = offset || (ivc.head > 0 && !ivc.empty())
+			}
+		}
+		return fifos, offset
+	}
+	var before [][]bufFlit
+	for i, offset := 0, false; !offset; i++ {
+		if i == 3000 {
+			t.Fatal("no input FIFO ever held flits past index 0: the test needs a ring offset")
+		}
+		load.inject()
+		n.Step()
+		before, offset = live()
+	}
+	if dropped := n.purgePacket(1 << 62); dropped != 0 {
+		t.Fatalf("purging an absent packet dropped %d flits", dropped)
+	}
+	after, _ := live()
+	for i := range before {
+		if len(before[i]) != len(after[i]) {
+			t.Fatalf("FIFO %d: %d flits before the purge, %d after", i, len(before[i]), len(after[i]))
+		}
+		for j := range before[i] {
+			if before[i][j] != after[i][j] {
+				t.Fatalf("FIFO %d slot %d changed: %+v -> %+v", i, j, before[i][j], after[i][j])
+			}
+		}
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

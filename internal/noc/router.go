@@ -139,7 +139,7 @@ func (op *outputPort) full(depth int) bool { return len(op.entries) >= depth }
 // the given VC under the configured scheme: one shared post-crossbar buffer
 // (default, the paper's worst case), half-split (TDM non-interference), or
 // per-VC buffers (Figure 5's second scheme).
-func (op *outputPort) hasSpace(cfg Config, vc int) bool {
+func (op *outputPort) hasSpace(cfg *Config, vc int) bool {
 	switch {
 	case cfg.RetransPerVC:
 		used := 0
@@ -168,11 +168,25 @@ func (op *outputPort) hasSpace(cfg Config, vc int) bool {
 }
 
 // retransCap returns the total entries an output port may hold.
-func retransCap(cfg Config) int {
+func retransCap(cfg *Config) int {
 	if cfg.RetransPerVC {
 		return cfg.RetransDepth * cfg.VCs
 	}
 	return cfg.RetransDepth
+}
+
+// portVC is the (input port, VC) pair one occupancy-mask bit stands for.
+type portVC struct{ port, vc uint8 }
+
+// bitTable maps occupancy-mask bit p*vcs+v back to (p, v) for routers of up
+// to MaxPorts ports: the arbitration walks look a set bit up here instead of
+// dividing by the VC count. One table serves every router of a network.
+func bitTable(vcs int) []portVC {
+	t := make([]portVC, MaxPorts*vcs)
+	for b := range t {
+		t[b] = portVC{port: uint8(b / vcs), vc: uint8(b % vcs)}
+	}
+	return t
 }
 
 // Router is one router of the configured topology: numPorts input ports of
@@ -180,8 +194,13 @@ func retransCap(cfg Config) int {
 type Router struct {
 	id       int
 	numPorts int
-	inputs   [][]inputVC
-	outputs  []*outputPort
+	// ivcs holds every input VC in one contiguous block, indexed by the
+	// occupancy-mask bit p*vcs+v (occBit), so a set bit found by the
+	// arbitration walks is its VC's index; input(p, v) is the same lookup
+	// by coordinates. bitPV maps a bit back to its (port, vc).
+	ivcs    []inputVC
+	bitPV   []portVC
+	outputs []*outputPort
 	// ups[p] is the upstream output port feeding input port p (nil for the
 	// local injection port); credits return there when a slot frees.
 	ups []*outputPort
@@ -219,26 +238,28 @@ type Router struct {
 // occBit is the occupancy-mask bit index of input VC (port, vc).
 func (r *Router) occBit(port, vc int) uint { return uint(port*r.vcs + vc) }
 
-func newRouter(id int, cfg Config, ports int) *Router {
+// input returns input VC (port, vc).
+func (r *Router) input(port, vc int) *inputVC { return &r.ivcs[port*r.vcs+vc] }
+
+func newRouter(id int, cfg *Config, ports int, bitPV []portVC) *Router {
 	r := &Router{
 		id:       id,
 		numPorts: ports,
-		inputs:   make([][]inputVC, ports),
+		ivcs:     make([]inputVC, ports*cfg.VCs),
+		bitPV:    bitPV,
 		outputs:  make([]*outputPort, ports),
 		ups:      make([]*outputPort, ports),
 		vcs:      cfg.VCs,
 	}
 	// One contiguous block per router for the output ports (and one for
-	// the input VCs, via the [][]inputVC backing): the LT phase walks all
-	// ports of every active router each cycle, and on big substrates the
-	// pointer-per-port layout was a cache miss per port.
+	// the input VCs): the LT phase walks all ports of every active router
+	// each cycle, and on big substrates the pointer-per-port layout was a
+	// cache miss per port.
 	ops := make([]outputPort, ports)
-	ivcs := make([]inputVC, ports*cfg.VCs)
+	for i := range r.ivcs {
+		r.ivcs[i].buf = make([]bufFlit, 0, cfg.BufDepth)
+	}
 	for p := 0; p < ports; p++ {
-		r.inputs[p] = ivcs[p*cfg.VCs : (p+1)*cfg.VCs : (p+1)*cfg.VCs]
-		for v := range r.inputs[p] {
-			r.inputs[p][v].buf = make([]bufFlit, 0, cfg.BufDepth)
-		}
 		op := &ops[p]
 		op.router = id
 		op.port = p
@@ -266,16 +287,16 @@ func (r *Router) idle() bool { return r.inFlits == 0 && r.parked == 0 }
 // per-port counters and the disabled flags. The scheduler-facing masks and
 // counters are cleared through resetActivity (sched.go). Wires are owned by
 // the network and restored by Network.Reset.
-func (r *Router) reset(cfg Config) {
+func (r *Router) reset(cfg *Config) {
+	for i := range r.ivcs {
+		ivc := &r.ivcs[i]
+		ivc.buf = ivc.buf[:0]
+		ivc.head = 0
+		ivc.routed, ivc.allocated = false, false
+		ivc.route = 0
+		ivc.outVC = 0
+	}
 	for p := 0; p < r.numPorts; p++ {
-		for v := range r.inputs[p] {
-			ivc := &r.inputs[p][v]
-			ivc.buf = ivc.buf[:0]
-			ivc.head = 0
-			ivc.routed, ivc.allocated = false, false
-			ivc.route = 0
-			ivc.outVC = 0
-		}
 		op := r.outputs[p]
 		op.entries = op.entries[:0]
 		for v := range op.vcOwner {
@@ -308,7 +329,7 @@ func (r *Router) wake(cycle uint64) {
 // deposit pushes a flit into an input VC, waking the router if it was idle.
 func (r *Router) deposit(port, vc int, bf bufFlit, cycle uint64) {
 	r.wake(cycle)
-	r.inputs[port][vc].push(bf)
+	r.input(port, vc).push(bf)
 	r.markOccupied(r.occBit(port, vc))
 	r.gainIn(1)
 }
@@ -325,13 +346,12 @@ func (r *Router) hasWorkFor(port int) bool {
 // disabling or in-flight head swallowing: heads whose computed route now
 // points at a dead port are re-routed, and orphaned body/tail flits of
 // truncated packets are dropped.
-func (r *Router) phaseRC(route RouteFunc, l flit.Layout, cycle uint64, cnt *Counters) {
+func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Counters) {
 	// Walk only the occupied input VCs, in the same ascending (port, vc)
 	// order as the full sweep (bit index == p*vcs+v is monotone in it).
 	for m := r.occ; m != 0; m &= m - 1 {
-		idx := bits.TrailingZeros64(m)
-		p, v := idx/r.vcs, idx%r.vcs
-		ivc := &r.inputs[p][v]
+		idx := uint(bits.TrailingZeros64(m))
+		ivc := &r.ivcs[idx]
 		for {
 			f := ivc.front()
 			if f == nil || f.readyAt > cycle {
@@ -347,25 +367,25 @@ func (r *Router) phaseRC(route RouteFunc, l flit.Layout, cycle uint64, cnt *Coun
 				r.loseIn(1)
 				cnt.DroppedFlits++
 				cnt.DroppedOrphan++
-				if up := r.ups[p]; up != nil {
-					up.credits[v]++ // freed slot
+				if pv := r.bitPV[idx]; r.ups[pv.port] != nil {
+					r.ups[pv.port].credits[pv.vc]++ // freed slot
 				}
 				continue
 			}
 			if f.f.IsHead() && ivc.routed && !ivc.allocated &&
 				r.outputs[ivc.route].disabled {
 				ivc.routed = false // stale route to a dead port
-				r.unrouteInput(ivc.route, uint(idx))
+				r.unrouteInput(ivc.route, idx)
 			}
 			if f.f.IsHead() && !ivc.routed {
-				ivc.route = route(r.id, int(f.f.Header(l).DstR))
+				ivc.route = route(r.id, int(l.DstR(f.f.Payload)))
 				ivc.routed = true
-				r.routeInput(ivc.route, uint(idx))
+				r.routeInput(ivc.route, idx)
 			}
 			break
 		}
 		if ivc.empty() {
-			r.clearOccupied(uint(idx)) // drained by the orphan drop
+			r.clearOccupied(idx) // drained by the orphan drop
 		}
 	}
 }
@@ -377,24 +397,29 @@ func (r *Router) phaseRC(route RouteFunc, l flit.Layout, cycle uint64, cnt *Coun
 // wraparound topologies the packet's lane is remapped into the VC class the
 // dateline scheme demands (outVCFor). Round-robin across input ports
 // resolves contention.
-func (r *Router) phaseVA(cfg Config, l flit.Layout) {
+func (r *Router) phaseVA(l *flit.Layout) {
+	n := r.numPorts * r.vcs
 	for o := 0; o < r.numPorts; o++ {
-		op := r.outputs[o]
-		n := r.numPorts * cfg.VCs
 		// Round-robin over the VCs requesting this output — routed,
 		// unallocated heads bound for o — scanning from vaPtr up, then
 		// wrapping to the bits below it: bit order equals the (vaPtr+k)%n
 		// probe order of a full sweep over the VCs that could be granted.
 		req := r.reqVA & r.routedTo[o]
-		ptr := op.vaPtr % n
+		if req == 0 {
+			continue
+		}
+		op := r.outputs[o]
+		ptr := op.vaPtr // in [0, n]: a grant stores idx+1 with idx < n
+		if ptr == n {
+			ptr = 0
+		}
 		m, base := req>>uint(ptr), ptr
 		for pass := 0; pass < 2; pass, m, base = pass+1, req&(uint64(1)<<uint(ptr)-1), 0 {
 			for ; m != 0; m &= m - 1 {
 				idx := base + bits.TrailingZeros64(m)
-				p, v := idx/cfg.VCs, idx%cfg.VCs
-				ivc := &r.inputs[p][v]
+				ivc := &r.ivcs[idx]
 				f := ivc.front()
-				ov := op.outVCFor(cfg, v, int(f.f.Header(l).DstR))
+				ov := op.outVCFor(r.vcs, int(r.bitPV[idx].vc), int(l.DstR(f.f.Payload)))
 				if op.vcOwner[ov] != 0 {
 					continue // downstream VC held by another packet
 				}
@@ -414,11 +439,11 @@ func (r *Router) phaseVA(cfg Config, l flit.Layout) {
 // occupy: the identity except on links with a dateline VC-class table,
 // where the packet keeps its lane within a class half but moves between
 // halves as the class changes.
-func (op *outputPort) outVCFor(cfg Config, v, dst int) int {
+func (op *outputPort) outVCFor(vcs, v, dst int) int {
 	if op.vcClass == nil {
 		return v
 	}
-	half := cfg.VCs / 2
+	half := vcs / 2
 	return v%half + int(op.vcClass[dst])*half
 }
 
@@ -426,28 +451,35 @@ func (op *outputPort) outVCFor(cfg Config, v, dst int) int {
 // flit per output port (and at most one per input port) moves through the
 // crossbar into the output retransmission buffer. Freed input slots return
 // a credit upstream.
-func (r *Router) phaseSAST(cfg Config, cycle uint64) {
+func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 	var inputUsed [MaxPorts]bool
+	capacity := retransCap(cfg)
+	n := r.numPorts * r.vcs
 	for o := 0; o < r.numPorts; o++ {
-		op := r.outputs[o]
-		if op.full(retransCap(cfg)) || op.disabled {
-			continue
-		}
-		n := r.numPorts * cfg.VCs
 		// Round-robin over the occupied input VCs routed to this output
 		// (same two-segment mask walk as phaseVA); grants from earlier
 		// output ports have already cleared the bits of drained VCs.
 		req := r.routedTo[o] & r.occ
-		ptr := op.saPtr % n
+		if req == 0 {
+			continue
+		}
+		op := r.outputs[o]
+		if op.full(capacity) || op.disabled {
+			continue
+		}
+		ptr := op.saPtr // in [0, n]: a grant stores idx+1 with idx < n
+		if ptr == n {
+			ptr = 0
+		}
 		m, base := req>>uint(ptr), ptr
 		for pass := 0; pass < 2; pass, m, base = pass+1, req&(uint64(1)<<uint(ptr)-1), 0 {
 			for ; m != 0; m &= m - 1 {
 				idx := base + bits.TrailingZeros64(m)
-				p, v := idx/cfg.VCs, idx%cfg.VCs
-				if inputUsed[p] {
+				pv := r.bitPV[idx]
+				if inputUsed[pv.port] {
 					continue
 				}
-				ivc := &r.inputs[p][v]
+				ivc := &r.ivcs[idx]
 				f := ivc.front()
 				if f.readyAt > cycle {
 					continue
@@ -480,7 +512,7 @@ func (r *Router) phaseSAST(cfg Config, cycle uint64) {
 				if !op.ejection {
 					op.credits[ov]--
 				}
-				inputUsed[p] = true
+				inputUsed[pv.port] = true
 				op.saPtr = idx + 1
 				//nocvet:allowalloc bounded: entries is pre-sized to retransCap at construction and hasSpace admits at most that many
 				op.entries = append(op.entries, retransEntry{
@@ -492,8 +524,8 @@ func (r *Router) phaseSAST(cfg Config, cycle uint64) {
 					ivc.allocated = false
 					r.retireRouted(o, uint(idx))
 				}
-				if up := r.ups[p]; up != nil {
-					up.credits[v]++
+				if up := r.ups[pv.port]; up != nil {
+					up.credits[pv.vc]++
 				}
 				pass = 2 // one grant per output port per cycle
 				break

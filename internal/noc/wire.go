@@ -36,7 +36,8 @@ type Wire interface {
 }
 
 // PlainWire is the baseline link: SECDED encode, pass through the adversary
-// tap, SECDED decode. No obfuscation, no detection.
+// tap, SECDED decode. No obfuscation, no detection. On a clean link (no tap,
+// or fault.None) the codec round trip is the identity and is skipped.
 type PlainWire struct {
 	// Tap decides the codeword's fate in flight; fault.None for a healthy
 	// link.
@@ -53,14 +54,13 @@ func NewPlainWire() *PlainWire { return &PlainWire{Tap: fault.None} }
 
 // Transmit implements Wire.
 func (w *PlainWire) Transmit(cycle uint64, f flit.Flit, _ uint8, _ int) (flit.Flit, TxResult) {
-	cw := ecc.Encode(f.Payload)
-	if w.Tap != nil {
-		var oc fault.Outcome
-		cw, oc = w.Tap.Strike(cycle, cw, fault.Framing{Head: f.IsHead(), Tail: f.IsTail()})
-		if oc == fault.Swallow {
-			w.Swallowed++
-			return f, TxResult{OK: true, Swallowed: true}
-		}
+	if _, clean := w.Tap.(fault.Identity); clean || w.Tap == nil {
+		return f, TxResult{OK: true}
+	}
+	cw, oc := w.Tap.Strike(cycle, ecc.Encode(f.Payload), fault.Framing{Head: f.IsHead(), Tail: f.IsTail()})
+	if oc == fault.Swallow {
+		w.Swallowed++
+		return f, TxResult{OK: true, Swallowed: true}
 	}
 	data, st, _ := ecc.Decode(cw)
 	switch st {
