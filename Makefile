@@ -30,7 +30,7 @@ lint: vet
 	fi
 	$(GO) run ./cmd/nocvet ./...
 
-# The in-tree analyzer suite alone (detrange, detsource, hotalloc,
+# The in-tree analyzer suite alone (detrange, detsource, hotalloc, hotcopy,
 # telemetrysafe — see DESIGN.md §10).
 nocvet:
 	$(GO) run ./cmd/nocvet ./...

@@ -205,8 +205,9 @@ func (c Config) XY(r int) (x, y int) { return r % c.Width, r / c.Width }
 // RouterAt returns the router id at mesh coordinates (x, y).
 func (c Config) RouterAt(x, y int) int { return y*c.Width + x }
 
-// CoreRouter maps a core id to its router.
-func (c Config) CoreRouter(core int) int { return core / c.Concentration }
+// CoreRouter maps a core id to its router. The pointer receiver keeps the
+// per-packet injection path from copying the whole configuration.
+func (c *Config) CoreRouter(core int) int { return core / c.Concentration }
 
 // RouteFunc selects the output port a head flit leaves a router on.
 // It receives the current router and the destination router.

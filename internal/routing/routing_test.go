@@ -167,7 +167,7 @@ func TestAdaptiveDeliveryUnderLoad(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			core := rng.Intn(64)
 			dst := rng.Intn(16)
-			if dst == cfg().CoreRouter(core) {
+			if c := cfg(); dst == c.CoreRouter(core) {
 				continue
 			}
 			p := &flit.Packet{Hdr: flit.Header{VC: uint8(rng.Intn(4)), DstR: uint8(dst)}}
