@@ -53,15 +53,27 @@ fuzz:
 experiments:
 	$(GO) run ./cmd/experiments -exp all
 
-# Refresh the canonical-output golden file (only when an intentional output
-# change lands; CI diffs against it byte-for-byte).
-golden:
-	$(GO) run ./cmd/experiments -exp all > testdata/golden/experiments-all-mesh.txt
+# The extension studies outside -exp all, each pinned by its own golden file.
+EXTENSIONS := topology scale locate adversary adaptive
 
-# Verify the canonical 4x4 mesh output is byte-identical to the golden file.
+# Refresh the golden files: the canonical output and one per extension (only
+# when an intentional output change lands; CI diffs against them
+# byte-for-byte).
+golden:
+	$(GO) build -o /tmp/experiments ./cmd/experiments
+	/tmp/experiments -exp all > testdata/golden/experiments-all-mesh.txt
+	for e in $(EXTENSIONS); do /tmp/experiments -exp $$e > testdata/golden/extension-$$e.txt || exit 1; done
+
+# Verify the canonical 4x4 mesh output and every extension's output are
+# byte-identical to their golden files.
 golden-check:
-	$(GO) run ./cmd/experiments -exp all > /tmp/experiments-all-mesh.txt
+	$(GO) build -o /tmp/experiments ./cmd/experiments
+	/tmp/experiments -exp all > /tmp/experiments-all-mesh.txt
 	diff -u testdata/golden/experiments-all-mesh.txt /tmp/experiments-all-mesh.txt
+	for e in $(EXTENSIONS); do \
+		/tmp/experiments -exp $$e > /tmp/extension-$$e.txt && \
+		diff -u testdata/golden/extension-$$e.txt /tmp/extension-$$e.txt || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx ./...
@@ -69,10 +81,11 @@ bench:
 # Snapshot the simulator hot-path benchmarks as machine-readable JSON
 # (BENCH_<date>.json) so the perf trajectory is tracked across PRs. Covers
 # the clean Step benches (idle / uniform at 4x4, 8x8, 16x16 / drain) in
-# internal/noc plus the under-attack bench at the repo root.
+# internal/noc plus the under-attack bench at the repo root. benchgate -json
+# writes the document with the same parser the gate reads baselines with.
 bench-json:
 	$(GO) test -bench=NetworkStep -benchmem -run xxx ./internal/noc . \
-		| $(GO) run ./cmd/benchjson -label "Network.Step hot path (clean + under attack)" > BENCH_$(DATE).json
+		| $(GO) run ./cmd/benchgate -json -label "Network.Step hot path (clean + under attack)" > BENCH_$(DATE).json
 	@cat BENCH_$(DATE).json
 
 # The CI allocation gate, runnable locally: every hot-path benchmark a

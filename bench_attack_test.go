@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tasp"
-	"tasp/internal/core"
 	"tasp/internal/flit"
 	"tasp/internal/noc"
 	taspht "tasp/internal/tasp"
@@ -12,8 +11,8 @@ import (
 )
 
 // BenchmarkNetworkStepAttack measures the simulator hot path while a TASP
-// trojan is active: every link into the victim router carries a SecureWire
-// whose trojan injects uncorrectable double faults into matching packets, so
+// trojan is active: every link into the victim router is a PlainWire whose
+// trojan tap injects uncorrectable double faults into matching packets, so
 // the NACK/retransmission machinery — idle in the clean Step benchmarks —
 // runs continuously, along with the sleep/wake edges of the event-driven
 // core as penalty waits empty and refill the active sets.
@@ -30,9 +29,8 @@ func BenchmarkNetworkStepAttack(b *testing.B) {
 			continue
 		}
 		ht := taspht.New(tasp.ForDest(victim), taspht.DefaultPayloadBits, layout)
-		ht.SetKillSwitch(true) // arm: Idle trojans never strike
-		w := core.NewSecureWire(ht, 0x10b^uint64(l.ID), layout).WithMitigation(false)
-		net.SetWire(l.ID, w) // unmitigated: the DoS runs unchecked (Figure 11)
+		ht.SetKillSwitch(true)                     // arm: Idle trojans never strike
+		net.SetWire(l.ID, &noc.PlainWire{Tap: ht}) // unmitigated: the DoS runs unchecked (Figure 11)
 	}
 
 	rng := xrand.New(1)

@@ -1,16 +1,19 @@
-// Command benchgate is the CI allocation gate for the hot-path benchmarks.
-// It reads `go test -bench -benchmem` text on stdin, fails (exit 1) if any
-// benchmark reports a nonzero allocs/op, and prints each benchmark's ns/op
-// next to the most recent BENCH_<date>.json baseline so a run that passes
-// the alloc budget but drifts in time is visible in the job log.
+// Command benchgate is the one parser for `go test -bench -benchmem` text
+// (read on stdin). By default it is the CI allocation gate for the hot-path
+// benchmarks: it fails (exit 1) if any benchmark reports a nonzero
+// allocs/op, and prints each benchmark's ns/op next to the most recent
+// BENCH_<date>.json baseline so a run that passes the alloc budget but
+// drifts in time is visible in the job log. With -json it instead writes
+// the run as a BENCH_<date>.json document (`make bench-json`), the format
+// the gate reads its baselines from.
 //
 // Usage:
 //
 //	go test -bench=NetworkStep -benchtime=100x -benchmem -run xxx ./internal/noc . | go run ./cmd/benchgate
+//	go test -bench=NetworkStep -benchmem -run xxx ./internal/noc . | go run ./cmd/benchgate -json -label hotpath
 //
-// It replaces an awk one-liner that could gate but not explain: benchgate is
-// a Go program so the parsing and the gate itself are under test
-// (main_test.go), the same standard the rest of the tree is held to.
+// benchgate is a Go program so the parsing and the gate itself are under
+// test (main_test.go), the same standard the rest of the tree is held to.
 package main
 
 import (
@@ -26,11 +29,22 @@ import (
 	"strings"
 )
 
+// report is a benchmark run: the host lines of the transcript and one entry
+// per benchmark line. It is also the BENCH_<date>.json document.
+type report struct {
+	Label      string  `json:"label,omitempty"`
+	Goos       string  `json:"goos,omitempty"`
+	Goarch     string  `json:"goarch,omitempty"`
+	CPU        string  `json:"cpu,omitempty"`
+	Benchmarks []bench `json:"benchmarks"`
+}
+
 // bench is one parsed benchmark result line.
 type bench struct {
-	name    string // GOMAXPROCS suffix ("-8") stripped, to match BENCH_*.json names
-	runs    int64
-	metrics map[string]float64 // "ns/op", "allocs/op", "B/op", extra ReportMetric units
+	Name    string             `json:"name"` // GOMAXPROCS suffix ("-8") stripped
+	Pkg     string             `json:"pkg,omitempty"`
+	Runs    int64              `json:"runs"`
+	Metrics map[string]float64 `json:"metrics"` // "ns/op", "allocs/op", "B/op", extra ReportMetric units
 }
 
 // parseBenchLine parses one `Benchmark... <runs> <value> <unit>...` line.
@@ -44,13 +58,13 @@ func parseBenchLine(line string) (bench, bool) {
 	if err != nil {
 		return bench{}, false
 	}
-	b := bench{name: stripProcs(f[0]), runs: runs, metrics: map[string]float64{}}
+	b := bench{Name: stripProcs(f[0]), Runs: runs, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
 			return bench{}, false
 		}
-		b.metrics[f[i+1]] = v
+		b.Metrics[f[i+1]] = v
 	}
 	return b, true
 }
@@ -71,24 +85,33 @@ func stripProcs(name string) string {
 	return name[:i]
 }
 
-// parseBenchOutput parses a whole `go test -bench` transcript.
-func parseBenchOutput(r io.Reader) ([]bench, error) {
-	var out []bench
+// parseBenchOutput parses a whole `go test -bench` transcript. Each
+// benchmark is tagged with the package the last "pkg:" line named, so a run
+// over several packages keeps same-named benchmarks apart.
+func parseBenchOutput(r io.Reader) (report, error) {
+	var rep report
+	var pkg string
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		if b, ok := parseBenchLine(sc.Text()); ok {
-			out = append(out, b)
+		line := sc.Text()
+		if b, ok := parseBenchLine(line); ok {
+			b.Pkg = pkg
+			rep.Benchmarks = append(rep.Benchmarks, b)
+			continue
+		}
+		key, val, _ := strings.Cut(line, ":")
+		switch val = strings.TrimSpace(val); key {
+		case "goos":
+			rep.Goos = val
+		case "goarch":
+			rep.Goarch = val
+		case "cpu":
+			rep.CPU = val
+		case "pkg":
+			pkg = val
 		}
 	}
-	return out, sc.Err()
-}
-
-// benchFile mirrors the slice of BENCH_<date>.json this gate consumes.
-type benchFile struct {
-	Benchmarks []struct {
-		Name    string             `json:"name"`
-		Metrics map[string]float64 `json:"metrics"`
-	} `json:"benchmarks"`
+	return rep, sc.Err()
 }
 
 // latestBaseline finds the lexicographically latest BENCH_*.json in dir
@@ -107,7 +130,7 @@ func latestBaseline(dir string) (string, map[string]map[string]float64, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	var bf benchFile
+	var bf report
 	if err := json.Unmarshal(raw, &bf); err != nil {
 		return "", nil, fmt.Errorf("%s: %v", path, err)
 	}
@@ -118,51 +141,68 @@ func latestBaseline(dir string) (string, map[string]map[string]float64, error) {
 	return filepath.Base(path), idx, nil
 }
 
+// writeReport writes rep as an indented BENCH_<date>.json document.
+func writeReport(w io.Writer, rep report) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
+}
+
 // gate prints one line per benchmark (alloc verdict plus ns/op delta vs the
 // baseline) and returns the number of benchmarks over the alloc budget.
 func gate(w io.Writer, benches []bench, baseName string, baseline map[string]map[string]float64) int {
 	failures := 0
 	for _, b := range benches {
-		allocs := b.metrics["allocs/op"]
+		allocs := b.Metrics["allocs/op"]
 		verdict := "ok"
 		if allocs > 0 {
 			verdict = "ALLOC BUDGET EXCEEDED"
 			failures++
 		}
 		delta := "no baseline"
-		if base, ok := baseline[b.name]; ok {
+		if base, ok := baseline[b.Name]; ok {
 			if baseNs := base["ns/op"]; baseNs > 0 {
-				ns := b.metrics["ns/op"]
+				ns := b.Metrics["ns/op"]
 				delta = fmt.Sprintf("%.4g ns/op vs %.4g in %s (%+.1f%%)",
 					ns, baseNs, baseName, 100*(ns-baseNs)/baseNs)
 			}
 		}
-		fmt.Fprintf(w, "%-52s %g allocs/op [%s]  %s\n", b.name, allocs, verdict, delta)
+		fmt.Fprintf(w, "%-52s %g allocs/op [%s]  %s\n", b.Name, allocs, verdict, delta)
 	}
 	return failures
 }
 
 func main() {
 	baselineDir := flag.String("baselines", ".", "directory holding BENCH_<date>.json baselines")
+	asJSON := flag.Bool("json", false, "write the run as a BENCH_<date>.json document instead of gating it")
+	label := flag.String("label", "", "free-form label recorded in the -json document")
 	flag.Parse()
 
-	benches, err := parseBenchOutput(os.Stdin)
+	rep, err := parseBenchOutput(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	if len(benches) == 0 {
+	if len(rep.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: no benchmark lines on stdin (did the test run fail?)")
 		os.Exit(2)
+	}
+	if *asJSON {
+		rep.Label = *label
+		if err := writeReport(os.Stdout, rep); err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			os.Exit(2)
+		}
+		return
 	}
 	baseName, baseline, err := latestBaseline(*baselineDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
-	if failures := gate(os.Stdout, benches, baseName, baseline); failures > 0 {
+	if failures := gate(os.Stdout, rep.Benchmarks, baseName, baseline); failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) over the zero-alloc budget\n", failures)
 		os.Exit(1)
 	}
-	fmt.Printf("benchgate: %d benchmark(s) within the zero-alloc budget\n", len(benches))
+	fmt.Printf("benchgate: %d benchmark(s) within the zero-alloc budget\n", len(rep.Benchmarks))
 }

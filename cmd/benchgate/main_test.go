@@ -12,14 +12,14 @@ func TestParseBenchLine(t *testing.T) {
 	if !ok {
 		t.Fatal("benchmark line not parsed")
 	}
-	if b.name != "BenchmarkNetworkStep/uniform" {
-		t.Errorf("GOMAXPROCS suffix not stripped: %q", b.name)
+	if b.Name != "BenchmarkNetworkStep/uniform" {
+		t.Errorf("GOMAXPROCS suffix not stripped: %q", b.Name)
 	}
-	if b.runs != 127735 {
-		t.Errorf("runs = %d", b.runs)
+	if b.Runs != 127735 {
+		t.Errorf("runs = %d", b.Runs)
 	}
 	for unit, want := range map[string]float64{"ns/op": 9215, "allocs/op": 0, "B/op": 0, "flits-in-flight": 117.2} {
-		if got := b.metrics[unit]; got != want {
+		if got := b.Metrics[unit]; got != want {
 			t.Errorf("%s = %g, want %g", unit, got, want)
 		}
 	}
@@ -84,12 +84,12 @@ func TestGatePassesZeroAllocAndPrintsDelta(t *testing.T) {
 		t.Fatalf("picked %q, want the lexicographically latest baseline", baseName)
 	}
 
-	benches, err := parseBenchOutput(strings.NewReader(sampleOutput))
-	if err != nil || len(benches) != 2 {
-		t.Fatalf("parsed %d benches, err=%v", len(benches), err)
+	rep, err := parseBenchOutput(strings.NewReader(sampleOutput))
+	if err != nil || len(rep.Benchmarks) != 2 {
+		t.Fatalf("parsed %d benches, err=%v", len(rep.Benchmarks), err)
 	}
 	var buf strings.Builder
-	if failures := gate(&buf, benches, baseName, baseline); failures != 0 {
+	if failures := gate(&buf, rep.Benchmarks, baseName, baseline); failures != 0 {
 		t.Fatalf("zero-alloc run failed the gate:\n%s", buf.String())
 	}
 	out := buf.String()
@@ -106,13 +106,13 @@ func TestGatePassesZeroAllocAndPrintsDelta(t *testing.T) {
 func TestGateFailsOnNonzeroAllocs(t *testing.T) {
 	leaky := `BenchmarkNetworkStep/uniform-8  	     100	      9300 ns/op	       48 B/op	       3 allocs/op
 `
-	benches, err := parseBenchOutput(strings.NewReader(leaky))
-	if err != nil || len(benches) != 1 {
-		t.Fatalf("parsed %d benches, err=%v", len(benches), err)
+	rep, err := parseBenchOutput(strings.NewReader(leaky))
+	if err != nil || len(rep.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benches, err=%v", len(rep.Benchmarks), err)
 	}
 	var buf strings.Builder
-	if failures := gate(&buf, benches, "", nil); failures != 1 {
-		t.Fatalf("gate let %d allocs/op through:\n%s", int(benches[0].metrics["allocs/op"]), buf.String())
+	if failures := gate(&buf, rep.Benchmarks, "", nil); failures != 1 {
+		t.Fatalf("gate let %d allocs/op through:\n%s", int(rep.Benchmarks[0].Metrics["allocs/op"]), buf.String())
 	}
 	if !strings.Contains(buf.String(), "ALLOC BUDGET EXCEEDED") {
 		t.Errorf("offender not named in report:\n%s", buf.String())
@@ -144,5 +144,55 @@ func TestLatestBaselineStripsProcs(t *testing.T) {
 	}
 	if got := baseline["BenchmarkNetworkStep/uniform-8x8"]["ns/op"]; got != 9688 {
 		t.Fatalf("baseline for the suffix-free name: ns/op %v, index %v", got, baseline)
+	}
+}
+
+// TestJSONReportRoundTrips: a -json document carries the committed
+// snapshots' fields (label, host lines, per-benchmark package, runs and
+// metrics) and is read back by latestBaseline as the next gate's baseline.
+func TestJSONReportRoundTrips(t *testing.T) {
+	rep, err := parseBenchOutput(strings.NewReader(sampleOutput + `pkg: tasp
+BenchmarkNetworkStepAttack-8  	     100	      5600 ns/op	       0 B/op	       0 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.Label = "hot path"
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "BENCH_2026-10-17.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeReport(f, rep); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"label": "hot path"`, `"goos": "linux"`, `"goarch": "amd64"`,
+		`"cpu": "Intel(R) Xeon(R) Processor @ 2.70GHz"`, `"pkg": "tasp/internal/noc"`, `"pkg": "tasp"`, `"runs": 100`} {
+		if !strings.Contains(string(raw), field) {
+			t.Errorf("document lacks %s:\n%s", field, raw)
+		}
+	}
+	name, baseline, err := latestBaseline(dir)
+	if err != nil || name != "BENCH_2026-10-17.json" {
+		t.Fatalf("latestBaseline = %q, %v", name, err)
+	}
+	for bench, ns := range map[string]float64{
+		"BenchmarkNetworkStep/idle":    2.10,
+		"BenchmarkNetworkStep/uniform": 9300,
+		"BenchmarkNetworkStepAttack":   5600,
+	} {
+		if got := baseline[bench]["ns/op"]; got != ns {
+			t.Errorf("%s: ns/op %v after the round trip, want %v", bench, got, ns)
+		}
+	}
+	if got := baseline["BenchmarkNetworkStep/uniform"]["flits-in-flight"]; got != 117.2 {
+		t.Errorf("custom metric lost in the round trip: %v", got)
 	}
 }

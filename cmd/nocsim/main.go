@@ -13,106 +13,99 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"sort"
 	"strings"
 
 	"tasp"
+	"tasp/internal/campaign"
 	"tasp/internal/exp"
 	"tasp/internal/noc"
 	"tasp/internal/viz"
 )
 
+// configure parses the command line into a validated run configuration and
+// the -map switch. The attack, mitigation and platform flags fill a
+// campaign.Scenario, so the CLI takes the names and range checks campaign
+// specs use; -conc, -vcs and -sample, which specs do not carry, apply to
+// the lowered configuration.
+func configure(args []string) (tasp.Config, bool, error) {
+	fs := flag.NewFlagSet("nocsim", flag.ContinueOnError)
+	var (
+		bench      = fs.String("bench", "blackscholes", "traffic model: "+strings.Join(tasp.Benchmarks(), ", "))
+		topology   = fs.String("topology", "mesh", "network substrate: "+strings.Join(noc.Topologies(), ", "))
+		width      = fs.Int("width", 4, "substrate columns (8 for an 8x8/256-core mesh)")
+		height     = fs.Int("height", 4, "substrate rows")
+		conc       = fs.Int("conc", 4, "cores per router (1..8)")
+		vcs        = fs.Int("vcs", 4, "virtual channels per port (1..8)")
+		seed       = fs.Uint64("seed", 1, "deterministic simulation seed")
+		warmup     = fs.Int("warmup", 1500, "cycles before the kill switch flips (0 = 1500)")
+		cycles     = fs.Int("cycles", 1500, "cycles simulated after the kill switch (0 = 1500)")
+		attack     = fs.Bool("attack", true, "deploy TASP trojans")
+		attackMode = fs.String("attack-mode", "flip", "trojan family: flip, drop, misroute, throttle, collude")
+		hijack     = fs.Int("hijack", -1, "misroute diversion router (-1 = farthest from the victim; 0 is a valid explicit router)")
+		dutyPeriod = fs.Int("duty-period", 0, "throttle/collude duty period in cycles (0 = tuned default)")
+		dutyActive = fs.Int("duty-active", 0, "throttle active cycles per period (0 = tuned default)")
+		secureAck  = fs.Bool("secure-ack", false, "run the secure-acknowledgment monitor and print its per-link verdicts")
+		doRecover  = fs.Bool("recover", false, "reroute around links the secure-ack monitor convicts mid-run (implies -secure-ack)")
+		links      = fs.Int("links", 2, "number of infected links (target-flow hottest; 0 = 2)")
+		target     = fs.String("target", "dest", "trojan target kind: dest, src, dest-src, vc, mem, full")
+		dest       = fs.Int("dest", 0, "target destination router")
+		src        = fs.Int("src", 0, "target source router")
+		vc         = fs.Int("vc", 0, "target virtual channel")
+		mitigation = fs.String("mitigation", "none", "none, s2s-lob, e2e-obfuscation, tdm-qos, rerouting")
+		ber        = fs.Float64("ber", 0, "background transient bit-error rate per link bit")
+		sample     = fs.Int("sample", 100, "occupancy sampling period in cycles")
+		heat       = fs.Bool("map", false, "render an ASCII heatmap of final blocked-port pressure")
+		doLocate   = fs.Bool("locate", false, "run the DoS localization layer and print the ranked suspect links")
+	)
+	if err := fs.Parse(args); err != nil {
+		return tasp.Config{}, false, err
+	}
+	sc := campaign.Scenario{
+		Topology:  *topology,
+		Width:     *width,
+		Height:    *height,
+		Benchmark: *bench,
+		Seed:      *seed,
+		Warmup:    *warmup,
+		Measure:   *cycles,
+		Attack: campaign.AttackSpec{
+			Kind: *target, Dest: *dest, Src: *src, VC: *vc,
+			// The mem and full targets strike the destination's address
+			// region (the generator lays addresses out per router).
+			Mem: uint32(*dest) << 24, MemMask: 0xff000000,
+			NumLinks: *links, Mode: *attackMode,
+			DutyPeriod: *dutyPeriod, DutyActive: *dutyActive,
+		},
+		Mitigation:   *mitigation,
+		Locate:       *doLocate,
+		SecureAck:    *secureAck || *doRecover,
+		Recover:      *doRecover,
+		TransientBER: *ber,
+	}
+	if !*attack {
+		sc.Attack.Kind = "none"
+	}
+	if *hijack >= 0 {
+		sc.Attack.Hijack = hijack
+	}
+	cfg, err := sc.Config()
+	if err != nil {
+		return cfg, false, err
+	}
+	cfg.Noc.Concentration = *conc
+	cfg.Noc.VCs = *vcs
+	cfg.SampleEvery = *sample
+	return cfg, *heat, cfg.Validate()
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("nocsim: ")
-
-	var (
-		bench      = flag.String("bench", "blackscholes", "traffic model: "+strings.Join(tasp.Benchmarks(), ", "))
-		topology   = flag.String("topology", "mesh", "network substrate: "+strings.Join(noc.Topologies(), ", "))
-		width      = flag.Int("width", 4, "substrate columns (8 for an 8x8/256-core mesh)")
-		height     = flag.Int("height", 4, "substrate rows")
-		conc       = flag.Int("conc", 4, "cores per router (1..8)")
-		vcs        = flag.Int("vcs", 4, "virtual channels per port (1..8)")
-		seed       = flag.Uint64("seed", 1, "deterministic simulation seed")
-		warmup     = flag.Int("warmup", 1500, "cycles before the kill switch flips")
-		cycles     = flag.Int("cycles", 1500, "cycles simulated after the kill switch")
-		attack     = flag.Bool("attack", true, "deploy TASP trojans")
-		attackMode = flag.String("attack-mode", "flip", "trojan family: flip, drop, misroute, throttle, collude")
-		hijack     = flag.Int("hijack", -1, "misroute diversion router (-1 = farthest from the victim; 0 is a valid explicit router)")
-		dutyPeriod = flag.Int("duty-period", 0, "throttle/collude duty period in cycles (0 = tuned default)")
-		dutyActive = flag.Int("duty-active", 0, "throttle active cycles per period (0 = tuned default)")
-		secureAck  = flag.Bool("secure-ack", false, "run the secure-acknowledgment monitor and print its per-link verdicts")
-		doRecover  = flag.Bool("recover", false, "reroute around links the secure-ack monitor convicts mid-run (implies -secure-ack)")
-		links      = flag.Int("links", 2, "number of infected links (target-flow hottest)")
-		target     = flag.String("target", "dest", "trojan target kind: dest, src, destsrc, vc, mem, full")
-		dest       = flag.Int("dest", 0, "target destination router")
-		src        = flag.Int("src", 0, "target source router")
-		vc         = flag.Int("vc", 0, "target virtual channel")
-		mitigation = flag.String("mitigation", "none", "none, s2s-lob, e2e, tdm, reroute")
-		ber        = flag.Float64("ber", 0, "background transient bit-error rate per link bit")
-		sample     = flag.Int("sample", 100, "occupancy sampling period in cycles")
-		heat       = flag.Bool("map", false, "render an ASCII heatmap of final blocked-port pressure")
-		doLocate   = flag.Bool("locate", false, "run the DoS localization layer and print the ranked suspect links")
-	)
-	flag.Parse()
-
-	cfg := tasp.DefaultConfig()
-	cfg.Noc.Topo = *topology
-	cfg.Noc.Width = *width
-	cfg.Noc.Height = *height
-	cfg.Noc.Concentration = *conc
-	cfg.Noc.VCs = *vcs
-	cfg.Benchmark = *bench
-	cfg.Seed = *seed
-	cfg.Warmup = *warmup
-	cfg.Measure = *cycles
-	cfg.SampleEvery = *sample
-	cfg.TransientBER = *ber
-	cfg.Attack.Enabled = *attack
-	cfg.Attack.NumLinks = *links
-	cfg.Attack.Hijack = *hijack
-	cfg.Attack.DutyPeriod = *dutyPeriod
-	cfg.Attack.DutyActive = *dutyActive
-	cfg.Locate = *doLocate
-	cfg.SecureAck = *secureAck || *doRecover
-	cfg.RecoverOnConvict = *doRecover
-
-	kind, err := tasp.ParseTrojanKind(*attackMode)
+	cfg, heat, err := configure(os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
-	}
-	cfg.Attack.Kind = kind
-
-	switch *target {
-	case "dest":
-		cfg.Attack.Target = tasp.ForDest(uint8(*dest))
-	case "src":
-		cfg.Attack.Target = tasp.ForSrc(uint8(*src))
-	case "destsrc":
-		cfg.Attack.Target = tasp.ForDestSrc(uint8(*src), uint8(*dest))
-	case "vc":
-		cfg.Attack.Target = tasp.ForVC(uint8(*vc))
-	case "mem":
-		cfg.Attack.Target = tasp.ForMem(uint32(*dest)<<24, 0xff000000)
-	case "full":
-		cfg.Attack.Target = tasp.ForFull(uint8(*src), uint8(*dest), uint8(*vc), uint32(*dest)<<24, 0xff000000)
-	default:
-		log.Fatalf("unknown target kind %q", *target)
-	}
-
-	switch *mitigation {
-	case "none":
-		cfg.Mitigation = tasp.NoMitigation
-	case "s2s-lob", "lob":
-		cfg.Mitigation = tasp.S2SLOb
-	case "e2e":
-		cfg.Mitigation = tasp.E2EObfuscation
-	case "tdm":
-		cfg.Mitigation = tasp.TDMQoS
-	case "reroute":
-		cfg.Mitigation = tasp.Rerouting
-	default:
-		log.Fatalf("unknown mitigation %q", *mitigation)
 	}
 
 	res, err := tasp.Run(cfg)
@@ -121,7 +114,7 @@ func main() {
 	}
 
 	fmt.Printf("benchmark=%s topology=%s mitigation=%s seed=%d\n",
-		*bench, cfg.Noc.TopoName(), cfg.Mitigation, *seed)
+		cfg.Benchmark, cfg.Noc.TopoName(), cfg.Mitigation, cfg.Seed)
 	if cfg.Attack.Enabled {
 		fmt.Printf("infected links: %v (trojan matches=%d injections=%d)\n",
 			res.InfectedLinks, res.HTMatches, res.HTInjections)
@@ -170,7 +163,7 @@ func main() {
 			}
 		}
 	}
-	if *doLocate && len(res.Suspects) > 0 {
+	if cfg.Locate && len(res.Suspects) > 0 {
 		net, nerr := noc.New(cfg.Noc)
 		if nerr != nil {
 			log.Fatal(nerr)
@@ -200,11 +193,11 @@ func main() {
 			s.BlockedRouters, s.AllCoresFull, s.HalfCoresFull)
 	}
 
-	if *heat {
+	if heat {
 		// Per-router pressure proxy from the sampled series is not kept;
 		// render the analytic traffic hot spots alongside the infected
 		// links so the attack geometry is visible.
-		f, err := exp.RunFigure1(*bench, cfg.Noc)
+		f, err := exp.RunFigure1(cfg.Benchmark, cfg.Noc)
 		if err == nil {
 			fmt.Println()
 			fmt.Print(viz.RouterHeatmap(cfg.Noc, "workload source shares", f.RouterTotals))

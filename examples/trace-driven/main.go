@@ -108,7 +108,7 @@ func arm(n *noc.Network, model *traffic.Model) *tspHT {
 	for _, id := range core.ChooseInfectedLinks(model, n.Config(), n.Links(), 2, target) {
 		ht := taspht.New(target, taspht.DefaultPayloadBits, n.Layout())
 		out.hts = append(out.hts, ht)
-		n.SetWire(id, core.NewSecureWire(ht, 7, n.Layout()).WithMitigation(false))
+		n.SetWire(id, &noc.PlainWire{Tap: ht})
 	}
 	return out
 }

@@ -32,10 +32,9 @@ var FlitHotPathRoots = []string{
 	"Layout.DstR",
 }
 
-// TrafficHotPathRoots are the allocation-free generator calls the runner
-// makes every cycle (TickInto) and per generated packet (PacketInto),
-// checked for large copies (hotcopy). Tick and Packet allocate by design
-// and stay off the measured path.
+// TrafficHotPathRoots are the generator calls the runner makes every cycle
+// (TickInto) and per generated packet (PacketInto), checked for large
+// copies (hotcopy).
 var TrafficHotPathRoots = []string{
 	"Generator.TickInto",
 	"Generator.PacketInto",

@@ -395,3 +395,34 @@ func TestResumeRejectsStaleCheckpoint(t *testing.T) {
 		t.Fatal("failed resume modified the output file")
 	}
 }
+
+// TestSpecValidateRejectsBadAttackInputs: every malformed attack input fails
+// Spec.Validate, before any point runs, with an error naming the field and
+// its valid range — instead of panicking mid-sweep, wrapping a router id or
+// silently running something else.
+func TestSpecValidateRejectsBadAttackInputs(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec, want string
+	}{
+		{"link id past the topology", `{"attacks":[{"kind":"dest","links":[999]}]}`, "Attack.Links entry = 999 out of range 0..47"},
+		{"dest router past the mesh", `{"attacks":[{"kind":"dest","dest":20}]}`, "Attack.Target.DstR = 20 out of range 0..15"},
+		{"disabled attack's victim past the mesh", `{"attacks":[{"kind":"none","dest":20}]}`, "Attack.Target.DstR = 20 out of range 0..15"},
+		{"src router past the mesh", `{"attacks":[{"kind":"dest-src","src":16}]}`, "Attack.Target.SrcR = 16 out of range 0..15"},
+		{"vc past the port", `{"attacks":[{"kind":"vc","vc":4}]}`, "Attack.Target.VC = 4 out of range 0..3"},
+		{"dest wraps a uint8", `{"attacks":[{"kind":"dest","dest":256}]}`, "attack.dest = 256 does not fit a header id (0..255)"},
+		{"negative src", `{"attacks":[{"kind":"src","src":-1}]}`, "attack.src = -1 does not fit a header id (0..255)"},
+		{"hijack past the mesh", `{"attacks":[{"kind":"dest","mode":"misroute","hijack":99}]}`, "Attack.Hijack = 99 out of range: -1 (auto) or 0..15"},
+		{"recover without secure-ack", `{"recover":true}`, "RecoverOnConvict requires SecureAck"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := ParseSpec([]byte(tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = spec.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}

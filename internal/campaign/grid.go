@@ -136,15 +136,15 @@ func (s Spec) Expand() []Scenario {
 	return out
 }
 
-// Validate lowers every point once, so a bad axis value fails before any
-// simulation runs rather than mid-sweep.
+// Validate lowers and validates every point once, so a bad axis value fails
+// before any simulation runs rather than mid-sweep.
 func (s Spec) Validate() error {
 	for i, sc := range s.Expand() {
 		cfg, err := sc.Config()
 		if err != nil {
 			return fmt.Errorf("point %d: %w", i, err)
 		}
-		if err := cfg.Noc.Validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("point %d: %w", i, err)
 		}
 	}

@@ -11,6 +11,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 
 	"tasp/internal/core"
 	"tasp/internal/tasp"
@@ -72,6 +73,16 @@ func (a AttackSpec) Name() string {
 // attacks keep the dest target so the victim-goodput accounting (and hence
 // the record bytes) match an enabled run's control arm exactly.
 func (a AttackSpec) target() (tasp.Target, bool, error) {
+	// The header fields are 8 bits wide: reject what a uint8 would wrap
+	// before converting. The platform's own range is ExperimentConfig.Validate's.
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"dest", a.Dest}, {"src", a.Src}, {"vc", a.VC}} {
+		if f.v < 0 || f.v > math.MaxUint8 {
+			return tasp.Target{}, false, fmt.Errorf("attack.%s = %d does not fit a header id (0..255)", f.name, f.v) //nocvet:allowalloc error path aborts the sweep
+		}
+	}
 	switch a.Kind {
 	case "", "none":
 		return tasp.ForDest(uint8(a.Dest)), false, nil
@@ -89,7 +100,7 @@ func (a AttackSpec) target() (tasp.Target, bool, error) {
 		return tasp.ForFull(uint8(a.Src), uint8(a.Dest), uint8(a.VC), a.Mem, a.MemMask), true, nil
 	default:
 		// Unreachable in a sweep: Spec.Validate lowers every point up front.
-		return tasp.Target{}, false, fmt.Errorf("unknown attack kind %q", a.Kind) //nocvet:allowalloc error path aborts the sweep
+		return tasp.Target{}, false, fmt.Errorf("unknown attack kind %q (want none, dest, src, dest-src, vc, mem or full)", a.Kind) //nocvet:allowalloc error path aborts the sweep
 	}
 }
 
@@ -117,8 +128,7 @@ type Scenario struct {
 	// detector for the drop and misroute trojan families.
 	SecureAck bool `json:"secure_ack,omitempty"`
 	// Recover turns secure-ack conviction into runtime recovery: convicted
-	// links are rerouted around mid-run (implies nothing unless SecureAck
-	// is also set).
+	// links are rerouted around mid-run. Requires SecureAck.
 	Recover bool `json:"recover,omitempty"`
 	// TransientBER adds background single-event upsets.
 	TransientBER float64 `json:"transient_ber,omitempty"`

@@ -14,7 +14,7 @@ import (
 // identityFunc is an identity tap the wires cannot recognise as clean: it
 // forces the full encode → strike → decode path the fault.None fast path
 // skips, so the two can be compared traversal by traversal.
-var identityFunc = fault.InjectorFunc(func(_ uint64, w ecc.Codeword, _ fault.Framing) ecc.Codeword { return w })
+var identityFunc = fault.ForwardFunc(func(_ uint64, w ecc.Codeword, _ fault.Framing) ecc.Codeword { return w })
 
 // traversal is one Transmit call of the differential stream.
 type traversal struct {
@@ -47,7 +47,7 @@ func randomTraffic(seed uint64, packets int) []traversal {
 // TestCleanWireFastPathMatchesFullCodec checks the clean-link fast path is
 // byte-identical to the codec path it skips: PlainWire and SecureWire
 // (mitigated and unmitigated) on fault.None must return the same flit and
-// TxResult as on an identity InjectorFunc for every traversal, and end with
+// TxResult as on an identity ForwardFunc for every traversal, and end with
 // the same counters, detector verdict and method log. Attempts 2 and up and
 // a pre-logged flow make the mitigated wire obfuscate, which must take the
 // full path on both.
@@ -69,8 +69,9 @@ func TestCleanWireFastPathMatchesFullCodec(t *testing.T) {
 	logged := lob.FlowKey{SrcR: stream[0].f.Header(&flit.Default).SrcR,
 		DstR: stream[0].f.Header(&flit.Default).DstR, VC: stream[0].vc}
 	for _, mitigated := range []bool{false, true} {
-		fast := NewSecureWire(fault.None, 5, flit.Default).WithMitigation(mitigated)
-		full := NewSecureWire(identityFunc, 5, flit.Default).WithMitigation(mitigated)
+		fast := NewSecureWire(fault.None, 5, flit.Default)
+		full := NewSecureWire(identityFunc, 5, flit.Default)
+		fast.Mitigated, full.Mitigated = mitigated, mitigated
 		if mitigated {
 			c := lob.Choice{Method: lob.Invert, Gran: lob.HeaderOnly}
 			fast.Log.Record(logged, c)

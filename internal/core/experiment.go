@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -166,6 +167,65 @@ type ExperimentConfig struct {
 	// lag, reconfiguration debris) from the structural capacity the fabric
 	// lost with the links.
 	PredisabledLinks []int
+}
+
+// Validate checks the configuration against its platform before anything
+// runs: the platform itself, the attack target's router ids and VC, the
+// infected and pre-disabled link ids, the hijack router, and that
+// RecoverOnConvict has the secure-ack monitor whose convictions it acts on.
+// Each error names the field and its valid range. The link count is derived
+// only when the configuration names links, so validating a point that names
+// none allocates nothing.
+func (c *ExperimentConfig) Validate() error {
+	if err := c.Noc.Validate(); err != nil {
+		return err
+	}
+	routers := c.Noc.Routers()
+	t := &c.Attack.Target
+	k := t.Kind
+	if k == tasp.TargetDest || k == tasp.TargetDestSrc || k == tasp.TargetFull {
+		if err := inRange("Attack.Target.DstR", int(t.DstR), routers); err != nil {
+			return err
+		}
+	}
+	if k == tasp.TargetSrc || k == tasp.TargetDestSrc || k == tasp.TargetFull {
+		if err := inRange("Attack.Target.SrcR", int(t.SrcR), routers); err != nil {
+			return err
+		}
+	}
+	if k == tasp.TargetVC || k == tasp.TargetFull {
+		if err := inRange("Attack.Target.VC", int(t.VC), c.Noc.VCs); err != nil {
+			return err
+		}
+	}
+	if c.Attack.Hijack >= routers {
+		return fmt.Errorf("core: Attack.Hijack = %d out of range: -1 (auto) or 0..%d", c.Attack.Hijack, routers-1)
+	}
+	if len(c.Attack.Links) > 0 || len(c.PredisabledLinks) > 0 {
+		links := len(c.Noc.Topology().Links())
+		for _, id := range c.Attack.Links {
+			if err := inRange("Attack.Links entry", id, links); err != nil {
+				return err
+			}
+		}
+		for _, id := range c.PredisabledLinks {
+			if err := inRange("PredisabledLinks entry", id, links); err != nil {
+				return err
+			}
+		}
+	}
+	if c.RecoverOnConvict && !c.SecureAck {
+		return errors.New("core: RecoverOnConvict requires SecureAck: recovery acts on the secure-ack monitor's convictions")
+	}
+	return nil
+}
+
+// inRange reports a field whose value v falls outside 0..n-1.
+func inRange(field string, v, n int) error {
+	if v < 0 || v >= n {
+		return fmt.Errorf("core: %s = %d out of range 0..%d", field, v, n-1)
+	}
+	return nil
 }
 
 // DefaultExperiment returns the paper's standard protocol: the 64-core mesh,

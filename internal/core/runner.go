@@ -359,7 +359,7 @@ func resetResults(res *Results, cfg ExperimentConfig) {
 // phase structure, same results — enforced by the golden experiment output
 // and the fresh-vs-reused equivalence test.
 func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
-	if err := cfg.Noc.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	model := cfg.Model
@@ -523,7 +523,6 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 		ackmon = a.ackmon
 		ackmon.DeficitRatio = cfg.AckDeficitRatio
 	}
-	recoverOn := cfg.RecoverOnConvict && ackmon != nil
 	clear(a.disabled)
 	if len(cfg.PredisabledLinks) > 0 {
 		// Post-fault capacity oracle: the links are down (with the safe
@@ -618,7 +617,7 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 				if res.AckFlaggedAt == 0 && ackmon.Flagged() > 0 {
 					res.AckFlaggedAt = net.Cycle()
 				}
-				if recoverOn {
+				if cfg.RecoverOnConvict {
 					// Conviction-driven recovery: every newly convicted
 					// link joins the cumulative reconfiguration set and the
 					// routes rebuild around it — retransmit-around on the

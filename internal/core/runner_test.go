@@ -159,3 +159,42 @@ func BenchmarkRunnerPoint(b *testing.B) {
 		}
 	}
 }
+
+// TestRunIntoRejectsBadConfigs: RunInto validates the whole configuration
+// before it touches the arena, so out-of-range ids fail with an error naming
+// the field and its range instead of panicking (link 999 used to index past
+// the wire table) or running a silently different experiment.
+func TestRunIntoRejectsBadConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*ExperimentConfig)
+		want   string
+	}{
+		{"infected link past the mesh", func(c *ExperimentConfig) { c.Attack.Links = []int{3, 999} }, "Attack.Links entry = 999 out of range 0..47"},
+		{"negative infected link", func(c *ExperimentConfig) { c.Attack.Links = []int{-1} }, "Attack.Links entry = -1 out of range 0..47"},
+		{"pre-disabled link past the torus", func(c *ExperimentConfig) { c.Noc.Topo = "torus"; c.PredisabledLinks = []int{64} }, "PredisabledLinks entry = 64 out of range 0..63"},
+		{"dest router past the mesh", func(c *ExperimentConfig) { c.Attack.Target = tasp.ForDest(20) }, "Attack.Target.DstR = 20 out of range 0..15"},
+		{"full target src past the mesh", func(c *ExperimentConfig) { c.Attack.Target = tasp.ForFull(16, 0, 0, 0, 0) }, "Attack.Target.SrcR = 16 out of range 0..15"},
+		{"vc past the port", func(c *ExperimentConfig) { c.Attack.Target = tasp.ForVC(4) }, "Attack.Target.VC = 4 out of range 0..3"},
+		{"hijack past the mesh", func(c *ExperimentConfig) { c.Attack.Kind = tasp.KindMisroute; c.Attack.Hijack = 99 }, "Attack.Hijack = 99 out of range: -1 (auto) or 0..15"},
+		{"recover without secure-ack", func(c *ExperimentConfig) { c.RecoverOnConvict = true }, "RecoverOnConvict requires SecureAck"},
+		{"bad platform", func(c *ExperimentConfig) { c.Noc.VCs = 0 }, "VCs must be 1..8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultExperiment()
+			cfg.Warmup, cfg.Measure = 50, 50
+			tc.mutate(&cfg)
+			err := NewRunner().RunInto(cfg, &Results{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunInto = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+	cfg := DefaultExperiment()
+	cfg.Attack.Links, cfg.PredisabledLinks = []int{0, 47}, []int{5}
+	cfg.Attack.Kind, cfg.Attack.Hijack = tasp.KindMisroute, 15
+	cfg.SecureAck, cfg.RecoverOnConvict = true, true
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("in-range configuration rejected: %v", err)
+	}
+}

@@ -19,32 +19,28 @@ import (
 // SecureWire is a link whose two endpoints carry the paper's mitigation
 // hardware: the upstream L-Ob block (method selection, per-flow method log,
 // keystream) and the downstream threat source detector plus BIST hook. The
-// trojan — and any other fault source — sits in Tap, between the two.
+// trojan — and any other fault source — sits in the embedded PlainWire's
+// Tap, between the two, and the PlainWire's counters (Corrected, Dropped,
+// Swallowed) count every traversal, mitigated or not.
 //
 // Per Figure 6/7 the escalation schedule over a flit's transmission
 // attempts is: attempt 0 uses the flow's logged method if one is known
 // (otherwise plain), attempt 1 is a plain retry (first fault might be
 // transient), and from attempt 2 on the L-Ob methods are walked in
 // escalation order.
-//
-// On a clean link (Tap is fault.None) a plain traversal skips the SECDED
-// round trip: nothing can corrupt the codeword, and a clean codeword
-// decodes to the word that was encoded, so the outcome is the clean-decode
-// one. The detector and method-log bookkeeping of a mitigated link run as
-// on any clean decode.
 type SecureWire struct {
-	// Tap is the physical fault source on the link (any trojan family,
-	// transient, stuck-at or a chain). Never nil after NewSecureWire.
-	Tap fault.Adversary
+	// PlainWire is the link itself. Its Tap is never nil after
+	// NewSecureWire.
+	noc.PlainWire
 	// Detector is the downstream threat source detector.
 	Detector *detect.Detector
 	// Log is the upstream per-flow method log.
 	Log *lob.MethodLog
-	// Mitigated enables the detector/L-Ob path; when false the wire
-	// behaves exactly like a PlainWire (used for the paper's
-	// no-mitigation runs in Figure 11). Set it before the run starts: an
-	// unmitigated wire does not latch flows, so turning mitigation on
-	// mid-packet would find no flow for the packet's body flits.
+	// Mitigated enables the detector/L-Ob path; when false every traversal
+	// is the embedded PlainWire's (the paper's no-mitigation runs in
+	// Figure 11). Set it before the run starts: an unmitigated wire does
+	// not latch flows, so turning mitigation on mid-packet would find no
+	// flow for the packet's body flits.
 	Mitigated bool
 	// Escalation is the L-Ob method order walked from attempt 2 on (nil =
 	// lob's default order). It belongs to the run, so concurrent runs with
@@ -58,10 +54,7 @@ type SecureWire struct {
 	// controller latches the flow when the head flit passes.
 	flows map[uint64]lob.FlowKey
 
-	// Counters.
-	Corrected   uint64 // single-bit upsets fixed by SECDED
-	Dropped     uint64 // uncorrectable traversals (NACKs)
-	Swallowed   uint64 // flits an adversary consumed with a forged ACK
+	// Counters of the mitigation hardware.
 	Obfuscated  uint64 // traversals sent under an L-Ob method
 	BISTScans   uint64 // scans triggered by the detector
 	StallCycles uint64 // total undo penalty charged downstream
@@ -75,7 +68,7 @@ func NewSecureWire(tap fault.Adversary, keySeed uint64, l flit.Layout) *SecureWi
 		tap = fault.None
 	}
 	return &SecureWire{
-		Tap:       tap,
+		PlainWire: noc.PlainWire{Tap: tap},
 		Detector:  detect.New(0),
 		Log:       lob.NewMethodLog(),
 		Mitigated: true,
@@ -84,13 +77,6 @@ func NewSecureWire(tap fault.Adversary, keySeed uint64, l flit.Layout) *SecureWi
 		key:       lob.NewKeystream(keySeed),
 		flows:     map[uint64]lob.FlowKey{},
 	}
-}
-
-// WithMitigation sets the Mitigated flag and returns the wire, for fluent
-// construction of baseline (unprotected) links.
-func (w *SecureWire) WithMitigation(on bool) *SecureWire {
-	w.Mitigated = on
-	return w
 }
 
 // Reset returns the wire to its post-NewSecureWire state for a new run
@@ -103,15 +89,14 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 	if tap == nil {
 		tap = fault.None
 	}
-	w.Tap = tap
+	w.PlainWire = noc.PlainWire{Tap: tap}
 	w.Detector.Reset()
 	w.Log.Reset()
 	w.Mitigated = true
 	w.Escalation = nil
 	w.key.Reseed(keySeed)
 	clear(w.flows)
-	w.Corrected, w.Dropped, w.Swallowed, w.Obfuscated = 0, 0, 0, 0
-	w.BISTScans, w.StallCycles = 0, 0
+	w.Obfuscated, w.BISTScans, w.StallCycles = 0, 0, 0
 }
 
 // flowOf resolves the flow a flit belongs to, latching it from head flits.
@@ -148,22 +133,20 @@ func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {
 	}
 }
 
-// Transmit implements noc.Wire.
+// Transmit implements noc.Wire. An unmitigated traversal is the embedded
+// PlainWire's; a mitigated one runs the L-Ob method between the SECDED
+// encoder and the tap, and feeds the outcome to the detector and the method
+// log.
 func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) (flit.Flit, noc.TxResult) {
-	// Only a mitigated wire obfuscates, so only it needs the flow: choose and
-	// the method log are the flow's sole readers.
-	var flow lob.FlowKey
-	var choice lob.Choice // the zero Choice is lob.None
-	if w.Mitigated {
-		flow = w.flowOf(&f, vc)
-		choice = w.choose(flow, attempt)
+	if !w.Mitigated {
+		return w.PlainWire.Transmit(cycle, f, vc, attempt)
 	}
-	fk := detect.FlitKey{PacketID: f.PacketID, Index: f.Index}
+	flow := w.flowOf(&f, vc)
+	choice := w.choose(flow, attempt)
 	if _, clean := w.Tap.(fault.Identity); clean && choice.Method == lob.None {
-		if w.Mitigated {
-			w.Detector.OnClean(fk, choice)
-		}
-		return f, noc.TxResult{OK: true}
+		// A plain attempt on a clean link cannot fail, and the detector
+		// ignores clean plain traversals: it is PlainWire's.
+		return w.PlainWire.Transmit(cycle, f, vc, attempt)
 	}
 
 	var key ecc.Codeword
@@ -189,19 +172,18 @@ func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) 
 	}
 	data, st, syn := ecc.Decode(cw)
 
+	fk := detect.FlitKey{PacketID: f.PacketID, Index: f.Index}
 	switch st {
 	case ecc.Uncorrectable:
 		w.Dropped++
-		if w.Mitigated {
-			act := w.Detector.OnFault(fk, syn, choice)
-			if act.RunBIST {
-				w.BISTScans++
-				w.Detector.SetBISTResult(bist.Scan(cycle, w.Tap))
-			}
-			if choice.Method != lob.None {
-				// The logged/escalated method failed this flow.
-				w.Log.Forget(flow)
-			}
+		act := w.Detector.OnFault(fk, syn, choice)
+		if act.RunBIST {
+			w.BISTScans++
+			w.Detector.SetBISTResult(bist.Scan(cycle, w.Tap))
+		}
+		if choice.Method != lob.None {
+			// The logged/escalated method failed this flow.
+			w.Log.Forget(flow)
 		}
 		return f, noc.TxResult{OK: false}
 	case ecc.Corrected:
@@ -210,14 +192,12 @@ func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) 
 
 	f.Payload = data
 	stall := 0
-	if w.Mitigated {
-		if choice.Method != lob.None {
-			stall = choice.Method.Penalty()
-			w.StallCycles += uint64(stall)
-			w.Log.Record(flow, choice)
-		}
-		w.Detector.OnClean(fk, choice)
+	if choice.Method != lob.None {
+		stall = choice.Method.Penalty()
+		w.StallCycles += uint64(stall)
+		w.Log.Record(flow, choice)
 	}
+	w.Detector.OnClean(fk, choice)
 	return f, noc.TxResult{OK: true, Corrected: st == ecc.Corrected, Stall: stall}
 }
 

@@ -106,9 +106,10 @@ func runFloodCase(ncfg noc.Config, alg noc.AdaptiveRouteFunc, seed uint64, withF
 			}
 		})
 	}
+	var scratch flit.Packet
 	const cycles = 3000
 	for c := 0; c < cycles; c++ {
-		gen.Tick(func(core int, p *flit.Packet) bool { return n.Inject(core, p) })
+		gen.TickInto(&scratch, func(core int, p *flit.Packet) bool { return n.Inject(core, p) })
 		if fl != nil {
 			fl.Tick(n.Cycle(), ncfg.Routers(), func(core int, p *flit.Packet) bool { return n.Inject(core, p) })
 		}

@@ -114,9 +114,10 @@ func SaturationCurve() (Table, error) {
 			return t, err
 		}
 		gen := m.Generator(7)
+		var scratch flit.Packet
 		const cycles = 4000
 		for c := 0; c < cycles; c++ {
-			gen.Tick(func(coreID int, p *flit.Packet) bool { return net.Inject(coreID, p) })
+			gen.TickInto(&scratch, func(coreID int, p *flit.Packet) bool { return net.Inject(coreID, p) })
 			net.Step()
 		}
 		cnt := net.Counters

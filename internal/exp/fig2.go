@@ -47,7 +47,7 @@ func eastLink(n *noc.Network) noc.LinkInfo {
 // with a double-bit (uncorrectable) error.
 func oneShot() fault.Adversary {
 	done := false
-	return fault.InjectorFunc(func(_ uint64, w ecc.Codeword, fr fault.Framing) ecc.Codeword {
+	return fault.ForwardFunc(func(_ uint64, w ecc.Codeword, fr fault.Framing) ecc.Codeword {
 		if done || !fr.Head {
 			return w
 		}

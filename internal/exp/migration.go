@@ -103,13 +103,14 @@ func runMigrationCase(seed uint64, useLOb, useMigration bool) ([]string, error) 
 
 	var atEnable noc.Counters
 	var pendingTransfer []*flit.Packet
+	var scratch flit.Packet
 	for c := 0; c < warmup+measure; c++ {
 		if net.Cycle()+1 == warmup {
 			for _, ht := range trojans {
 				ht.SetKillSwitch(true)
 			}
 		}
-		gen.Tick(inject)
+		gen.TickInto(&scratch, inject)
 		// Drain pending state-transfer packets a few per cycle.
 		for i := 0; i < 2 && len(pendingTransfer) > 0; i++ {
 			p := pendingTransfer[0]

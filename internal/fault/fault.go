@@ -5,14 +5,12 @@
 // family in package tasp — implements the Adversary interface and decides
 // the fate of the codeword in flight.
 //
-// Two contracts live here. Injector is the historical wire-mutation tap:
-// the word goes in, a (possibly corrupted) word comes out, and SECDED
-// downstream arbitrates. Adversary subsumes it: Strike can additionally
-// swallow the flit outright — the drop-trojan class of Prasad et al.
-// (arXiv:1908.00289), where the link forges the ACK and the flit simply
-// never arrives, leaving SECDED nothing to see. Every Injector in this
-// package also implements Adversary (forwarding), so benign fault sources
-// compose with trojans in one Chain.
+// Adversary is the one tap contract. Strike either forwards the word,
+// possibly corrupted, for SECDED downstream to arbitrate, or swallows the
+// flit outright — the drop-trojan class of Prasad et al. (arXiv:1908.00289),
+// where the link forges the ACK and the flit simply never arrives, leaving
+// SECDED nothing to see. The benign fault sources here always forward, so
+// they compose with trojans in one Chain.
 package fault
 
 import (
@@ -28,15 +26,6 @@ import (
 type Framing struct {
 	Head bool // the flit opens a packet (head or single)
 	Tail bool // the flit closes a packet (tail or single)
-}
-
-// Injector mutates a codeword as it traverses a link. Inspect receives the
-// word exactly as the upstream ECC encoder emitted it (after any L-Ob
-// obfuscation) and returns the word the downstream decoder will see. cycle
-// is the global simulation clock, letting injectors model temporal
-// behaviour; fr is the control-wire framing of the flit.
-type Injector interface {
-	Inspect(cycle uint64, w ecc.Codeword, fr Framing) ecc.Codeword
 }
 
 // Outcome is an adversary's decision about a traversing flit.
@@ -57,23 +46,19 @@ const (
 // Adversary is the full wire-boundary attack contract: it sees the codeword
 // exactly as the upstream ECC encoder emitted it (after any L-Ob
 // obfuscation) and decides its fate — forward it (mutated or not) or swallow
-// it with a forged acknowledgment. cycle is the global simulation clock; fr
-// is the control-wire framing of the flit.
+// it with a forged acknowledgment. cycle is the global simulation clock,
+// letting fault sources model temporal behaviour; fr is the control-wire
+// framing of the flit.
 type Adversary interface {
 	Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Codeword, Outcome)
 }
 
-// InjectorFunc adapts a function to the Injector interface (and, always
-// forwarding, to Adversary).
-type InjectorFunc func(cycle uint64, w ecc.Codeword, fr Framing) ecc.Codeword
-
-// Inspect calls f.
-func (f InjectorFunc) Inspect(cycle uint64, w ecc.Codeword, fr Framing) ecc.Codeword {
-	return f(cycle, w, fr)
-}
+// ForwardFunc adapts a word-mutating function to an Adversary that always
+// forwards what the function returns.
+type ForwardFunc func(cycle uint64, w ecc.Codeword, fr Framing) ecc.Codeword
 
 // Strike implements Adversary: mutate and forward.
-func (f InjectorFunc) Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Codeword, Outcome) {
+func (f ForwardFunc) Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Codeword, Outcome) {
 	return f(cycle, w, fr), Forward
 }
 
@@ -82,9 +67,6 @@ func (f InjectorFunc) Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Code
 // clean link by its tap alone and skip the codec: a SECDED codeword that
 // nothing corrupts decodes to exactly the word that was encoded.
 type Identity struct{}
-
-// Inspect implements Injector: the word passes unchanged.
-func (Identity) Inspect(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w }
 
 // Strike implements Adversary: forward unchanged.
 func (Identity) Strike(_ uint64, w ecc.Codeword, _ Framing) (ecc.Codeword, Outcome) {
@@ -105,13 +87,13 @@ type Transient struct {
 	Flips uint64
 }
 
-// NewTransient returns a transient-fault injector with the given per-bit
+// NewTransient returns a transient fault source with the given per-bit
 // error rate, deterministically seeded.
 func NewTransient(ber float64, seed uint64) *Transient {
 	return &Transient{BitErrorRate: ber, rng: xrand.New(seed)}
 }
 
-// Reset re-arms the injector in place with a new rate and seed, producing
+// Reset re-arms the fault source in place with a new rate and seed, producing
 // the exact upset stream a fresh NewTransient(ber, seed) would (arena reuse
 // across simulation runs).
 func (t *Transient) Reset(ber float64, seed uint64) {
@@ -120,12 +102,12 @@ func (t *Transient) Reset(ber float64, seed uint64) {
 	t.Flips = 0
 }
 
-// Inspect implements Injector.
-func (t *Transient) Inspect(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword {
+// Strike implements Adversary: upsets forward.
+func (t *Transient) Strike(_ uint64, w ecc.Codeword, _ Framing) (ecc.Codeword, Outcome) {
 	// Fast path: with rate p the chance of any flip in 72 bits is ~72p;
 	// sample the count first to avoid 72 RNG draws per flit.
 	if !t.rng.Bool(t.BitErrorRate * ecc.CodewordBits) {
-		return w
+		return w, Forward
 	}
 	w = w.Flip(t.rng.Intn(ecc.CodewordBits))
 	t.Flips++
@@ -134,12 +116,7 @@ func (t *Transient) Inspect(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword {
 		w = w.Flip(t.rng.Intn(ecc.CodewordBits))
 		t.Flips++
 	}
-	return w
-}
-
-// Strike implements Adversary: upsets forward.
-func (t *Transient) Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Codeword, Outcome) {
-	return t.Inspect(cycle, w, fr), Forward
+	return w, Forward
 }
 
 // StuckAt models a permanent defect: the listed wires are stuck at fixed
@@ -151,7 +128,7 @@ type StuckAt struct {
 	Wires map[int]uint
 }
 
-// NewStuckAt returns a permanent-fault injector with the given stuck wires.
+// NewStuckAt returns a permanent fault source with the given stuck wires.
 func NewStuckAt(wires map[int]uint) *StuckAt {
 	cp := make(map[int]uint, len(wires))
 	for p, v := range wires { //nocvet:orderfree builds a map keyed by the same bit position
@@ -160,19 +137,14 @@ func NewStuckAt(wires map[int]uint) *StuckAt {
 	return &StuckAt{Wires: cp}
 }
 
-// Inspect implements Injector.
-func (s *StuckAt) Inspect(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword {
+// Strike implements Adversary: stuck wires forward.
+func (s *StuckAt) Strike(_ uint64, w ecc.Codeword, _ Framing) (ecc.Codeword, Outcome) {
 	for p, v := range s.Wires { //nocvet:orderfree independent single-bit flips commute
 		if w.Bit(p) != v {
 			w = w.Flip(p)
 		}
 	}
-	return w
-}
-
-// Strike implements Adversary: stuck wires forward.
-func (s *StuckAt) Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Codeword, Outcome) {
-	return s.Inspect(cycle, w, fr), Forward
+	return w, Forward
 }
 
 // Chain composes adversaries; the word passes through each in order. It lets
@@ -190,15 +162,4 @@ func (c Chain) Strike(cycle uint64, w ecc.Codeword, fr Framing) (ecc.Codeword, O
 		}
 	}
 	return w, Forward
-}
-
-// Inspect adapts a forwarding chain to the Injector view (logic-test
-// campaigns drive taps through it). Swallows read as unchanged words there;
-// wire-level simulation must use Strike.
-func (c Chain) Inspect(cycle uint64, w ecc.Codeword, fr Framing) ecc.Codeword {
-	out, oc := c.Strike(cycle, w, fr)
-	if oc == Swallow {
-		return w
-	}
-	return out
 }

@@ -8,30 +8,30 @@ import (
 
 func TestNoneIsIdentity(t *testing.T) {
 	w := ecc.Encode(0xdeadbeef)
-	if got := None.Inspect(0, w, Framing{Head: true}); got != w {
+	if got := strike(t, None, 0, w); got != w {
 		t.Fatalf("None mutated the codeword")
 	}
 }
 
 func TestTransientRespectsRate(t *testing.T) {
-	// At rate 0 the injector must never flip; at a huge rate it must flip.
+	// At rate 0 the source must never flip; at a huge rate it must flip.
 	quiet := NewTransient(0, 1)
 	w := ecc.Encode(42)
 	for c := uint64(0); c < 1000; c++ {
-		if quiet.Inspect(c, w, Framing{Head: true}) != w {
-			t.Fatal("zero-rate transient injector flipped a bit")
+		if strike(t, quiet, c, w) != w {
+			t.Fatal("zero-rate transient source flipped a bit")
 		}
 	}
 	noisy := NewTransient(0.5, 1)
 	flipped := false
 	for c := uint64(0); c < 100; c++ {
-		if noisy.Inspect(c, w, Framing{Head: true}) != w {
+		if strike(t, noisy, c, w) != w {
 			flipped = true
 			break
 		}
 	}
 	if !flipped {
-		t.Fatal("high-rate transient injector never flipped")
+		t.Fatal("high-rate transient source never flipped")
 	}
 	if noisy.Flips == 0 {
 		t.Fatal("flip counter not incremented")
@@ -47,7 +47,7 @@ func TestTransientMostlyCorrectable(t *testing.T) {
 	cw := ecc.Encode(data)
 	var corrected, uncorrectable int
 	for c := uint64(0); c < 200000; c++ {
-		_, st, _ := ecc.Decode(tr.Inspect(c, cw, Framing{Head: true}))
+		_, st, _ := ecc.Decode(strike(t, tr, c, cw))
 		switch st {
 		case ecc.Corrected:
 			corrected++
@@ -67,12 +67,12 @@ func TestStuckAtForcesWires(t *testing.T) {
 	s := NewStuckAt(map[int]uint{5: 1, 20: 0})
 	// Drive both polarities through the stuck wires.
 	w := ecc.Codeword{}
-	got := s.Inspect(0, w, Framing{Head: true})
+	got := strike(t, s, 0, w)
 	if got.Bit(5) != 1 {
 		t.Fatal("stuck-at-1 wire not forced high")
 	}
 	w = w.Flip(20)
-	got = s.Inspect(0, w, Framing{Head: true})
+	got = strike(t, s, 0, w)
 	if got.Bit(20) != 0 {
 		t.Fatal("stuck-at-0 wire not forced low")
 	}
@@ -81,7 +81,7 @@ func TestStuckAtForcesWires(t *testing.T) {
 func TestStuckAtTransparentWhenDataMatches(t *testing.T) {
 	s := NewStuckAt(map[int]uint{3: 1})
 	w := ecc.Codeword{}.Flip(3)
-	if s.Inspect(0, w, Framing{Head: true}) != w {
+	if strike(t, s, 0, w) != w {
 		t.Fatal("stuck-at mutated a word that already matched")
 	}
 }
@@ -91,17 +91,28 @@ func TestStuckAtCopiesMap(t *testing.T) {
 	s := NewStuckAt(m)
 	m[7] = 0
 	w := ecc.Codeword{}
-	if s.Inspect(0, w, Framing{Head: true}).Bit(7) != 1 {
-		t.Fatal("injector shares caller's map")
+	if strike(t, s, 0, w).Bit(7) != 1 {
+		t.Fatal("fault source shares caller's map")
 	}
 }
 
 func TestChainAppliesInOrder(t *testing.T) {
-	a := InjectorFunc(func(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w.Flip(0) })
-	b := InjectorFunc(func(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w.Flip(0).Flip(1) })
+	a := ForwardFunc(func(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w.Flip(0) })
+	b := ForwardFunc(func(_ uint64, w ecc.Codeword, _ Framing) ecc.Codeword { return w.Flip(0).Flip(1) })
 	c := Chain{a, b}
-	got := c.Inspect(0, ecc.Codeword{}, Framing{Head: true})
+	got := strike(t, c, 0, ecc.Codeword{})
 	if got.Bit(0) != 0 || got.Bit(1) != 1 {
 		t.Fatalf("chain misapplied: bits %d %d", got.Bit(0), got.Bit(1))
 	}
+}
+
+// strike drives one head-framed traversal through a and returns the word it
+// forwards; every fault source in this package forwards.
+func strike(t *testing.T, a Adversary, cycle uint64, w ecc.Codeword) ecc.Codeword {
+	t.Helper()
+	out, oc := a.Strike(cycle, w, Framing{Head: true})
+	if oc != Forward {
+		t.Fatalf("%T swallowed a flit", a)
+	}
+	return out
 }

@@ -29,7 +29,7 @@ type Campaign struct {
 // Result reports a campaign's outcome.
 type Result struct {
 	Vectors   int
-	Triggers  int     // vectors the trojan corrupted
+	Triggers  int     // vectors the trojan corrupted or swallowed
 	FirstAt   int     // 1-based index of the first trigger (0 = never)
 	TriggerPr float64 // Triggers / Vectors
 }
@@ -37,9 +37,10 @@ type Result struct {
 // Detected reports whether the campaign exposed the trojan.
 func (r Result) Detected() bool { return r.Triggers > 0 }
 
-// Run drives the campaign through the injector. Every vector is framed as
-// a head flit (test harnesses control the framing wires).
-func (c Campaign) Run(tap fault.Injector, seed uint64) Result {
+// Run drives the campaign through the tap. Every vector is framed as a head
+// flit (test harnesses control the framing wires). A vector the tap corrupts
+// or swallows is a trigger.
+func (c Campaign) Run(tap fault.Adversary, seed uint64) Result {
 	rng := xrand.New(seed)
 	res := Result{Vectors: c.Vectors}
 	for i := 1; i <= c.Vectors; i++ {
@@ -53,8 +54,8 @@ func (c Campaign) Run(tap fault.Injector, seed uint64) Result {
 			data = rng.Uint64()
 		}
 		cw := ecc.Encode(data)
-		got := tap.Inspect(uint64(i), cw, fault.Framing{Head: true, Tail: true})
-		if got != cw {
+		got, oc := tap.Strike(uint64(i), cw, fault.Framing{Head: true, Tail: true})
+		if oc == fault.Swallow || got != cw {
 			res.Triggers++
 			if res.FirstAt == 0 {
 				res.FirstAt = i

@@ -95,3 +95,14 @@ func TestStuckAtCaughtByLogicTesting(t *testing.T) {
 		t.Fatalf("stuck wire not exposed: %+v", r)
 	}
 }
+
+func TestSwallowCountsAsTrigger(t *testing.T) {
+	// A drop trojan forwards nothing it matches: the vector vanishes with a
+	// forged ACK instead of arriving corrupted, and that is a trigger too.
+	d := tasp.NewDropper(tasp.ForVC(1), flit.Default)
+	d.SetKillSwitch(true)
+	r := Campaign{Vectors: 1000}.Run(d, 2)
+	if r.TriggerPr < 0.15 || r.TriggerPr > 0.35 {
+		t.Fatalf("armed 2-bit drop trigger fired with probability %.3f, want ~0.25", r.TriggerPr)
+	}
+}

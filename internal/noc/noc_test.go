@@ -412,13 +412,13 @@ func TestPlainWireCorrectsAndDrops(t *testing.T) {
 		t.Fatal("healthy wire mangled the flit")
 	}
 	// Single flip: corrected.
-	w.Tap = fault.InjectorFunc(func(_ uint64, cw ecc.Codeword, _ fault.Framing) ecc.Codeword { return cw.Flip(9) })
+	w.Tap = fault.ForwardFunc(func(_ uint64, cw ecc.Codeword, _ fault.Framing) ecc.Codeword { return cw.Flip(9) })
 	got, res = w.Transmit(0, f, 0, 0)
 	if !res.OK || !res.Corrected || got.Payload != f.Payload {
 		t.Fatalf("single-bit fault not corrected: %+v", res)
 	}
 	// Double flip: dropped.
-	w.Tap = fault.InjectorFunc(func(_ uint64, cw ecc.Codeword, _ fault.Framing) ecc.Codeword { return cw.Flip(9).Flip(33) })
+	w.Tap = fault.ForwardFunc(func(_ uint64, cw ecc.Codeword, _ fault.Framing) ecc.Codeword { return cw.Flip(9).Flip(33) })
 	_, res = w.Transmit(0, f, 0, 0)
 	if res.OK {
 		t.Fatal("double-bit fault not rejected")

@@ -228,9 +228,8 @@ func (s State) String() string {
 }
 
 // HT is one TASP trojan instance — the flip family of the pluggable Trojan
-// contract (trojan.go). It implements fault.Adversary (and the historical
-// fault.Injector view) so it can be attached to any link tap point. The zero
-// value is not usable; construct with New.
+// contract (trojan.go). It implements fault.Adversary so it can be attached
+// to any link tap point. The zero value is not usable; construct with New.
 type HT struct {
 	trigger
 	yBits   int
@@ -317,11 +316,4 @@ func (h *HT) Strike(_ uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, 
 	h.plState = (h.plState + 1) % h.PayloadStates()
 	h.Injections++
 	return cw, fault.Forward
-}
-
-// Inspect is the fault.Injector view of Strike, kept for the logic-test
-// campaigns that drive taps as plain word mutators.
-func (h *HT) Inspect(cycle uint64, cw ecc.Codeword, fr fault.Framing) ecc.Codeword {
-	out, _ := h.Strike(cycle, cw, fr)
-	return out
 }

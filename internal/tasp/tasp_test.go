@@ -9,6 +9,10 @@ import (
 	"tasp/internal/flit"
 )
 
+// forwarded is the word a flip trojan's Strike forwards; the flip family
+// never swallows.
+func forwarded(cw ecc.Codeword, _ fault.Outcome) ecc.Codeword { return cw }
+
 func headWord(h flit.Header) ecc.Codeword {
 	h.Kind = flit.Single
 	return ecc.Encode(flit.Default.Encode(h))
@@ -17,7 +21,7 @@ func headWord(h flit.Header) ecc.Codeword {
 func TestIdleUntilKillSwitch(t *testing.T) {
 	ht := New(ForDest(5), DefaultPayloadBits, flit.Default)
 	cw := headWord(flit.Header{DstR: 5})
-	if got := ht.Inspect(0, cw, fault.Framing{Head: true}); got != cw {
+	if got := forwarded(ht.Strike(0, cw, fault.Framing{Head: true})); got != cw {
 		t.Fatal("dormant trojan injected a fault")
 	}
 	if ht.State() != Idle {
@@ -27,7 +31,7 @@ func TestIdleUntilKillSwitch(t *testing.T) {
 	if ht.State() != Active {
 		t.Fatalf("state %v after killsw, want active", ht.State())
 	}
-	if got := ht.Inspect(1, cw, fault.Framing{Head: true}); got == cw {
+	if got := forwarded(ht.Strike(1, cw, fault.Framing{Head: true})); got == cw {
 		t.Fatal("armed trojan did not strike its target")
 	}
 	if ht.State() != Attacking {
@@ -37,7 +41,7 @@ func TestIdleUntilKillSwitch(t *testing.T) {
 	if ht.State() != Idle {
 		t.Fatal("kill switch off did not return the trojan to idle")
 	}
-	if got := ht.Inspect(2, cw, fault.Framing{Head: true}); got != cw {
+	if got := forwarded(ht.Strike(2, cw, fault.Framing{Head: true})); got != cw {
 		t.Fatal("disarmed trojan struck")
 	}
 }
@@ -49,7 +53,7 @@ func TestStrikeIsUncorrectable(t *testing.T) {
 	ht.SetKillSwitch(true)
 	cw := headWord(flit.Header{DstR: 9, Mem: 0xabcd})
 	for i := 0; i < 100; i++ {
-		struck := ht.Inspect(uint64(i), cw, fault.Framing{Head: true})
+		struck := forwarded(ht.Strike(uint64(i), cw, fault.Framing{Head: true}))
 		if struck == cw {
 			t.Fatalf("strike %d missed", i)
 		}
@@ -71,7 +75,7 @@ func TestNonTargetPassesUntouched(t *testing.T) {
 			continue
 		}
 		cw := headWord(flit.Header{DstR: uint8(d)})
-		if ht.Inspect(0, cw, fault.Framing{Head: true}) != cw {
+		if forwarded(ht.Strike(0, cw, fault.Framing{Head: true})) != cw {
 			t.Fatalf("trojan struck wrong destination %d", d)
 		}
 	}
@@ -88,7 +92,7 @@ func TestBodyFlitsNormallyIgnored(t *testing.T) {
 	h := flit.Header{Kind: flit.Single, DstR: 9}
 	w := flit.Default.Encode(h)
 	w = (w &^ 3) | uint64(flit.Body) // overwrite type bits
-	if got := ht.Inspect(0, ecc.Encode(w), fault.Framing{Head: false}); got != ecc.Encode(w) {
+	if got := forwarded(ht.Strike(0, ecc.Encode(w), fault.Framing{Head: false})); got != ecc.Encode(w) {
 		t.Fatal("trojan struck a body flit")
 	}
 }
@@ -102,7 +106,7 @@ func TestPayloadStatesShift(t *testing.T) {
 	cw := headWord(flit.Header{DstR: 3})
 	seen := map[[2]uint64]bool{}
 	for i := 0; i < 6; i++ {
-		struck := ht.Inspect(uint64(i), cw, fault.Framing{Head: true})
+		struck := forwarded(ht.Strike(uint64(i), cw, fault.Framing{Head: true}))
 		diff := [2]uint64{struck.Lo ^ cw.Lo, uint64(struck.Hi ^ cw.Hi)}
 		if seen[diff] {
 			t.Fatalf("payload state %d repeated a flip mask", i)
@@ -110,7 +114,7 @@ func TestPayloadStatesShift(t *testing.T) {
 		seen[diff] = true
 	}
 	// State 7 wraps to the first mask.
-	struck := ht.Inspect(7, cw, fault.Framing{Head: true})
+	struck := forwarded(ht.Strike(7, cw, fault.Framing{Head: true}))
 	diff := [2]uint64{struck.Lo ^ cw.Lo, uint64(struck.Hi ^ cw.Hi)}
 	if !seen[diff] {
 		t.Fatal("payload counter did not wrap")
@@ -135,11 +139,11 @@ func TestAllVariantsMatchTheirFlows(t *testing.T) {
 		ht := New(tc.target, DefaultPayloadBits, flit.Default)
 		ht.SetKillSwitch(true)
 		hit := headWord(hdr)
-		if ht.Inspect(0, hit, fault.Framing{Head: true}) == hit {
+		if forwarded(ht.Strike(0, hit, fault.Framing{Head: true})) == hit {
 			t.Errorf("%s: target flow not struck", tc.name)
 		}
 		miss := headWord(tc.miss)
-		if ht.Inspect(0, miss, fault.Framing{Head: true}) != miss {
+		if forwarded(ht.Strike(0, miss, fault.Framing{Head: true})) != miss {
 			t.Errorf("%s: non-target flow struck", tc.name)
 		}
 	}
@@ -182,7 +186,7 @@ func TestStrikeAlwaysTwoFlipsProperty(t *testing.T) {
 	ht.SetKillSwitch(true)
 	f := func(src, dst uint8, mem uint32) bool {
 		cw := headWord(flit.Header{VC: 1, SrcR: src & 15, DstR: dst & 15, Mem: mem})
-		struck := ht.Inspect(0, cw, fault.Framing{Head: true})
+		struck := forwarded(ht.Strike(0, cw, fault.Framing{Head: true}))
 		diff := struck.Xor(cw)
 		return diff.Weight() == 2
 	}

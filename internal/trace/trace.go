@@ -239,11 +239,12 @@ func (p *Player) Remaining() int { return len(p.events) - p.pos }
 // the given cycles against a virtual unlimited sink (no network), recording
 // every packet the model offers.
 func Record(w *Writer, gen interface {
-	Tick(inject func(core int, p *flit.Packet) bool)
+	TickInto(scratch *flit.Packet, inject func(core int, p *flit.Packet) bool)
 }, cycles int) error {
+	var scratch flit.Packet
 	for c := 0; c < cycles; c++ {
 		var err error
-		gen.Tick(func(core int, p *flit.Packet) bool {
+		gen.TickInto(&scratch, func(core int, p *flit.Packet) bool {
 			if err != nil {
 				return false
 			}

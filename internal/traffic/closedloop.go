@@ -33,6 +33,7 @@ type ClosedLoop struct {
 	Stalled uint64
 
 	replyQueue []*flit.Packet // replies awaiting injection at their cores
+	scratch    flit.Packet    // the generator's request packet, reused
 }
 
 // ReplyMark is the spare-byte value identifying reply packets.
@@ -66,7 +67,7 @@ func (cl *ClosedLoop) Tick(inject func(core int, p *flit.Packet) bool) {
 	}
 	cl.replyQueue = kept
 
-	cl.gen.Tick(func(core int, p *flit.Packet) bool {
+	cl.gen.TickInto(&cl.scratch, func(core int, p *flit.Packet) bool {
 		if cl.pending[core] >= cl.Outstanding {
 			cl.Stalled++
 			return false

@@ -261,53 +261,14 @@ func (g *Generator) Reset(seed uint64) {
 // Model returns the model the generator draws from.
 func (g *Generator) Model() *Model { return g.m }
 
-// Tick rolls injection for every core for one cycle and calls inject for
-// each generated packet. inject reports acceptance; rejected packets are
-// simply dropped by the generator (the source is stalled, which the
-// injection-queue occupancy statistics already capture).
-func (g *Generator) Tick(inject func(core int, p *flit.Packet) bool) {
-	cfg := g.m.cfg
-	for core := 0; core < cfg.Cores(); core++ {
-		r := cfg.CoreRouter(core)
-		if !g.rng.Bool(g.m.Rate * g.m.Intensity[r]) {
-			continue
-		}
-		inject(core, g.Packet(core))
-	}
-}
-
-// Packet draws one packet originating at the given core.
-func (g *Generator) Packet(core int) *flit.Packet {
-	cfg := g.m.cfg
-	src := cfg.CoreRouter(core)
-	dst := g.sampleDst(src)
-	g.seq[core]++
-	p := &flit.Packet{
-		Hdr: flit.Header{
-			VC:   uint8(g.rng.Intn(cfg.VCs)),
-			DstR: uint8(dst),
-			DstC: uint8(g.rng.Intn(cfg.Concentration)),
-			// Addresses are laid out per destination router so memory-
-			// address trojan targets correspond to network regions.
-			Mem: uint32(dst)<<24 | uint32(g.rng.Intn(1<<20)),
-			Seq: g.seq[core],
-		},
-	}
-	if g.rng.Bool(g.m.DataFraction) {
-		p.Body = make([]uint64, 4) // 5-flit data packet
-		for i := range p.Body {
-			p.Body[i] = g.rng.Uint64()
-		}
-	}
-	return p
-}
-
-// TickInto is the allocation-free Tick: generated packets are written into
-// the caller-owned scratch packet, which inject must fully consume before
-// returning (noc.Network.Inject copies the flits into the NI queue, so
-// passing it through a closure over a network satisfies that). The RNG draw
-// order is exactly Tick's, so a generator driven by TickInto from a given
-// seed produces the same traffic as one driven by Tick.
+// TickInto rolls injection for every core for one cycle and calls inject
+// for each generated packet. Packets are written into the caller-owned
+// scratch packet, which inject must fully consume before returning
+// (noc.Network.Inject copies the flits into the NI queue, so passing it
+// through a closure over a network satisfies that). inject reports
+// acceptance; rejected packets are simply dropped by the generator (the
+// source is stalled, which the injection-queue occupancy statistics already
+// capture).
 func (g *Generator) TickInto(scratch *flit.Packet, inject func(core int, p *flit.Packet) bool) {
 	conc := g.m.cfg.Concentration
 	for r, core := 0, 0; r < g.m.cfg.Routers(); r++ {
@@ -323,10 +284,9 @@ func (g *Generator) TickInto(scratch *flit.Packet, inject func(core int, p *flit
 }
 
 // PacketInto draws one packet originating at the given core into a
-// caller-owned packet, reusing its body storage once grown: the
-// allocation-free Packet. The RNG draw order (destination, VC, core,
-// address, data coin, body words) replicates Packet exactly, so the two are
-// interchangeable without perturbing a seeded run.
+// caller-owned packet, overwriting its header and reusing its body storage
+// once grown. The RNG draw order is destination, VC, core, address, data
+// coin, body words.
 func (g *Generator) PacketInto(core int, p *flit.Packet) {
 	cfg := &g.m.cfg
 	src := cfg.CoreRouter(core)

@@ -135,8 +135,9 @@ func TestGeneratorDeterminism(t *testing.T) {
 	collect := func() []flit.Header {
 		g := m.Generator(7)
 		var hs []flit.Header
+		var scratch flit.Packet
 		for i := 0; i < 500; i++ {
-			g.Tick(func(core int, p *flit.Packet) bool {
+			g.TickInto(&scratch, func(core int, p *flit.Packet) bool {
 				hs = append(hs, p.Hdr)
 				return true
 			})
@@ -161,8 +162,9 @@ func TestGeneratorFieldsValid(t *testing.T) {
 	m, _ := Benchmark("ferret", cfg())
 	g := m.Generator(3)
 	c := cfg()
+	var scratch flit.Packet
 	for i := 0; i < 2000; i++ {
-		g.Tick(func(core int, p *flit.Packet) bool {
+		g.TickInto(&scratch, func(core int, p *flit.Packet) bool {
 			if int(p.Hdr.DstR) >= c.Routers() {
 				t.Fatalf("bad destination router %d", p.Hdr.DstR)
 			}
@@ -229,8 +231,9 @@ func TestLinkLoadsMatchSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := m.Generator(11)
+	var scratch flit.Packet
 	for i := 0; i < 20000; i++ {
-		g.Tick(func(core int, p *flit.Packet) bool { return n.Inject(core, p) })
+		g.TickInto(&scratch, func(core int, p *flit.Packet) bool { return n.Inject(core, p) })
 		n.Step()
 	}
 	var total uint64
