@@ -16,13 +16,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# Static analysis beyond vet. Runs staticcheck when it is on PATH (CI
-# installs it); otherwise skips it so the target works in minimal
-# environments. Either way it then runs nocvet, the in-tree analyzer suite
-# that enforces the determinism and hot-path allocation contracts
-# (DESIGN.md §10) — nocvet builds from this module, so it is always
-# available.
+# Static analysis beyond vet. Fails on any tracked Go file gofmt would
+# change (git ls-files skips the ignored .bench_build/ tree). Runs
+# staticcheck when it is on PATH (CI installs it); otherwise skips it so the
+# target works in minimal environments. Either way it then runs nocvet, the
+# in-tree analyzer suite that enforces the determinism and hot-path
+# allocation contracts (DESIGN.md §10) — nocvet builds from this module, so
+# it is always available.
 lint: vet
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -54,25 +56,43 @@ experiments:
 	$(GO) run ./cmd/experiments -exp all
 
 # The extension studies outside -exp all, each pinned by its own golden file.
-EXTENSIONS := topology scale locate adversary adaptive
+EXTENSIONS := locate adversary adaptive
 
-# Refresh the golden files: the canonical output and one per extension (only
-# when an intentional output change lands; CI diffs against them
-# byte-for-byte).
+# The cross-substrate studies are campaign presets, each pinned by its own
+# golden file: <golden id>:<name>, where specs/<name>.json runs the grid and
+# `aggregate -preset <name>` renders it.
+PRESETS := topology:cross-topology scale:scale
+
+# Refresh the golden files: the canonical output, one per extension and one
+# per campaign preset (only when an intentional output change lands; CI
+# diffs against them byte-for-byte).
 golden:
 	$(GO) build -o /tmp/experiments ./cmd/experiments
+	$(GO) build -o /tmp/campaign ./cmd/campaign
 	/tmp/experiments -exp all > testdata/golden/experiments-all-mesh.txt
 	for e in $(EXTENSIONS); do /tmp/experiments -exp $$e > testdata/golden/extension-$$e.txt || exit 1; done
+	for p in $(PRESETS); do \
+		id=$${p%%:*}; name=$${p#*:}; \
+		/tmp/campaign run -quiet -spec specs/$$name.json -out /tmp/preset-$$id.jsonl && \
+		/tmp/campaign aggregate -in /tmp/preset-$$id.jsonl -preset $$name > testdata/golden/extension-$$id.txt || exit 1; \
+	done
 
-# Verify the canonical 4x4 mesh output and every extension's output are
-# byte-identical to their golden files.
+# Verify the canonical 4x4 mesh output, every extension's output and every
+# campaign preset's table are byte-identical to their golden files.
 golden-check:
 	$(GO) build -o /tmp/experiments ./cmd/experiments
+	$(GO) build -o /tmp/campaign ./cmd/campaign
 	/tmp/experiments -exp all > /tmp/experiments-all-mesh.txt
 	diff -u testdata/golden/experiments-all-mesh.txt /tmp/experiments-all-mesh.txt
 	for e in $(EXTENSIONS); do \
 		/tmp/experiments -exp $$e > /tmp/extension-$$e.txt && \
 		diff -u testdata/golden/extension-$$e.txt /tmp/extension-$$e.txt || exit 1; \
+	done
+	for p in $(PRESETS); do \
+		id=$${p%%:*}; name=$${p#*:}; \
+		/tmp/campaign run -quiet -spec specs/$$name.json -out /tmp/preset-$$id.jsonl && \
+		/tmp/campaign aggregate -in /tmp/preset-$$id.jsonl -preset $$name > /tmp/extension-$$id.txt && \
+		diff -u testdata/golden/extension-$$id.txt /tmp/extension-$$id.txt || exit 1; \
 	done
 
 bench:

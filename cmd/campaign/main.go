@@ -6,6 +6,7 @@
 //	campaign resume -spec grid.json -out sweep.jsonl -workers 8
 //	campaign aggregate -in sweep.jsonl
 //	campaign aggregate -in sweep.jsonl -preset cross-topology
+//	campaign aggregate -in sweep.jsonl -preset scale
 //
 // The output is deterministic: the same spec yields byte-identical JSONL at
 // any worker count, and a killed run resumed with `campaign resume`
@@ -21,6 +22,7 @@ import (
 	"syscall"
 
 	"tasp/internal/campaign"
+	"tasp/internal/tab"
 )
 
 func main() {
@@ -54,7 +56,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   campaign run       -spec <grid.json> -out <sweep.jsonl> [-workers N] [-checkpoint-every N] [-quiet]
   campaign resume    -spec <grid.json> -out <sweep.jsonl> [-workers N] [-checkpoint-every N] [-quiet]
-  campaign aggregate -in <sweep.jsonl> [-preset cross-topology]
+  campaign aggregate -in <sweep.jsonl> [-preset cross-topology|scale]
 `)
 }
 
@@ -122,7 +124,7 @@ func runCmd(args []string, resume bool) error {
 func aggregateCmd(args []string) error {
 	fs := flag.NewFlagSet("aggregate", flag.ExitOnError)
 	inPath := fs.String("in", "", "sweep JSONL path")
-	preset := fs.String("preset", "", "table preset: '' (generic) or cross-topology")
+	preset := fs.String("preset", "", "table preset: '' (generic), cross-topology or scale")
 	fs.Parse(args)
 	if *inPath == "" {
 		return fmt.Errorf("aggregate: -in is required")
@@ -136,17 +138,20 @@ func aggregateCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	var t tab.Table
 	switch *preset {
 	case "":
-		fmt.Print(campaign.Table(campaign.Aggregate(records)).Render())
+		t = campaign.Table(campaign.Aggregate(records))
 	case "cross-topology":
-		t, err := campaign.CrossTopologyTable(records)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t.Render())
+		t, err = campaign.CrossTopologyTable(records)
+	case "scale":
+		t, err = campaign.ScaleTable(records)
 	default:
 		return fmt.Errorf("aggregate: unknown preset %q", *preset)
 	}
+	if err != nil {
+		return err
+	}
+	fmt.Println(t.Render())
 	return nil
 }

@@ -2,12 +2,18 @@
 // evaluation section. Run with -exp all (default) to print the whole set,
 // or pick one of: fig1, fig2, fig8, fig9, fig10, fig11, fig12, table1,
 // table2, headline, ablations, detectability, migration, closedloop,
-// saturation. Extension studies outside the canonical set (currently:
-// topology, the cross-substrate attack/mitigation comparison; scale, the
-// 4x4-vs-8x8 substrate-scaling study; locate, the localization ablation;
-// and adversary, the drop/misroute trojan families under secure-ack
-// monitoring) are addressable by id but not part of -exp all, so the
-// canonical output stays regression-stable.
+// saturation. Extension studies outside the canonical set (locate, the
+// localization ablation; adversary, the drop/misroute trojan families under
+// secure-ack monitoring; and adaptive, throttled and colluding droppers
+// against deficit/fused detection and retransmit-around recovery) are
+// addressable by id but not part of -exp all, so the canonical output
+// stays regression-stable. The cross-topology and substrate-scaling tables
+// come from the campaign engine:
+//
+//	campaign run -spec specs/cross-topology.json -out xt.jsonl
+//	campaign aggregate -in xt.jsonl -preset cross-topology
+//	campaign run -spec specs/scale.json -out scale.jsonl
+//	campaign aggregate -in scale.jsonl -preset scale
 //
 // Experiments are independent and deterministically seeded, so -exp all
 // fans them out across -parallel worker goroutines (default: one per CPU)
@@ -30,7 +36,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		which    = flag.String("exp", "all", "experiment id (fig1, fig2, fig8, fig9, fig10, fig11, fig12, table1, table2, headline, ablations, detectability, migration, closedloop, saturation, topology, scale, locate, adversary, all)")
+		which    = flag.String("exp", "all", "experiment id (fig1, fig2, fig8, fig9, fig10, fig11, fig12, table1, table2, headline, ablations, detectability, migration, closedloop, saturation, locate, adversary, adaptive, all)")
 		bench    = flag.String("bench", "blackscholes", "benchmark for fig1")
 		topology = flag.String("topology", "mesh", "substrate for fig1's workload characterisation: "+strings.Join(noc.Topologies(), ", "))
 		width    = flag.Int("width", 4, "fig1 substrate columns (8 for an 8x8/256-core mesh)")

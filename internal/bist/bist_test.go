@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"tasp/internal/ecc"
-	"tasp/internal/flit"
 	"tasp/internal/fault"
+	"tasp/internal/flit"
 	"tasp/internal/tasp"
 )
 

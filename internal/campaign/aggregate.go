@@ -154,62 +154,135 @@ func Table(groups []Group) tab.Table {
 	return t
 }
 
-// CrossTopologyTable renders the paper harness's cross-topology attack
-// table (exp.AblationTopology's exact columns and cell formats) from
-// campaign records. Each topology needs three conditions in the record set:
-// a clean arm (attack none, mitigation none), an attacked arm (attack on,
-// mitigation none) and a defended arm (attack on, mitigation s2s-lob).
-// Single-seed grids reproduce the harness's cells byte-for-byte — the
-// parity check between the two experiment stacks.
-func CrossTopologyTable(records []Record) (tab.Table, error) {
-	t := tab.Table{
-		Title: "Campaign: attack potency and S2S L-Ob mitigation across topologies (Figure 11 protocol per substrate)",
-		Columns: []string{
-			"topology", "infected", "clean tput", "attacked tput", "retained",
-			"l-ob tput", "l-ob retained", "blocked (none)",
-		},
-	}
+// figure11Row is one preset row: its label and the group in each Figure 11
+// arm — clean (attack none, mitigation none), attacked (attack on,
+// mitigation none) and defended (attack on, mitigation s2s-lob).
+type figure11Row struct {
+	label string
+	arms  [3]*Group
+}
+
+// figure11Rows groups records into preset rows keyed by label, in the
+// labels' first-appearance (grid) order, and sorts each row's groups into
+// its three arms; groups that fit no arm are left out. Every row needs all
+// three arms, and one arm holds one group: a second benchmark, dims or
+// attack that the label does not display would otherwise overwrite the
+// first silently, so it is an error naming both groups.
+func figure11Rows(records []Record, preset string, label func(GroupKey) string) ([]figure11Row, error) {
 	groups := Aggregate(records)
-	type arms struct {
-		clean, attacked, defended *Group
-	}
-	byTopo := map[string]*arms{}
-	var topoOrder []string
+	index := map[string]int{}
+	var rows []figure11Row
 	for i := range groups {
 		g := &groups[i]
-		a := byTopo[g.Key.Topology]
-		if a == nil {
-			a = &arms{}
-			byTopo[g.Key.Topology] = a
-			topoOrder = append(topoOrder, g.Key.Topology)
-		}
+		var arm int
 		switch {
 		case g.Key.Attack == "none" && g.Key.Mitigation == "none":
-			a.clean = g
+			arm = 0
 		case g.Key.Attack != "none" && g.Key.Mitigation == "none":
-			a.attacked = g
+			arm = 1
 		case g.Key.Attack != "none" && g.Key.Mitigation == "s2s-lob":
-			a.defended = g
+			arm = 2
+		default:
+			continue
+		}
+		name := label(g.Key)
+		j, ok := index[name]
+		if !ok {
+			j = len(rows)
+			index[name] = j
+			rows = append(rows, figure11Row{label: name})
+		}
+		if prev := rows[j].arms[arm]; prev != nil {
+			return nil, fmt.Errorf("%s preset, row %s: groups %q and %q fall into one arm", preset, name, prev.Key, g.Key)
+		}
+		rows[j].arms[arm] = g
+	}
+	for _, r := range rows {
+		if r.arms[0] == nil || r.arms[1] == nil || r.arms[2] == nil {
+			return nil, fmt.Errorf("%s preset, row %s: needs clean, attacked and s2s-lob arms", preset, r.label)
 		}
 	}
-	// Rows follow the topologies' first appearance in the records — the
-	// grid's own axis order, matching the harness table's row order when
-	// the spec lists topologies the same way.
-	for _, topo := range topoOrder {
-		a := byTopo[topo]
-		if a.clean == nil || a.attacked == nil || a.defended == nil {
-			return t, fmt.Errorf("topology %s: the cross-topology preset needs clean, attacked and s2s-lob arms", topo)
+	return rows, nil
+}
+
+// figure11Columns heads the seven cells every Figure 11 preset row ends with.
+var figure11Columns = []string{
+	"infected", "clean tput", "attacked tput", "retained",
+	"l-ob tput", "l-ob retained", "blocked (none)",
+}
+
+// cells renders a row's seven figure11Columns cells. Infected links and
+// blocked routers come from the attacked arm's first record.
+func (r figure11Row) cells() []string {
+	clean, attacked, defended := r.arms[0], r.arms[1], r.arms[2]
+	return []string{
+		fmt.Sprintf("%v", attacked.First.InfectedLinks),
+		tab.F3(clean.Throughput.Mean),
+		tab.F3(attacked.Throughput.Mean),
+		tab.Pct(attacked.Throughput.Mean / clean.Throughput.Mean),
+		tab.F3(defended.Throughput.Mean),
+		tab.Pct(defended.Throughput.Mean / clean.Throughput.Mean),
+		fmt.Sprintf("%d/%d", attacked.First.BlockedRouters, attacked.First.Routers),
+	}
+}
+
+// CrossTopologyTable renders the cross-topology attack table from campaign
+// records (specs/cross-topology.json): the Figure 11 protocol on each
+// substrate, one row per topology in grid order. Each topology needs the
+// clean, attacked and defended arms (figure11Rows).
+func CrossTopologyTable(records []Record) (tab.Table, error) {
+	t := tab.Table{
+		Title:   "Extension: attack potency and S2S L-Ob mitigation across topologies (Figure 11 protocol per substrate)",
+		Columns: append([]string{"topology"}, figure11Columns...),
+		Notes: []string{
+			"same workload, seed and attacker strategy everywhere; trojan links are re-chosen per topology from the analytic target-flow loads",
+			"torus and ring runs use dateline VC classes for deadlock freedom; wraparound path diversity shrinks the single-point-of-attack congestion tree, the ring's narrow bisection amplifies it",
+		},
+	}
+	rows, err := figure11Rows(records, "cross-topology", func(k GroupKey) string { return k.Topology })
+	if err != nil {
+		return t, err
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, append([]string{r.label}, r.cells()...))
+	}
+	return t, nil
+}
+
+// ScaleTable renders the substrate-scaling table from campaign records
+// (specs/scale.json): the Figure 11 protocol on each platform, one row per
+// dims and topology in grid order. The router count, core count and header
+// layout come from lowering the platform through Scenario.Config, so the
+// table shows the layout the runs were compiled against.
+func ScaleTable(records []Record) (tab.Table, error) {
+	t := tab.Table{
+		Title:   "Extension: TASP potency and S2S L-Ob recovery vs substrate scale (Figure 11 protocol per platform)",
+		Columns: append([]string{"platform", "routers", "cores", "header"}, figure11Columns...),
+		Notes: []string{
+			"same workload family, seed and attacker strategy on both platforms; trojan links are re-chosen per platform from the analytic target-flow loads",
+			"the 8x8 header layout widens the router-id fields to 6 bits, so the trojan taps and the L-Ob header window are compiled against the scaled layout",
+			"scale amplifies the single point of attack: the larger mesh funnels four times the flows toward the victim's hotspot, so the wedged wormhole tree back-pressures nearly the whole substrate; S2S L-Ob still recovers >90% of clean throughput",
+		},
+	}
+	rows, err := figure11Rows(records, "scale", func(k GroupKey) string {
+		return fmt.Sprintf("%dx%d %s", k.Width, k.Height, k.Topology)
+	})
+	if err != nil {
+		return t, err
+	}
+	for _, r := range rows {
+		k := r.arms[0].Key
+		cfg, err := Scenario{Topology: k.Topology, Width: k.Width, Height: k.Height}.Config()
+		if err != nil {
+			return t, fmt.Errorf("scale row %s: %w", r.label, err)
 		}
-		t.Rows = append(t.Rows, []string{
-			topo,
-			fmt.Sprintf("%v", a.attacked.First.InfectedLinks),
-			tab.F3(a.clean.Throughput.Mean),
-			tab.F3(a.attacked.Throughput.Mean),
-			tab.Pct(a.attacked.Throughput.Mean / a.clean.Throughput.Mean),
-			tab.F3(a.defended.Throughput.Mean),
-			tab.Pct(a.defended.Throughput.Mean / a.clean.Throughput.Mean),
-			fmt.Sprintf("%d/%d", a.attacked.First.BlockedRouters, a.attacked.First.Routers),
-		})
+		layout := cfg.Noc.Layout()
+		t.Rows = append(t.Rows, append([]string{
+			r.label,
+			fmt.Sprintf("%d", cfg.Noc.Routers()),
+			fmt.Sprintf("%d", cfg.Noc.Cores()),
+			fmt.Sprintf("%db hdr/%db ids", layout.HeaderBits(), layout.SrcBits),
+		}, r.cells()...))
 	}
 	return t, nil
 }

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tasp/internal/tab"
 )
 
 // testSpec is a small but heterogeneous grid: two topologies, two traffic
@@ -284,6 +286,56 @@ func TestAggregate(t *testing.T) {
 	}
 	if _, err := CrossTopologyTable(xrecords[:2]); err == nil {
 		t.Error("missing arms should be an error")
+	}
+
+	// Synthetic record sets: a preset row shows one condition per arm, so a
+	// second condition its label does not display must be rejected with an
+	// error naming both groups, never merged into one row silently.
+	arms := func(dim int, bench, attack string) []Record {
+		var out []Record
+		for _, a := range [][2]string{{"none", "none"}, {attack, "none"}, {attack, "s2s-lob"}} {
+			out = append(out, Record{Topology: "mesh", Width: dim, Height: dim, Benchmark: bench,
+				Attack: a[0], Mitigation: a[1], Throughput: 1, Routers: dim * dim})
+		}
+		return out
+	}
+	twoBench := append(arms(4, "blackscholes", "dest"), arms(4, "fft", "dest")...)
+	twoDims := append(arms(4, "blackscholes", "dest"), arms(8, "blackscholes", "dest")...)
+	twoAttacks := append(arms(4, "blackscholes", "dest"), arms(4, "blackscholes", "dest-drop")[1:]...)
+	for _, tc := range []struct {
+		name    string
+		preset  func([]Record) (tab.Table, error)
+		records []Record
+		want    []string // the groups the error names; nil = a row per label
+	}{
+		{"cross-topology two benchmarks", CrossTopologyTable, twoBench,
+			[]string{"mesh 4x4 blackscholes attack=none mit=none", "mesh 4x4 fft attack=none mit=none"}},
+		{"cross-topology two dims", CrossTopologyTable, twoDims,
+			[]string{"mesh 4x4 blackscholes attack=none mit=none", "mesh 8x8 blackscholes attack=none mit=none"}},
+		{"cross-topology dest and dest-drop", CrossTopologyTable, twoAttacks,
+			[]string{"mesh 4x4 blackscholes attack=dest mit=none", "mesh 4x4 blackscholes attack=dest-drop mit=none"}},
+		{"scale two benchmarks", ScaleTable, twoBench,
+			[]string{"mesh 4x4 blackscholes attack=none mit=none", "mesh 4x4 fft attack=none mit=none"}},
+		{"scale dest and dest-drop", ScaleTable, twoAttacks,
+			[]string{"mesh 4x4 blackscholes attack=dest mit=none", "mesh 4x4 blackscholes attack=dest-drop mit=none"}},
+		{"scale two dims", ScaleTable, twoDims, nil},
+	} {
+		table, err := tc.preset(tc.records)
+		if tc.want == nil {
+			if err != nil || len(table.Rows) != 2 || table.Rows[0][0] != "4x4 mesh" || table.Rows[1][0] != "8x8 mesh" {
+				t.Errorf("%s: want rows 4x4 mesh and 8x8 mesh, got err %v:\n%s", tc.name, err, table.Render())
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted, rendering:\n%s", tc.name, table.Render())
+			continue
+		}
+		for _, g := range tc.want {
+			if !strings.Contains(err.Error(), g) {
+				t.Errorf("%s: error %q does not name group %q", tc.name, err, g)
+			}
+		}
 	}
 }
 

@@ -38,8 +38,9 @@ func Registry(bench string) []Experiment {
 // RegistryFor is Registry with an explicit platform for the workload
 // characterisation (fig1) — the `-topology` knob. The paper-reproduction
 // experiments pin their own platform (the 4x4 mesh the paper evaluates), so
-// only fig1 follows ncfg; cross-substrate attack results live in the
-// "topology" extension instead.
+// only fig1 follows ncfg; cross-substrate attack results come from the
+// campaign presets instead (`cmd/campaign aggregate -preset cross-topology`
+// or `-preset scale`).
 func RegistryFor(bench string, ncfg noc.Config) []Experiment {
 	one := func(t Table, err error) ([]Table, error) {
 		if err != nil {
@@ -132,23 +133,12 @@ func RegistryFor(bench string, ncfg noc.Config) []Experiment {
 
 // Extensions returns studies addressable by id but excluded from the
 // canonical `-exp all` set, so adding one never perturbs the regression
-// baseline of the canonical output.
+// baseline of the canonical output. The cross-topology and scale studies
+// are not here: specs/cross-topology.json and specs/scale.json run them
+// through the campaign engine, and the `cross-topology` and `scale`
+// aggregate presets render their tables.
 func Extensions() []Experiment {
 	return []Experiment{
-		{ID: "topology", Run: func(seed uint64) ([]Table, error) {
-			t, err := AblationTopology(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []Table{t}, nil
-		}},
-		{ID: "scale", Run: func(seed uint64) ([]Table, error) {
-			t, err := AblationScale(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []Table{t}, nil
-		}},
 		{ID: "locate", Run: func(seed uint64) ([]Table, error) {
 			t, err := AblationLocate(seed)
 			if err != nil {

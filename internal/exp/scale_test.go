@@ -6,18 +6,6 @@ import (
 	"tasp/internal/core"
 )
 
-// TestScaleExtensionRegistered pins "scale" as an extension: addressable by
-// id, never part of -exp all (the canonical output is a regression
-// baseline).
-func TestScaleExtensionRegistered(t *testing.T) {
-	if _, ok := Lookup(Extensions(), "scale"); !ok {
-		t.Fatal("scale extension not registered")
-	}
-	if _, ok := Lookup(Registry("blackscholes"), "scale"); ok {
-		t.Fatal("scale experiment leaked into the canonical registry")
-	}
-}
-
 // TestScaledMeshAttack runs a shortened Figure 11 protocol on the
 // 8x8/256-core mesh and checks the attack's qualitative signature holds on
 // the scaled substrate with its wider header layout: the attacker finds

@@ -6,24 +6,12 @@ import (
 	"tasp/internal/core"
 )
 
-// TestExtensionsRegistry pins the extension set apart from the canonical
-// one: "topology" is addressable but must never join -exp all (the
-// canonical output is a regression baseline).
-func TestExtensionsRegistry(t *testing.T) {
-	if _, ok := Lookup(Extensions(), "topology"); !ok {
-		t.Fatal("topology extension not registered")
-	}
-	if _, ok := Lookup(Registry("blackscholes"), "topology"); ok {
-		t.Fatal("topology experiment leaked into the canonical registry")
-	}
-}
-
 // TestCrossTopologyAttack runs a shortened Figure 11 protocol on torus and
 // ring substrates and checks the attack's qualitative signature carries
 // over: the attacker finds links to infect, the TASP trojans fire, and
 // throughput drops under attack. (The cross-substrate severity ordering
 // needs the full 1500-cycle saturation protocol and is reported by the
-// "topology" extension table, not asserted here.)
+// campaign's cross-topology preset, not asserted here.)
 func TestCrossTopologyAttack(t *testing.T) {
 	run := func(topo string, attack bool) *core.Results {
 		t.Helper()

@@ -97,11 +97,6 @@ type Config struct {
 	// of retransmission storage, so a wedged VC cannot exhaust another
 	// VC's slots. Takes precedence over PartitionRetrans.
 	RetransPerVC bool
-
-	// StallThreshold is the number of progress-free cycles after which an
-	// output port with waiting flits counts as blocked in Occupancy
-	// (0 = 50). It separates deadlock from transient congestion.
-	StallThreshold int
 }
 
 // DefaultConfig returns the paper's evaluation platform: 4x4 mesh,
@@ -218,41 +213,3 @@ type RouteFunc func(router, dst int) int
 // candidate at route-computation time. Candidates must be non-empty and
 // deadlock-free by construction (e.g. west-first, north-last).
 type AdaptiveRouteFunc func(router, dst int) []int
-
-// XYRoute returns the paper's default XY dimension-order routing function.
-func XYRoute(c Config) RouteFunc {
-	return func(router, dst int) int {
-		cx, cy := c.XY(router)
-		dx, dy := c.XY(dst)
-		switch {
-		case dx > cx:
-			return PortEast
-		case dx < cx:
-			return PortWest
-		case dy > cy:
-			return PortNorth
-		case dy < cy:
-			return PortSouth
-		default:
-			return PortLocal
-		}
-	}
-}
-
-// XYTable returns XY dimension-order routing backed by a precomputed
-// (router, dst) -> port table: one array load at route-computation time
-// instead of coordinate arithmetic. Behaviour is identical to XYRoute;
-// networks are built on this by default.
-func XYTable(c Config) RouteFunc {
-	xy := XYRoute(c)
-	R := c.Routers()
-	tab := make([]uint8, R*R)
-	for r := 0; r < R; r++ {
-		for d := 0; d < R; d++ {
-			tab[r*R+d] = uint8(xy(r, d))
-		}
-	}
-	return func(router, dst int) int {
-		return int(tab[router*R+dst])
-	}
-}

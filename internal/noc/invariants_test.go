@@ -60,7 +60,7 @@ func TestInvariantsWithDisabledLinks(t *testing.T) {
 	}
 	n.Run(20)
 	n.DisableLink(0)
-	base := XYRoute(n.cfg)
+	base := n.cfg.Topology().Route
 	n.SetRoute(func(router, dst int) int {
 		if router == 0 && base(router, dst) == PortEast {
 			return PortNorth

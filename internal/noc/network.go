@@ -339,21 +339,31 @@ func (n *Network) LinkDisabled(linkID int) bool {
 	return n.routers[l.From].outputs[l.FromPort].disabled
 }
 
-// LinkBlocked reports whether the link's output port is currently stalled:
-// work is waiting for it and nothing has crossed for at least the configured
-// stall threshold. The secure-ack monitor uses it to separate congestion
+// stallThreshold is the number of progress-free cycles after which an
+// output port holding work counts as blocked. It separates deadlock from
+// transient congestion.
+const stallThreshold = 50
+
+// portBlocked is the one blocked-port rule, shared by LinkBlocked,
+// telemetry's Sample and Occupancy's BlockedRouters: the port is not
+// disabled, its router holds work, and nothing has crossed it for
+// stallThreshold cycles. Idle routers are skipped by Step, so their
+// progress clocks are stale by design (wake refreshes them); with no flits
+// anywhere they cannot be blocked. Callers repairIfAsleep first, so the
+// clocks are exact inside a sleep stretch.
+func (n *Network) portBlocked(r *Router, op *outputPort) bool {
+	return !op.disabled && !r.idle() && n.cycle-op.lastProgress >= stallThreshold
+}
+
+// LinkBlocked reports whether the link's output port is currently stalled
+// (portBlocked). The secure-ack monitor uses it to separate congestion
 // (blocked ports explain missing deliveries) from in-flight loss (a growing
 // sent/received gap on a link that is demonstrably flowing).
 func (n *Network) LinkBlocked(linkID int) bool {
-	stall := uint64(n.cfg.StallThreshold)
-	if stall == 0 {
-		stall = 50
-	}
 	n.repairIfAsleep()
 	l := n.links[linkID]
 	r := n.routers[l.From]
-	op := r.outputs[l.FromPort]
-	return !op.disabled && !r.idle() && n.cycle-op.lastProgress >= stall
+	return n.portBlocked(r, r.outputs[l.FromPort])
 }
 
 // SetRoute replaces the routing function (rerouting baselines install
@@ -664,10 +674,6 @@ func (n *Network) OccupancyWhere(vcIn func(vc int) bool, coreIn func(core int) b
 	if coreIn == nil {
 		coreIn = allCore
 	}
-	stall := uint64(n.cfg.StallThreshold)
-	if stall == 0 {
-		stall = 50
-	}
 	n.repairIfAsleep() // make lastProgress exact inside a sleep stretch
 	o := Occupancy{Cycle: n.cycle}
 	for i, r := range n.routers {
@@ -684,10 +690,7 @@ func (n *Network) OccupancyWhere(vcIn func(vc int) bool, coreIn func(core int) b
 					o.OutputFlits++
 				}
 			}
-			// Idle routers are skipped by Step, so their lastProgress
-			// clocks are stale by design (wake refreshes them); with no
-			// flits anywhere they cannot be blocked.
-			if p != PortLocal && !op.disabled && !r.idle() && n.cycle-op.lastProgress >= stall {
+			if p != PortLocal && n.portBlocked(r, op) {
 				blocked = true
 			}
 		}

@@ -110,7 +110,7 @@ func ab(x int) int {
 
 func TestXYRouting(t *testing.T) {
 	c := DefaultConfig()
-	r := XYRoute(c)
+	r := c.Topology().Route
 	// Router 0 is at (0,0); router 15 at (3,3). X first.
 	if got := r(0, 15); got != PortEast {
 		t.Fatalf("0->15 first hop %s, want east", PortName(got))
@@ -331,7 +331,7 @@ func TestReroutingAroundDisabledLink(t *testing.T) {
 	}
 	n.DisableLink(target.ID)
 	// Install a detour: router 0 sends north first when heading east.
-	base := XYRoute(n.cfg)
+	base := n.cfg.Topology().Route
 	n.SetRoute(func(router, dst int) int {
 		if router == 0 && base(router, dst) == PortEast {
 			return PortNorth

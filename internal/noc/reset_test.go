@@ -55,7 +55,7 @@ func resetScenario(n *Network) []byte {
 			// around it, exercising the disabled flag and route swap that
 			// Reset must undo.
 			n.DisableLink(7)
-			base := XYRoute(cfg)
+			base := cfg.Topology().Route
 			dead := n.LinkSlice()[7]
 			divert := -1 // another live output port on the same router
 			for _, l := range n.LinkSlice() {

@@ -5,19 +5,18 @@ package noc
 const DefaultTelemetryDepth = 64
 
 // LinkTelemetry is the per-router blocked-port telemetry tap: each router
-// exposes, per output port (= per directed link), whether the port has made
-// no progress for StallThreshold cycles while holding work — the same
-// criterion Occupancy's BlockedRouters uses, but kept per link and over
-// time. The tap stores a fixed-depth ring of per-sample blocked bitsets plus
-// two cumulative aggregates (first-blocked cycle and blocked-sample count
-// per link). Everything is preallocated at Enable time; Sample performs no
-// allocations, per the simulator's steady-state allocation budget.
+// exposes, per output port (= per directed link), whether the port is
+// blocked — the same rule (portBlocked) Occupancy's BlockedRouters uses,
+// but kept per link and over time. The tap stores a fixed-depth ring of
+// per-sample blocked bitsets plus two cumulative aggregates (first-blocked
+// cycle and blocked-sample count per link). Everything is preallocated at
+// Enable time; Sample performs no allocations, per the simulator's
+// steady-state allocation budget.
 //
 // The tap is observation-only: it reads router state and never perturbs the
 // simulation, so enabling it cannot change any experiment's outcome.
 type LinkTelemetry struct {
-	net   *Network
-	stall uint64
+	net *Network
 
 	// The history ring: depth rows, words uint64 words per row, one bit per
 	// link. Row i of the ring is ring[i*words : (i+1)*words].
@@ -53,19 +52,13 @@ func (n *Network) EnableTelemetry(depth int) *LinkTelemetry {
 	if depth <= 0 {
 		depth = DefaultTelemetryDepth
 	}
-	stall := uint64(n.cfg.StallThreshold)
-	if stall == 0 {
-		stall = 50
-	}
 	words := (len(n.links) + 63) / 64
 	if t := n.telemetry; t != nil && t.depth == depth && t.words == words && len(t.firstBlocked) == len(n.links) {
-		t.stall = stall
 		t.Reset()
 		return t
 	}
 	t := &LinkTelemetry{
 		net:          n,
-		stall:        stall,
 		depth:        depth,
 		words:        words,
 		ring:         make([]uint64, depth*words),
@@ -106,17 +99,6 @@ func (t *LinkTelemetry) Reset() {
 	}
 }
 
-// linkBlocked reports whether a link's driving output port is blocked right
-// now: not disabled, its router holds work, and the port has made no
-// progress for the stall threshold. Mirrors OccupancyWhere's BlockedRouters
-// criterion (idle routers are skipped by Step so their progress clocks are
-// stale by design; with no flits anywhere they cannot be blocked).
-func (n *Network) linkBlocked(l LinkInfo, stall uint64) bool {
-	r := n.routers[l.From]
-	op := r.outputs[l.FromPort]
-	return !op.disabled && !r.idle() && n.cycle-op.lastProgress >= stall
-}
-
 // Sample records one blocked-port snapshot at the network's current cycle.
 // It allocates nothing.
 func (t *LinkTelemetry) Sample() {
@@ -128,7 +110,9 @@ func (t *LinkTelemetry) Sample() {
 	}
 	cycle := n.cycle
 	for id := range n.links {
-		if n.linkBlocked(n.links[id], t.stall) {
+		l := n.links[id]
+		r := n.routers[l.From]
+		if n.portBlocked(r, r.outputs[l.FromPort]) {
 			row[id/64] |= 1 << (id % 64)
 			t.blockedCount[id]++
 			if t.firstBlocked[id] == 0 {

@@ -31,7 +31,7 @@ func TestHealthyTableEqualsXY(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xy := noc.XYRoute(n.Config())
+	xy := n.Config().Topology().Route
 	for r := 0; r < 16; r++ {
 		for d := 0; d < 16; d++ {
 			if got, want := tbl.Port[r][d], xy(r, d); got != want {
