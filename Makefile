@@ -38,13 +38,16 @@ nocvet:
 	$(GO) run ./cmd/nocvet ./...
 
 # Race-detect the concurrent pieces: the simulator core (one network per
-# goroutine), the parallel experiment engine, and the localization layer.
-# The -count=2 passes re-run without the test cache so schedule-dependent
-# interleavings get a second roll of the dice on every invocation.
+# goroutine), the parallel experiment engine (experiments across workers,
+# each experiment's points across GOMAXPROCS through the fanOut helper), and
+# the localization layer. The -count passes re-run without the test cache so
+# schedule-dependent interleavings get more rolls of the dice on every
+# invocation.
 race:
 	$(GO) test -race ./internal/noc ./internal/exp
 	$(GO) test -race -count=2 ./internal/locate
 	$(GO) test -race -count=2 -run TestRunAll ./internal/exp
+	$(GO) test -race -count=10 -run TestFanOut ./internal/exp
 	$(GO) test -race -run 'TestWorkerCountInvariance|TestKillResume' ./internal/campaign
 
 # Fuzz the header Encode/Decode round-trip across randomized layouts.

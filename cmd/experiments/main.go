@@ -17,8 +17,10 @@
 //
 // Experiments are independent and deterministically seeded, so -exp all
 // fans them out across -parallel worker goroutines (default: one per CPU)
-// while printing results in the canonical order — the output is
-// byte-identical to -parallel=1.
+// while printing results in the canonical order, and every experiment fans
+// its own independent simulation points across GOMAXPROCS goroutines. The
+// output is byte-identical at any setting: -parallel=1 runs one experiment
+// at a time, and GOMAXPROCS=1 with -parallel=1 is the fully serial run.
 package main
 
 import (
@@ -44,7 +46,7 @@ func main() {
 		conc     = flag.Int("conc", 4, "fig1 cores per router (1..8)")
 		vcs      = flag.Int("vcs", 4, "fig1 virtual channels per port (1..8)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
-		parallel = flag.Int("parallel", exp.DefaultWorkers(), "worker goroutines for -exp all (1 = serial)")
+		parallel = flag.Int("parallel", exp.DefaultWorkers(), "experiments -exp all runs at once (1 = one at a time; each still fans its points across GOMAXPROCS)")
 	)
 	flag.Parse()
 

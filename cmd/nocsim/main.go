@@ -212,9 +212,7 @@ func main() {
 				}
 				fmt.Println()
 			}
-			fmt.Print(viz.LinkMap(cfg.Noc, "workload link loads (XY)", func(from, to int) float64 {
-				return f.LinkShare[fmt.Sprintf("%d->%d", from, to)]
-			}))
+			fmt.Print(viz.LinkMap(cfg.Noc, "workload link loads (XY)", f.ShareBetween))
 		}
 	}
 }

@@ -32,9 +32,7 @@ func main() {
 	}
 	if *heat {
 		fmt.Println(viz.RouterHeatmap(cfg, *bench+": per-router source share", f.RouterTotals))
-		fmt.Println(viz.LinkMap(cfg, *bench+": per-link traffic share (XY)", func(from, to int) float64 {
-			return f.LinkShare[fmt.Sprintf("%d->%d", from, to)]
-		}))
+		fmt.Println(viz.LinkMap(cfg, *bench+": per-link traffic share (XY)", f.ShareBetween))
 	}
 	switch *fig {
 	case "1a":

@@ -371,8 +371,7 @@ func ChooseInfectedLinks(m *traffic.Model, cfg noc.Config, links []noc.LinkInfo,
 	}
 	cands := make([]cand, 0, len(links))
 	for _, l := range links {
-		key := fmt.Sprintf("%d->%d", l.From, l.To)
-		cands = append(cands, cand{l.ID, loads[key]})
+		cands = append(cands, cand{l.ID, loads[l.ID]})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].load != cands[j].load {

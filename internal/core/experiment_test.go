@@ -273,6 +273,46 @@ func TestChooseInfectedLinksPrefersHotLinks(t *testing.T) {
 	if near < 3 {
 		t.Fatalf("only %d/4 infected links near the primary region", near)
 	}
+
+	// On a torus 2 routers wide the mesh link and the wraparound link join
+	// the same two routers; only the one the default route takes carries
+	// target flows, so only it may be picked.
+	tc := noc.DefaultConfig()
+	tc.Topo, tc.Width, tc.Height = "torus", 2, 2
+	tn, err := noc.New(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := traffic.Benchmark("blackscholes", tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route := noc.RouteTable(tc.Topology())
+	carries := map[int]bool{} // link ids some dest-0 flow crosses
+	for s := 1; s < tc.Routers(); s++ {
+		if m.Matrix[s][0] == 0 {
+			continue
+		}
+		for cur := s; cur != 0; {
+			port := route(cur, 0)
+			for _, l := range tn.LinkSlice() {
+				if l.From == cur && l.FromPort == port {
+					carries[l.ID] = true
+					cur = l.To
+					break
+				}
+			}
+		}
+	}
+	picked := ChooseInfectedLinks(m, tc, tn.LinkSlice(), 2, tasp.ForDest(0))
+	if len(picked) == 0 {
+		t.Fatal("2x2 torus: no link picked")
+	}
+	for _, id := range picked {
+		if !carries[id] {
+			t.Errorf("2x2 torus: picked %s, which no dest-0 flow crosses", tn.LinkSlice()[id])
+		}
+	}
 }
 
 func TestRunRejectsBadConfig(t *testing.T) {

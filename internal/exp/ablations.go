@@ -25,23 +25,28 @@ func AblationRetransScheme(seed uint64) (Table, error) {
 			"a VC-1 trojan wedges one VC's flits; in the shared output buffer those wedges consume everyone's slots (head-of-line blocking across VCs) while per-VC buffers contain the damage — the paper evaluates the shared case as the worst case",
 		},
 	}
-	for _, scheme := range []struct {
+	schemes := []struct {
 		name  string
 		perVC bool
-	}{{"shared output buffer", false}, {"per-VC buffers", true}} {
+	}{{"shared output buffer", false}, {"per-VC buffers", true}}
+	cfgs := make([]core.ExperimentConfig, len(schemes))
+	for i, scheme := range schemes {
 		cfg := core.DefaultExperiment()
 		cfg.Seed = seed
 		cfg.Noc.RetransPerVC = scheme.perVC
 		cfg.Attack.Target = tasp.ForVC(1)
 		cfg.Attack.NumLinks = 4
-		res, err := core.Run(cfg)
-		if err != nil {
-			return t, err
-		}
+		cfgs[i] = cfg
+	}
+	runs, err := newScenarios().runConfigs(cfgs)
+	if err != nil {
+		return t, err
+	}
+	for i, res := range runs {
 		last := res.Samples[len(res.Samples)-1]
-		R := cfg.Noc.Routers()
+		R := cfgs[i].Noc.Routers()
 		t.Rows = append(t.Rows, []string{
-			scheme.name, f3(res.Throughput),
+			schemes[i].name, f3(res.Throughput),
 			fmt.Sprintf("%d/%d", last.BlockedRouters, R),
 			fmt.Sprintf("%d/%d", last.HalfCoresFull, R),
 		})
@@ -64,15 +69,18 @@ func AblationRoutingUnderFlood(seed uint64) (Table, error) {
 	ncfg := noc.DefaultConfig()
 	algs := []string{"xy", "west-first", "north-last", "negative-first", "odd-even"}
 	table := routing.Algorithms(ncfg)
-	for _, name := range algs {
-		clean, err := runFloodCase(ncfg, table[name], seed, false)
-		if err != nil {
-			return t, err
-		}
-		flooded, err := runFloodCase(ncfg, table[name], seed, true)
-		if err != nil {
-			return t, err
-		}
+	// Point 2a is algorithm a clean, point 2a+1 the same under the flood.
+	tput := make([]float64, 2*len(algs))
+	err := fanOut(DefaultWorkers(), len(tput), func(_, i int) error {
+		var err error
+		tput[i], err = runFloodCase(ncfg, table[algs[i/2]], seed, i%2 == 1)
+		return err
+	})
+	if err != nil {
+		return t, err
+	}
+	for a, name := range algs {
+		clean, flooded := tput[2*a], tput[2*a+1]
 		t.Rows = append(t.Rows, []string{
 			name, f3(clean), f3(flooded), pct(flooded / clean),
 		})
@@ -154,16 +162,21 @@ func AblationDetectorHistory(seed uint64) (Table, error) {
 			"background transient faults interleave with trojan strikes; a small history table evicts the repeat-fault evidence before it accumulates, delaying classification",
 		},
 	}
-	for _, cap := range []int{1, 2, 4, 16, 64} {
+	caps := []int{1, 2, 4, 16, 64}
+	cfgs := make([]core.ExperimentConfig, len(caps))
+	for i, cap := range caps {
 		cfg := core.DefaultExperiment()
 		cfg.Seed = seed
 		cfg.Mitigation = core.S2SLOb
 		cfg.DetectorHistory = cap
 		cfg.TransientBER = 5e-4
-		res, err := core.Run(cfg)
-		if err != nil {
-			return t, err
-		}
+		cfgs[i] = cfg
+	}
+	runs, err := newScenarios().runConfigs(cfgs)
+	if err != nil {
+		return t, err
+	}
+	for i, res := range runs {
 		trojans := 0
 		for _, cl := range res.Detections { //nocvet:orderfree commutative count
 			if cl.String() == "trojan" {
@@ -172,10 +185,10 @@ func AblationDetectorHistory(seed uint64) (Table, error) {
 		}
 		lat := "-"
 		if res.FirstTrojanAt > 0 {
-			lat = fmt.Sprintf("%d", res.FirstTrojanAt-uint64(cfg.Warmup))
+			lat = fmt.Sprintf("%d", res.FirstTrojanAt-uint64(cfgs[i].Warmup))
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", cap), lat, f3(res.Throughput),
+			fmt.Sprintf("%d", caps[i]), lat, f3(res.Throughput),
 			fmt.Sprintf("%d/%d", trojans, len(res.InfectedLinks)),
 		})
 	}
@@ -209,17 +222,21 @@ func AblationEscalationOrder(seed uint64) (Table, error) {
 			{Method: lob.Scramble, Gran: lob.PayloadOnly},
 		}},
 	}
-	for _, o := range orders {
+	cfgs := make([]core.ExperimentConfig, len(orders))
+	for i, o := range orders {
 		cfg := core.DefaultExperiment()
 		cfg.Seed = seed
 		cfg.Mitigation = core.S2SLOb
 		cfg.EscalationOrder = o.order
-		res, err := core.Run(cfg)
-		if err != nil {
-			return t, err
-		}
+		cfgs[i] = cfg
+	}
+	runs, err := newScenarios().runConfigs(cfgs)
+	if err != nil {
+		return t, err
+	}
+	for i, res := range runs {
 		t.Rows = append(t.Rows, []string{
-			o.name, f3(res.Throughput),
+			orders[i].name, f3(res.Throughput),
 			fmt.Sprintf("%d", res.Obfuscated),
 			fmt.Sprintf("%d", res.StallCycles),
 			fmt.Sprintf("%d", res.Final.Retransmissions),
@@ -253,7 +270,7 @@ func AblationPlacement(seed uint64) (Table, error) {
 	arbitrary := []int{11, 29}                                                       // mid-mesh links some target flows cross
 	cold := []int{12, 13}                                                            // 3<->7 edge links the dest-0 flow never crosses
 
-	for _, pl := range []struct {
+	placements := []struct {
 		name  string
 		links []int
 	}{
@@ -261,20 +278,25 @@ func AblationPlacement(seed uint64) (Table, error) {
 		{"globally hottest", hottestAny},
 		{"arbitrary mid-mesh", arbitrary},
 		{"cold edge links", cold},
-	} {
+	}
+	cfgs := make([]core.ExperimentConfig, len(placements))
+	for i, pl := range placements {
 		cfg := core.DefaultExperiment()
 		cfg.Seed = seed
 		cfg.Attack.Links = pl.links
-		res, err := core.Run(cfg)
-		if err != nil {
-			return t, err
-		}
+		cfgs[i] = cfg
+	}
+	runs, err := newScenarios().runConfigs(cfgs)
+	if err != nil {
+		return t, err
+	}
+	for i, res := range runs {
 		last := res.Samples[len(res.Samples)-1]
 		t.Rows = append(t.Rows, []string{
-			pl.name, fmt.Sprintf("%v", pl.links),
+			placements[i].name, fmt.Sprintf("%v", placements[i].links),
 			fmt.Sprintf("%d", res.HTInjections),
 			fmt.Sprintf("%d pkts", res.VictimDelivered),
-			fmt.Sprintf("%d/%d", last.BlockedRouters, cfg.Noc.Routers()),
+			fmt.Sprintf("%d/%d", last.BlockedRouters, cfgs[i].Noc.Routers()),
 		})
 	}
 	return t, nil

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"tasp/internal/campaign"
 	"tasp/internal/core"
 	"tasp/internal/detect"
 	"tasp/internal/noc"
@@ -31,9 +30,21 @@ func AblationAdaptive(seed uint64) (Table, error) {
 			"rank-1: whether the locate engine's top suspect is an infected link at the end of the run",
 		},
 	}
-	sr := newScenarios()
-	for _, topo := range noc.Topologies() {
-		mk := func(mode string, numLinks int) campaign.Scenario {
+	arms := []struct {
+		mode     string
+		numLinks int
+		stock    bool // streak-only detector (deficit/fused disabled)
+		recover  bool
+	}{
+		{"throttle", 0, true, false},
+		{"throttle", 0, false, true},
+		{"collude", 3, false, true},
+	}
+	// Per topology: the clean baseline, then one point per arm.
+	topos := noc.Topologies()
+	var cfgs []core.ExperimentConfig
+	for _, topo := range topos {
+		mk := func(mode string, numLinks int, recover bool) (core.ExperimentConfig, error) {
 			sc := figure11Scenario(seed)
 			sc.Topology = topo
 			if mode == "none" {
@@ -46,41 +57,40 @@ func AblationAdaptive(seed uint64) (Table, error) {
 			}
 			sc.SecureAck = mode != "none"
 			sc.Locate = mode != "none"
-			return sc
-		}
-		clean, err := sr.run(mk("none", 0))
-		if err != nil {
-			return t, fmt.Errorf("%s clean: %w", topo, err)
-		}
-		cleanTput := clean.Throughput
-
-		arms := []struct {
-			mode     string
-			numLinks int
-			stock    bool // streak-only detector (deficit/fused disabled)
-			recover  bool
-		}{
-			{"throttle", 0, true, false},
-			{"throttle", 0, false, true},
-			{"collude", 3, false, true},
-		}
-		for _, arm := range arms {
-			sc := mk(arm.mode, arm.numLinks)
-			sc.Recover = arm.recover
+			sc.Recover = recover
 			cfg, err := sc.Config()
 			if err != nil {
-				return t, fmt.Errorf("%s %s: %w", topo, arm.mode, err)
+				return cfg, fmt.Errorf("%s %s: %w", topo, mode, err)
+			}
+			return cfg, nil
+		}
+		clean, err := mk("none", 0, false)
+		if err != nil {
+			return t, err
+		}
+		cfgs = append(cfgs, clean)
+		for _, arm := range arms {
+			cfg, err := mk(arm.mode, arm.numLinks, arm.recover)
+			if err != nil {
+				return t, err
 			}
 			if arm.stock {
 				// Not expressible as a scenario knob by design: the stock
-				// arm exists only to show the evasion, so it drives the
-				// runner directly.
+				// arm exists only to show the evasion, so it runs the
+				// lowered configuration directly.
 				cfg.AckDeficitRatio = -1
 			}
-			res, err := sr.r.Run(cfg)
-			if err != nil {
-				return t, fmt.Errorf("%s %s: %w", topo, arm.mode, err)
-			}
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	runs, err := newScenarios().runConfigs(cfgs)
+	if err != nil {
+		return t, err
+	}
+	for ti, topo := range topos {
+		cleanTput := runs[ti*(1+len(arms))].Throughput
+		for ai, arm := range arms {
+			res := runs[ti*(1+len(arms))+1+ai]
 			verdicts, channel := 0, "-"
 			for _, id := range res.InfectedLinks {
 				if c := res.AckVerdicts[id]; c == detect.AckDropper || c == detect.AckMisroute {

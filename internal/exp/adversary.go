@@ -29,12 +29,15 @@ func AblationAdversary(seed uint64) (Table, error) {
 			"rank-1: whether the locate engine's top suspect is an infected link, from ack-gap/violation evidence plus structural priors — no detector verdicts exist on these runs",
 		},
 	}
-	sr := newScenarios()
-	for _, topo := range noc.Topologies() {
-		mk := func(mode, mit string) campaign.Scenario {
+	// Per topology: the clean baseline, then one point per trojan mode.
+	modes := []string{"drop", "misroute"}
+	topos := noc.Topologies()
+	var scs []campaign.Scenario
+	for _, topo := range topos {
+		mk := func(mode string) campaign.Scenario {
 			sc := figure11Scenario(seed)
 			sc.Topology = topo
-			sc.Mitigation = mit
+			sc.Mitigation = "none"
 			if mode == "none" {
 				sc.Attack.Kind = "none"
 			} else {
@@ -44,16 +47,20 @@ func AblationAdversary(seed uint64) (Table, error) {
 			sc.Locate = mode != "none"
 			return sc
 		}
-		clean, err := sr.run(mk("none", "none"))
-		if err != nil {
-			return t, fmt.Errorf("%s clean: %w", topo, err)
+		scs = append(scs, mk("none"))
+		for _, mode := range modes {
+			scs = append(scs, mk(mode))
 		}
+	}
+	runs, err := newScenarios().runAll(scs)
+	if err != nil {
+		return t, err
+	}
+	for ti, topo := range topos {
+		clean := runs[ti*(1+len(modes))]
 		cleanTput, cleanVictim := clean.Throughput, clean.VictimDelivered
-		for _, mode := range []string{"drop", "misroute"} {
-			res, err := sr.run(mk(mode, "none"))
-			if err != nil {
-				return t, fmt.Errorf("%s %s: %w", topo, mode, err)
-			}
+		for mi, mode := range modes {
+			res := runs[ti*(1+len(modes))+1+mi]
 			verdicts := 0
 			for _, id := range res.InfectedLinks {
 				if c := res.AckVerdicts[id]; c == detect.AckDropper || c == detect.AckMisroute {

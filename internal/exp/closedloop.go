@@ -25,7 +25,7 @@ func ClosedLoopStudy(seed uint64) (Table, error) {
 			"open-loop traffic understates a DoS attack: with request windows, unanswered requests to the victim stall cores everywhere — the chip-wide reverberation the paper's introduction describes",
 		},
 	}
-	for _, c := range []struct {
+	cases := []struct {
 		name   string
 		attack bool
 		lob    bool
@@ -33,13 +33,17 @@ func ClosedLoopStudy(seed uint64) (Table, error) {
 		{"healthy", false, false},
 		{"attacked, no mitigation", true, false},
 		{"attacked, s2s l-ob", true, true},
-	} {
-		row, err := runClosedLoopCase(seed, c.attack, c.lob)
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, append([]string{c.name}, row...))
 	}
+	rows := make([][]string, len(cases))
+	err := fanOut(DefaultWorkers(), len(cases), func(_, i int) error {
+		row, err := runClosedLoopCase(seed, cases[i].attack, cases[i].lob)
+		rows[i] = append([]string{cases[i].name}, row...)
+		return err
+	})
+	if err != nil {
+		return t, err
+	}
+	t.Rows = rows
 	return t, nil
 }
 
@@ -107,11 +111,14 @@ func SaturationCurve() (Table, error) {
 		},
 	}
 	ncfg := noc.DefaultConfig()
-	for _, rate := range []float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.12, 0.20} {
+	rates := []float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.12, 0.20}
+	rows := make([][]string, len(rates))
+	err := fanOut(DefaultWorkers(), len(rates), func(_, i int) error {
+		rate := rates[i]
 		m := traffic.Uniform(ncfg, rate)
 		net, err := noc.New(ncfg)
 		if err != nil {
-			return t, err
+			return err
 		}
 		gen := m.Generator(7)
 		var scratch flit.Packet
@@ -123,12 +130,17 @@ func SaturationCurve() (Table, error) {
 		cnt := net.Counters
 		// p99 via a second pass is overkill; reuse max as the tail proxy
 		// alongside the mean.
-		t.Rows = append(t.Rows, []string{
+		rows[i] = []string{
 			fmt.Sprintf("%.3f", rate),
 			f3(float64(cnt.DeliveredPackets) / cycles),
 			f1(cnt.AvgLatency()),
 			fmt.Sprintf("max=%d", cnt.MaxLatency),
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return t, err
 	}
+	t.Rows = rows
 	return t, nil
 }

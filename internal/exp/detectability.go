@@ -40,7 +40,10 @@ func DetectabilityStudy(seed uint64) Table {
 		power.TASPMem:     tasp.ForMem(0xdead0000, 0xffffffff),
 		power.TASPVC:      tasp.ForVC(1),
 	}
-	for _, v := range power.TASPVariants {
+	rows := make([][]string, len(power.TASPVariants))
+	// The points cannot fail, so fanOut's error is always nil.
+	_ = fanOut(DefaultWorkers(), len(rows), func(_, i int) error {
+		v := power.TASPVariants[i]
 		// Logic testing, kill switch down.
 		dormant := tasp.New(targets[v], tasp.DefaultPayloadBits, flit.Default)
 		off := logictest.Campaign{Vectors: 100000}.Run(dormant, seed)
@@ -58,12 +61,14 @@ func DetectabilityStudy(seed uint64) Table {
 		htLeak := power.BuildTASP(v).Leakage()
 		r := sc.Run(router.Leakage(), htLeak, 1000, seed+2)
 
-		t.Rows = append(t.Rows, []string{
+		rows[i] = []string{
 			string(v), fmt.Sprintf("%d", v.Width()),
 			fmt.Sprintf("%.4f", off.TriggerPr), onCell,
 			fmt.Sprintf("%.3f (fp %.3f)", r.DetectionRate, r.FalsePositiveRate),
 			"classified 'trojan' (Figure 12(b))",
-		})
-	}
+		}
+		return nil
+	})
+	t.Rows = rows
 	return t
 }

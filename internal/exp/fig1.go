@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 
 	"tasp/internal/noc"
 	"tasp/internal/traffic"
@@ -20,8 +21,10 @@ type Figure1 struct {
 	Matrix [][]float64
 	// RouterTotals[r] is router r's share of all generated requests.
 	RouterTotals []float64
-	// LinkShare maps "from->to" to the fraction of link traversals.
-	LinkShare map[string]float64
+	// Links are the platform's directed links, indexed by link id.
+	Links []noc.LinkSpec
+	// LinkShare[id] is link id's fraction of all link traversals.
+	LinkShare []float64
 }
 
 // RunFigure1 builds the distributions for one benchmark.
@@ -50,8 +53,22 @@ func RunFigure1(bench string, cfg noc.Config) (*Figure1, error) {
 		}
 		out.RouterTotals[s] = rowSum
 	}
+	out.Links = cfg.Topology().Links()
 	out.LinkShare = traffic.LinkLoads(m, cfg)
 	return out, nil
+}
+
+// ShareBetween returns the fraction of link traversals from router from to
+// router to, summed over every link joining the two (a torus 2 routers
+// wide joins a pair twice).
+func (f *Figure1) ShareBetween(from, to int) float64 {
+	sum := 0.0
+	for id, l := range f.Links {
+		if l.From == from && l.To == to {
+			sum += f.LinkShare[id]
+		}
+	}
+	return sum
 }
 
 // platformLabel describes the substrate for table titles ("4x4 mesh,
@@ -120,17 +137,18 @@ func (f *Figure1) LinkTable() Table {
 		v float64
 	}
 	var all []kv
-	for k, v := range f.LinkShare { //nocvet:orderfree pairs are fully sorted (share desc, name asc) before use
-		all = append(all, kv{k, v})
-	}
-	// Hottest first, stable tie-break by name.
-	for i := 0; i < len(all); i++ {
-		for j := i + 1; j < len(all); j++ {
-			if all[j].v > all[i].v || (all[j].v == all[i].v && all[j].k < all[i].k) {
-				all[i], all[j] = all[j], all[i]
-			}
+	for id, v := range f.LinkShare {
+		if v > 0 { // links no flow crosses are not listed
+			all = append(all, kv{fmt.Sprintf("%d->%d", f.Links[id].From, f.Links[id].To), v})
 		}
 	}
+	// Hottest first, stable tie-break by name.
+	sort.SliceStable(all, func(i, j int) bool {
+		if all[i].v != all[j].v {
+			return all[i].v > all[j].v
+		}
+		return all[i].k < all[j].k
+	})
 	for _, e := range all {
 		t.Rows = append(t.Rows, []string{e.k, pct(e.v)})
 	}

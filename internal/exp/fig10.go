@@ -29,8 +29,9 @@ type Figure10Point struct {
 // target-flow-hottest ones (Section III-A placement). links48 is the total
 // directed link count (48 for the 4x4 mesh).
 func RunFigure10(seed uint64) ([]Figure10Point, error) {
-	var out []Figure10Point
-	sr := newScenarios()
+	// Cell c of the bench x frac grid is points 2c (s2s L-Ob) and 2c+1
+	// (rerouting).
+	var scs []campaign.Scenario
 	for _, bench := range Figure10Benches {
 		for _, frac := range Figure10Fracs {
 			nLinks := int(frac*float64(48) + 0.5)
@@ -43,24 +44,26 @@ func RunFigure10(seed uint64) ([]Figure10Point, error) {
 			// Target the benchmark's primary core region.
 			base.Attack.Dest = primaryDest(bench)
 
-			lob := base
+			lob, rr := base, base
 			lob.Mitigation = "s2s-lob"
-			rl, err := sr.run(lob)
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %s lob: %w", bench, err)
-			}
-			rr := base
 			rr.Mitigation = "rerouting"
-			rrRes, err := sr.run(rr)
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %s reroute: %w", bench, err)
-			}
+			scs = append(scs, lob, rr)
+		}
+	}
+	res, err := newScenarios().runAll(scs)
+	if err != nil {
+		return nil, fmt.Errorf("fig10: %w", err)
+	}
+	out := make([]Figure10Point, 0, len(scs)/2)
+	for _, bench := range Figure10Benches {
+		for _, frac := range Figure10Fracs {
+			rl, rr := res[2*len(out)], res[2*len(out)+1]
 			p := Figure10Point{
 				Benchmark:    bench,
 				InfectedFrac: frac,
 				InfectedNum:  len(rl.InfectedLinks),
 				TputLOb:      rl.Throughput,
-				TputReroute:  rrRes.Throughput,
+				TputReroute:  rr.Throughput,
 			}
 			if p.TputReroute > 0 {
 				p.Speedup = p.TputLOb / p.TputReroute

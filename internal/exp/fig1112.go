@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"tasp/internal/campaign"
 	"tasp/internal/core"
 	"tasp/internal/tasp"
 	"tasp/internal/traffic"
@@ -19,20 +20,15 @@ type Figure11 struct {
 // RunFigure11 executes both runs with the paper's protocol: Blackscholes
 // traces, 1500-cycle warm-up, then the kill switch.
 func RunFigure11(seed uint64) (*Figure11, error) {
-	sr := newScenarios()
 	atk := figure11Scenario(seed)
 	atk.Mitigation = "e2e-obfuscation" // present but ineffective, as in 11(a)
-	a, err := sr.run(atk)
-	if err != nil {
-		return nil, err
-	}
 	clean := figure11Scenario(seed)
 	clean.Attack.Kind = "none"
-	h, err := sr.run(clean)
+	res, err := newScenarios().runAll([]campaign.Scenario{atk, clean})
 	if err != nil {
 		return nil, err
 	}
-	return &Figure11{Attacked: a, Healthy: h}, nil
+	return &Figure11{Attacked: res[0], Healthy: res[1]}, nil
 }
 
 // seriesTable renders one run's occupancy time series.
@@ -92,19 +88,15 @@ func RunFigure12(seed uint64) (*Figure12, error) {
 	// The trojan targets domain 2 (the upper half of the VCs).
 	cfg.Attack.Target = tasp.ForVCRange(2, 0b10)
 	cfg.Attack.NumLinks = 4
-	tdm, err := core.Run(cfg)
-	if err != nil {
-		return nil, err
-	}
 
 	lo := core.DefaultExperiment()
 	lo.Seed = seed
 	lo.Mitigation = core.S2SLOb
-	lob, err := core.Run(lo)
+	res, err := newScenarios().runConfigs([]core.ExperimentConfig{cfg, lo})
 	if err != nil {
 		return nil, err
 	}
-	return &Figure12{TDM: tdm, LOb: lob}, nil
+	return &Figure12{TDM: res[0], LOb: res[1]}, nil
 }
 
 // Tables renders Figure 12(a) with per-domain series and 12(b).

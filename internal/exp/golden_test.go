@@ -41,8 +41,9 @@ func TestGoldenExperimentsAllByteIdentical(t *testing.T) {
 // TestGoldenExtensionsByteIdentical pins each extension study's seed-1
 // output (`cmd/experiments -exp <id>`, one table per Println) against its
 // testdata/golden/extension-<id>.txt, the twin of the extension half of
-// `make golden-check`. The extensions run fanned out across the default
-// worker count, so `-cpu 1,2` covers serial and concurrent execution.
+// `make golden-check`. The extensions, and the points inside each, run
+// fanned out across the default worker count, so `-cpu 1,2,4` covers
+// serial and concurrent execution.
 func TestGoldenExtensionsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every extension study")

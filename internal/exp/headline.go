@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"tasp/internal/campaign"
 	"tasp/internal/power"
 )
 
@@ -33,22 +34,17 @@ func Headline(seed uint64) (Table, error) {
 		pct(sec.Dynamic(power.DefaultFreqGHz)/r.Dynamic(power.DefaultFreqGHz) - 1),
 	})
 
-	// Attack potency claims (Figure 11 protocol).
-	sr := newScenarios()
-	res, err := sr.run(figure11Scenario(seed))
+	// Attack potency and mitigation efficacy (Figure 11 protocol): the
+	// attack unmitigated, under s2s L-Ob, and with no trojan.
+	lo := figure11Scenario(seed)
+	lo.Mitigation = "s2s-lob"
+	clean := figure11Scenario(seed)
+	clean.Attack.Kind = "none"
+	runs, err := newScenarios().runAll([]campaign.Scenario{figure11Scenario(seed), lo, clean})
 	if err != nil {
 		return t, err
 	}
-	bestBlocked, fastCycle := 0, uint64(0)
-	for _, s := range res.Samples {
-		if s.BlockedRouters > bestBlocked {
-			bestBlocked = s.BlockedRouters
-			fastCycle = s.Cycle
-		}
-		if s.BlockedRouters >= 11 && fastCycle == 0 {
-			fastCycle = s.Cycle
-		}
-	}
+	res, lores, cres := runs[0], runs[1], runs[2]
 	last := res.Samples[len(res.Samples)-1]
 	R := res.Config.Noc.Routers()
 	t.Rows = append(t.Rows, []string{
@@ -60,19 +56,6 @@ func Headline(seed uint64) (Table, error) {
 		fmt.Sprintf("%d/%d (%s)", last.HalfCoresFull, R, pct(float64(last.HalfCoresFull)/float64(R))),
 	})
 
-	// Mitigation efficacy.
-	lo := figure11Scenario(seed)
-	lo.Mitigation = "s2s-lob"
-	lores, err := sr.run(lo)
-	if err != nil {
-		return t, err
-	}
-	clean := figure11Scenario(seed)
-	clean.Attack.Kind = "none"
-	cres, err := sr.run(clean)
-	if err != nil {
-		return t, err
-	}
 	t.Rows = append(t.Rows, []string{
 		"throughput under attack with s2s L-Ob (vs clean)", "graceful (1-3 cycle penalty)",
 		fmt.Sprintf("%.3f vs %.3f pkt/cyc (%s)", lores.Throughput, cres.Throughput,

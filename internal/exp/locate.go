@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"tasp/internal/campaign"
 	"tasp/internal/locate"
 	"tasp/internal/noc"
 )
@@ -62,15 +63,19 @@ func AblationLocate(seed uint64) (Table, error) {
 			"telemetry-only zeroes the detector/NACK component: blocked-port telemetry + structural priors alone",
 		},
 	}
-	sr := newScenarios()
-	for _, topo := range noc.Topologies() {
-		sc := figure11Scenario(seed)
-		sc.Topology = topo
-		sc.Locate = true
-		res, err := sr.run(sc)
-		if err != nil {
-			return t, fmt.Errorf("%s: %w", topo, err)
-		}
+	topos := noc.Topologies()
+	scs := make([]campaign.Scenario, len(topos))
+	for i, topo := range topos {
+		scs[i] = figure11Scenario(seed)
+		scs[i].Topology = topo
+		scs[i].Locate = true
+	}
+	runs, err := newScenarios().runAll(scs)
+	if err != nil {
+		return t, err
+	}
+	for i, topo := range topos {
+		res := runs[i]
 		n, err := noc.New(res.Config.Noc)
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", topo, err)

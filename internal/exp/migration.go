@@ -26,7 +26,7 @@ func MigrationStudy(seed uint64) (Table, error) {
 			"migration retargets only *future* traffic: flits already wedged in the retransmission buffers still carry the old destination and stall forever (dropping is unsupported), so the saturation tree persists and the displaced processes inherit the attack — migration complements L-Ob, it cannot replace it",
 		},
 	}
-	for _, c := range []struct {
+	cases := []struct {
 		name    string
 		lob     bool
 		migrate bool
@@ -35,13 +35,17 @@ func MigrationStudy(seed uint64) (Table, error) {
 		{"s2s l-ob", true, false},
 		{"migration", false, true},
 		{"l-ob + migration", true, true},
-	} {
-		row, err := runMigrationCase(seed, c.lob, c.migrate)
-		if err != nil {
-			return t, err
-		}
-		t.Rows = append(t.Rows, append([]string{c.name}, row...))
 	}
+	rows := make([][]string, len(cases))
+	err := fanOut(DefaultWorkers(), len(cases), func(_, i int) error {
+		row, err := runMigrationCase(seed, cases[i].lob, cases[i].migrate)
+		rows[i] = append([]string{cases[i].name}, row...)
+		return err
+	})
+	if err != nil {
+		return t, err
+	}
+	t.Rows = rows
 	return t, nil
 }
 

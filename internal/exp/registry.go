@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 
 	"tasp/internal/noc"
 )
@@ -96,8 +95,9 @@ func RegistryFor(bench string, ncfg noc.Config) []Experiment {
 			return one(Headline(seed))
 		}},
 		{ID: "ablations", Run: func(seed uint64) ([]Table, error) {
-			var out []Table
-			for _, a := range []struct {
+			// The ablations are independent, so they run concurrently too:
+			// one ablation's points fill the workers another leaves idle.
+			abls := []struct {
 				name string
 				fn   func() (Table, error)
 			}{
@@ -107,12 +107,17 @@ func RegistryFor(bench string, ncfg noc.Config) []Experiment {
 				{"detector-history", func() (Table, error) { return AblationDetectorHistory(seed) }},
 				{"escalation-order", func() (Table, error) { return AblationEscalationOrder(seed) }},
 				{"ht-placement", func() (Table, error) { return AblationPlacement(seed) }},
-			} {
-				t, err := a.fn()
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", a.name, err)
+			}
+			out := make([]Table, len(abls))
+			err := fanOut(DefaultWorkers(), len(abls), func(_, i int) error {
+				var err error
+				if out[i], err = abls[i].fn(); err != nil {
+					return fmt.Errorf("%s: %w", abls[i].name, err)
 				}
-				out = append(out, t)
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
 			return out, nil
 		}},
@@ -182,53 +187,36 @@ func IDs(exps []Experiment) []string {
 	return out
 }
 
-// DefaultWorkers is the worker count RunAll uses when given workers <= 0:
-// one per available CPU, capped at the experiment count.
+// DefaultWorkers is one worker per CPU the Go scheduler may use
+// (GOMAXPROCS). It is the worker count RunAll uses when given workers == 0,
+// and the width every harness fans its own independent simulation points
+// across, so GOMAXPROCS=1 is the fully serial run.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // RunAll executes the experiments with one seed, fanned out across at most
-// `workers` goroutines (<= 1 runs serially on the calling goroutine, 0
-// means DefaultWorkers). Results come back in registry order regardless of
-// completion order, so rendered output is byte-identical to a serial run.
+// `workers` goroutines (<= 1 runs one experiment at a time on the calling
+// goroutine, 0 means DefaultWorkers). Results come back in registry order
+// regardless of completion order, so rendered output is byte-identical to a
+// serial run.
 //
 // Concurrency contract: each Experiment.Run call owns every piece of
-// simulation state it touches (networks, RNGs, traffic models) and shares
-// nothing mutable with other experiments. The determinism regression test
-// and the -race suite in this package enforce the contract.
+// simulation state it touches (networks, RNGs, traffic models, core
+// runners) and shares nothing mutable with other experiments, and each
+// harness fans its own independent points across DefaultWorkers goroutines
+// under the same rule, collecting their results by index. The determinism
+// regression tests and the -race suite in this package enforce the
+// contract.
 func RunAll(exps []Experiment, seed uint64, workers int) []Result {
-	results := make([]Result, len(exps))
-	runOne := func(i int) {
-		ts, err := exps[i].Run(seed)
-		results[i] = Result{ID: exps[i].ID, Tables: ts, Err: err}
-	}
 	if workers == 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > len(exps) {
-		workers = len(exps)
-	}
-	if workers <= 1 {
-		for i := range exps {
-			runOne(i)
-		}
-		return results
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				runOne(i)
-			}
-		}()
-	}
-	for i := range exps {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	results := make([]Result, len(exps))
+	// Every experiment reports its error in its own Result.
+	_ = fanOut(workers, len(exps), func(_, i int) error {
+		ts, err := exps[i].Run(seed)
+		results[i] = Result{ID: exps[i].ID, Tables: ts, Err: err}
+		return nil
+	})
 	return results
 }
 

@@ -6,25 +6,51 @@ import (
 )
 
 // scenarios adapts the harnesses onto the declarative campaign layer: an
-// experiment states its points as campaign.Scenario values and runs them on
-// a shared core.Runner, reusing simulation arenas across its runs exactly
-// like a campaign worker does. The results (and hence the golden experiment
-// output) are unchanged — runner/Run equivalence is pinned by core's
-// TestRunnerMatchesRun and the golden regression.
+// experiment states its points as campaign.Scenario values and runs them as
+// one batch, fanned out across DefaultWorkers goroutines. Each worker owns
+// one core.Runner (a Runner is not safe for concurrent use), so simulation
+// arenas are reused across the points a worker runs, exactly like a
+// campaign worker. The results (and hence the golden experiment output) do
+// not depend on which worker ran which point — runner/Run equivalence is
+// pinned by core's TestRunnerMatchesRun and the golden regression.
 //
 // Experiments whose knobs a scenario cannot express (explicit link lists,
 // detector-history and retransmission-scheme ablations, custom traffic
-// models, mid-run rewiring) keep driving core directly.
-type scenarios struct{ r *core.Runner }
+// models) state their points as core.ExperimentConfig values and run them
+// through runConfigs on the same per-worker runners.
+type scenarios struct{ runners []*core.Runner }
 
-func newScenarios() scenarios { return scenarios{core.NewRunner()} }
-
-func (s scenarios) run(sc campaign.Scenario) (*core.Results, error) {
-	cfg, err := sc.Config()
-	if err != nil {
-		return nil, err
+func newScenarios() scenarios {
+	rs := make([]*core.Runner, DefaultWorkers())
+	for i := range rs {
+		rs[i] = core.NewRunner()
 	}
-	return s.r.Run(cfg)
+	return scenarios{rs}
+}
+
+// runAll lowers every scenario and runs it, returning the results in input
+// order. The error is that of the lowest-index scenario that failed.
+func (s scenarios) runAll(scs []campaign.Scenario) ([]*core.Results, error) {
+	cfgs := make([]core.ExperimentConfig, len(scs))
+	for i, sc := range scs {
+		var err error
+		if cfgs[i], err = sc.Config(); err != nil {
+			return nil, err
+		}
+	}
+	return s.runConfigs(cfgs)
+}
+
+// runConfigs runs every configuration, returning the results in input
+// order. The error is that of the lowest-index configuration that failed.
+func (s scenarios) runConfigs(cfgs []core.ExperimentConfig) ([]*core.Results, error) {
+	out := make([]*core.Results, len(cfgs))
+	err := fanOut(len(s.runners), len(cfgs), func(w, i int) error {
+		var err error
+		out[i], err = s.runners[w].Run(cfgs[i])
+		return err
+	})
+	return out, err
 }
 
 // figure11Scenario is the paper's standard attack protocol (Figure 11:

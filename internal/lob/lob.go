@@ -136,22 +136,28 @@ type Windows struct {
 	wholePos   []int
 }
 
-// WindowsFor builds the granularity windows for a header layout.
+// WindowsFor builds the granularity windows for a header layout. Every
+// secured link builds its own, so the three windows share one exact-size
+// backing array: the whole codeword, then the header positions, then the
+// payload positions, each in ascending wire order.
 func WindowsFor(l flit.Layout) *Windows {
-	w := &Windows{}
-	isHeader := map[int]bool{}
+	var isHeader [ecc.CodewordBits]bool
 	for d := 0; d < l.HeaderBits(); d++ {
 		isHeader[ecc.DataPosition(d)] = true
 	}
+	pos := make([]int, 0, 2*ecc.CodewordBits)
 	for p := 0; p < ecc.CodewordBits; p++ {
-		w.wholePos = append(w.wholePos, p)
-		if isHeader[p] {
-			w.headerPos = append(w.headerPos, p)
-		} else {
-			w.payloadPos = append(w.payloadPos, p)
+		pos = append(pos, p)
+	}
+	for _, header := range []bool{true, false} {
+		for p := 0; p < ecc.CodewordBits; p++ {
+			if isHeader[p] == header {
+				pos = append(pos, p)
+			}
 		}
 	}
-	return w
+	w, h := ecc.CodewordBits, ecc.CodewordBits+l.HeaderBits()
+	return &Windows{wholePos: pos[:w:w], headerPos: pos[w:h:h], payloadPos: pos[h:]}
 }
 
 // DefaultWindows are the windows of the paper's default header layout.

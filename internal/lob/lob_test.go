@@ -1,6 +1,7 @@
 package lob
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -77,6 +78,45 @@ func TestGranularityWindowsDisjoint(t *testing.T) {
 				t.Fatalf("wire %d in both windows", p)
 			}
 			seen[p] = true
+		}
+	}
+}
+
+// TestWindowsForExactAndOrdered pins the window contents against a direct
+// reading of the layout (header window = the codeword images of the header
+// data bits, ascending; payload = the rest, ascending; whole = every wire)
+// and the construction cost every secured link pays: the struct and one
+// backing array, nothing append-grown.
+func TestWindowsForExactAndOrdered(t *testing.T) {
+	big, err := flit.LayoutFor(256, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range []flit.Layout{flit.Default, big} {
+		hdr := map[int]bool{}
+		for d := 0; d < l.HeaderBits(); d++ {
+			hdr[ecc.DataPosition(d)] = true
+		}
+		var wantH, wantP, wantW []int
+		for p := 0; p < ecc.CodewordBits; p++ {
+			wantW = append(wantW, p)
+			if hdr[p] {
+				wantH = append(wantH, p)
+			} else {
+				wantP = append(wantP, p)
+			}
+		}
+		w := WindowsFor(l)
+		for _, c := range []struct {
+			name      string
+			got, want []int
+		}{{"header", w.headerPos, wantH}, {"payload", w.payloadPos, wantP}, {"whole", w.wholePos, wantW}} {
+			if fmt.Sprint(c.got) != fmt.Sprint(c.want) || cap(c.got) != len(c.want) {
+				t.Errorf("%d header bits: %s window %v (cap %d), want %v", l.HeaderBits(), c.name, c.got, cap(c.got), c.want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { WindowsFor(l) }); allocs > 2 {
+			t.Errorf("%d header bits: WindowsFor makes %.0f allocations, want at most 2", l.HeaderBits(), allocs)
 		}
 	}
 }

@@ -32,51 +32,37 @@ type Table struct {
 // to the lowest-numbered port, which on the mesh degenerates to XY routing
 // (x-dimension first).
 func Build(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Table, error) {
-	topo := cfg.Topology()
 	R := cfg.Routers()
-	// adj[r][port] = neighbor router over a healthy link, or -1.
-	adj := make([][]int, R)
-	for r := range adj {
-		adj[r] = make([]int, topo.NumPorts(r))
-		for p := range adj[r] {
-			adj[r][p] = -1
+	adj := healthyAdj(cfg, links, disabled)
+	// pred[to] lists the routers with a healthy link into to: the edges a
+	// reverse BFS from a destination walks.
+	pred := make([][]int, R)
+	for from := range adj {
+		for p := 1; p < len(adj[from]); p++ {
+			if to := adj[from][p]; to >= 0 {
+				pred[to] = append(pred[to], from)
+			}
 		}
 	}
-	for _, l := range links {
-		if disabled[l.ID] {
-			continue
-		}
-		adj[l.From][l.FromPort] = l.To
-	}
 
-	t := &Table{cfg: cfg, Port: make([][]int, R), Hops: make([][]int, R)}
-	for r := range t.Port {
-		t.Port[r] = make([]int, R)
-		t.Hops[r] = make([]int, R)
-	}
-
-	// One reverse BFS per destination over directed healthy links.
+	t := newTable(cfg)
+	// One reverse BFS per destination over directed healthy links. Every
+	// router enters the queue at most once per destination, so both
+	// buffers are sized once and reused.
+	dist := make([]int, R)
+	queue := make([]int, 0, R)
 	for d := 0; d < R; d++ {
-		dist := make([]int, R)
 		for i := range dist {
 			dist[i] = -1
 		}
 		dist[d] = 0
-		queue := []int{d}
-		// Reverse adjacency: who can reach "cur" in one hop?
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for from := 0; from < R; from++ {
-				if dist[from] != -1 {
-					continue
-				}
-				for p := 1; p < len(adj[from]); p++ {
-					if adj[from][p] == cur {
-						dist[from] = dist[cur] + 1
-						queue = append(queue, from)
-						break
-					}
+		queue = append(queue[:0], d)
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			for _, from := range pred[cur] {
+				if dist[from] == -1 {
+					dist[from] = dist[cur] + 1
+					queue = append(queue, from)
 				}
 			}
 		}
@@ -106,6 +92,39 @@ func Build(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Table,
 	return t, nil
 }
 
+// healthyAdj returns adj[r][port]: the neighbour router over a healthy
+// link, or -1 (always -1 at the local port 0).
+func healthyAdj(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) [][]int {
+	topo := cfg.Topology()
+	adj := make([][]int, cfg.Routers())
+	for r := range adj {
+		adj[r] = make([]int, topo.NumPorts(r))
+		for p := range adj[r] {
+			adj[r][p] = -1
+		}
+	}
+	for _, l := range links {
+		if disabled[l.ID] {
+			continue
+		}
+		adj[l.From][l.FromPort] = l.To
+	}
+	return adj
+}
+
+// newTable allocates an R x R table for cfg, each of Port and Hops backed
+// by one array.
+func newTable(cfg noc.Config) *Table {
+	R := cfg.Routers()
+	t := &Table{cfg: cfg, Port: make([][]int, R), Hops: make([][]int, R)}
+	port, hops := make([]int, R*R), make([]int, R*R)
+	for r := range t.Port {
+		t.Port[r] = port[r*R : (r+1)*R : (r+1)*R]
+		t.Hops[r] = hops[r*R : (r+1)*R : (r+1)*R]
+	}
+	return t
+}
+
 // BuildSafe computes a deadlock-free reconfiguration table: spanning-tree
 // routing over the surviving topology. A BFS spanning tree is grown from the
 // healthiest router and every packet follows the unique tree path to its
@@ -122,21 +141,8 @@ func Build(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Table,
 // up and down); when one-way faults disconnect the bidirectional graph,
 // BuildSafe falls back to Build rather than strand reachable routers.
 func BuildSafe(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Table, error) {
-	topo := cfg.Topology()
 	R := cfg.Routers()
-	adj := make([][]int, R)
-	for r := range adj {
-		adj[r] = make([]int, topo.NumPorts(r))
-		for p := range adj[r] {
-			adj[r][p] = -1
-		}
-	}
-	for _, l := range links {
-		if disabled[l.ID] {
-			continue
-		}
-		adj[l.From][l.FromPort] = l.To
-	}
+	adj := healthyAdj(cfg, links, disabled)
 	// und[r][p] = neighbor over a bidirectionally healthy edge, or -1.
 	und := make([][]int, R)
 	for r := range und {
@@ -204,11 +210,7 @@ func BuildSafe(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Ta
 		return Build(cfg, links, disabled)
 	}
 
-	t := &Table{cfg: cfg, Port: make([][]int, R), Hops: make([][]int, R)}
-	for r := range t.Port {
-		t.Port[r] = make([]int, R)
-		t.Hops[r] = make([]int, R)
-	}
+	t := newTable(cfg)
 	// Paths in a tree are unique, so one BFS per destination over tree
 	// edges fully determines the table.
 	for d := 0; d < R; d++ {

@@ -330,45 +330,53 @@ func (g *Generator) sampleDst(src int) int {
 }
 
 // LinkLoads computes the analytic per-link traffic shares of a model under
-// the topology's default routing (the quantity in Figure 1(c)). The return
-// maps each directed link (keyed by "from->to") to its share of total link
-// traversals.
-func LinkLoads(m *Model, cfg noc.Config) map[string]float64 {
+// the topology's default routing (the quantity in Figure 1(c)). The result
+// is indexed by link id (the topology's Links() order, which is the
+// network's link numbering) and holds each directed link's share of total
+// link traversals.
+func LinkLoads(m *Model, cfg noc.Config) []float64 {
 	return LinkLoadsWhere(m, cfg, nil)
 }
 
 // LinkLoadsWhere computes per-link traffic shares restricted to flows for
 // which keep(src, dst) is true (nil keeps all). The attacker's link-
 // selection analysis (Section III-A) uses this to place trojans on the
-// links its *target* flows actually cross.
-func LinkLoadsWhere(m *Model, cfg noc.Config, keep func(src, dst int) bool) map[string]float64 {
-	loads := map[string]float64{}
-	total := 0.0
+// links its *target* flows actually cross. Keying by link id keeps
+// parallel links apart: on a torus 2 routers wide, the mesh link and the
+// wraparound link join the same two routers.
+func LinkLoadsWhere(m *Model, cfg noc.Config, keep func(src, dst int) bool) []float64 {
 	topo := cfg.Topology()
 	route := noc.RouteTable(topo)
-	next := map[[2]int]int{}
-	for _, ls := range topo.Links() {
-		next[[2]int{ls.From, ls.FromPort}] = ls.To
+	specs := topo.Links()
+	// out[r][port] is the id of the link leaving router r on that port.
+	out := make([][]int, cfg.Routers())
+	for r := range out {
+		out[r] = make([]int, topo.NumPorts(r))
 	}
+	for id, ls := range specs {
+		out[ls.From][ls.FromPort] = id
+	}
+	loads := make([]float64, len(specs))
+	total := 0.0
 	for s := 0; s < cfg.Routers(); s++ {
 		for d := 0; d < cfg.Routers(); d++ {
 			w := m.Matrix[s][d] * m.Intensity[s]
 			if w == 0 || s == d || (keep != nil && !keep(s, d)) {
 				continue
 			}
-			cur := s
-			for cur != d {
-				port := route(cur, d)
-				nb := next[[2]int{cur, port}]
-				key := fmt.Sprintf("%d->%d", cur, nb)
-				loads[key] += w
+			for cur := s; cur != d; {
+				id := out[cur][route(cur, d)]
+				loads[id] += w
 				total += w
-				cur = nb
+				cur = specs[id].To
 			}
 		}
 	}
-	for k := range loads { //nocvet:orderfree in-place normalisation, each key independent
-		loads[k] /= total
+	if total == 0 {
+		return loads // no kept flow crosses any link
+	}
+	for id := range loads {
+		loads[id] /= total
 	}
 	return loads
 }

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"tasp/internal/flit"
@@ -189,16 +188,13 @@ func TestGeneratorFieldsValid(t *testing.T) {
 func TestLinkLoadsSumToOne(t *testing.T) {
 	m, _ := Benchmark("blackscholes", cfg())
 	loads := LinkLoads(m, cfg())
-	if len(loads) == 0 {
-		t.Fatal("no link loads")
+	if len(loads) != len(cfg().Topology().Links()) {
+		t.Fatalf("%d loads for %d links", len(loads), len(cfg().Topology().Links()))
 	}
 	sum := 0.0
-	for k, v := range loads {
+	for id, v := range loads {
 		if v < 0 {
-			t.Fatalf("negative load on %s", k)
-		}
-		if !strings.Contains(k, "->") {
-			t.Fatalf("bad link key %q", k)
+			t.Fatalf("negative load on link %d", id)
 		}
 		sum += v
 	}
@@ -207,13 +203,25 @@ func TestLinkLoadsSumToOne(t *testing.T) {
 	}
 }
 
+// loadBetween returns the load of the link from router from to router to.
+func loadBetween(t *testing.T, loads []float64, from, to int) float64 {
+	t.Helper()
+	for id, l := range cfg().Topology().Links() {
+		if l.From == from && l.To == to {
+			return loads[id]
+		}
+	}
+	t.Fatalf("no link %d->%d", from, to)
+	return 0
+}
+
 // TestLinkLoadsConcentrateNearPrimary checks Figure 1(c)'s claim that links
 // near the primary core carry a disproportionate share of traffic.
 func TestLinkLoadsConcentrateNearPrimary(t *testing.T) {
 	m, _ := Benchmark("blackscholes", cfg())
 	loads := LinkLoads(m, cfg())
-	near := loads["0->1"] + loads["1->0"]
-	far := loads["14->15"] + loads["15->14"]
+	near := loadBetween(t, loads, 0, 1) + loadBetween(t, loads, 1, 0)
+	far := loadBetween(t, loads, 14, 15) + loadBetween(t, loads, 15, 14)
 	if near <= far {
 		t.Fatalf("link near primary (%g) not hotter than far link (%g)", near, far)
 	}
@@ -237,43 +245,62 @@ func TestLinkLoadsMatchSimulation(t *testing.T) {
 		n.Step()
 	}
 	var total uint64
-	sim := map[string]float64{}
 	for _, l := range n.Links() {
-		sent := n.LinkOutput(l.ID).FlitsSent
-		total += sent
-	}
-	for _, l := range n.Links() {
-		key := linkKey(l)
-		sim[key] = float64(n.LinkOutput(l.ID).FlitsSent) / float64(total)
+		total += n.LinkOutput(l.ID).FlitsSent
 	}
 	// The hottest analytic link must be among the top simulated links.
-	bestKey, best := "", 0.0
-	for k, v := range analytic {
+	bestID, best := 0, 0.0
+	for id, v := range analytic {
 		if v > best {
-			bestKey, best = k, v
+			bestID, best = id, v
 		}
 	}
-	if sim[bestKey] < best/3 {
-		t.Fatalf("hottest analytic link %s (%.3f) carries only %.3f in simulation", bestKey, best, sim[bestKey])
+	if sim := float64(n.LinkOutput(bestID).FlitsSent) / float64(total); sim < best/3 {
+		t.Fatalf("hottest analytic link %d (%.3f) carries only %.3f in simulation", bestID, best, sim)
 	}
 }
 
-func linkKey(l noc.LinkInfo) string {
-	return strings.Join([]string{itoa(l.From), itoa(l.To)}, "->")
-}
-
-func itoa(x int) string {
-	if x == 0 {
-		return "0"
+// TestLinkLoadsKeepParallelLinksApart checks the 2-wide torus, where the
+// mesh link and the wraparound link join the same two routers: only the
+// one the default route takes carries load.
+func TestLinkLoadsKeepParallelLinksApart(t *testing.T) {
+	c := cfg()
+	c.Topo = "torus"
+	c.Width, c.Height = 2, 2
+	m, err := Benchmark("blackscholes", c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var b [4]byte
-	i := len(b)
-	for x > 0 {
-		i--
-		b[i] = byte('0' + x%10)
-		x /= 10
+	loads := LinkLoads(m, c)
+	topo := c.Topology()
+	route := noc.RouteTable(topo)
+	// used[r][port]: some flow's default route leaves router r on port.
+	used := make([]map[int]bool, c.Routers())
+	for r := range used {
+		used[r] = map[int]bool{}
 	}
-	return string(b[i:])
+	for s := 0; s < c.Routers(); s++ {
+		for d := 0; d < c.Routers(); d++ {
+			if s == d || m.Matrix[s][d] == 0 {
+				continue
+			}
+			for cur := s; cur != d; {
+				port := route(cur, d)
+				used[cur][port] = true
+				for _, l := range topo.Links() {
+					if l.From == cur && l.FromPort == port {
+						cur = l.To
+						break
+					}
+				}
+			}
+		}
+	}
+	for id, l := range topo.Links() {
+		if on := used[l.From][l.FromPort]; on != (loads[id] > 0) {
+			t.Errorf("link %d (r%d port %d -> r%d): load %g, on a route %v", id, l.From, l.FromPort, l.To, loads[id], on)
+		}
+	}
 }
 
 func TestRouterTotals(t *testing.T) {
