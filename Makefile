@@ -58,44 +58,35 @@ fuzz:
 experiments:
 	$(GO) run ./cmd/experiments -exp all
 
-# The extension studies outside -exp all, each pinned by its own golden file.
-EXTENSIONS := locate adversary adaptive
+# The extension studies are campaign presets, each pinned by its own golden
+# file: specs/<name>.json runs the grid, `aggregate -preset <name>` renders
+# it, and testdata/golden/extension-<name>.txt holds the seed-1 table. The
+# order is campaign.Presets().
+PRESETS := cross-topology scale locate adversary adaptive
 
-# The cross-substrate studies are campaign presets, each pinned by its own
-# golden file: <golden id>:<name>, where specs/<name>.json runs the grid and
-# `aggregate -preset <name>` renders it.
-PRESETS := topology:cross-topology scale:scale
-
-# Refresh the golden files: the canonical output, one per extension and one
-# per campaign preset (only when an intentional output change lands; CI
-# diffs against them byte-for-byte).
+# Refresh the golden files: the canonical output and one per campaign preset
+# (only when an intentional output change lands; CI diffs against them
+# byte-for-byte).
 golden:
 	$(GO) build -o /tmp/experiments ./cmd/experiments
 	$(GO) build -o /tmp/campaign ./cmd/campaign
 	/tmp/experiments -exp all > testdata/golden/experiments-all-mesh.txt
-	for e in $(EXTENSIONS); do /tmp/experiments -exp $$e > testdata/golden/extension-$$e.txt || exit 1; done
 	for p in $(PRESETS); do \
-		id=$${p%%:*}; name=$${p#*:}; \
-		/tmp/campaign run -quiet -spec specs/$$name.json -out /tmp/preset-$$id.jsonl && \
-		/tmp/campaign aggregate -in /tmp/preset-$$id.jsonl -preset $$name > testdata/golden/extension-$$id.txt || exit 1; \
+		/tmp/campaign run -quiet -spec specs/$$p.json -out /tmp/preset-$$p.jsonl && \
+		/tmp/campaign aggregate -in /tmp/preset-$$p.jsonl -preset $$p > testdata/golden/extension-$$p.txt || exit 1; \
 	done
 
-# Verify the canonical 4x4 mesh output, every extension's output and every
-# campaign preset's table are byte-identical to their golden files.
+# Verify the canonical 4x4 mesh output and every campaign preset's table are
+# byte-identical to their golden files.
 golden-check:
 	$(GO) build -o /tmp/experiments ./cmd/experiments
 	$(GO) build -o /tmp/campaign ./cmd/campaign
 	/tmp/experiments -exp all > /tmp/experiments-all-mesh.txt
 	diff -u testdata/golden/experiments-all-mesh.txt /tmp/experiments-all-mesh.txt
-	for e in $(EXTENSIONS); do \
-		/tmp/experiments -exp $$e > /tmp/extension-$$e.txt && \
-		diff -u testdata/golden/extension-$$e.txt /tmp/extension-$$e.txt || exit 1; \
-	done
 	for p in $(PRESETS); do \
-		id=$${p%%:*}; name=$${p#*:}; \
-		/tmp/campaign run -quiet -spec specs/$$name.json -out /tmp/preset-$$id.jsonl && \
-		/tmp/campaign aggregate -in /tmp/preset-$$id.jsonl -preset $$name > /tmp/extension-$$id.txt && \
-		diff -u testdata/golden/extension-$$id.txt /tmp/extension-$$id.txt || exit 1; \
+		/tmp/campaign run -quiet -spec specs/$$p.json -out /tmp/preset-$$p.jsonl && \
+		/tmp/campaign aggregate -in /tmp/preset-$$p.jsonl -preset $$p > /tmp/extension-$$p.txt && \
+		diff -u testdata/golden/extension-$$p.txt /tmp/extension-$$p.txt || exit 1; \
 	done
 
 bench:

@@ -5,8 +5,10 @@
 //	campaign run -spec grid.json -out sweep.jsonl -workers 8
 //	campaign resume -spec grid.json -out sweep.jsonl -workers 8
 //	campaign aggregate -in sweep.jsonl
-//	campaign aggregate -in sweep.jsonl -preset cross-topology
-//	campaign aggregate -in sweep.jsonl -preset scale
+//	campaign aggregate -in sweep.jsonl -preset adaptive
+//
+// Each preset (cross-topology, scale, locate, adversary, adaptive) renders
+// one study's table from the records of specs/<preset>.json.
 //
 // The output is deterministic: the same spec yields byte-identical JSONL at
 // any worker count, and a killed run resumed with `campaign resume`
@@ -19,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"tasp/internal/campaign"
@@ -53,11 +56,19 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `usage:
+	fmt.Fprintf(os.Stderr, `usage:
   campaign run       -spec <grid.json> -out <sweep.jsonl> [-workers N] [-checkpoint-every N] [-quiet]
   campaign resume    -spec <grid.json> -out <sweep.jsonl> [-workers N] [-checkpoint-every N] [-quiet]
-  campaign aggregate -in <sweep.jsonl> [-preset cross-topology|scale]
-`)
+  campaign aggregate -in <sweep.jsonl> [-preset %s]
+`, strings.Join(presetNames(), "|"))
+}
+
+func presetNames() []string {
+	var names []string
+	for _, p := range campaign.Presets() {
+		names = append(names, p.Name)
+	}
+	return names
 }
 
 func runCmd(args []string, resume bool) error {
@@ -124,7 +135,7 @@ func runCmd(args []string, resume bool) error {
 func aggregateCmd(args []string) error {
 	fs := flag.NewFlagSet("aggregate", flag.ExitOnError)
 	inPath := fs.String("in", "", "sweep JSONL path")
-	preset := fs.String("preset", "", "table preset: '' (generic), cross-topology or scale")
+	preset := fs.String("preset", "", "table preset: '' (generic) or one of "+strings.Join(presetNames(), ", "))
 	fs.Parse(args)
 	if *inPath == "" {
 		return fmt.Errorf("aggregate: -in is required")
@@ -138,17 +149,22 @@ func aggregateCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	var t tab.Table
-	switch *preset {
-	case "":
-		t = campaign.Table(campaign.Aggregate(records))
-	case "cross-topology":
-		t, err = campaign.CrossTopologyTable(records)
-	case "scale":
-		t, err = campaign.ScaleTable(records)
-	default:
-		return fmt.Errorf("aggregate: unknown preset %q", *preset)
+	render := func(records []campaign.Record) (tab.Table, error) {
+		groups, err := campaign.Aggregate(records)
+		return campaign.Table(groups), err
 	}
+	if *preset != "" {
+		render = nil
+		for _, p := range campaign.Presets() {
+			if p.Name == *preset {
+				render = p.Render
+			}
+		}
+		if render == nil {
+			return fmt.Errorf("aggregate: unknown preset %q (want %s)", *preset, strings.Join(presetNames(), ", "))
+		}
+	}
+	t, err := render(records)
 	if err != nil {
 		return err
 	}

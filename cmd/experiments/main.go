@@ -2,18 +2,13 @@
 // evaluation section. Run with -exp all (default) to print the whole set,
 // or pick one of: fig1, fig2, fig8, fig9, fig10, fig11, fig12, table1,
 // table2, headline, ablations, detectability, migration, closedloop,
-// saturation. Extension studies outside the canonical set (locate, the
-// localization ablation; adversary, the drop/misroute trojan families under
-// secure-ack monitoring; and adaptive, throttled and colluding droppers
-// against deficit/fused detection and retransmit-around recovery) are
-// addressable by id but not part of -exp all, so the canonical output
-// stays regression-stable. The cross-topology and substrate-scaling tables
-// come from the campaign engine:
+// saturation. The extension studies outside the canonical set come from the
+// campaign engine, so the canonical output stays regression-stable: each
+// preset (cross-topology, scale, locate, adversary, adaptive) renders the
+// records of its own spec, for example
 //
-//	campaign run -spec specs/cross-topology.json -out xt.jsonl
-//	campaign aggregate -in xt.jsonl -preset cross-topology
-//	campaign run -spec specs/scale.json -out scale.jsonl
-//	campaign aggregate -in scale.jsonl -preset scale
+//	campaign run -spec specs/locate.json -out locate.jsonl
+//	campaign aggregate -in locate.jsonl -preset locate
 //
 // Experiments are independent and deterministically seeded, so -exp all
 // fans them out across -parallel worker goroutines (default: one per CPU)
@@ -38,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		which    = flag.String("exp", "all", "experiment id (fig1, fig2, fig8, fig9, fig10, fig11, fig12, table1, table2, headline, ablations, detectability, migration, closedloop, saturation, locate, adversary, adaptive, all)")
+		which    = flag.String("exp", "all", "experiment id (fig1, fig2, fig8, fig9, fig10, fig11, fig12, table1, table2, headline, ablations, detectability, migration, closedloop, saturation, all; the extension studies are campaign aggregate presets)")
 		bench    = flag.String("bench", "blackscholes", "benchmark for fig1")
 		topology = flag.String("topology", "mesh", "substrate for fig1's workload characterisation: "+strings.Join(noc.Topologies(), ", "))
 		width    = flag.Int("width", 4, "fig1 substrate columns (8 for an 8x8/256-core mesh)")
@@ -72,11 +67,7 @@ func main() {
 
 	e, ok := exp.Lookup(registry, *which)
 	if !ok {
-		e, ok = exp.Lookup(exp.Extensions(), *which)
-	}
-	if !ok {
-		log.Fatalf("unknown experiment %q (known: %s, %s, all)", *which,
-			strings.Join(exp.IDs(registry), ", "), strings.Join(exp.IDs(exp.Extensions()), ", "))
+		log.Fatalf("unknown experiment %q (known: %s, all)", *which, strings.Join(exp.IDs(registry), ", "))
 	}
 	tables, err := e.Run(*seed)
 	if err != nil {

@@ -28,12 +28,7 @@ func (p *pointLoop) step(tb testing.TB) {
 	if err := p.runner.RunInto(cfg, p.res); err != nil {
 		tb.Fatal(err)
 	}
-	p.rec.Index = p.i
-	p.rec.Topology = sc.Topology
-	p.rec.Benchmark = cfg.Benchmark
-	p.rec.Attack = sc.Attack.Name()
-	p.rec.Mitigation = cfg.Mitigation.String()
-	p.rec.Seed = sc.Seed
+	p.rec.identify(p.i, &sc, &cfg)
 	p.rec.Fill(p.res)
 	p.buf = p.rec.AppendJSONL(p.buf[:0])
 }
@@ -87,5 +82,45 @@ func BenchmarkCampaignPoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.step(b)
+	}
+}
+
+// TestFillAndEncodeAllocateNothing pins Fill and AppendJSONL at 0 allocs
+// with every outcome field populated. allocSpec's points leave the
+// localization, conviction and recovery fields at their defaults, so this
+// fills a record from a pre-run drop point with locate, secure-ack and
+// recovery on.
+func TestFillAndEncodeAllocateNothing(t *testing.T) {
+	sc := Scenario{
+		Benchmark: "blackscholes",
+		Seed:      1,
+		Warmup:    400,
+		Measure:   600,
+		Attack:    AttackSpec{Kind: "dest", Mode: "drop"},
+		Locate:    true,
+		SecureAck: true,
+		Recover:   true,
+	}
+	cfg, err := sc.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	rec.identify(0, &sc, &cfg)
+	rec.Fill(res)
+	if rec.Rank1Link < 0 || rec.Rank1TelemetryLink < 0 || rec.Rank1Confidence <= 0 || rec.TLocalize < 0 ||
+		rec.InfectedConvicted == 0 || rec.ConvictingChannel == "none" || rec.RecoveredAt == 0 || rec.PostRecoveryThroughput <= 0 {
+		t.Fatalf("an outcome field is unpopulated: %+v", rec)
+	}
+	buf := rec.AppendJSONL(nil)
+	if avg := testing.AllocsPerRun(100, func() {
+		rec.Fill(res)
+		buf = rec.AppendJSONL(buf[:0])
+	}); avg != 0 {
+		t.Errorf("Fill + AppendJSONL allocate %.2f times per record; budget is 0", avg)
 	}
 }

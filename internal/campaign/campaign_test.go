@@ -10,6 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"tasp/internal/core"
+	"tasp/internal/locate"
+	"tasp/internal/stats"
 	"tasp/internal/tab"
 )
 
@@ -246,7 +249,10 @@ func TestAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := Aggregate(records)
+	groups, err := Aggregate(records)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(groups) != 16 {
 		t.Fatalf("32 records over 2 seeds should give 16 groups, got %d", len(groups))
 	}
@@ -337,6 +343,50 @@ func TestAggregate(t *testing.T) {
 			}
 		}
 	}
+
+	// Every shipped spec, with the identity fields a worker writes: one
+	// group per grid entry, each holding every seed once. adversary-modes.json
+	// lists two drop entries, and adaptive-adversary.json two throttle and
+	// two collude entries, that differ only in deployment fields.
+	paths, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no shipped specs: %v", err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ParseSpec(data)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var recs []Record
+		for i, sc := range spec.Expand() {
+			cfg, err := sc.Config()
+			if err != nil {
+				t.Fatalf("%s point %d: %v", path, i, err)
+			}
+			var r Record
+			r.identify(i, &sc, &cfg)
+			recs = append(recs, r)
+		}
+		groups, err := Aggregate(recs)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if seeds := len(spec.seeds()); len(groups)*seeds != len(recs) {
+			t.Errorf("%s: %d points over %d seeds aggregate into %d groups, want %d", path, len(recs), seeds, len(groups), len(recs)/seeds)
+		}
+	}
+
+	// The backstop: a group holding one seed twice is rejected, naming it.
+	twice := arms(4, "blackscholes", "dest")
+	twice = append(twice, twice[1])
+	if _, err := Aggregate(twice); err == nil || !strings.Contains(err.Error(), "attack=dest mit=none det=") || !strings.Contains(err.Error(), "seed 0 twice") {
+		t.Errorf("a group holding one seed twice: Aggregate error %v", err)
+	}
 }
 
 // TestAttackModeGrid exercises the adversary axes end to end: trojan-family
@@ -366,7 +416,7 @@ func TestAttackModeGrid(t *testing.T) {
 	if len(scenarios) != 4 {
 		t.Fatalf("expected 4 points, got %d", len(scenarios))
 	}
-	wantNames := []string{"dest", "dest-drop", "dest-misroute", "dest-drop"}
+	wantNames := []string{"dest", "dest-drop", "dest-misroute", "dest-drop[links=3,17]"}
 	for i, sc := range scenarios {
 		if got := sc.Attack.Name(); got != wantNames[i] {
 			t.Errorf("point %d attack name = %q, want %q", i, got, wantNames[i])
@@ -476,5 +526,75 @@ func TestSpecValidateRejectsBadAttackInputs(t *testing.T) {
 				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestTimeToLocalize covers the t_localize scan in Fill on synthetic traces:
+// the delay from the run's enable cycle until the rank-1 verdict settles
+// inside the infected set for good, -1 when it never settles there.
+func TestTimeToLocalize(t *testing.T) {
+	trace := []locate.TraceSample{
+		{Cycle: 1525, LinkID: 9},
+		{Cycle: 1550, LinkID: 3},
+		{Cycle: 1575, LinkID: 9},
+		{Cycle: 1600, LinkID: 17},
+		{Cycle: 1625, LinkID: 3},
+	}
+	for _, tc := range []struct {
+		name     string
+		trace    []locate.TraceSample
+		enableAt uint64
+		want     int64
+	}{
+		{"settles at 1600", trace, 0, 100},
+		{"explicit enable cycle", trace, 1520, 80},
+		{"ends on a clean link", trace[:3], 0, -1},
+		{"no trace", nil, 0, -1},
+	} {
+		res := &core.Results{InfectedLinks: []int{3, 17}, SuspectTrace: tc.trace, Latency: stats.NewHistogram()}
+		res.Config.Warmup, res.Config.Attack.EnableAt = 1500, tc.enableAt
+		var r Record
+		r.Fill(res)
+		if r.TLocalize != tc.want {
+			t.Errorf("%s: t_localize = %d, want %d", tc.name, r.TLocalize, tc.want)
+		}
+	}
+}
+
+// TestAdversaryPresetShapes runs specs/adversary.json and checks the
+// table's qualitative content, which a regenerated golden file could lose:
+// six rows (three substrates, two quiet families), every infected set
+// convicted in full, and every rank-1 verdict an infected link.
+func TestAdversaryPresetShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full-protocol adversary grid")
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "specs", "adversary.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ParseSpec(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := ReadRecords(bytes.NewReader(runToBytes(t, spec, Options{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := AdversaryTable(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != 6 {
+		t.Fatalf("rows: %d, want 6 (3 topologies x 2 modes)", len(tb.Rows))
+	}
+	verdictCol, rankCol := len(tb.Columns)-2, len(tb.Columns)-1
+	for _, row := range tb.Rows {
+		if parts := strings.SplitN(row[verdictCol], "/", 2); len(parts) != 2 || parts[0] != parts[1] {
+			t.Errorf("%s/%s: secure-ack convicted %s of the infected links", row[0], row[1], row[verdictCol])
+		}
+		if !strings.HasPrefix(row[rankCol], "hit") {
+			t.Errorf("%s/%s: locate rank-1 missed the infected set (%s)", row[0], row[1], row[rankCol])
+		}
 	}
 }

@@ -15,15 +15,18 @@ type Dim struct {
 
 // Spec declares a scenario grid: the cross product of every axis. Axes left
 // empty contribute the protocol default. The expansion order is fixed
-// (topology, dims, benchmark, attack, mitigation, seed — seeds innermost so
-// resumable sweeps finish whole configurations first), which is what makes
-// a spec's JSONL output well-defined.
+// (topology, dims, benchmark, attack, mitigation, detector, seed — seeds
+// innermost so resumable sweeps finish whole configurations first), which
+// is what makes a spec's JSONL output well-defined.
 type Spec struct {
 	Topologies  []string     `json:"topologies,omitempty"`
 	Dims        []Dim        `json:"dims,omitempty"`
 	Benchmarks  []string     `json:"benchmarks,omitempty"`
 	Attacks     []AttackSpec `json:"attacks,omitempty"`
 	Mitigations []string     `json:"mitigations,omitempty"`
+	// Detectors selects the secure-ack monitor per point (Scenario.Detector:
+	// "deficit", the full monitor and the default, or "stock").
+	Detectors []string `json:"detectors,omitempty"`
 	// Seeds lists explicit seeds; SeedCount generates SeedBase..SeedBase+n-1
 	// when Seeds is empty (SeedBase 0 means base 1).
 	Seeds     []uint64 `json:"seeds,omitempty"`
@@ -72,7 +75,7 @@ func (s Spec) seeds() []uint64 {
 }
 
 // axes returns every axis with its default filled in.
-func (s Spec) axes() (topos []string, dims []Dim, benches []string, attacks []AttackSpec, mits []string, seeds []uint64) {
+func (s Spec) axes() (topos []string, dims []Dim, benches []string, attacks []AttackSpec, mits, dets []string, seeds []uint64) {
 	topos = s.Topologies
 	if len(topos) == 0 {
 		topos = []string{""}
@@ -93,40 +96,47 @@ func (s Spec) axes() (topos []string, dims []Dim, benches []string, attacks []At
 	if len(mits) == 0 {
 		mits = []string{"none"}
 	}
-	return topos, dims, benches, attacks, mits, s.seeds()
+	dets = s.Detectors
+	if len(dets) == 0 {
+		dets = []string{""}
+	}
+	return topos, dims, benches, attacks, mits, dets, s.seeds()
 }
 
 // Size reports the number of points the spec expands to.
 func (s Spec) Size() int {
-	topos, dims, benches, attacks, mits, seeds := s.axes()
-	return len(topos) * len(dims) * len(benches) * len(attacks) * len(mits) * len(seeds)
+	topos, dims, benches, attacks, mits, dets, seeds := s.axes()
+	return len(topos) * len(dims) * len(benches) * len(attacks) * len(mits) * len(dets) * len(seeds)
 }
 
 // Expand materialises the grid in its canonical order.
 func (s Spec) Expand() []Scenario {
-	topos, dims, benches, attacks, mits, seeds := s.axes()
+	topos, dims, benches, attacks, mits, dets, seeds := s.axes()
 	out := make([]Scenario, 0, s.Size())
 	for _, topo := range topos {
 		for _, dim := range dims {
 			for _, bench := range benches {
 				for _, attack := range attacks {
 					for _, mit := range mits {
-						for _, seed := range seeds {
-							out = append(out, Scenario{
-								Topology:     topo,
-								Width:        dim.Width,
-								Height:       dim.Height,
-								Benchmark:    bench,
-								Seed:         seed,
-								Warmup:       s.Warmup,
-								Measure:      s.Measure,
-								Attack:       attack,
-								Mitigation:   mit,
-								Locate:       s.Locate,
-								SecureAck:    s.SecureAck,
-								Recover:      s.Recover,
-								TransientBER: s.TransientBER,
-							})
+						for _, det := range dets {
+							for _, seed := range seeds {
+								out = append(out, Scenario{
+									Topology:     topo,
+									Width:        dim.Width,
+									Height:       dim.Height,
+									Benchmark:    bench,
+									Seed:         seed,
+									Warmup:       s.Warmup,
+									Measure:      s.Measure,
+									Attack:       attack,
+									Mitigation:   mit,
+									Detector:     det,
+									Locate:       s.Locate,
+									SecureAck:    s.SecureAck,
+									Recover:      s.Recover,
+									TransientBER: s.TransientBER,
+								})
+							}
 						}
 					}
 				}

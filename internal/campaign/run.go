@@ -182,16 +182,7 @@ func worker(ctx context.Context, scenarios []Scenario, first, stripe int, free c
 		if err := runner.RunInto(cfg, res); err != nil {
 			return fmt.Errorf("point %d: %w", i, err) //nocvet:allowalloc error path aborts the sweep
 		}
-		rec.Index = i
-		rec.Topology = cfg.Noc.Topo
-		if rec.Topology == "" {
-			rec.Topology = "mesh"
-		}
-		rec.Width, rec.Height = cfg.Noc.Width, cfg.Noc.Height
-		rec.Benchmark = cfg.Benchmark
-		rec.Attack = sc.Attack.Name()
-		rec.Mitigation = cfg.Mitigation.String()
-		rec.Seed = sc.Seed
+		rec.identify(i, &sc, &cfg)
 		rec.Fill(res)
 		var buf []byte
 		select {

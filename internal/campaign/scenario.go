@@ -12,6 +12,7 @@ package campaign
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"tasp/internal/core"
 	"tasp/internal/tasp"
@@ -56,17 +57,44 @@ type AttackSpec struct {
 	DutyActive int `json:"duty_active,omitempty"`
 }
 
-// Name is the attack's identity in records and aggregation group keys. Non-
-// default trojan families are qualified ("dest-drop") so a grid sweeping
-// modes aggregates them separately.
+// Name is the attack's identity in records and aggregation group keys:
+// the kind, qualified by a non-default trojan family ("dest-drop") and then
+// by every non-default deployment field in a fixed order
+// ("dest-drop[links=1,3]", "dest-collude[num_links=3 duty_period=75]"), so
+// every distinct entry of a grid aggregates separately. A disabled attack
+// deploys nothing and is always "none".
+//
+//nocvet:allowalloc once per point, not per cycle; an unqualified flip attack (the allocation-gated sweep shape) returns its kind without allocating
 func (a AttackSpec) Name() string {
 	if a.Kind == "" || a.Kind == "none" {
 		return "none"
 	}
+	name := a.Kind
 	if a.Mode != "" && a.Mode != "flip" {
-		return a.Kind + "-" + a.Mode
+		name += "-" + a.Mode
 	}
-	return a.Kind
+	var q []string
+	for _, f := range [...]struct {
+		key string
+		v   int
+	}{
+		{"dest", a.Dest}, {"src", a.Src}, {"vc", a.VC}, {"mem", int(a.Mem)}, {"mem_mask", int(a.MemMask)},
+		{"num_links", a.NumLinks}, {"y_bits", a.YBits}, {"duty_period", a.DutyPeriod}, {"duty_active", a.DutyActive},
+	} {
+		if f.v != 0 {
+			q = append(q, fmt.Sprintf("%s=%d", f.key, f.v))
+		}
+	}
+	if a.Hijack != nil {
+		q = append(q, fmt.Sprintf("hijack=%d", *a.Hijack))
+	}
+	if len(a.Links) > 0 {
+		q = append(q, "links="+strings.Trim(strings.Join(strings.Fields(fmt.Sprint(a.Links)), ","), "[]"))
+	}
+	if len(q) > 0 {
+		name += "[" + strings.Join(q, " ") + "]"
+	}
+	return name
 }
 
 // target resolves the declared kind to a comparator target. Disabled
@@ -121,6 +149,11 @@ type Scenario struct {
 	Attack AttackSpec `json:"attack"`
 	// Mitigation is the defence name (core.Mitigation.String; "" = none).
 	Mitigation string `json:"mitigation,omitempty"`
+	// Detector selects the secure-ack monitor: "deficit" (or "") is the
+	// full monitor; "stock" disables its cumulative-deficit and fused
+	// channels, leaving the streak-only detector the adaptive trojans are
+	// tuned to evade. "stock" requires SecureAck.
+	Detector string `json:"detector,omitempty"`
 	// Locate enables the localization engine (per-point cost; off in sweeps
 	// unless the sweep is about localization).
 	Locate bool `json:"locate,omitempty"`
@@ -185,6 +218,16 @@ func (s Scenario) Config() (core.ExperimentConfig, error) {
 			return cfg, err
 		}
 		cfg.Mitigation = m
+	}
+	switch s.Detector {
+	case "", "deficit":
+	case "stock":
+		if !s.SecureAck {
+			return cfg, fmt.Errorf("detector %q requires secure_ack", s.Detector) //nocvet:allowalloc error path aborts the sweep
+		}
+		cfg.AckDeficitRatio = -1
+	default:
+		return cfg, fmt.Errorf("unknown detector %q (want deficit or stock)", s.Detector) //nocvet:allowalloc error path aborts the sweep
 	}
 	cfg.Locate = s.Locate
 	cfg.SecureAck = s.SecureAck

@@ -253,6 +253,15 @@ func DefaultExperiment() ExperimentConfig {
 	}
 }
 
+// EnableCycle is the cycle the attack's kill switch flips on: Attack.EnableAt,
+// or the end of the warm-up when that is 0.
+func (c *ExperimentConfig) EnableCycle() uint64 {
+	if c.Attack.EnableAt != 0 {
+		return c.Attack.EnableAt
+	}
+	return uint64(c.Warmup)
+}
+
 // Sample is one time-series point: the whole-network occupancy plus, for
 // TDM runs, the per-domain split.
 type Sample struct {

@@ -385,10 +385,7 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 	if cfg.RerouteDetectDelay <= 0 {
 		cfg.RerouteDetectDelay = 200
 	}
-	enableAt := cfg.Attack.EnableAt
-	if enableAt == 0 {
-		enableAt = uint64(cfg.Warmup)
-	}
+	enableAt := cfg.EnableCycle()
 
 	resetResults(res, cfg)
 	net := a.net

@@ -1,41 +1,24 @@
 package exp
 
 import (
-	"strings"
 	"testing"
+
+	"tasp/internal/campaign"
 )
 
-// TestAdversaryExtensionRegistered pins the adversary study to the extension
-// set: addressable by id, never part of -exp all (the canonical output is a
-// regression baseline).
+// TestAdversaryExtensionRegistered pins the extension studies to the
+// campaign presets: each, adversary among them, is rendered by `campaign
+// aggregate -preset`, and none is part of -exp all (the canonical output
+// is a regression baseline).
 func TestAdversaryExtensionRegistered(t *testing.T) {
-	if _, ok := Lookup(Extensions(), "adversary"); !ok {
-		t.Fatal("adversary extension not registered")
-	}
-	if _, ok := Lookup(Registry("blackscholes"), "adversary"); ok {
-		t.Fatal("adversary experiment leaked into the canonical registry")
-	}
-}
-
-// TestAblationAdversaryShapes runs the cross-topology drop/misroute table
-// and checks its qualitative content: six rows (three substrates, two quiet
-// families), every infected set convicted in full, and every rank-1 verdict
-// an infected link.
-func TestAblationAdversaryShapes(t *testing.T) {
-	tb, err := AblationAdversary(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 6 {
-		t.Fatalf("rows: %d, want 6 (3 topologies x 2 modes)", len(tb.Rows))
-	}
-	verdictCol, rankCol := len(tb.Columns)-2, len(tb.Columns)-1
-	for _, row := range tb.Rows {
-		if parts := strings.SplitN(row[verdictCol], "/", 2); len(parts) != 2 || parts[0] != parts[1] {
-			t.Errorf("%s/%s: secure-ack convicted %s of the infected links", row[0], row[1], row[verdictCol])
+	found := false
+	for _, p := range campaign.Presets() {
+		found = found || p.Name == "adversary"
+		if _, ok := Lookup(Registry("blackscholes"), p.Name); ok {
+			t.Errorf("%s study leaked into the canonical registry", p.Name)
 		}
-		if !strings.HasPrefix(row[rankCol], "hit") {
-			t.Errorf("%s/%s: locate rank-1 missed the infected set (%s)", row[0], row[1], row[rankCol])
-		}
+	}
+	if !found {
+		t.Fatal("adversary preset not registered")
 	}
 }

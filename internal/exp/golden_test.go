@@ -9,9 +9,9 @@ import (
 
 // TestGoldenExperimentsAllByteIdentical is the in-tree twin of `make
 // golden-check`: the canonical 4x4 `-exp all` output must stay byte-for-byte
-// what the golden file records. The extension studies are outside the
-// canonical set and pinned by their own golden files
-// (TestGoldenExtensionsByteIdentical); anything that moves these bytes is
+// what the golden file records. The extension studies are campaign presets
+// outside the canonical set, pinned by their own golden files (campaign's
+// TestGoldenPresetsByteIdentical); anything that moves these bytes is
 // either a deliberate output change (regenerate with `make golden`) or a
 // determinism regression.
 func TestGoldenExperimentsAllByteIdentical(t *testing.T) {
@@ -36,33 +36,4 @@ func TestGoldenExperimentsAllByteIdentical(t *testing.T) {
 		}
 	}
 	t.Fatalf("canonical output length diverged from golden: %d vs %d lines", len(gl), len(wl))
-}
-
-// TestGoldenExtensionsByteIdentical pins each extension study's seed-1
-// output (`cmd/experiments -exp <id>`, one table per Println) against its
-// testdata/golden/extension-<id>.txt, the twin of the extension half of
-// `make golden-check`. The extensions, and the points inside each, run
-// fanned out across the default worker count, so `-cpu 1,2,4` covers
-// serial and concurrent execution.
-func TestGoldenExtensionsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every extension study")
-	}
-	for _, res := range RunAll(Extensions(), 1, 0) {
-		if res.Err != nil {
-			t.Fatalf("%s: %v", res.ID, res.Err)
-		}
-		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "extension-"+res.ID+".txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got strings.Builder
-		for _, tb := range res.Tables {
-			got.WriteString(tb.Render())
-			got.WriteString("\n")
-		}
-		if got.String() != string(want) {
-			t.Errorf("extension %s diverged from its golden file:\n got:\n%s\nwant:\n%s", res.ID, got.String(), want)
-		}
-	}
 }

@@ -27,8 +27,9 @@ type Result struct {
 }
 
 // Registry returns the canonical, ordered list of experiments behind the
-// paper's tables/figures and the extension studies — the same order
-// `cmd/experiments -exp all` prints. bench selects the traffic trace used
+// paper's tables/figures and the ablation studies — the same order
+// `cmd/experiments -exp all` prints. The extension studies are campaign
+// presets (campaign.Presets), outside the canonical set. bench selects the traffic trace used
 // by fig1 (the other experiments fix their own workloads).
 func Registry(bench string) []Experiment {
 	return RegistryFor(bench, noc.DefaultConfig())
@@ -132,38 +133,6 @@ func RegistryFor(bench string, ncfg noc.Config) []Experiment {
 		}},
 		{ID: "saturation", Run: func(uint64) ([]Table, error) {
 			return one(SaturationCurve())
-		}},
-	}
-}
-
-// Extensions returns studies addressable by id but excluded from the
-// canonical `-exp all` set, so adding one never perturbs the regression
-// baseline of the canonical output. The cross-topology and scale studies
-// are not here: specs/cross-topology.json and specs/scale.json run them
-// through the campaign engine, and the `cross-topology` and `scale`
-// aggregate presets render their tables.
-func Extensions() []Experiment {
-	return []Experiment{
-		{ID: "locate", Run: func(seed uint64) ([]Table, error) {
-			t, err := AblationLocate(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []Table{t}, nil
-		}},
-		{ID: "adversary", Run: func(seed uint64) ([]Table, error) {
-			t, err := AblationAdversary(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []Table{t}, nil
-		}},
-		{ID: "adaptive", Run: func(seed uint64) ([]Table, error) {
-			t, err := AblationAdaptive(seed)
-			if err != nil {
-				return nil, err
-			}
-			return []Table{t}, nil
 		}},
 	}
 }
