@@ -50,9 +50,12 @@ race:
 	$(GO) test -race -count=10 -run TestFanOut ./internal/exp
 	$(GO) test -race -run 'TestWorkerCountInvariance|TestKillResume' ./internal/campaign
 
-# Fuzz the header Encode/Decode round-trip across randomized layouts.
+# Fuzz the header Encode/Decode round-trip across randomized layouts, and
+# the event-driven core's per-cycle invariants and flit conservation across
+# random platforms, loads, faults and a mid-run link disable.
 fuzz:
 	$(GO) test -fuzz=FuzzHeaderRoundTrip -fuzztime=10s ./internal/flit
+	$(GO) test -run xxx -fuzz=FuzzStepInvariants -fuzztime=10s ./internal/noc
 
 # Regenerate the paper's tables/figures and extension studies.
 experiments:

@@ -23,6 +23,12 @@ func TestConfigureRejectsBadFlags(t *testing.T) {
 		{[]string{"-attack-mode", "misroute", "-hijack", "99"}, "Attack.Hijack = 99 out of range: -1 (auto) or 0..15"},
 		{[]string{"-mitigation", "e2e"}, `unknown mitigation "e2e"`},
 		{[]string{"-target", "destsrc"}, `unknown attack kind "destsrc"`},
+		{[]string{"-ber", "2"}, "TransientBER = 2 out of range [0, 1]"},
+		{[]string{"-ber", "-0.1"}, "TransientBER = -0.1 out of range [0, 1]"},
+		{[]string{"-warmup", "-5"}, "warmup = -5: must be positive, or 0 for the default"},
+		{[]string{"-cycles", "-10"}, "measure = -10: must be positive, or 0 for the default"},
+		{[]string{"-width", "-4"}, "width = -4: must be positive, or 0 for the default"},
+		{[]string{"-height", "-4"}, "height = -4: must be positive, or 0 for the default"},
 	} {
 		_, _, err := configure(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -3,6 +3,7 @@ package analysis_test
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tasp/internal/analysis"
@@ -11,9 +12,11 @@ import (
 // TestSeededRegression is the acceptance check for the whole suite: plant
 // the two canonical contract violations — a map range over router state and
 // a math/rand import — in a noc-shaped package and prove the shipped
-// internal/noc analyzer configuration (SuiteFor) turns both into findings.
-// If either analyzer regressed to silence, introducing this exact code into
-// internal/noc would sail through `make lint` and CI.
+// internal/noc analyzer configuration (SuiteFor) turns both into findings,
+// together with direct writes of scheduler state (an occupancy mask and an
+// NI's injection-refusal record) outside sched.go. If any analyzer
+// regressed to silence, introducing this exact code into internal/noc would
+// sail through `make lint` and CI.
 func TestSeededRegression(t *testing.T) {
 	dir := t.TempDir()
 	src := `package noc
@@ -24,13 +27,21 @@ type Router struct {
 	occ uint64
 }
 
+type NI struct {
+	refusedBy uint8
+}
+
 type Network struct {
 	routers map[int]*Router
+	nis     []*NI
 }
 
 func (n *Network) Step() {
 	for id, r := range n.routers {
 		r.occ |= 1 << uint(id%64)
+	}
+	for _, ni := range n.nis {
+		ni.refusedBy = 0
 	}
 	_ = rand.Int()
 }
@@ -47,8 +58,14 @@ func (n *Network) Step() {
 		t.Fatal(err)
 	}
 	byAnalyzer := map[string]int{}
+	fields := map[string]bool{}
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer]++
+		if d.Analyzer == "telemetrysafe" {
+			for _, f := range []string{"Router.occ", "NI.refusedBy"} {
+				fields[f] = fields[f] || strings.Contains(d.Message, f)
+			}
+		}
 	}
 	if byAnalyzer["detrange"] == 0 {
 		t.Errorf("map range over router state not flagged by detrange; got %v", diags)
@@ -56,8 +73,10 @@ func (n *Network) Step() {
 	if byAnalyzer["detsource"] == 0 {
 		t.Errorf("math/rand import not flagged by detsource; got %v", diags)
 	}
-	if byAnalyzer["telemetrysafe"] == 0 {
-		t.Errorf("direct Router.occ mutation outside sched.go not flagged by telemetrysafe; got %v", diags)
+	for _, f := range []string{"Router.occ", "NI.refusedBy"} {
+		if !fields[f] {
+			t.Errorf("direct %s mutation outside sched.go not flagged by telemetrysafe; got %v", f, diags)
+		}
 	}
 }
 

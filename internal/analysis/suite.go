@@ -41,16 +41,20 @@ var TrafficHotPathRoots = []string{
 }
 
 // NocProtectedFields is the scheduler state of the event-driven core
-// (DESIGN.md §9): the activity bitmaps and flit counters plus the
-// occupancy/request masks the arbitration scans trust. Every transition
-// must go through the sched.go edge helpers the invariant audit certifies.
+// (DESIGN.md §9): the activity bitmaps and flit counters, the
+// occupancy/request masks the arbitration scans trust, and the skip state
+// of stalled work (the dead-output mask RC walks, an NI's refusal record).
+// Every transition must go through the sched.go edge helpers the invariant
+// audit certifies.
 var NocProtectedFields = []ProtectedField{
 	{Type: "Router", Field: "occ"},
 	{Type: "Router", Field: "routedTo"},
 	{Type: "Router", Field: "reqVA"},
+	{Type: "Router", Field: "deadOut"},
 	{Type: "Router", Field: "inFlits"},
 	{Type: "Router", Field: "parked"},
 	{Type: "NI", Field: "total"},
+	{Type: "NI", Field: "refusedBy"},
 	{Type: "scheduler", Field: "actIn"},
 	{Type: "scheduler", Field: "actOut"},
 	{Type: "scheduler", Field: "actNI"},

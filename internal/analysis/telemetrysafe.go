@@ -39,7 +39,7 @@ func NewTelemetrySafe(protected []ProtectedField, allowedFiles []string) *Analyz
 	}
 	report := func(pass *Pass, pos token.Pos, what string, pf ProtectedField) {
 		pass.Reportf(pos,
-			"%s of scheduler state %s.%s outside %v: use the sched.go edge helpers (gain/lose, markOccupied/clearOccupied, routeInput/unrouteInput, grantVA/retireRouted) so the invariant audit keeps covering every transition",
+			"%s of scheduler state %s.%s outside %v: use the sched.go edge helpers (gain/lose, markOccupied/clearOccupied, routeInput/unrouteInput, grantVA/retireRouted, disableOutput, refuse) so the invariant audit keeps covering every transition",
 			what, pf.Type, pf.Field, allowedFiles)
 	}
 	a.Run = func(pass *Pass) error {

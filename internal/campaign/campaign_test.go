@@ -498,10 +498,11 @@ func TestResumeRejectsStaleCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSpecValidateRejectsBadAttackInputs: every malformed attack input fails
-// Spec.Validate, before any point runs, with an error naming the field and
-// its valid range — instead of panicking mid-sweep, wrapping a router id or
-// silently running something else.
+// TestSpecValidateRejectsBadAttackInputs: every malformed attack input, and
+// every out-of-range platform, protocol or fault value, fails Spec.Validate,
+// before any point runs, with an error naming the field and its valid range
+// — instead of panicking mid-sweep, wrapping a router id or silently
+// running something else.
 func TestSpecValidateRejectsBadAttackInputs(t *testing.T) {
 	for _, tc := range []struct {
 		name, spec, want string
@@ -515,6 +516,12 @@ func TestSpecValidateRejectsBadAttackInputs(t *testing.T) {
 		{"negative src", `{"attacks":[{"kind":"src","src":-1}]}`, "attack.src = -1 does not fit a header id (0..255)"},
 		{"hijack past the mesh", `{"attacks":[{"kind":"dest","mode":"misroute","hijack":99}]}`, "Attack.Hijack = 99 out of range: -1 (auto) or 0..15"},
 		{"recover without secure-ack", `{"recover":true}`, "RecoverOnConvict requires SecureAck"},
+		{"bit-error rate above 1", `{"transient_ber":2}`, "TransientBER = 2 out of range [0, 1]"},
+		{"negative bit-error rate", `{"transient_ber":-0.1}`, "TransientBER = -0.1 out of range [0, 1]"},
+		{"negative width", `{"dims":[{"width":-4,"height":4}]}`, "width = -4: must be positive, or 0 for the default"},
+		{"negative height", `{"dims":[{"width":4,"height":-4}]}`, "height = -4: must be positive, or 0 for the default"},
+		{"negative warmup", `{"warmup":-5}`, "warmup = -5: must be positive, or 0 for the default"},
+		{"negative measure", `{"measure":-10}`, "measure = -10: must be positive, or 0 for the default"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := ParseSpec([]byte(tc.spec))

@@ -169,9 +169,18 @@ type Scenario struct {
 
 // Config lowers the scenario to a core experiment configuration. The
 // defaults mirror core.DefaultExperiment, so a zero-valued scenario with
-// just a benchmark runs the paper's standard protocol.
+// just a benchmark runs the paper's standard protocol. Zero selects a
+// dimension's or phase's default; a negative one is an error.
 func (s Scenario) Config() (core.ExperimentConfig, error) {
 	cfg := core.DefaultExperiment()
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{{"width", s.Width}, {"height", s.Height}, {"warmup", s.Warmup}, {"measure", s.Measure}} {
+		if f.v < 0 {
+			return cfg, fmt.Errorf("%s = %d: must be positive, or 0 for the default", f.name, f.v) //nocvet:allowalloc error path aborts the sweep
+		}
+	}
 	cfg.Noc.Topo = s.Topology
 	if s.Width > 0 {
 		cfg.Noc.Width = s.Width

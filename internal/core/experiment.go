@@ -171,8 +171,9 @@ type ExperimentConfig struct {
 
 // Validate checks the configuration against its platform before anything
 // runs: the platform itself, the attack target's router ids and VC, the
-// infected and pre-disabled link ids, the hijack router, and that
-// RecoverOnConvict has the secure-ack monitor whose convictions it acts on.
+// infected and pre-disabled link ids, the hijack router, that the transient
+// bit-error rate is a probability, and that RecoverOnConvict has the
+// secure-ack monitor whose convictions it acts on.
 // Each error names the field and its valid range. The link count is derived
 // only when the configuration names links, so validating a point that names
 // none allocates nothing.
@@ -213,6 +214,9 @@ func (c *ExperimentConfig) Validate() error {
 				return err
 			}
 		}
+	}
+	if !(c.TransientBER >= 0 && c.TransientBER <= 1) {
+		return fmt.Errorf("core: TransientBER = %g out of range [0, 1]", c.TransientBER)
 	}
 	if c.RecoverOnConvict && !c.SecureAck {
 		return errors.New("core: RecoverOnConvict requires SecureAck: recovery acts on the secure-ack monitor's convictions")

@@ -99,6 +99,11 @@ func BenchmarkNetworkStep(b *testing.B) {
 	b.Run("uniform-8x8", func(b *testing.B) { benchUniform(b, 8, 0.0034) })
 	b.Run("uniform-16x16", func(b *testing.B) { benchUniform(b, 16, 0.00048) })
 
+	// saturated-8x8: uniform traffic well past saturation, about 1,700
+	// flits in flight. Most buffered flits cannot move and most injection
+	// attempts are refused — the regime of the scale workload's points.
+	b.Run("saturated-8x8", func(b *testing.B) { benchUniform(b, 8, 0.05) })
+
 	// drain: pre-loaded network stepping with no new injection — the pure
 	// Step cost with in-flight traffic.
 	b.Run("drain", func(b *testing.B) {

@@ -1,6 +1,10 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+
+	"tasp/internal/flit"
+)
 
 // CheckInvariants audits the network's internal consistency and returns the
 // first violation found, or nil. It is meant for tests and long randomized
@@ -37,6 +41,10 @@ import "fmt"
 //  9. Drop accounting: the DroppedFlits total equals the sum of its
 //     per-cause buckets (retransmission exhaustion, in-flight swallow,
 //     orphan retirement, reconfiguration).
+//  10. Stalled-work skips (DESIGN.md §9): the dead-output mask RC walks
+//     matches the ports' disabled flags, every VA request's cached
+//     destination equals its front head's, and an NI Step would skip
+//     (waiting) cannot inject — a dry run of inject's admission checks.
 func (n *Network) CheckInvariants() error {
 	c := n.Counters
 	if sum := c.DroppedRetrans + c.DroppedInFlight + c.DroppedOrphan + c.DroppedReconfig; c.DroppedFlits != sum {
@@ -114,20 +122,25 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("r%d: activity counters inFlits=%d parked=%d, actual %d/%d",
 				r.id, r.inFlits, r.parked, inFlits, parked)
 		}
-		if err := r.checkMasks(); err != nil {
+		if err := r.checkMasks(&n.layout); err != nil {
 			return err
 		}
 	}
 	return n.checkScheduler()
 }
 
-// checkMasks rebuilds the router's occupancy/routing/request bitmaps from the
-// buffer state and compares them bit for bit with the incrementally
-// maintained masks that SA/VA/RC actually scan.
-func (r *Router) checkMasks() error {
+// checkMasks rebuilds the router's occupancy/routing/request bitmaps and
+// dead-output mask from the buffer and port state and compares them bit for
+// bit with the incrementally maintained masks that SA/VA/RC actually scan;
+// it also checks each VA request's cached destination against its head.
+func (r *Router) checkMasks(l *flit.Layout) error {
 	var occ, reqVA uint64
 	var routedTo [MaxPorts]uint64
+	var deadOut uint8
 	for p := 0; p < r.numPorts; p++ {
+		if r.outputs[p].disabled {
+			deadOut |= 1 << uint(p)
+		}
 		for v := 0; v < r.vcs; v++ {
 			ivc := r.input(p, v)
 			bit := uint64(1) << r.occBit(p, v)
@@ -138,9 +151,16 @@ func (r *Router) checkMasks() error {
 				routedTo[ivc.route] |= bit
 				if f := ivc.front(); f != nil && f.f.IsHead() && !ivc.allocated {
 					reqVA |= bit
+					if dst := l.DstR(f.f.Payload); ivc.dst != dst {
+						return fmt.Errorf("r%d %s vc%d: cached destination %d, head carries %d",
+							r.id, PortName(p), v, ivc.dst, dst)
+					}
 				}
 			}
 		}
+	}
+	if r.deadOut != deadOut {
+		return fmt.Errorf("r%d: dead-output mask %#x, ports say %#x", r.id, r.deadOut, deadOut)
 	}
 	if r.occ != occ {
 		return fmt.Errorf("r%d: occ mask %#x, buffers say %#x", r.id, r.occ, occ)
@@ -183,6 +203,10 @@ func (n *Network) checkScheduler() error {
 		}
 		if got, want := s.actNI.has(i), ni.total > 0; got != want {
 			return fmt.Errorf("ni%d: actNI=%v but total=%d", i, got, ni.total)
+		}
+		if r := n.routers[i]; ni.waiting(r) && ni.canInject(r) {
+			return fmt.Errorf("ni%d: Step would skip it (refused by vcs %#x) but it can inject",
+				i, ni.refusedBy)
 		}
 		sumNI += ni.total
 	}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/bits"
 	"testing"
 
 	"tasp/internal/ecc"
@@ -207,6 +208,61 @@ func TestInvariantCatchesCounterDrift(t *testing.T) {
 	n.sched.flitsParked++
 	if err := n.CheckInvariants(); err == nil {
 		t.Fatal("global counter drift not caught")
+	}
+}
+
+// TestInvariantCatchesStaleDeadOutput plants a dead-output bit for a live
+// port: RC would keep re-routing heads bound for a working output.
+func TestInvariantCatchesStaleDeadOutput(t *testing.T) {
+	n := mkNet(t)
+	n.routers[5].deadOut |= 1 << PortEast
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("stale dead-output bit not caught")
+	}
+}
+
+// TestInvariantCatchesWrongCachedDestination corrupts the destination RC
+// cached for a head waiting on VA: VA would allocate the VC class of the
+// wrong destination.
+func TestInvariantCatchesWrongCachedDestination(t *testing.T) {
+	n := mkNet(t)
+	n.Inject(0, pkt(15, 0, 1, 2))
+	for c := 0; c < 20; c++ {
+		n.Step()
+		for _, r := range n.routers {
+			if r.reqVA == 0 {
+				continue
+			}
+			if err := n.CheckInvariants(); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			r.ivcs[bits.TrailingZeros64(r.reqVA)].dst ^= 1
+			if err := n.CheckInvariants(); err == nil {
+				t.Fatal("wrong cached destination not caught")
+			}
+			return
+		}
+	}
+	t.Fatal("no head ever waited for VA")
+}
+
+// TestInvariantCatchesStalledNIThatCanInject marks an NI as refused by a
+// full local VC while its queued head targets an empty one: Step would skip
+// an NI that can inject.
+func TestInvariantCatchesStalledNIThatCanInject(t *testing.T) {
+	n := mkNet(t)
+	r, ni := n.routers[0], n.nis[0]
+	single := pkt(5, 0, 1, 0).AppendFlits(nil, &n.layout)[0]
+	for i := 0; i < n.cfg.BufDepth; i++ {
+		r.deposit(PortLocal, 1, bufFlit{f: single, readyAt: 1}, 0)
+	}
+	n.Inject(0, pkt(5, 0, 0, 2))
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("before corruption: %v", err)
+	}
+	ni.refuse(1 << 1) // local VC 1 is full, but the head wants VC 0
+	if err := n.CheckInvariants(); err == nil {
+		t.Fatal("NI skipped by Step while it can inject not caught")
 	}
 }
 

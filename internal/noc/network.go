@@ -305,7 +305,7 @@ func (n *Network) DisableLink(linkID int) {
 	l := n.links[linkID]
 	r := n.routers[l.From]
 	op := r.outputs[l.FromPort]
-	op.disabled = true
+	r.disableOutput(l.FromPort)
 	n.Counters.DroppedFlits += uint64(len(op.entries))
 	n.Counters.DroppedReconfig += uint64(len(op.entries))
 	r.loseParked(len(op.entries))
@@ -475,7 +475,7 @@ func (n *Network) Step() {
 	}
 	for wi, w := range s.actIn.w {
 		for ; w != 0; w &= w - 1 {
-			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseVA(&n.layout)
+			n.routers[wi<<6+bits.TrailingZeros64(w)].phaseVA()
 		}
 	}
 	for wi, w := range s.actIn.w {
@@ -504,7 +504,12 @@ func (n *Network) Step() {
 	for wi, w := range s.actNI.w {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
-			n.nis[i].inject(n.routers[i], n.cycle)
+			// A refused NI retries only once a VC that refused it has a
+			// free slot (or new flits arrive): until then inject would
+			// refuse again and change nothing.
+			if ni, r := n.nis[i], n.routers[i]; !ni.waiting(r) {
+				ni.inject(r, n.cycle)
+			}
 		}
 	}
 	// With no buffered or queued input flits and no TDM gate, the only

@@ -1,6 +1,10 @@
 package noc
 
-import "tasp/internal/flit"
+import (
+	"math/bits"
+
+	"tasp/internal/flit"
+)
 
 // NI is the network interface of one router tile: per-core injection queues
 // feeding the router's local input port through a concentrator, and packet
@@ -30,6 +34,11 @@ type NI struct {
 	total   int           // flits waiting across all queues
 	injLock []int         // vc -> core currently injecting a packet, -1 free
 	rrCore  int           // concentrator round-robin pointer
+	// refusedBy has bit v set for each local input VC that was full when
+	// the last inject moved nothing; nonzero means the NI waits (see
+	// waiting) until one of them frees a slot or new flits arrive. A
+	// successful inject clears it.
+	refusedBy uint8
 
 	rx     map[uint64]*rxState // packet id -> reassembly state
 	rxFree []*rxState          // recycled reassembly states
@@ -137,8 +146,14 @@ func (ni *NI) fullCores(packetFlits int) int {
 // local input port (the BW stage of the injection path). Wormhole integrity
 // across cores sharing a VC is preserved by injLock: once a core's head flit
 // enters VC v, other cores may not interleave flits on v until the tail.
+//
+// A refused attempt changes no state; it records the full local VCs that
+// refused it, so Step can skip the NI until one of them frees a slot. A
+// core refused by another core's lock waits on the lock holder, whose front
+// flit rides the locked VC — so that VC is among the recorded ones.
 func (ni *NI) inject(r *Router, cycle uint64) bool {
 	conc := ni.cfg.Concentration
+	var full uint8
 	for k := 0; k < conc; k++ {
 		core := ni.rrCore + k // rrCore <= conc, so one wrap suffices
 		if core >= conc {
@@ -147,24 +162,16 @@ func (ni *NI) inject(r *Router, cycle uint64) bool {
 		if ni.qlen(core) == 0 {
 			continue
 		}
-		f := &ni.queues[core][ni.heads[core]]
-		head, tail := f.IsHead(), f.IsTail()
-		var v int
-		if head {
-			v = int(ni.layout.VC(f.Payload))
-			if ni.injLock[v] != -1 && ni.injLock[v] != core {
-				continue // VC locked by another core's in-flight packet
-			}
-		} else {
-			// Body/tail flits ride the VC their head locked.
-			v = ni.lockedVC(core)
-			if v < 0 {
-				continue // should not happen; skip defensively
-			}
-		}
-		if r.input(PortLocal, v).size() >= ni.cfg.BufDepth {
+		v := ni.target(core)
+		if v < 0 {
 			continue
 		}
+		if r.input(PortLocal, v).size() >= ni.cfg.BufDepth {
+			full |= 1 << uint(v)
+			continue
+		}
+		f := &ni.queues[core][ni.heads[core]]
+		head, tail := f.IsHead(), f.IsTail()
 		r.deposit(PortLocal, v, bufFlit{f: *f, readyAt: cycle + 1}, cycle)
 		ni.heads[core]++
 		if ni.heads[core] == len(ni.queues[core]) {
@@ -181,7 +188,53 @@ func (ni *NI) inject(r *Router, cycle uint64) bool {
 			}
 		}
 		ni.rrCore = core + 1
+		ni.refuse(0)
 		return true
+	}
+	ni.refuse(full)
+	return false
+}
+
+// target returns the local input VC the front flit of a non-empty core
+// queue would enter, or -1 while another core's packet holds the head's VC.
+// Body and tail flits ride the VC their head locked (-1 if the lock is
+// missing, which should not happen; the caller skips the core).
+func (ni *NI) target(core int) int {
+	f := &ni.queues[core][ni.heads[core]]
+	if !f.IsHead() {
+		return ni.lockedVC(core)
+	}
+	v := int(ni.layout.VC(f.Payload))
+	if ni.injLock[v] != -1 && ni.injLock[v] != core {
+		return -1 // VC locked by another core's in-flight packet
+	}
+	return v
+}
+
+// waiting reports whether inject would refuse again: the last attempt was
+// refused, and every local input VC that refused it is still full, re-read
+// from the buffers. Only this NI fills the local input VCs, and new flits
+// clear refusedBy (gain), so nothing else can make a refused core
+// admissible.
+func (ni *NI) waiting(r *Router) bool {
+	for m := ni.refusedBy; m != 0; m &= m - 1 {
+		if r.input(PortLocal, bits.TrailingZeros8(m)).size() < ni.cfg.BufDepth {
+			return false
+		}
+	}
+	return ni.refusedBy != 0
+}
+
+// canInject is a side-effect-free dry run of inject's admission checks:
+// whether some core's front flit could enter the local input port now.
+func (ni *NI) canInject(r *Router) bool {
+	for core := range ni.queues {
+		if ni.qlen(core) == 0 {
+			continue
+		}
+		if v := ni.target(core); v >= 0 && r.input(PortLocal, v).size() < ni.cfg.BufDepth {
+			return true
+		}
 	}
 	return false
 }

@@ -345,6 +345,42 @@ func TestReroutingAroundDisabledLink(t *testing.T) {
 	}
 }
 
+// TestRCReroutesWaitingHeadsOffDeadOutput covers RC's one exception to
+// "routed VCs are done": a head routed to an output that died before VA
+// granted it is re-routed once a detour is installed. Two packets on VC 0
+// head east from router 1 over a disabled link; VA grants one (which stays
+// stuck on the dead port), the other waits for VA, and only the re-route
+// delivers it.
+func TestRCReroutesWaitingHeadsOffDeadOutput(t *testing.T) {
+	n := mkNet(t)
+	for _, l := range n.Links() {
+		if l.From == 1 && l.FromPort == PortEast {
+			n.DisableLink(l.ID)
+		}
+	}
+	n.Inject(0, pkt(3, 0, 0, 2)) // from router 0, through router 1
+	n.Inject(4, pkt(3, 1, 0, 2)) // from router 1
+	r := n.routers[1]
+	waiting := func() bool { return r.reqVA&r.routedTo[PortEast] != 0 && r.outputs[PortEast].vcOwner[0] != 0 }
+	for c := 0; c < 20 && !waiting(); c++ {
+		n.Step()
+	}
+	if !waiting() {
+		t.Fatal("no head ever waited for VA behind the packet stuck on the dead output")
+	}
+	base := n.cfg.Topology().Route
+	n.SetRoute(func(router, dst int) int {
+		if router == 1 && base(router, dst) == PortEast {
+			return PortNorth
+		}
+		return base(router, dst)
+	})
+	n.Run(300)
+	if n.Counters.DeliveredPackets != 1 {
+		t.Fatalf("delivered %d packets, want the waiting one re-routed and delivered", n.Counters.DeliveredPackets)
+	}
+}
+
 func TestCreditsNeverExceedDepth(t *testing.T) {
 	n := mkNet(t)
 	for core := 0; core < 64; core += 2 {

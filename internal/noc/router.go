@@ -34,6 +34,10 @@ type inputVC struct {
 	// of wraparound topologies, where the VC class remap moves the packet
 	// between VC halves (see outputPort.vcClass). Valid while allocated.
 	outVC uint8
+	// dst is the routed head's destination router, cached by RC so VA
+	// never decodes the header. Valid while routed: an unallocated head
+	// stays at the front until VA grants it.
+	dst uint8
 }
 
 func (v *inputVC) size() int { return len(v.buf) - v.head }
@@ -228,6 +232,9 @@ type Router struct {
 	// head — precisely the VCs phaseVA can grant. Set when RC routes a
 	// head, cleared when VA allocates it (or the route is invalidated).
 	reqVA uint64
+	// deadOut has bit o set iff output o is disabled: RC re-routes the
+	// unallocated heads still routed to a dead output.
+	deadOut uint8
 
 	// sched is the network's event-driven scheduler; the gain/lose
 	// helpers (sched.go) keep its active sets in lockstep with inFlits
@@ -294,7 +301,7 @@ func (r *Router) reset(cfg *Config) {
 		ivc.head = 0
 		ivc.routed, ivc.allocated = false, false
 		ivc.route = 0
-		ivc.outVC = 0
+		ivc.outVC, ivc.dst = 0, 0
 	}
 	for p := 0; p < r.numPorts; p++ {
 		op := r.outputs[p]
@@ -347,9 +354,19 @@ func (r *Router) hasWorkFor(port int) bool {
 // points at a dead port are re-routed, and orphaned body/tail flits of
 // truncated packets are dropped.
 func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Counters) {
-	// Walk only the occupied input VCs, in the same ascending (port, vc)
-	// order as the full sweep (bit index == p*vcs+v is monotone in it).
-	for m := r.occ; m != 0; m &= m - 1 {
+	// RC acts only on an unrouted front (route a head, drop an orphan) and
+	// on a routed, unallocated head whose output is dead (re-route it);
+	// every other occupied VC is a no-op visit. Walk just those, in the
+	// same ascending (port, vc) order as the full sweep (bit index ==
+	// p*vcs+v is monotone in it).
+	var routed, stale uint64
+	for o := 0; o < r.numPorts; o++ {
+		routed |= r.routedTo[o]
+	}
+	for d := r.deadOut; d != 0; d &= d - 1 {
+		stale |= r.routedTo[bits.TrailingZeros8(d)]
+	}
+	for m := r.occ&^routed | r.reqVA&stale; m != 0; m &= m - 1 {
 		idx := uint(bits.TrailingZeros64(m))
 		ivc := &r.ivcs[idx]
 		for {
@@ -378,7 +395,8 @@ func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Cou
 				r.unrouteInput(ivc.route, idx)
 			}
 			if f.f.IsHead() && !ivc.routed {
-				ivc.route = route(r.id, int(l.DstR(f.f.Payload)))
+				ivc.dst = l.DstR(f.f.Payload)
+				ivc.route = route(r.id, int(ivc.dst))
 				ivc.routed = true
 				r.routeInput(ivc.route, idx)
 			}
@@ -396,8 +414,9 @@ func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Cou
 // of the same-numbered VC at the chosen output; on dateline links of
 // wraparound topologies the packet's lane is remapped into the VC class the
 // dateline scheme demands (outVCFor). Round-robin across input ports
-// resolves contention.
-func (r *Router) phaseVA(l *flit.Layout) {
+// resolves contention. Requests read the destination RC cached, so a
+// refused request never touches the buffered flit.
+func (r *Router) phaseVA() {
 	n := r.numPorts * r.vcs
 	for o := 0; o < r.numPorts; o++ {
 		// Round-robin over the VCs requesting this output — routed,
@@ -418,12 +437,11 @@ func (r *Router) phaseVA(l *flit.Layout) {
 			for ; m != 0; m &= m - 1 {
 				idx := base + bits.TrailingZeros64(m)
 				ivc := &r.ivcs[idx]
-				f := ivc.front()
-				ov := op.outVCFor(r.vcs, int(r.bitPV[idx].vc), int(l.DstR(f.f.Payload)))
+				ov := op.outVCFor(r.vcs, int(r.bitPV[idx].vc), int(ivc.dst))
 				if op.vcOwner[ov] != 0 {
 					continue // downstream VC held by another packet
 				}
-				op.vcOwner[ov] = f.f.PacketID + 1
+				op.vcOwner[ov] = ivc.front().f.PacketID + 1
 				ivc.allocated = true
 				ivc.outVC = uint8(ov)
 				r.grantVA(uint(idx))
@@ -458,8 +476,10 @@ func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 	for o := 0; o < r.numPorts; o++ {
 		// Round-robin over the occupied input VCs routed to this output
 		// (same two-segment mask walk as phaseVA); grants from earlier
-		// output ports have already cleared the bits of drained VCs.
-		req := r.routedTo[o] & r.occ
+		// output ports have already cleared the bits of drained VCs. A
+		// head still waiting for VA (reqVA) would be refused without side
+		// effects, so it is left out of the walk.
+		req := r.routedTo[o] & r.occ &^ r.reqVA
 		if req == 0 {
 			continue
 		}
@@ -482,9 +502,6 @@ func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 				ivc := &r.ivcs[idx]
 				f := ivc.front()
 				if f.readyAt > cycle {
-					continue
-				}
-				if f.f.IsHead() && !ivc.allocated {
 					continue
 				}
 				// Downstream-facing state (credits, retransmission slots,

@@ -96,6 +96,7 @@ func (ni *NI) gain(k int) {
 	}
 	ni.total += k
 	ni.sched.flitsNI += k
+	ni.refusedBy = 0 // new flits may be admissible: retry next cycle
 }
 
 func (ni *NI) lose(k int) {
@@ -107,10 +108,11 @@ func (ni *NI) lose(k int) {
 }
 
 // The occupancy/request-mask helpers below are the only mutation points of
-// occ, routedTo and reqVA — the masks the arbitration scans (phaseSAST,
-// phaseVA, hasWorkFor) trust instead of probing buffers. Keeping every
-// transition here (enforced by nocvet's telemetrysafe analyzer) means the
-// brute-force invariant audit certifies every way the masks can change.
+// occ, routedTo, reqVA, deadOut and NI.refusedBy — the state the
+// arbitration scans (phaseSAST, phaseVA, phaseRC, hasWorkFor) and the NI
+// skip trust instead of probing buffers. Keeping every transition here
+// (enforced by nocvet's telemetrysafe analyzer) means the brute-force
+// invariant audit certifies every way the masks can change.
 
 // markOccupied sets the occupancy bit of input VC bit index idx (occBit).
 func (r *Router) markOccupied(idx uint) { r.occ |= 1 << idx }
@@ -132,6 +134,17 @@ func (r *Router) unrouteInput(o int, idx uint) {
 	r.reqVA &^= 1 << idx
 }
 
+// disableOutput marks output o dead: SA stops granting it, and RC re-routes
+// the unallocated heads still routed to it (deadOut).
+func (r *Router) disableOutput(o int) {
+	r.outputs[o].disabled = true
+	r.deadOut |= 1 << uint(o)
+}
+
+// refuse records the outcome of an injection attempt: the full local input
+// VCs that refused it, or zero after a flit moved (NI.inject only).
+func (ni *NI) refuse(full uint8) { ni.refusedBy = full }
+
 // grantVA retires a VC's VA request after allocation succeeds.
 func (r *Router) grantVA(idx uint) { r.reqVA &^= 1 << idx }
 
@@ -146,15 +159,15 @@ func (r *Router) retireRouted(o int, idx uint) { r.routedTo[o] &^= 1 << idx }
 // counter/mask/buffer agreement breaks.
 func (r *Router) resetActivity() {
 	r.inFlits, r.parked = 0, 0
-	r.occ, r.reqVA = 0, 0
+	r.occ, r.reqVA, r.deadOut = 0, 0, 0
 	for o := range r.routedTo {
 		r.routedTo[o] = 0
 	}
 }
 
-// resetActivity clears an NI's flit counter alongside its emptied queues
-// (Network.Reset only).
-func (ni *NI) resetActivity() { ni.total = 0 }
+// resetActivity clears an NI's flit counter and refusal record alongside
+// its emptied queues (Network.Reset only).
+func (ni *NI) resetActivity() { ni.total, ni.refusedBy = 0, 0 }
 
 // reset empties every active set and global counter (Network.Reset only;
 // the per-router and per-NI resets above restore the mirrored state).

@@ -239,11 +239,35 @@ type Generator struct {
 	m   *Model
 	rng *xrand.RNG
 	seq []uint8 // per-core packet sequence numbers
+	// cps[s*nb+k] is row s's running sum over its first (k+1)*dstBlock
+	// entries, accumulated in sampleDst's scan order; nb is the number of
+	// whole blocks per row. sampleDst skips whole blocks with them.
+	cps []float64
+	nb  int
 }
 
-// Generator returns a new deterministic packet source for the model.
+// dstBlock is the destination-sampling checkpoint stride: every dstBlock-th
+// running sum of a matrix row is stored. A full prefix table would cost a
+// float per matrix entry; this one costs one per dstBlock entries.
+const dstBlock = 16
+
+// Generator returns a new deterministic packet source for the model. It
+// snapshots the matrix's row checkpoints, so the matrix must not change
+// afterwards.
 func (m *Model) Generator(seed uint64) *Generator {
-	return &Generator{m: m, rng: xrand.New(seed), seq: make([]uint8, m.cfg.Cores())}
+	R := len(m.Matrix)
+	g := &Generator{m: m, rng: xrand.New(seed), seq: make([]uint8, m.cfg.Cores()), nb: R / dstBlock}
+	g.cps = make([]float64, 0, R*g.nb)
+	for _, row := range m.Matrix {
+		acc := 0.0
+		for d, w := range row[:g.nb*dstBlock] {
+			acc += w
+			if d%dstBlock == dstBlock-1 {
+				g.cps = append(g.cps, acc)
+			}
+		}
+	}
+	return g
 }
 
 // Reset rewinds the generator to its post-construction state for the given
@@ -310,12 +334,24 @@ func (g *Generator) PacketInto(core int, p *flit.Packet) {
 }
 
 // sampleDst draws a destination router from the model's matrix row.
-func (g *Generator) sampleDst(src int) int {
-	x := g.rng.Float64()
+func (g *Generator) sampleDst(src int) int { return g.dstFor(src, g.rng.Float64()) }
+
+// dstFor returns the destination for draw x: the first d whose running row
+// sum exceeds x. Running sums of non-negative weights never decrease, so a
+// block whose closing checkpoint is <= x holds no answer; the scan skips
+// those blocks and resumes the sequential sum from the last skipped one,
+// reproducing a full scan's sums bit for bit.
+func (g *Generator) dstFor(src int, x float64) int {
 	row := g.m.Matrix[src]
-	acc := 0.0
-	for d, w := range row {
-		acc += w
+	d, acc := 0, 0.0
+	for _, c := range g.cps[src*g.nb : (src+1)*g.nb] {
+		if x < c {
+			break
+		}
+		d, acc = d+dstBlock, c
+	}
+	for ; d < len(row); d++ {
+		acc += row[d]
 		if x < acc {
 			return d
 		}
