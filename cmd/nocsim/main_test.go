@@ -29,6 +29,7 @@ func TestConfigureRejectsBadFlags(t *testing.T) {
 		{[]string{"-cycles", "-10"}, "measure = -10: must be positive, or 0 for the default"},
 		{[]string{"-width", "-4"}, "width = -4: must be positive, or 0 for the default"},
 		{[]string{"-height", "-4"}, "height = -4: must be positive, or 0 for the default"},
+		{[]string{"-bench", "nope"}, `Benchmark = "nope" unknown (have [`},
 	} {
 		_, _, err := configure(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

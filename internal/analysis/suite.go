@@ -8,8 +8,9 @@ import "strings"
 
 // NocHotPathRoots are the simulator entry points whose transitive (static,
 // intra-package) callees must stay allocation-free and take no large struct
-// by value: the per-cycle pipeline, the injection path, and the arena reset
-// the campaign engine calls once per grid point. The router phase functions
+// by value: the per-cycle pipeline, the injection path, the arena reset
+// the campaign engine calls once per grid point, and the checkpoint pair a
+// fork group calls once per member. The router phase functions
 // and the NI inject/receive paths are reached from these, so they are
 // covered without being named.
 var NocHotPathRoots = []string{
@@ -17,6 +18,8 @@ var NocHotPathRoots = []string{
 	"Network.Inject",
 	"Network.Run",
 	"Network.Reset",
+	"Network.Save",
+	"Network.Restore",
 }
 
 // FlitHotPathRoots are the flit codec calls the router pipeline, the NI and
@@ -66,7 +69,10 @@ var NocProtectedFields = []ProtectedField{
 }
 
 // NocSchedFiles are the files allowed to mutate NocProtectedFields.
-var NocSchedFiles = []string{"sched.go"}
+// checkpoint.go joins sched.go because Network.Restore writes every one of
+// them back from a saved copy in one breath, with the buffers they mirror;
+// the invariant audit runs on restored networks to certify it.
+var NocSchedFiles = []string{"sched.go", "checkpoint.go"}
 
 // CampaignHotPathRoots are the campaign engine's per-point entry points:
 // the worker loop body and the record fill/encode pair it calls once per

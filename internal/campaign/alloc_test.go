@@ -6,36 +6,67 @@ import (
 	"tasp/internal/core"
 )
 
-// pointLoop is the worker's per-point body without the channel plumbing:
-// lower the scenario, run it on the reused arena, fill and encode the
-// record into a recycled buffer.
+// pointLoop is the worker's per-group body without the channel plumbing:
+// lower the group's scenarios, run them on the reused arena through
+// RunGroup — the first member checkpoints the shared warm-up and the
+// others resume from it — and fill and encode each record into a recycled
+// buffer. One step runs one group.
 type pointLoop struct {
 	scenarios []Scenario
+	groups    [][]int
 	runner    *core.Runner
 	res       *core.Results
 	rec       Record
 	buf       []byte
+	cfgs      []core.ExperimentConfig
+	members   []int
 	i         int
+	resumed   int // members that resumed a checkpoint, for the coverage check
+}
+
+func newPointLoop(tb testing.TB) *pointLoop {
+	p := &pointLoop{scenarios: allocSpec().Expand(), runner: core.NewRunner(), res: &core.Results{}}
+	p.groups = core.Groups(len(p.scenarios), 1, func(i int) (core.ExperimentConfig, error) { return p.scenarios[i].Config() })
+	if len(p.groups) == len(p.scenarios) {
+		tb.Fatal("allocSpec forms no fork group; the loop would not cover a resumed member")
+	}
+	return p
+}
+
+func (p *pointLoop) into(int) *core.Results { return p.res }
+
+func (p *pointLoop) emit(k int, res *core.Results) error {
+	i := p.members[k]
+	p.rec.identify(i, &p.scenarios[i], &p.cfgs[k])
+	p.rec.Fill(res)
+	p.buf = p.rec.AppendJSONL(p.buf[:0])
+	if k > 0 {
+		p.resumed++
+	}
+	return nil
 }
 
 func (p *pointLoop) step(tb testing.TB) {
-	sc := p.scenarios[p.i%len(p.scenarios)]
+	p.members = p.groups[p.i%len(p.groups)]
 	p.i++
-	cfg, err := sc.Config()
-	if err != nil {
+	p.cfgs = p.cfgs[:0]
+	for _, i := range p.members {
+		cfg, err := p.scenarios[i].Config()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.cfgs = append(p.cfgs, cfg)
+	}
+	if err := p.runner.RunGroup(p.cfgs, p.into, p.emit); err != nil {
 		tb.Fatal(err)
 	}
-	if err := p.runner.RunInto(cfg, p.res); err != nil {
-		tb.Fatal(err)
-	}
-	p.rec.identify(p.i, &sc, &cfg)
-	p.rec.Fill(p.res)
-	p.buf = p.rec.AppendJSONL(p.buf[:0])
 }
 
 // allocSpec exercises the paper's headline arms (clean, attacked,
 // defended) on one platform with rotating seeds — the shape of a real
-// sweep's inner loop.
+// sweep's inner loop. Clean and attacked points of one seed and mitigation
+// share their warm-up, so every group is a checkpointing member and a
+// resuming one.
 func allocSpec() Spec {
 	return Spec{
 		Benchmarks:  []string{"blackscholes"},
@@ -49,33 +80,31 @@ func allocSpec() Spec {
 
 // TestCampaignPointSteadyStateAllocs pins the campaign engine's per-point
 // allocation contract end to end: simulate + fill + encode allocates
-// nothing once the worker's arena and buffers have warmed up.
+// nothing once the worker's arena, checkpoint and buffers have warmed up,
+// for the member that checkpoints its warm-up and the one that resumes it.
 func TestCampaignPointSteadyStateAllocs(t *testing.T) {
-	p := &pointLoop{
-		scenarios: allocSpec().Expand(),
-		runner:    core.NewRunner(),
-		res:       &core.Results{},
-	}
+	p := newPointLoop(t)
 	// Warm past the recyclers' high-water marks (see the core runner's
 	// steady-state test for why early points still grow freelists).
-	for i := 0; i < 2*len(p.scenarios); i++ {
+	for i := 0; i < 2*len(p.groups); i++ {
 		p.step(t)
 	}
+	resumed := p.resumed
 	if avg := testing.AllocsPerRun(10, func() { p.step(t) }); avg > 0.1 {
-		t.Errorf("warmed campaign point allocates %.2f times per point; budget is 0", avg)
+		t.Errorf("warmed campaign group allocates %.2f times per group; budget is 0", avg)
+	}
+	if p.resumed == resumed {
+		t.Error("no measured group had a member resume the warm-up checkpoint")
 	}
 }
 
-// BenchmarkCampaignPoint measures the warm per-point cost of a campaign
-// worker (simulate 400 cycles + record encode). Wired into the CI
-// allocation gate: the b.N loop must report 0 allocs/op.
+// BenchmarkCampaignPoint measures the warm per-group cost of a campaign
+// worker (one 400-cycle point plus one resumed from its warm-up, and both
+// records' encodes). Wired into the CI allocation gate: the b.N loop must
+// report 0 allocs/op.
 func BenchmarkCampaignPoint(b *testing.B) {
-	p := &pointLoop{
-		scenarios: allocSpec().Expand(),
-		runner:    core.NewRunner(),
-		res:       &core.Results{},
-	}
-	for i := 0; i < 2*len(p.scenarios); i++ {
+	p := newPointLoop(b)
+	for i := 0; i < 2*len(p.groups); i++ {
 		p.step(b)
 	}
 	b.ReportAllocs()

@@ -522,6 +522,7 @@ func TestSpecValidateRejectsBadAttackInputs(t *testing.T) {
 		{"negative height", `{"dims":[{"width":4,"height":-4}]}`, "height = -4: must be positive, or 0 for the default"},
 		{"negative warmup", `{"warmup":-5}`, "warmup = -5: must be positive, or 0 for the default"},
 		{"negative measure", `{"measure":-10}`, "measure = -10: must be positive, or 0 for the default"},
+		{"unknown benchmark after a known one", `{"benchmarks":["blackscholes","nope"]}`, `Benchmark = "nope" unknown (have [`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := ParseSpec([]byte(tc.spec))

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"tasp/internal/core"
 )
@@ -105,14 +106,21 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		written:   start,
 		offset:    offset,
 		pending:   map[int][]byte{},
-		free:      make(chan []byte, 4*workers+4),
+		pool:      &bufPool{},
 		onRecord:  opt.OnRecord,
 	}
 
-	// Workers stripe the remaining points statically — worker w takes
-	// points start+w, start+w+W, ... — so each worker's sequence (and its
-	// arena reuse) is deterministic, though determinism of the output only
-	// relies on per-point determinism plus the in-order writer.
+	// The remaining points are cut into fork groups (core.Groups): points
+	// whose warm-ups the network cannot tell apart, which a core.Runner
+	// simulates once per group. Workers pull the next group from a shared
+	// counter and run its members in index order; the in-order writer
+	// restores grid order, so the output depends only on per-point
+	// determinism. A resumed run groups only the uncommitted points, so a
+	// partly committed group restarts at its first uncommitted member.
+	groups := core.Groups(len(scenarios)-start, workers, func(i int) (core.ExperimentConfig, error) {
+		return scenarios[start+i].Config()
+	})
+	var next atomic.Int64
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan encoded, workers)
@@ -120,13 +128,13 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
 		wg.Add(1)
-		go func(wk int) {
+		go func() {
 			defer wg.Done()
-			if err := worker(runCtx, scenarios, start+wk, workers, w.free, results); err != nil {
+			if err := worker(runCtx, scenarios, start, groups, &next, w.pool, results); err != nil {
 				errs <- err
 				cancel()
 			}
-		}(wk)
+		}()
 	}
 	go func() {
 		wg.Wait()
@@ -162,39 +170,55 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 	return w.written, failed
 }
 
-// worker runs every stripeth point from first, encoding each result into a
-// recycled buffer. One core.Runner per worker: repeated points on the same
-// platform reuse its arenas, which is where the engine's 0 allocs/point
-// steady state comes from.
-func worker(ctx context.Context, scenarios []Scenario, first, stripe int, free chan []byte, results chan<- encoded) error {
+// worker pulls groups from next until none is left, runs each group's
+// points with RunGroup and encodes every result into a recycled buffer.
+// One core.Runner per worker: repeated points on the same platform reuse
+// its arenas, which is where the engine's 0 allocs/point steady state comes
+// from, and a group's members share its warm-up checkpoint.
+func worker(ctx context.Context, scenarios []Scenario, start int, groups [][]int, next *atomic.Int64, pool *bufPool, results chan<- encoded) error {
 	runner := core.NewRunner()
-	res := &core.Results{} //nocvet:allowalloc once per worker, not per point; RunInto reuses it
+	res := &core.Results{} //nocvet:allowalloc once per worker, not per point; RunGroup reuses it
 	var rec Record
-	for i := first; i < len(scenarios); i += stripe {
-		if ctx.Err() != nil {
-			return nil
-		}
-		sc := scenarios[i]
-		cfg, err := sc.Config()
-		if err != nil {
-			return fmt.Errorf("point %d: %w", i, err) //nocvet:allowalloc error path aborts the sweep
-		}
-		if err := runner.RunInto(cfg, res); err != nil {
-			return fmt.Errorf("point %d: %w", i, err) //nocvet:allowalloc error path aborts the sweep
-		}
-		rec.identify(i, &sc, &cfg)
+	var members []int
+	var cfgs []core.ExperimentConfig
+	cur := 0 // the member RunGroup is running
+	//nocvet:allowalloc once per worker, not per point: RunGroup's result storage callback
+	into := func(k int) *core.Results {
+		cur = k
+		return res
+	}
+	//nocvet:allowalloc once per worker, not per point: RunGroup's per-member callback
+	emit := func(k int, res *core.Results) error {
+		i := start + members[k]
+		rec.identify(i, &scenarios[i], &cfgs[k])
 		rec.Fill(res)
-		var buf []byte
-		select {
-		case buf = <-free:
-		default: // pool empty; grow it
-		}
-		buf = rec.AppendJSONL(buf[:0])
+		buf := rec.AppendJSONL(pool.get())
 		//nocvet:nondet commit order is index-restored by the writer; the race only decides shutdown timing
 		select {
 		case results <- encoded{index: i, buf: buf}:
-		case <-ctx.Done():
 			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	for ctx.Err() == nil {
+		g := int(next.Add(1)) - 1
+		if g >= len(groups) {
+			return nil
+		}
+		members, cfgs = groups[g], cfgs[:0]
+		for _, k := range members {
+			cfg, err := scenarios[start+k].Config()
+			if err != nil {
+				return fmt.Errorf("point %d: %w", start+k, err) //nocvet:allowalloc error path aborts the sweep
+			}
+			cfgs = append(cfgs, cfg) //nocvet:allowalloc amortized: grows to the largest group once per worker
+		}
+		if err := runner.RunGroup(cfgs, into, emit); err != nil {
+			if ctx.Err() != nil {
+				return nil
+			}
+			return fmt.Errorf("point %d: %w", start+members[cur], err) //nocvet:allowalloc error path aborts the sweep
 		}
 	}
 	return nil

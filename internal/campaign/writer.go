@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"os"
+	"sync"
 )
 
 // encoded is one point's JSONL line in flight from a worker to the writer.
@@ -11,10 +12,10 @@ type encoded struct {
 }
 
 // writer serialises worker output back into grid order and commits it with
-// periodic checkpoints. Workers finish points out of order (static striping
-// plus unequal point costs); the writer holds early arrivals in pending
-// until the next expected index lands, so the file's bytes never depend on
-// worker count or scheduling.
+// periodic checkpoints. Workers finish points out of order (fork groups
+// span the grid, and point costs differ); the writer holds early arrivals
+// in pending until the next expected index lands, so the file's bytes never
+// depend on worker count or scheduling.
 //
 // All shared mutable state of a sweep lives here, single-goroutine; the
 // workers only communicate over the results channel.
@@ -29,7 +30,7 @@ type writer struct {
 	offset  int64
 	dirty   int // records since the last checkpoint
 	pending map[int][]byte
-	free    chan []byte // recycled line buffers back to the workers
+	pool    *bufPool // recycled line buffers back to the workers
 
 	onRecord func(written int)
 }
@@ -50,10 +51,7 @@ func (w *writer) commit(e encoded) error {
 		w.next++
 		w.written++
 		w.dirty++
-		select {
-		case w.free <- buf:
-		default: // pool full; let the buffer go
-		}
+		w.pool.put(buf)
 		if w.ckptEvery > 0 && w.dirty >= w.ckptEvery {
 			if err := w.checkpoint(); err != nil {
 				return err
@@ -81,4 +79,34 @@ func (w *writer) checkpoint() error {
 	}
 	w.dirty = 0
 	return nil
+}
+
+// bufPool recycles record buffers between the writer and the workers. It
+// keeps every buffer it is given: the writer holds a fork group's later
+// members until the points between them commit, so the number of buffers
+// in flight follows the grid's group layout, and a bounded pool would drop
+// and reallocate them group after group.
+type bufPool struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// get returns an empty recycled buffer, or nil when none is free.
+func (p *bufPool) get() []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := len(p.free)
+	if k == 0 {
+		return nil
+	}
+	buf := p.free[k-1]
+	p.free = p.free[:k-1]
+	return buf[:0]
+}
+
+// put returns a committed record's buffer to the pool.
+func (p *bufPool) put(buf []byte) {
+	p.mu.Lock()
+	p.free = append(p.free, buf)
+	p.mu.Unlock()
 }

@@ -170,7 +170,8 @@ type ExperimentConfig struct {
 }
 
 // Validate checks the configuration against its platform before anything
-// runs: the platform itself, the attack target's router ids and VC, the
+// runs: the platform itself, the benchmark name (when no explicit Model is
+// set), the attack target's router ids and VC, the
 // infected and pre-disabled link ids, the hijack router, that the transient
 // bit-error rate is a probability, and that RecoverOnConvict has the
 // secure-ack monitor whose convictions it acts on.
@@ -180,6 +181,9 @@ type ExperimentConfig struct {
 func (c *ExperimentConfig) Validate() error {
 	if err := c.Noc.Validate(); err != nil {
 		return err
+	}
+	if c.Model == nil && !traffic.Known(c.Benchmark) {
+		return fmt.Errorf("core: Benchmark = %q unknown (have %v)", c.Benchmark, traffic.Benchmarks())
 	}
 	routers := c.Noc.Routers()
 	t := &c.Attack.Target

@@ -6,6 +6,7 @@ import (
 	"tasp/internal/detect"
 	"tasp/internal/fault"
 	"tasp/internal/flit"
+	"tasp/internal/lob"
 	"tasp/internal/locate"
 	"tasp/internal/noc"
 	"tasp/internal/obfe2e"
@@ -32,6 +33,9 @@ type Runner struct {
 	// cycle's sampling and any recovery reconfiguration; an error aborts
 	// the run. Tests install noc.Network.CheckInvariants here.
 	audit func(*noc.Network) error
+
+	// fork is the warm-up checkpoint RunGroup's members share (fork.go).
+	fork forkStore
 }
 
 // NewRunner returns an empty Runner; arenas are built on first use per
@@ -115,7 +119,8 @@ type arena struct {
 	tdmSchedule func(cycle uint64, vc uint8) bool
 	e2e         *obfe2e.Scrambler
 	evScratch   map[int]locate.LinkEvidence
-	scratch     flit.Packet // reused injection packet (TickInto)
+	ranked      []locate.Suspect // per-sample localization ranking
+	scratch     flit.Packet      // reused injection packet (TickInto)
 
 	// Per-point state the hoisted closures read. The closures are created
 	// once at arena construction so installing them per point costs nothing.
@@ -156,8 +161,9 @@ func (r *Runner) arena(cfg noc.Config) (*arena, error) {
 		hijacks:    map[int]int{},
 		disabled:   map[int]bool{},
 	}
+	windows := lob.WindowsFor(layout) // shared: read-only after construction
 	for i := range a.wires {
-		a.wires[i] = NewSecureWire(fault.None, 0, layout)
+		a.wires[i] = newSecureWire(fault.None, 0, layout, windows)
 	}
 	a.deliveredFn = func(d noc.Delivery) {
 		a.res.Latency.Observe(d.Latency)
@@ -344,7 +350,7 @@ func resetResults(res *Results, cfg ExperimentConfig) {
 	} else {
 		res.Latency.Reset()
 	}
-	res.Suspects, res.SuspectsTelemetry = nil, nil
+	res.Suspects, res.SuspectsTelemetry = res.Suspects[:0], res.SuspectsTelemetry[:0]
 	res.SuspectTrace = res.SuspectTrace[:0]
 }
 
@@ -352,13 +358,22 @@ func resetResults(res *Results, cfg ExperimentConfig) {
 // the Results' storage and the Runner's arena for the experiment's platform.
 // Repeated same-platform points with the none or s2s-lob mitigations run
 // allocation-free at steady state; points that reconfigure the topology
-// (rerouting), rank suspects (locate) or scramble end-to-end pay their own
-// per-point costs.
+// (rerouting) or scramble end-to-end pay their own per-point costs.
 //
 // The behaviour is exactly the old core.Run's: same seeded draw order, same
 // phase structure, same results — enforced by the golden experiment output
 // and the fresh-vs-reused equivalence test.
 func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
+	return r.run(cfg, res, runWhole)
+}
+
+// defaultSampleEvery is the occupancy sampling period when the
+// configuration leaves SampleEvery at 0.
+const defaultSampleEvery = 25
+
+// run executes one experiment; mode says whether it checkpoints its
+// warm-up for later group members, or resumes from that checkpoint.
+func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -380,7 +395,7 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 		return err
 	}
 	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 25
+		cfg.SampleEvery = defaultSampleEvery
 	}
 	if cfg.RerouteDetectDelay <= 0 {
 		cfg.RerouteDetectDelay = 200
@@ -562,8 +577,16 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 	// ---- main loop ----
 	total := cfg.Warmup + cfg.Measure
 	rerouted := false
-	for c := 0; c < total; c++ {
+	first := 0
+	if mode == runResume {
+		r.fork.restore(a, gen, ackmon, res)
+		first = int(enableAt) - 1
+	}
+	for c := first; c < total; c++ {
 		if net.Cycle()+1 == enableAt {
+			if mode == runCheckpoint {
+				r.fork.save(&cfg, a, gen, ackmon, res)
+			}
 			for _, ht := range trojans {
 				ht.SetKillSwitch(true)
 			}
@@ -642,12 +665,13 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 			if tel != nil {
 				tel.Sample()
 				if net.Cycle() >= enableAt {
-					ranked := eng.Rank(tel, gatherEvidence())
+					a.ranked = eng.RankWeightedInto(a.ranked, locate.DefaultWeights(), tel, gatherEvidence())
+					top := &a.ranked[0]
 					res.SuspectTrace = append(res.SuspectTrace, locate.TraceSample{
 						Cycle:      net.Cycle(),
-						LinkID:     ranked[0].LinkID,
-						Score:      ranked[0].Score,
-						Confidence: ranked[0].Confidence,
+						LinkID:     top.LinkID,
+						Score:      top.Score,
+						Confidence: top.Confidence,
 					})
 				}
 			}
@@ -681,8 +705,8 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 		}
 	}
 	if eng != nil {
-		res.Suspects = eng.Rank(tel, gatherEvidence())
-		res.SuspectsTelemetry = eng.RankWeighted(locate.TelemetryWeights(), tel, nil)
+		res.Suspects = eng.RankWeightedInto(res.Suspects, locate.DefaultWeights(), tel, gatherEvidence())
+		res.SuspectsTelemetry = eng.RankWeightedInto(res.SuspectsTelemetry, locate.TelemetryWeights(), tel, nil)
 	}
 	for _, l := range net.LinkSlice() {
 		w := a.wires[l.ID]

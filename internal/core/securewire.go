@@ -50,9 +50,12 @@ type SecureWire struct {
 	layout  flit.Layout
 	windows *lob.Windows
 	key     *lob.Keystream
-	// packet flow bookkeeping: body flits carry no header, so the L-Ob
-	// controller latches the flow when the head flit passes.
-	flows map[uint64]lob.FlowKey
+	// flows is the L-Ob controller's flow latch, one slot per link VC: body
+	// flits carry no header, so the flow is latched when the head passes.
+	// The link's output port admits one packet per VC from VC allocation
+	// until its tail crosses, so a VC's slot only ever serves one packet's
+	// run of flits.
+	flows []flowSlot
 
 	// Counters of the mitigation hardware.
 	Obfuscated  uint64 // traversals sent under an L-Ob method
@@ -60,10 +63,26 @@ type SecureWire struct {
 	StallCycles uint64 // total undo penalty charged downstream
 }
 
+// flowSlot is one VC's latched flow: the packet whose head last passed on
+// the VC and the flow it declared. live is false once the tail has passed.
+type flowSlot struct {
+	id   uint64
+	key  lob.FlowKey
+	live bool
+}
+
 // NewSecureWire builds a mitigated link around the given fault tap. The
 // layout is the network's flit-header layout; both endpoints' hardware (the
 // L-Ob granularity windows and the flow latcher) is generated from it.
 func NewSecureWire(tap fault.Adversary, keySeed uint64, l flit.Layout) *SecureWire {
+	return newSecureWire(tap, keySeed, l, lob.WindowsFor(l))
+}
+
+// newSecureWire builds a mitigated link sharing the given granularity
+// windows, which must be the layout's (lob.WindowsFor(l)). Windows are
+// read-only after construction, so every wire of one network can share
+// one set.
+func newSecureWire(tap fault.Adversary, keySeed uint64, l flit.Layout, w *lob.Windows) *SecureWire {
 	if tap == nil {
 		tap = fault.None
 	}
@@ -73,15 +92,15 @@ func NewSecureWire(tap fault.Adversary, keySeed uint64, l flit.Layout) *SecureWi
 		Log:       lob.NewMethodLog(),
 		Mitigated: true,
 		layout:    l,
-		windows:   lob.WindowsFor(l),
+		windows:   w,
 		key:       lob.NewKeystream(keySeed),
-		flows:     map[uint64]lob.FlowKey{},
+		flows:     make([]flowSlot, l.MaxVCs()),
 	}
 }
 
 // Reset returns the wire to its post-NewSecureWire state for a new run
 // without allocating: the tap is replaced, the keystream rewound to keySeed,
-// and the detector, method log, flow latcher and counters cleared. The
+// and the detector, method log, flow latch and counters cleared. The
 // granularity windows are layout-derived and preserved — a wire belongs to
 // one network (hence one layout) for its whole life, which is exactly the
 // campaign arena's reuse pattern.
@@ -100,23 +119,33 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 }
 
 // flowOf resolves the flow a flit belongs to, latching it from head flits.
+// A body or tail of another packet than the one its VC latched reads as an
+// unknown flow on that VC.
 func (w *SecureWire) flowOf(f *flit.Flit, vc uint8) lob.FlowKey {
+	slot := &w.flows[vc]
 	if f.IsHead() {
 		l := &w.layout
 		k := lob.FlowKey{SrcR: l.SrcR(f.Payload), DstR: l.DstR(f.Payload), VC: l.VC(f.Payload)}
 		if !f.IsTail() {
-			w.flows[f.PacketID] = k
+			*slot = flowSlot{id: f.PacketID, key: k, live: true}
 		}
 		return k
 	}
-	if k, ok := w.flows[f.PacketID]; ok {
+	if slot.live && slot.id == f.PacketID {
 		if f.IsTail() {
-			delete(w.flows, f.PacketID)
+			slot.live = false
 		}
-		return k
+		return slot.key
 	}
 	return lob.FlowKey{VC: vc}
 }
+
+// saveFlows appends the wire's flow latch to dst (the run-fork checkpoint).
+func (w *SecureWire) saveFlows(dst []flowSlot) []flowSlot { return append(dst, w.flows...) }
+
+// restoreFlows loads the wire's flow latch from the front of src, as
+// saveFlows wrote it, and returns the rest of src.
+func (w *SecureWire) restoreFlows(src []flowSlot) []flowSlot { return src[copy(w.flows, src):] }
 
 // choose picks the obfuscation for this attempt on a mitigated wire.
 func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {

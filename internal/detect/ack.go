@@ -200,6 +200,20 @@ func (m *AckMonitor) Reset() {
 	m.fusedStreak = 0
 }
 
+// CopyFrom makes m's windows and verdicts a copy of src's, reusing m's
+// arrays: the run-fork checkpoint saves a monitor into a spare one and
+// restores it back. The tuning fields belong to the run and are left alone.
+func (m *AckMonitor) CopyFrom(src *AckMonitor) {
+	m.prevGap = append(m.prevGap[:0], src.prevGap...)
+	m.prevViol = append(m.prevViol[:0], src.prevViol...)
+	m.streak = append(m.streak[:0], src.streak...)
+	m.class = append(m.class[:0], src.class...)
+	m.channel = append(m.channel[:0], src.channel...)
+	m.deficit = append(m.deficit[:0], src.deficit...)
+	m.sent = append(m.sent[:0], src.sent...)
+	m.windowGrowth, m.fusedStreak = src.windowGrowth, src.fusedStreak
+}
+
 func (m *AckMonitor) minWindows() int {
 	if m.MinGapWindows <= 0 {
 		return DefaultMinGapWindows

@@ -42,15 +42,37 @@ func (s scenarios) runAll(scs []campaign.Scenario) ([]*core.Results, error) {
 }
 
 // runConfigs runs every configuration, returning the results in input
-// order. The error is that of the lowest-index configuration that failed.
+// order. The configurations are handed out in fork groups (core.Groups), so
+// points whose warm-ups the network cannot tell apart simulate it once. The
+// error is that of the lowest-index configuration that failed: a group stops
+// at its first failure, and its later members have higher indices.
 func (s scenarios) runConfigs(cfgs []core.ExperimentConfig) ([]*core.Results, error) {
 	out := make([]*core.Results, len(cfgs))
-	err := fanOut(len(s.runners), len(cfgs), func(w, i int) error {
-		var err error
-		out[i], err = s.runners[w].Run(cfgs[i])
-		return err
+	errs := make([]error, len(cfgs))
+	groups := core.Groups(len(cfgs), len(s.runners), func(i int) (core.ExperimentConfig, error) { return cfgs[i], nil })
+	fanOut(len(s.runners), len(groups), func(w, g int) error {
+		members := groups[g]
+		sub := make([]core.ExperimentConfig, len(members))
+		for k, i := range members {
+			sub[k] = cfgs[i]
+		}
+		cur := 0
+		err := s.runners[w].RunGroup(sub, func(k int) *core.Results {
+			cur = k
+			out[members[k]] = &core.Results{}
+			return out[members[k]]
+		}, nil)
+		if err != nil {
+			out[members[cur]], errs[members[cur]] = nil, err
+		}
+		return nil
 	})
-	return out, err
+	for _, err := range errs {
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // figure11Scenario is the paper's standard attack protocol (Figure 11:

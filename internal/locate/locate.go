@@ -18,6 +18,8 @@
 package locate
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"tasp/internal/detect"
@@ -211,8 +213,6 @@ type Engine struct {
 	links   []noc.LinkInfo
 	priors  Priors
 	feeders [][]int // link id -> ids of links into links[id].From (reverse link excluded)
-
-	scratch []Suspect // reused across Rank calls
 }
 
 // New builds an engine for the given substrate.
@@ -239,9 +239,10 @@ func New(t noc.Topology, links []noc.LinkInfo) *Engine {
 // Priors exposes the engine's structural priors.
 func (e *Engine) Priors() Priors { return e.priors }
 
-// Rank fuses the current telemetry and evidence under DefaultWeights.
-// tel may be nil (no telemetry: detector evidence and priors carry); ev may
-// be nil or sparse (missing links read as Healthy with zero counters).
+// Rank fuses the current telemetry and evidence under DefaultWeights into a
+// fresh slice the caller may retain. tel may be nil (no telemetry: detector
+// evidence and priors carry); ev may be nil or sparse (missing links read as
+// Healthy with zero counters).
 func (e *Engine) Rank(tel *noc.LinkTelemetry, ev map[int]LinkEvidence) []Suspect {
 	return e.RankWeighted(DefaultWeights(), tel, ev)
 }
@@ -274,14 +275,22 @@ func ackScore(c detect.AckClass) float64 {
 	}
 }
 
-// RankWeighted fuses with an explicit blend. The result is sorted by
-// descending score, ties broken by link id for determinism.
+// RankWeighted fuses with an explicit blend into a fresh slice. The result
+// is sorted by descending score, ties broken by link id for determinism.
 func (e *Engine) RankWeighted(w Weights, tel *noc.LinkTelemetry, ev map[int]LinkEvidence) []Suspect {
+	return e.RankWeightedInto(nil, w, tel, ev)
+}
+
+// RankWeightedInto is RankWeighted ranking into the caller's storage: dst's
+// backing array is reused when it can hold every link and grown otherwise,
+// and the ranking is returned. Callers that rank repeatedly (once per
+// telemetry sample) pass the previous result back to stay allocation-free.
+func (e *Engine) RankWeightedInto(dst []Suspect, w Weights, tel *noc.LinkTelemetry, ev map[int]LinkEvidence) []Suspect {
 	n := len(e.links)
-	if cap(e.scratch) < n {
-		e.scratch = make([]Suspect, n) //nocvet:allowalloc amortized scratch growth; later Rank calls reuse it
+	if cap(dst) < n {
+		dst = make([]Suspect, n) //nocvet:allowalloc amortized growth of the caller's storage; later calls reuse it
 	}
-	out := e.scratch[:n]
+	out := dst[:n]
 
 	// Earliness normalization: the span of blockage-onset cycles. Onset (the
 	// start of the longest contiguous blocked streak) rather than
@@ -386,13 +395,7 @@ func (e *Engine) RankWeighted(w Weights, tel *noc.LinkTelemetry, ev map[int]Link
 		out[id] = s
 	}
 
-	//nocvet:allowalloc sort.Slice's closure; the ranking runs per telemetry sample, not per cycle
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].LinkID < out[j].LinkID
-	})
+	slices.SortFunc(out, bySuspicion)
 
 	// Confidence: margin to the next-ranked suspect, normalized by the top
 	// score.
@@ -407,10 +410,18 @@ func (e *Engine) RankWeighted(w Weights, tel *noc.LinkTelemetry, ev map[int]Link
 		}
 	}
 
-	// Hand back a copy so the caller may retain it across Rank calls.
-	res := make([]Suspect, n) //nocvet:allowalloc caller-retained result; scratch is reused underneath
-	copy(res, out)
-	return res
+	return out
+}
+
+// bySuspicion orders suspects by descending score, then ascending link id.
+func bySuspicion(a, b Suspect) int {
+	if a.Score != b.Score {
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.LinkID, b.LinkID)
 }
 
 func iabs(x int) int {

@@ -631,7 +631,7 @@ func (n *Network) phaseLT(op *outputPort) {
 	op.FlitsRecv++
 	if op.ejection {
 		n.Counters.DeliveredFlits++
-		if done, lat := n.nis[op.router].receive(delivered, n.cycle); done {
+		if done, lat := n.nis[op.router].receive(delivered, e.vc, n.cycle); done {
 			n.Counters.DeliveredPackets++
 			n.Counters.LatencySum += lat
 			if lat > n.Counters.MaxLatency {

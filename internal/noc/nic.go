@@ -40,8 +40,12 @@ type NI struct {
 	// successful inject clears it.
 	refusedBy uint8
 
-	rx     map[uint64]*rxState // packet id -> reassembly state
-	rxFree []*rxState          // recycled reassembly states
+	// rx holds one reassembly slot per ejection VC. The ejection port's VC
+	// ownership admits one packet per VC from VC allocation until its tail
+	// is delivered, and the retransmission buffer keeps per-VC order, so a
+	// VC's flits arrive as one packet's run: head, bodies, tail. A truncated
+	// packet keeps its slot, and its VC, until purgePacket reclaims both.
+	rx []rxState
 
 	// sched is the network's event-driven scheduler; gain/lose (sched.go)
 	// mirror total into its injection active set. Set by Network.New.
@@ -51,8 +55,9 @@ type NI struct {
 	Delivered func(d Delivery)
 }
 
-// rxState tracks one packet's reassembly.
+// rxState tracks one packet's reassembly; flits == 0 marks a free slot.
 type rxState struct {
+	id    uint64 // packet id
 	hdr   flit.Header
 	flits int
 }
@@ -65,7 +70,7 @@ func newNI(router int, cfg Config, layout flit.Layout) *NI {
 		queues:  make([][]flit.Flit, cfg.Concentration),
 		heads:   make([]int, cfg.Concentration),
 		injLock: make([]int, cfg.VCs),
-		rx:      map[uint64]*rxState{},
+		rx:      make([]rxState, cfg.VCs),
 	}
 	for c := range ni.queues {
 		ni.queues[c] = make([]flit.Flit, 0, cfg.InjQueueCap)
@@ -76,10 +81,9 @@ func newNI(router int, cfg Config, layout flit.Layout) *NI {
 	return ni
 }
 
-// reset empties the injection queues, releases VC locks, recycles in-flight
-// reassembly states and removes the delivery callback, restoring the
-// post-newNI state without allocating (beyond the bounded rxFree growth the
-// recycle list already performs). Network.Reset only.
+// reset empties the injection queues, releases VC locks, frees the
+// reassembly slots and removes the delivery callback, restoring the
+// post-newNI state without allocating. Network.Reset only.
 func (ni *NI) reset() {
 	for c := range ni.queues {
 		ni.queues[c] = ni.queues[c][:0]
@@ -89,11 +93,7 @@ func (ni *NI) reset() {
 		ni.injLock[v] = -1
 	}
 	ni.rrCore = 0
-	for id, st := range ni.rx { //nocvet:orderfree drains the map; recycled states are fully overwritten before reuse, so recycle order is unobservable
-		delete(ni.rx, id)
-		//nocvet:allowalloc bounded: rxFree holds at most the concurrent-reassembly high-water mark of recycled states
-		ni.rxFree = append(ni.rxFree, st)
-	}
+	clear(ni.rx)
 	ni.Delivered = nil
 	ni.resetActivity()
 }
@@ -249,20 +249,13 @@ func (ni *NI) lockedVC(core int) int {
 	return -1
 }
 
-// receive accepts an ejected flit and completes reassembly on the tail.
-// Retired rxStates are recycled through a free list so steady-state
-// delivery does not allocate.
-func (ni *NI) receive(f flit.Flit, cycle uint64) (done bool, latency uint64) {
-	st := ni.rx[f.PacketID]
-	if st == nil {
-		if k := len(ni.rxFree); k > 0 {
-			st = ni.rxFree[k-1]
-			ni.rxFree = ni.rxFree[:k-1]
-			*st = rxState{}
-		} else {
-			st = &rxState{} //nocvet:allowalloc cold: only before the rxFree recycle list has warmed up to the live-packet high-water mark
-		}
-		ni.rx[f.PacketID] = st
+// receive accepts a flit ejected on VC vc and completes reassembly on the
+// tail. A flit of another packet than the one the VC's slot holds starts a
+// fresh reassembly there.
+func (ni *NI) receive(f flit.Flit, vc uint8, cycle uint64) (done bool, latency uint64) {
+	st := &ni.rx[vc]
+	if st.flits == 0 || st.id != f.PacketID {
+		*st = rxState{id: f.PacketID}
 	}
 	st.flits++
 	if f.IsHead() {
@@ -271,12 +264,11 @@ func (ni *NI) receive(f flit.Flit, cycle uint64) (done bool, latency uint64) {
 	if !f.IsTail() {
 		return false, 0
 	}
-	delete(ni.rx, f.PacketID)
-	//nocvet:allowalloc bounded: rxFree holds at most the concurrent-reassembly high-water mark of recycled states
-	ni.rxFree = append(ni.rxFree, st)
+	hdr, flits := st.hdr, st.flits
+	*st = rxState{}
 	lat := cycle - f.InjectAt
 	if ni.Delivered != nil {
-		ni.Delivered(Delivery{ID: f.PacketID, Hdr: st.hdr, Flits: st.flits, Latency: lat})
+		ni.Delivered(Delivery{ID: f.PacketID, Hdr: hdr, Flits: flits, Latency: lat})
 	}
 	return true, lat
 }

@@ -194,9 +194,10 @@ func (n *Network) purgePacket(pkt uint64) int {
 		}
 	}
 	for _, ni := range n.nis {
-		if st, ok := ni.rx[pkt]; ok {
-			delete(ni.rx, pkt)
-			ni.rxFree = append(ni.rxFree, st)
+		for v := range ni.rx {
+			if st := &ni.rx[v]; st.flits > 0 && st.id == pkt {
+				*st = rxState{}
+			}
 		}
 	}
 	n.Counters.DroppedFlits += uint64(dropped)

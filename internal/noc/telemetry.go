@@ -99,6 +99,21 @@ func (t *LinkTelemetry) Reset() {
 	}
 }
 
+// copyFrom makes t's recorded history a copy of src's, reusing t's arrays
+// (Network.Save and Restore). The network link is t's own.
+func (t *LinkTelemetry) copyFrom(src *LinkTelemetry) {
+	t.depth, t.words = src.depth, src.words
+	t.ring = refill(t.ring, src.ring)
+	t.cycleOf = refill(t.cycleOf, src.cycleOf)
+	t.head, t.rows, t.samples = src.head, src.rows, src.samples
+	t.firstBlocked = refill(t.firstBlocked, src.firstBlocked)
+	t.blockedCount = refill(t.blockedCount, src.blockedCount)
+	t.curStart = refill(t.curStart, src.curStart)
+	t.curLen = refill(t.curLen, src.curLen)
+	t.bestAt = refill(t.bestAt, src.bestAt)
+	t.bestLen = refill(t.bestLen, src.bestLen)
+}
+
 // Sample records one blocked-port snapshot at the network's current cycle.
 // It allocates nothing.
 func (t *LinkTelemetry) Sample() {

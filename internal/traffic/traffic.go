@@ -81,6 +81,13 @@ func Benchmarks() []string {
 	return names
 }
 
+// Known reports whether name is an available benchmark. It allocates
+// nothing, so per-point validation can call it.
+func Known(name string) bool {
+	_, ok := benchmarks[name]
+	return ok
+}
+
 // Benchmark constructs the named benchmark model for the configured
 // topology.
 func Benchmark(name string, cfg noc.Config) (*Model, error) {
@@ -280,6 +287,27 @@ func (g *Generator) Reset(seed uint64) {
 	for i := range g.seq {
 		g.seq[i] = 0
 	}
+}
+
+// GeneratorState is a copy of a generator's draw position: its RNG state
+// and per-core sequence numbers. Restoring it makes the generator draw
+// exactly the stream it drew after the save.
+type GeneratorState struct {
+	rng xrand.RNG
+	seq []uint8
+}
+
+// Save copies the generator's draw position into s, reusing s's storage.
+func (g *Generator) Save(s *GeneratorState) {
+	s.rng = *g.rng
+	s.seq = append(s.seq[:0], g.seq...)
+}
+
+// Restore rewinds the generator to a position Save took from a generator
+// of the same model. It allocates nothing.
+func (g *Generator) Restore(s *GeneratorState) {
+	*g.rng = s.rng
+	copy(g.seq, s.seq)
 }
 
 // Model returns the model the generator draws from.
