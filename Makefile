@@ -50,12 +50,14 @@ race:
 	$(GO) test -race -count=10 -run TestFanOut ./internal/exp
 	$(GO) test -race -run 'TestWorkerCountInvariance|TestKillResume' ./internal/campaign
 
-# Fuzz the header Encode/Decode round-trip across randomized layouts, and
-# the event-driven core's per-cycle invariants and flit conservation across
-# random platforms, loads, faults and a mid-run link disable.
+# Fuzz the header Encode/Decode round-trip across randomized layouts, the
+# event-driven core's per-cycle invariants and flit conservation across
+# random platforms, loads, faults and a mid-run link disable, and campaign
+# spec parsing, validation, hashing and expansion on malformed input.
 fuzz:
 	$(GO) test -fuzz=FuzzHeaderRoundTrip -fuzztime=10s ./internal/flit
 	$(GO) test -run xxx -fuzz=FuzzStepInvariants -fuzztime=10s ./internal/noc
+	$(GO) test -run xxx -fuzz=FuzzSpec -fuzztime=10s ./internal/campaign
 
 # Regenerate the paper's tables/figures and extension studies.
 experiments:

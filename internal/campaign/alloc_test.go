@@ -8,9 +8,10 @@ import (
 
 // pointLoop is the worker's per-group body without the channel plumbing:
 // lower the group's scenarios, run them on the reused arena through
-// RunGroup — the first member checkpoints the shared warm-up and the
-// others resume from it — and fill and encode each record into a recycled
-// buffer. One step runs one group.
+// RunGroup — the first member checkpoints the shared warm-up, a member
+// repeating its run copies its results, and the others resume from the
+// checkpoint — and fill and encode each record into a recycled buffer. One
+// step runs one group.
 type pointLoop struct {
 	scenarios []Scenario
 	groups    [][]int
@@ -22,6 +23,7 @@ type pointLoop struct {
 	members   []int
 	i         int
 	resumed   int // members that resumed a checkpoint, for the coverage check
+	copied    int // members that copied an earlier member's run
 }
 
 func newPointLoop(tb testing.TB) *pointLoop {
@@ -40,7 +42,10 @@ func (p *pointLoop) emit(k int, res *core.Results) error {
 	p.rec.identify(i, &p.scenarios[i], &p.cfgs[k])
 	p.rec.Fill(res)
 	p.buf = p.rec.AppendJSONL(p.buf[:0])
-	if k > 0 {
+	switch {
+	case p.scenarios[i].Attack.Kind == "none" && k > 0:
+		p.copied++ // the clean point under s2s-lob repeats it under none
+	case k > 0:
 		p.resumed++
 	}
 	return nil
@@ -64,9 +69,9 @@ func (p *pointLoop) step(tb testing.TB) {
 
 // allocSpec exercises the paper's headline arms (clean, attacked,
 // defended) on one platform with rotating seeds — the shape of a real
-// sweep's inner loop. Clean and attacked points of one seed and mitigation
-// share their warm-up, so every group is a checkpointing member and a
-// resuming one.
+// sweep's inner loop. The four points of one seed share their warm-up, and
+// the clean point is one run under either mitigation, so every group is a
+// checkpointing member, a copied one and two resuming ones.
 func allocSpec() Spec {
 	return Spec{
 		Benchmarks:  []string{"blackscholes"},
@@ -81,7 +86,8 @@ func allocSpec() Spec {
 // TestCampaignPointSteadyStateAllocs pins the campaign engine's per-point
 // allocation contract end to end: simulate + fill + encode allocates
 // nothing once the worker's arena, checkpoint and buffers have warmed up,
-// for the member that checkpoints its warm-up and the one that resumes it.
+// for the member that checkpoints its warm-up, the one that copies its run
+// and the ones that resume it.
 func TestCampaignPointSteadyStateAllocs(t *testing.T) {
 	p := newPointLoop(t)
 	// Warm past the recyclers' high-water marks (see the core runner's
@@ -89,18 +95,18 @@ func TestCampaignPointSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 2*len(p.groups); i++ {
 		p.step(t)
 	}
-	resumed := p.resumed
+	resumed, copied := p.resumed, p.copied
 	if avg := testing.AllocsPerRun(10, func() { p.step(t) }); avg > 0.1 {
 		t.Errorf("warmed campaign group allocates %.2f times per group; budget is 0", avg)
 	}
-	if p.resumed == resumed {
-		t.Error("no measured group had a member resume the warm-up checkpoint")
+	if p.resumed == resumed || p.copied == copied {
+		t.Error("no measured group had a member resume the warm-up checkpoint and one copy a run")
 	}
 }
 
 // BenchmarkCampaignPoint measures the warm per-group cost of a campaign
-// worker (one 400-cycle point plus one resumed from its warm-up, and both
-// records' encodes). Wired into the CI allocation gate: the b.N loop must
+// worker (one 400-cycle point, a copy of it, two points resumed from its
+// warm-up, and the four records' encodes). Wired into the CI allocation gate: the b.N loop must
 // report 0 allocs/op.
 func BenchmarkCampaignPoint(b *testing.B) {
 	p := newPointLoop(b)

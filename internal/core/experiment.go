@@ -171,7 +171,8 @@ type ExperimentConfig struct {
 
 // Validate checks the configuration against its platform before anything
 // runs: the platform itself, the benchmark name (when no explicit Model is
-// set), the attack target's router ids and VC, the
+// set), the run phases (Warmup and Measure non-negative, an explicit enable
+// cycle inside the run), the attack target's router ids and VC, the
 // infected and pre-disabled link ids, the hijack router, that the transient
 // bit-error rate is a probability, and that RecoverOnConvict has the
 // secure-ack monitor whose convictions it acts on.
@@ -184,6 +185,17 @@ func (c *ExperimentConfig) Validate() error {
 	}
 	if c.Model == nil && !traffic.Known(c.Benchmark) {
 		return fmt.Errorf("core: Benchmark = %q unknown (have %v)", c.Benchmark, traffic.Benchmarks())
+	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("core: Warmup = %d out of range: must be >= 0", c.Warmup)
+	}
+	if c.Measure < 0 {
+		return fmt.Errorf("core: Measure = %d out of range: must be >= 0", c.Measure)
+	}
+	if end := uint64(c.Warmup + c.Measure); c.Attack.EnableAt != 0 && c.Attack.EnableAt >= end {
+		// Past the run's last cycle, the kill switch never flips and
+		// AtEnable is never snapshotted.
+		return fmt.Errorf("core: Attack.EnableAt = %d out of range: 0 (end of warm-up) or below Warmup+Measure = %d", c.Attack.EnableAt, end)
 	}
 	routers := c.Noc.Routers()
 	t := &c.Attack.Target

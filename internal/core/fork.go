@@ -1,11 +1,13 @@
 package core
 
 import (
+	"maps"
 	"slices"
 
 	"tasp/internal/detect"
 	"tasp/internal/noc"
 	"tasp/internal/stats"
+	"tasp/internal/tasp"
 	"tasp/internal/traffic"
 )
 
@@ -13,17 +15,21 @@ import (
 // the network up and only then enables the trojans, and a sweep crosses
 // that protocol with attack families and mitigations whose warm-ups the
 // network cannot tell apart: every trojan family acts only once its kill
-// switch is armed at the enable cycle, the detector ignores clean plain
-// traversals, and rerouting acts only RerouteDetectDelay cycles after
-// enable. RunGroup therefore simulates one warm-up per set of configurations
-// that share a pre-enable identity, checkpoints it at the end of cycle
-// EnableCycle()-1, and resumes every other member from the checkpoint.
+// switch is armed at the enable cycle, a mitigated wire does nothing on a
+// fault-free link but latch flows, and rerouting acts only
+// RerouteDetectDelay cycles after enable. RunGroup therefore simulates one
+// warm-up per set of configurations that share a pre-enable identity,
+// checkpoints it at the end of cycle EnableCycle()-1, and resumes every
+// other member from the checkpoint. A member whose whole run is another's
+// (same run identity) is not simulated at all: it gets a copy of that
+// member's Results.
 
 // preEnable is the comparable part of a configuration's pre-enable
 // identity: the ExperimentConfig without what acts only from the enable
 // cycle on — the attack deployment (all of AttackConfig but its enable
-// cycle), Measure, RerouteDetectDelay, and the rerouting mitigation, which
-// counts as none. The slice-valued fields are compared by samePreEnable.
+// cycle), Measure, RerouteDetectDelay, DetectorHistory, EscalationOrder,
+// and the s2s-lob and rerouting mitigations, which count as none. The
+// slice-valued fields are compared by samePreEnable.
 // TestPreEnableClassifiesEveryField fails when ExperimentConfig gains a
 // field this key has not classified.
 type preEnable struct {
@@ -36,7 +42,6 @@ type preEnable struct {
 	sampleEvery     int
 	mitigation      Mitigation
 	transientBER    float64
-	detectorHistory int
 	locate          bool
 	secureAck       bool
 	ackDeficitRatio float64
@@ -54,7 +59,6 @@ func preEnableOf(c *ExperimentConfig) preEnable {
 		sampleEvery:     c.SampleEvery,
 		mitigation:      c.Mitigation,
 		transientBER:    c.TransientBER,
-		detectorHistory: c.DetectorHistory,
 		locate:          c.Locate,
 		secureAck:       c.SecureAck,
 		ackDeficitRatio: c.AckDeficitRatio,
@@ -66,7 +70,7 @@ func preEnableOf(c *ExperimentConfig) preEnable {
 	if k.sampleEvery <= 0 {
 		k.sampleEvery = defaultSampleEvery
 	}
-	if k.mitigation == Rerouting {
+	if k.mitigation == S2SLOb || k.mitigation == Rerouting {
 		k.mitigation = NoMitigation
 	}
 	return k
@@ -75,9 +79,62 @@ func preEnableOf(c *ExperimentConfig) preEnable {
 // samePreEnable reports whether two configurations drive the network
 // identically up to the enable cycle.
 func samePreEnable(a, b *ExperimentConfig) bool {
-	return preEnableOf(a) == preEnableOf(b) &&
-		slices.Equal(a.EscalationOrder, b.EscalationOrder) &&
-		slices.Equal(a.PredisabledLinks, b.PredisabledLinks)
+	return preEnableOf(a) == preEnableOf(b) && slices.Equal(a.PredisabledLinks, b.PredisabledLinks)
+}
+
+// runKey is the comparable part of what a run adds to its pre-enable
+// identity from the enable cycle on; sameRun compares the slice-valued
+// fields. On a fault-free run only the fields a clean run still reads
+// count: the attack's on/off switch and target (victim accounting) and
+// Measure.
+type runKey struct {
+	enabled         bool
+	kind            tasp.Kind
+	target          tasp.Target
+	yBits           int
+	hijack          int
+	dutyPeriod      int
+	dutyActive      int
+	numLinks        int
+	measure         int
+	mitigation      Mitigation
+	rerouteDelay    int
+	detectorHistory int
+}
+
+// faultFree reports whether a run has no fault source: no trojan is
+// deployed and no transient fault is drawn, so no wire ever faults. Every
+// attempt is then attempt 0, which a mitigated wire sends plain, and
+// rerouting never acts: none, s2s-lob and rerouting run alike.
+func faultFree(c *ExperimentConfig) bool { return !c.Attack.Enabled && c.TransientBER == 0 }
+
+func runKeyOf(c *ExperimentConfig) runKey {
+	a := &c.Attack
+	k := runKey{enabled: a.Enabled, target: a.Target, measure: c.Measure}
+	if faultFree(c) {
+		return k
+	}
+	k.kind, k.yBits, k.hijack = a.Kind, a.YBits, a.Hijack
+	k.dutyPeriod, k.dutyActive, k.numLinks = a.DutyPeriod, a.DutyActive, a.NumLinks
+	k.mitigation = c.Mitigation
+	if c.Mitigation == Rerouting {
+		k.rerouteDelay = c.RerouteDetectDelay
+		if k.rerouteDelay <= 0 {
+			k.rerouteDelay = defaultRerouteDetectDelay
+		}
+	}
+	k.detectorHistory = c.DetectorHistory
+	return k
+}
+
+// sameRun reports whether two configurations run identically from the
+// first cycle to the last, so that their Results differ only in Config.
+// Attack.Links counts even when the attack is disabled: the run reports
+// them as InfectedLinks.
+func sameRun(a, b *ExperimentConfig) bool {
+	return samePreEnable(a, b) && runKeyOf(a) == runKeyOf(b) &&
+		slices.Equal(a.Attack.Links, b.Attack.Links) &&
+		(faultFree(a) || slices.Equal(a.EscalationOrder, b.EscalationOrder))
 }
 
 // forkable reports whether a configuration's warm-up may be shared, as far
@@ -203,8 +260,9 @@ func (k *preEnable) hash() uint64 {
 // early conviction). Trojans need nothing: at the enable cycle their state
 // is still their Reset state.
 type forkStore struct {
-	ok  bool             // holds a warm-up later members may resume
-	cfg ExperimentConfig // the configuration the warm-up ran
+	ok      bool             // holds a warm-up later members may resume
+	latched bool             // flows holds every wire's flow latch
+	cfg     ExperimentConfig // the configuration the warm-up ran
 
 	net     noc.Checkpoint
 	gen     traffic.GeneratorState
@@ -215,10 +273,11 @@ type forkStore struct {
 	flagged uint64 // Results.AckFlaggedAt
 }
 
-// save checkpoints the warm-up at the end of cycle EnableCycle()-1. A
-// warm-up that reconfigured the network leaves the store empty: the route
-// tables and disabled links are not part of the checkpoint.
-func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results) {
+// save checkpoints the warm-up at the end of cycle EnableCycle()-1, with
+// the wires' flow latches when latched is set. A warm-up that reconfigured
+// the network leaves the store empty: the route tables and disabled links
+// are not part of the checkpoint.
+func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, latched bool) {
 	f.ok = len(a.disabled) == 0
 	if !f.ok {
 		return
@@ -229,8 +288,9 @@ func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator
 	if ack != nil {
 		f.ack.CopyFrom(ack)
 	}
+	f.latched = latched
 	f.flows = f.flows[:0]
-	if cfg.Mitigation == S2SLOb {
+	if latched {
 		for _, w := range a.wires {
 			f.flows = w.saveFlows(f.flows)
 		}
@@ -244,27 +304,68 @@ func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator
 	f.flagged = res.AckFlaggedAt
 }
 
-// restore resumes a member from the stored warm-up. The member's own
-// set-up has already run — trojans reset, wires installed and reset, the
+// restore resumes a member from the stored warm-up, loading the flow
+// latches into its wires when mitigated is set. The member's own set-up
+// has already run — trojans reset, wires installed and reset, the
 // generator, monitor and telemetry tap attached — so what is restored is
 // exactly the state the warm-up changed.
-func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results) {
+func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, mitigated bool) {
 	a.net.Restore(&f.net)
 	gen.Restore(&f.gen)
 	if ack != nil {
 		ack.CopyFrom(&f.ack)
 	}
-	rest := f.flows
-	for _, w := range a.wires {
-		if len(rest) == 0 {
-			break
+	if mitigated {
+		rest := f.flows
+		for _, w := range a.wires {
+			rest = w.restoreFlows(rest)
 		}
-		rest = w.restoreFlows(rest)
 	}
 	res.Samples = append(res.Samples[:0], f.samples...)
 	res.Latency.Reset()
 	res.Latency.Merge(f.latency)
 	res.AckFlaggedAt = f.flagged
+}
+
+// keptRun is the Results of the last simulated group member whose run
+// identity a later member shares, in storage the Runner reuses.
+type keptRun struct {
+	ok  bool
+	cfg ExperimentConfig
+	res Results
+}
+
+// copyResults makes dst a deep copy of src, reusing dst's storage: every
+// field is src's, every slice, map and the histogram dst's own.
+func copyResults(dst, src *Results) {
+	own := *dst
+	*dst = *src
+	dst.InfectedLinks = append(own.InfectedLinks[:0], src.InfectedLinks...)
+	dst.Samples = append(own.Samples[:0], src.Samples...)
+	dst.RecoveredLinks = append(own.RecoveredLinks[:0], src.RecoveredLinks...)
+	dst.Suspects = append(own.Suspects[:0], src.Suspects...)
+	dst.SuspectsTelemetry = append(own.SuspectsTelemetry[:0], src.SuspectsTelemetry...)
+	dst.SuspectTrace = append(own.SuspectTrace[:0], src.SuspectTrace...)
+	dst.Detections = copyMap(own.Detections, src.Detections)
+	dst.TriggerScopes = copyMap(own.TriggerScopes, src.TriggerScopes)
+	dst.AckVerdicts = copyMap(own.AckVerdicts, src.AckVerdicts)
+	dst.AckChannels = copyMap(own.AckChannels, src.AckChannels)
+	dst.Latency = own.Latency
+	if dst.Latency == nil {
+		dst.Latency = stats.NewHistogram()
+	}
+	dst.Latency.Reset()
+	dst.Latency.Merge(src.Latency)
+}
+
+// copyMap makes dst, allocated if nil, hold exactly src's entries.
+func copyMap[K comparable, V any](dst, src map[K]V) map[K]V {
+	if dst == nil {
+		dst = make(map[K]V, len(src))
+	}
+	clear(dst)
+	maps.Copy(dst, src)
+	return dst
 }
 
 // runMode says what a run does about the warm-up checkpoint.
@@ -273,32 +374,55 @@ type runMode uint8
 const (
 	runWhole      runMode = iota // simulate every cycle, touch no checkpoint
 	runCheckpoint                // simulate every cycle, checkpoint the warm-up
+	runLatch                     // as runCheckpoint, latching flows on every wire until the save
 	runResume                    // resume from the checkpoint at the enable cycle
 )
 
 // RunGroup runs a group of configurations in order: member i's results go
 // into into(i), and each, when non-nil, is called with them once member i
-// has finished and before member i+1 starts. A member whose pre-enable
-// identity a later member shares checkpoints its warm-up at the end of
-// cycle EnableCycle()-1, and the later members resume from the checkpoint
-// instead of simulating the warm-up again. Every member's results are
-// exactly what RunInto gives it; RunInto is a group of one and takes no
-// checkpoint. Groups hands out groups whose members share their identity.
-// The first error stops the group.
+// has finished and before member i+1 starts. Every member's results are
+// exactly what RunInto gives it, but the group simulates each distinct run
+// once:
+//   - a member whose run identity an earlier simulated member shares gets
+//     a copy of that member's Results, with its own Config;
+//   - a member whose pre-enable identity a later, different run shares
+//     checkpoints its warm-up at the end of cycle EnableCycle()-1, and the
+//     later members resume from the checkpoint. When a resuming member is
+//     s2s-lob, the warm-up runs its wires mitigated so the checkpoint holds
+//     their flow latches.
+//
+// RunInto is a group of one and takes no checkpoint. Groups hands out
+// groups whose members share their pre-enable identity. The first error
+// stops the group.
 func (r *Runner) RunGroup(cfgs []ExperimentConfig, into func(i int) *Results, each func(i int, res *Results) error) error {
-	r.fork.ok = false
+	r.fork.ok, r.kept.ok = false, false
 	for i := range cfgs {
 		c := &cfgs[i]
-		mode := runWhole
-		if forkable(c) {
-			if r.fork.ok && samePreEnable(c, &r.fork.cfg) {
+		res := into(i)
+		var err error
+		switch {
+		case !forkable(c):
+			err = r.run(*c, res, runWhole)
+		case r.kept.ok && sameRun(c, &r.kept.cfg):
+			err = r.copyRun(*c, res)
+		default:
+			resume, latch, repeat := laterNeeds(c, cfgs[i+1:])
+			mode := runWhole
+			switch {
+			case r.fork.ok && samePreEnable(c, &r.fork.cfg) && (r.fork.latched || c.Mitigation != S2SLOb):
 				mode = runResume
-			} else if sharesLater(c, cfgs[i+1:]) {
+			case resume && (latch || c.Mitigation == S2SLOb):
+				mode = runLatch
+			case resume:
 				mode = runCheckpoint
 			}
+			err = r.run(*c, res, mode)
+			if err == nil && repeat {
+				r.kept.ok, r.kept.cfg = true, *c
+				copyResults(&r.kept.res, res)
+			}
 		}
-		res := into(i)
-		if err := r.run(*c, res, mode); err != nil {
+		if err != nil {
 			return err
 		}
 		if each != nil {
@@ -310,12 +434,33 @@ func (r *Runner) RunGroup(cfgs []ExperimentConfig, into func(i int) *Results, ea
 	return nil
 }
 
-// sharesLater reports whether a later member could resume c's warm-up.
-func sharesLater(c *ExperimentConfig, later []ExperimentConfig) bool {
+// copyRun gives a member the kept run's results. Its configuration is
+// validated and its defaults applied exactly as run would.
+func (r *Runner) copyRun(cfg ExperimentConfig, res *Results) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	withDefaults(&cfg)
+	copyResults(res, &r.kept.res)
+	res.Config = cfg
+	return nil
+}
+
+// laterNeeds reports what the members after c need of its run: resume,
+// that one resumes c's warm-up (same pre-enable identity, a different
+// run); latch, that such a member is s2s-lob and reads the warm-up's flow
+// latches; repeat, that one repeats c's whole run and copies its results.
+func laterNeeds(c *ExperimentConfig, later []ExperimentConfig) (resume, latch, repeat bool) {
 	for i := range later {
-		if forkable(&later[i]) && samePreEnable(c, &later[i]) {
-			return true
+		l := &later[i]
+		switch {
+		case !forkable(l) || !samePreEnable(c, l):
+		case sameRun(c, l):
+			repeat = true
+		default:
+			resume = true
+			latch = latch || l.Mitigation == S2SLOb
 		}
 	}
-	return false
+	return resume, latch, repeat
 }

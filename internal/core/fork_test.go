@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tasp/internal/detect"
@@ -35,61 +36,95 @@ func bump(v reflect.Value) {
 	}
 }
 
-// TestPreEnableClassifiesEveryField pins the pre-enable identity field by
-// field: changing a field the network reads before the enable cycle must
-// change the identity, and changing one that acts only from the enable
-// cycle on must not. A field added to ExperimentConfig or AttackConfig
-// fails here until it is classified — and, if it belongs to the identity,
-// added to preEnable.
+// TestPreEnableClassifiesEveryField pins both fork identities field by
+// field. Changing a field the network reads before the enable cycle must
+// change the pre-enable identity, and changing one that acts only from the
+// enable cycle on must not. Changing any field a run reads must change the
+// run identity; on a fault-free run (attack disabled, no transient faults)
+// the fields that act only on faults must not. A field added to
+// ExperimentConfig or AttackConfig fails here until it is classified — and
+// added to preEnable or runKey where it belongs.
 func TestPreEnableClassifiesEveryField(t *testing.T) {
-	inKey := map[string]bool{
-		"Noc": true, "Benchmark": true, "Model": true, "Seed": true,
-		"Warmup": true, "Measure": false, "SampleEvery": true,
-		"Mitigation": true, "TransientBER": true, "RerouteDetectDelay": false,
-		"DetectorHistory": true, "EscalationOrder": true, "Locate": true,
-		"SecureAck": true, "AckDeficitRatio": true, "RecoverOnConvict": true,
-		"PredisabledLinks": true,
-		// Attack is classified per field below.
-		"Attack.EnableAt": true, "Attack.Enabled": false, "Attack.Kind": false,
-		"Attack.Target": false, "Attack.YBits": false, "Attack.Hijack": false,
-		"Attack.DutyPeriod": false, "Attack.DutyActive": false,
-		"Attack.Links": false, "Attack.NumLinks": false,
+	type class struct{ pre, run, cleanRun bool } // does a change split the identity?
+	all, onFaults := class{true, true, true}, class{false, true, false}
+	classes := map[string]class{
+		"Noc": all, "Benchmark": all, "Model": all, "Seed": all, "Warmup": all,
+		"Measure": {false, true, true}, "SampleEvery": all, "TransientBER": all,
+		// The base is unmitigated, so the reroute delay acts on nothing;
+		// under rerouting it is checked below.
+		"RerouteDetectDelay": {false, false, false},
+		"DetectorHistory":    onFaults, "EscalationOrder": onFaults, "Locate": all,
+		"SecureAck": all, "AckDeficitRatio": all, "RecoverOnConvict": all,
+		"PredisabledLinks": all,
+		// Mitigation is classified per value: TDM and end-to-end scrambling
+		// act from the first cycle, s2s-lob and rerouting only on faults.
+		"Mitigation=s2s-lob": onFaults, "Mitigation=rerouting": onFaults,
+		"Mitigation=tdm-qos": all, "Mitigation=e2e-obfuscation": all,
+		// Attack is classified per field. A disabled attack still reports
+		// its links and counts its target's deliveries.
+		"Attack.EnableAt": all, "Attack.Enabled": {false, true, true},
+		"Attack.Target": {false, true, true}, "Attack.Links": {false, true, true},
+		"Attack.Kind": onFaults, "Attack.YBits": onFaults, "Attack.Hijack": onFaults,
+		"Attack.DutyPeriod": onFaults, "Attack.DutyActive": onFaults, "Attack.NumLinks": onFaults,
 	}
-	check := func(name string, mut func(*ExperimentConfig) reflect.Value) {
-		want, ok := inKey[name]
+	check := func(name string, mut func(*ExperimentConfig)) {
+		want, ok := classes[name]
 		if !ok {
-			t.Errorf("field %s is not classified as pre-enable identity or not", name)
+			t.Errorf("field %s is not classified for the fork identities", name)
 			return
 		}
-		base := DefaultExperiment()
-		c := base
-		bump(mut(&c))
-		if got := !samePreEnable(&base, &c); got != want {
-			t.Errorf("changing %s changes the pre-enable identity: %v, want %v", name, got, want)
+		attacked := DefaultExperiment()
+		clean := attacked
+		clean.Attack.Enabled = false
+		for _, base := range []ExperimentConfig{attacked, clean} {
+			c := base
+			mut(&c)
+			got := class{pre: !samePreEnable(&base, &c), run: !sameRun(&base, &c)}
+			if base.Attack.Enabled {
+				if got.pre != want.pre || got.run != want.run {
+					t.Errorf("changing %s splits the pre-enable identity: %v, want %v; the run identity: %v, want %v",
+						name, got.pre, want.pre, got.run, want.run)
+				}
+			} else if got.run != want.cleanRun {
+				t.Errorf("changing %s splits a fault-free run's identity: %v, want %v", name, got.run, want.cleanRun)
+			}
 		}
 	}
 	ct := reflect.TypeOf(ExperimentConfig{})
 	for i := 0; i < ct.NumField(); i++ {
-		name := ct.Field(i).Name
-		if name != "Attack" {
-			check(name, func(c *ExperimentConfig) reflect.Value { return reflect.ValueOf(c).Elem().Field(i) })
-			continue
-		}
-		at := ct.Field(i).Type
-		for j := 0; j < at.NumField(); j++ {
-			check("Attack."+at.Field(j).Name, func(c *ExperimentConfig) reflect.Value {
-				return reflect.ValueOf(c).Elem().Field(i).Field(j)
-			})
+		switch name := ct.Field(i).Name; name {
+		case "Mitigation":
+			for _, m := range []Mitigation{S2SLOb, Rerouting, TDMQoS, E2EObfuscation} {
+				check("Mitigation="+m.String(), func(c *ExperimentConfig) { c.Mitigation = m })
+			}
+		case "Attack":
+			at := ct.Field(i).Type
+			for j := 0; j < at.NumField(); j++ {
+				check("Attack."+at.Field(j).Name, func(c *ExperimentConfig) {
+					bump(reflect.ValueOf(c).Elem().Field(i).Field(j))
+				})
+			}
+		default:
+			check(name, func(c *ExperimentConfig) { bump(reflect.ValueOf(c).Elem().Field(i)) })
 		}
 	}
 	a, b := DefaultExperiment(), DefaultExperiment()
-	b.Mitigation = Rerouting
-	if !samePreEnable(&a, &b) {
-		t.Error("rerouting acts only after enable, yet it splits the identity from no mitigation")
-	}
 	b.Attack.EnableAt = uint64(b.Warmup) // the default enable cycle, spelled out
-	if !samePreEnable(&a, &b) {
-		t.Error("an explicit enable cycle equal to the default splits the identity")
+	if !sameRun(&a, &b) {
+		t.Error("an explicit enable cycle equal to the default splits the run identity")
+	}
+	a.Mitigation, b.Mitigation = Rerouting, Rerouting
+	b.RerouteDetectDelay = defaultRerouteDetectDelay // 0 reads as the default
+	if !sameRun(&a, &b) {
+		t.Error("a reroute delay equal to the default splits the run identity")
+	}
+	b.RerouteDetectDelay++
+	if sameRun(&a, &b) {
+		t.Error("the reroute delay of an attacked rerouting run leaves its identity")
+	}
+	a.Attack.Enabled, b.Attack.Enabled = false, false
+	if !sameRun(&a, &b) {
+		t.Error("the reroute delay of a fault-free run splits its identity")
 	}
 }
 
@@ -134,6 +169,7 @@ type forkState struct {
 	gen   traffic.GeneratorState
 	ack   detect.AckMonitor
 	flows []flowSlot
+	steps int // cycles stepped by every point run
 }
 
 // stateAtEnable runs run on a fresh Runner and returns the state of the
@@ -143,6 +179,7 @@ func stateAtEnable(t *testing.T, cfg ExperimentConfig, run func(*Runner) error) 
 	r := NewRunner()
 	st := &forkState{}
 	r.audit = func(n *noc.Network) error {
+		st.steps++
 		if n.Cycle() != cfg.EnableCycle() {
 			return nil
 		}
@@ -168,7 +205,10 @@ func stateAtEnable(t *testing.T, cfg ExperimentConfig, run func(*Runner) error) 
 // everything a resumed member carries — the network, the generator's draw
 // position, the secure-ack monitor and every wire's flow latch — with the
 // same point run whole. Unlike the end-to-end comparison, it catches state
-// a checkpoint drops even when no outcome happens to depend on it.
+// a checkpoint drops even when no outcome happens to depend on it. The
+// resumed member is the attacked one, after its clean twin; in the latched
+// case the twin is unmitigated, so the latches come from its warm-up run
+// with mitigated wires.
 func TestForkStateAtEnableMatchesWholeRun(t *testing.T) {
 	base := DefaultExperiment()
 	base.Warmup, base.Measure = 400, 50
@@ -181,16 +221,20 @@ func TestForkStateAtEnableMatchesWholeRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  ExperimentConfig
-	}{{"s2s-lob", lob}, {"secure-ack", secure}} {
+		twin Mitigation // the clean twin's mitigation
+	}{{"s2s-lob", lob, S2SLOb}, {"secure-ack", secure, NoMitigation}, {"latched", lob, NoMitigation}} {
 		cfg := tc.cfg
 		t.Run(tc.name, func(t *testing.T) {
 			clean := cfg
-			clean.Attack.Enabled = false
+			clean.Attack.Enabled, clean.Mitigation = false, tc.twin
 			whole := stateAtEnable(t, cfg, func(r *Runner) error { return r.RunInto(cfg, &Results{}) })
 			forked := stateAtEnable(t, cfg, func(r *Runner) error {
 				res := &Results{}
 				return r.RunGroup([]ExperimentConfig{clean, cfg}, func(int) *Results { return res }, nil)
 			})
+			if forked.steps != whole.steps+cfg.Measure+1 {
+				t.Fatalf("the group stepped %d cycles, the point alone %d: the attacked member did not resume", forked.steps, whole.steps)
+			}
 			if !reflect.DeepEqual(whole.net, forked.net) {
 				t.Error("network state differs")
 			}
@@ -213,5 +257,71 @@ func TestForkStateAtEnableMatchesWholeRun(t *testing.T) {
 				t.Error("no flow latched across the enable cycle; the comparison is vacuous")
 			}
 		})
+	}
+}
+
+// TestCopyResultsOwnsItsStorage: a copied member's Results equal the
+// source's field for field, and none of its slices, maps or histogram is
+// the source's — the source's storage is reused by the next point. The
+// check walks the struct, so Results fields added later are covered: any
+// slice or map the source run leaves empty gets one entry first.
+func TestCopyResultsOwnsItsStorage(t *testing.T) {
+	cfg := DefaultExperiment()
+	cfg.Warmup, cfg.Measure = 400, 600
+	cfg.Attack.Kind = tasp.KindDrop
+	cfg.SecureAck, cfg.Locate, cfg.RecoverOnConvict = true, true, true
+	src, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := reflect.ValueOf(src).Elem()
+	for i := 0; i < s.NumField(); i++ {
+		switch f := s.Field(i); {
+		case f.Kind() == reflect.Slice && f.Len() == 0:
+			f.Set(reflect.Append(f, reflect.Zero(f.Type().Elem())))
+		case f.Kind() == reflect.Map && f.Len() == 0:
+			f.SetMapIndex(reflect.Zero(f.Type().Key()), reflect.Zero(f.Type().Elem()))
+		}
+	}
+	lob := cfg
+	lob.Attack.Kind, lob.Mitigation = tasp.KindFlip, S2SLOb
+	used, err := Run(lob) // the grown storage of another run, as a worker's Results has
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []*Results{{}, used} {
+		copyResults(dst, src)
+		if !reflect.DeepEqual(*dst, *src) {
+			t.Fatal("the copy differs from its source")
+		}
+		d := reflect.ValueOf(dst).Elem()
+		for i := 0; i < d.NumField(); i++ {
+			switch d.Field(i).Kind() {
+			case reflect.Slice, reflect.Map, reflect.Pointer:
+				if d.Field(i).Pointer() == s.Field(i).Pointer() {
+					t.Errorf("Results.%s shares the source's storage", d.Type().Field(i).Name)
+				}
+			}
+		}
+	}
+}
+
+// TestCopiedMemberIsValidated: a member that copies an earlier run is
+// validated as if it ran. Its run identity leaves out the fields a clean
+// run never reads, but an out-of-range value there still fails the point.
+func TestCopiedMemberIsValidated(t *testing.T) {
+	clean := DefaultExperiment()
+	clean.Warmup, clean.Measure = 100, 100
+	clean.Attack.Enabled = false
+	bad := clean
+	bad.Mitigation, bad.Attack.Hijack = S2SLOb, 99
+	if !sameRun(&clean, &bad) {
+		t.Fatal("the members are not one run; the copy is not exercised")
+	}
+	done := 0
+	err := NewRunner().RunGroup([]ExperimentConfig{clean, bad}, func(int) *Results { return &Results{} },
+		func(int, *Results) error { done++; return nil })
+	if want := "Attack.Hijack = 99 out of range"; err == nil || !strings.Contains(err.Error(), want) || done != 1 {
+		t.Fatalf("RunGroup = %v after %d members, want an error containing %q after 1", err, done, want)
 	}
 }

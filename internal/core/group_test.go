@@ -15,12 +15,19 @@ import (
 	"tasp/internal/noc"
 )
 
-// digest fingerprints everything a point produced: every observable field
-// of its Results, and the outcome bytes of its campaign record.
-func digest(res *core.Results) [sha256.Size]byte {
+// outcome fingerprints everything a point produced: every observable field
+// of its Results but the Config, and the outcome bytes of its campaign
+// record.
+func outcome(res *core.Results) []byte {
 	var rec campaign.Record
 	rec.Fill(res)
-	return sha256.Sum256(append([]byte(core.Summarize(res)), rec.AppendJSONL(nil)...))
+	return append([]byte(core.Summarize(res)), rec.AppendJSONL(nil)...)
+}
+
+// digest fingerprints a point's outcome and the Config, defaults applied,
+// that its Results report.
+func digest(res *core.Results) [sha256.Size]byte {
+	return sha256.Sum256(fmt.Appendf(outcome(res), "%+v", res.Config))
 }
 
 // parallel runs fn(worker, i) for every i in [0, n) on GOMAXPROCS
@@ -128,12 +135,15 @@ func lowerGrid(t *testing.T, path string) []core.ExperimentConfig {
 
 // TestGroupedEqualsAlone is the fork's end-to-end contract: for every
 // committed grid — the benchmark's workloads and every spec — running each
-// fork group through RunGroup gives every point exactly the results and
-// record it gets alone on a fresh Runner, while the stepped-cycle count
-// drops by the shared warm-ups. For the benchmark grids the grouping and
-// the count are pinned: a resumed member steps from the enable cycle to
-// the end, Measure+1 cycles, because cycle EnableCycle() is the first its
-// armed trojans can strike in.
+// fork group through RunGroup gives every point exactly the results, Config
+// and record it gets alone on a fresh Runner, while the stepped-cycle count
+// drops by the shared warm-ups and the copied runs. For the benchmark
+// grids the grouping and the count are pinned: a resumed member steps from
+// the enable cycle to the end, Measure+1 cycles, because cycle
+// EnableCycle() is the first its armed trojans can strike in, and a copied
+// member steps none. In sweep, each (topology, benchmark, seed) group
+// simulates its clean point under none once, copies it for s2s-lob and
+// rerouting, and resumes the three attacked points from its warm-up.
 func TestGroupedEqualsAlone(t *testing.T) {
 	type pin struct {
 		sizes          map[int]int // group size -> groups of that size
@@ -141,7 +151,7 @@ func TestGroupedEqualsAlone(t *testing.T) {
 	}
 	bench := map[string]pin{
 		"secure.json": {map[int]int{5: 36}, 540_000, 36*3000 + 144*1501},
-		"sweep.json":  {map[int]int{4: 135, 2: 135}, 486_000, 270*600 + (135*3+135)*301},
+		"sweep.json":  {map[int]int{6: 135}, 486_000, 135*600 + 405*301},
 		"scale.json":  {map[int]int{2: 8}, 80_000, 8*5000 + 8*4001},
 	}
 	specs, err := filepath.Glob("../../specs/*.json")
@@ -222,5 +232,98 @@ func TestIneligibleGroupsRunUnforked(t *testing.T) {
 				t.Errorf("stepped %d cycles grouped, %d alone; want both 1200 (no fork)", grouped, alone)
 			}
 		})
+	}
+}
+
+// TestInertMitigationsAreOneRun is the premise of copied runs: on a
+// fault-free point, none, s2s-lob and rerouting are one run — a mitigated
+// wire on a clean link sends every flit plain, and rerouting never acts —
+// on every topology, with the monitors off and with secure-ack, locate and
+// recovery on. Run alone, the three give one outcome. With the attack
+// enabled each mitigation must differ from none, or the comparison shows
+// nothing.
+func TestInertMitigationsAreOneRun(t *testing.T) {
+	for _, topo := range []string{"mesh", "torus", "ring"} {
+		for _, monitors := range []bool{false, true} {
+			for _, seed := range []uint64{1, 2} {
+				cfg := core.DefaultExperiment()
+				cfg.Noc.Topo, cfg.Seed = topo, seed
+				cfg.Warmup, cfg.Measure = 300, 300
+				cfg.SecureAck, cfg.Locate, cfg.RecoverOnConvict = monitors, monitors, monitors
+				var cfgs []core.ExperimentConfig
+				for _, attack := range []bool{false, true} {
+					for _, m := range []core.Mitigation{core.NoMitigation, core.S2SLOb, core.Rerouting} {
+						c := cfg
+						c.Attack.Enabled, c.Mitigation = attack, m
+						cfgs = append(cfgs, c)
+					}
+				}
+				name := fmt.Sprintf("%s/monitors=%v/seed=%d", topo, monitors, seed)
+				t.Run(name, func(t *testing.T) {
+					got := make([][sha256.Size]byte, len(cfgs))
+					for i, c := range cfgs {
+						res, err := core.Run(c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got[i] = sha256.Sum256(outcome(res))
+					}
+					if got[1] != got[0] || got[2] != got[0] {
+						t.Error("a clean point's run depends on its mitigation")
+					}
+					if got[4] == got[3] || got[5] == got[3] {
+						t.Error("an attacked point runs alike under none and a mitigation; the clean comparison is vacuous")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestGroupMembersInAnyOrder: RunGroup's roles depend on the order of a
+// group — which member checkpoints, whether the warm-up is latched, which
+// run is kept for a copy. Every rotation of a sweep group (clean and
+// attacked, each under none, s2s-lob and rerouting), forward and reversed,
+// gives every point its results alone. Among them, an attacked
+// unmitigated member checkpoints a latched warm-up and must not stay
+// mitigated after it, and a clean point under rerouting is kept and copied
+// to the others.
+func TestGroupMembersInAnyOrder(t *testing.T) {
+	var sweep []core.ExperimentConfig
+	for _, attack := range []bool{false, true} {
+		for _, m := range []core.Mitigation{core.NoMitigation, core.S2SLOb, core.Rerouting} {
+			c := core.DefaultExperiment()
+			c.Warmup, c.Measure = 300, 300
+			c.Attack.Enabled, c.Mitigation = attack, m
+			sweep = append(sweep, c)
+		}
+	}
+	want, _ := runAlone(t, sweep)
+	for _, reversed := range []bool{false, true} {
+		for rot := range sweep {
+			order := make([]int, len(sweep))
+			for k := range order {
+				order[k] = (k + rot) % len(sweep)
+				if reversed {
+					order[k] = len(sweep) - 1 - order[k]
+				}
+			}
+			cfgs := make([]core.ExperimentConfig, len(order))
+			all := make([]int, len(order))
+			for k, i := range order {
+				cfgs[k], all[k] = sweep[i], k
+			}
+			got, stepped := runGrouped(t, cfgs, [][]int{all})
+			for k, i := range order {
+				if got[k] != want[i] {
+					t.Errorf("order %v: point %d differs from its run alone", order, i)
+				}
+			}
+			// One whole run, two copies of the clean one, three resumed
+			// attacked members.
+			if stepped != 600+3*301 {
+				t.Errorf("order %v: stepped %d cycles, want %d", order, stepped, 600+3*301)
+			}
+		}
 	}
 }

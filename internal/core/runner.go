@@ -34,8 +34,10 @@ type Runner struct {
 	// the run. Tests install noc.Network.CheckInvariants here.
 	audit func(*noc.Network) error
 
-	// fork is the warm-up checkpoint RunGroup's members share (fork.go).
+	// fork is the warm-up checkpoint RunGroup's members share, and kept the
+	// results a later member repeats (fork.go).
 	fork forkStore
+	kept keptRun
 }
 
 // NewRunner returns an empty Runner; arenas are built on first use per
@@ -367,9 +369,27 @@ func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
 	return r.run(cfg, res, runWhole)
 }
 
-// defaultSampleEvery is the occupancy sampling period when the
-// configuration leaves SampleEvery at 0.
-const defaultSampleEvery = 25
+// The defaults a run reads a configuration's zero (or negative) fields as.
+const (
+	defaultSampleEvery        = 25  // occupancy sampling period
+	defaultRerouteDetectDelay = 200 // rerouting baseline's reaction time
+)
+
+// withDefaults applies the defaults and mitigation-driven platform changes a
+// run makes to its configuration; Results.Config holds the outcome.
+func withDefaults(cfg *ExperimentConfig) {
+	if cfg.Mitigation == TDMQoS {
+		// SurfNoC-style non-interference partitions the retransmission
+		// buffers between the domains too.
+		cfg.Noc.PartitionRetrans = true
+	}
+	if cfg.SampleEvery <= 0 {
+		cfg.SampleEvery = defaultSampleEvery
+	}
+	if cfg.RerouteDetectDelay <= 0 {
+		cfg.RerouteDetectDelay = defaultRerouteDetectDelay
+	}
+}
 
 // run executes one experiment; mode says whether it checkpoints its
 // warm-up for later group members, or resumes from that checkpoint.
@@ -385,20 +405,10 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
 		}
 		model = m
 	}
-	if cfg.Mitigation == TDMQoS {
-		// SurfNoC-style non-interference partitions the retransmission
-		// buffers between the domains too.
-		cfg.Noc.PartitionRetrans = true
-	}
+	withDefaults(&cfg)
 	a, err := r.arena(cfg.Noc)
 	if err != nil {
 		return err
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = defaultSampleEvery
-	}
-	if cfg.RerouteDetectDelay <= 0 {
-		cfg.RerouteDetectDelay = 200
 	}
 	enableAt := cfg.EnableCycle()
 
@@ -473,7 +483,11 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
 		}
 		w := a.wires[l.ID]
 		w.Reset(tap, cfg.Seed^0x10b^uint64(l.ID))
-		w.Mitigated = mitigated
+		// A latching warm-up runs every wire mitigated until the checkpoint,
+		// for the flow latches a later s2s-lob member resumes with. Before
+		// enable a mitigated wire sends every flit plain, as an unmitigated
+		// one does.
+		w.Mitigated = mitigated || mode == runLatch
 		w.Escalation = cfg.EscalationOrder
 		if w.Detector.Cap() != wantCap {
 			w.Detector = detect.New(wantCap)
@@ -579,13 +593,16 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
 	rerouted := false
 	first := 0
 	if mode == runResume {
-		r.fork.restore(a, gen, ackmon, res)
+		r.fork.restore(a, gen, ackmon, res, mitigated)
 		first = int(enableAt) - 1
 	}
 	for c := first; c < total; c++ {
 		if net.Cycle()+1 == enableAt {
-			if mode == runCheckpoint {
-				r.fork.save(&cfg, a, gen, ackmon, res)
+			if mode == runCheckpoint || mode == runLatch {
+				r.fork.save(&cfg, a, gen, ackmon, res, mode == runLatch)
+				for _, w := range a.wires {
+					w.Mitigated = mitigated
+				}
 			}
 			for _, ht := range trojans {
 				ht.SetKillSwitch(true)
@@ -685,8 +702,9 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
 
 	// ---- results ----
 	res.Final = net.Counters
-	if cfg.Measure > 0 {
-		res.Throughput = float64(res.Final.DeliveredPackets-res.AtEnable.DeliveredPackets) / float64(cfg.Measure)
+	if counted := total - int(enableAt); counted > 0 {
+		// The deliveries counted are those from the enable cycle on.
+		res.Throughput = float64(res.Final.DeliveredPackets-res.AtEnable.DeliveredPackets) / float64(counted)
 	}
 	res.AvgLatency = res.Final.AvgLatency()
 	for _, t := range trojans {

@@ -179,6 +179,11 @@ func TestRunIntoRejectsBadConfigs(t *testing.T) {
 		{"hijack past the mesh", func(c *ExperimentConfig) { c.Attack.Kind = tasp.KindMisroute; c.Attack.Hijack = 99 }, "Attack.Hijack = 99 out of range: -1 (auto) or 0..15"},
 		{"recover without secure-ack", func(c *ExperimentConfig) { c.RecoverOnConvict = true }, "RecoverOnConvict requires SecureAck"},
 		{"bad platform", func(c *ExperimentConfig) { c.Noc.VCs = 0 }, "VCs must be 1..8"},
+		{"negative warm-up", func(c *ExperimentConfig) { c.Warmup = -100 }, "Warmup = -100 out of range: must be >= 0"},
+		{"negative measure", func(c *ExperimentConfig) { c.Measure = -1 }, "Measure = -1 out of range: must be >= 0"},
+		{"enable at the run's end", func(c *ExperimentConfig) { c.Attack.EnableAt = 100 }, "Attack.EnableAt = 100 out of range: 0 (end of warm-up) or below Warmup+Measure = 100"},
+		{"enable past the run", func(c *ExperimentConfig) { c.Attack.EnableAt = 5000 }, "Attack.EnableAt = 5000 out of range"},
+		{"enable in a zero-cycle run", func(c *ExperimentConfig) { c.Warmup, c.Measure, c.Attack.EnableAt = 0, 0, 1 }, "Attack.EnableAt = 1 out of range"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultExperiment()
@@ -196,5 +201,39 @@ func TestRunIntoRejectsBadConfigs(t *testing.T) {
 	cfg.SecureAck, cfg.RecoverOnConvict = true, true
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("in-range configuration rejected: %v", err)
+	}
+	cfg.Attack.EnableAt = uint64(cfg.Warmup+cfg.Measure) - 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("enable cycle in the run's last cycle rejected: %v", err)
+	}
+	zero := DefaultExperiment()
+	zero.Warmup, zero.Measure = 0, 0 // a set-up-only run, attack enabled
+	if err := NewRunner().RunInto(zero, &Results{}); err != nil {
+		t.Fatalf("zero-cycle run rejected: %v", err)
+	}
+}
+
+// TestThroughputCountsFromTheEnableCycle: Throughput is the deliveries
+// from the enable cycle on over the cycles they took, Warmup+Measure minus
+// the enable cycle. At the default enable cycle that is Measure; an
+// explicit one moves both the AtEnable snapshot and the divisor.
+func TestThroughputCountsFromTheEnableCycle(t *testing.T) {
+	for _, enableAt := range []uint64{0, 500, 1500} {
+		cfg := DefaultExperiment()
+		cfg.Attack.Enabled = false
+		cfg.Warmup, cfg.Measure = 1000, 1000
+		cfg.Attack.EnableAt = enableAt
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := 2000 - cfg.EnableCycle()
+		delivered := res.Final.DeliveredPackets - res.AtEnable.DeliveredPackets
+		if res.AtEnable.DeliveredPackets == 0 || delivered == 0 {
+			t.Fatalf("EnableAt %d: AtEnable %d, delivered after it %d; want both nonzero", enableAt, res.AtEnable.DeliveredPackets, delivered)
+		}
+		if want := float64(delivered) / float64(counted); res.Throughput != want {
+			t.Errorf("EnableAt %d: Throughput = %v, want %d packets / %d cycles = %v", enableAt, res.Throughput, delivered, counted, want)
+		}
 	}
 }

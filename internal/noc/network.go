@@ -435,12 +435,15 @@ func (n *Network) Inject(core int, p *flit.Packet) bool {
 	p.Hdr.SrcC = uint8(c)
 	p.ID = n.nextPacketID
 	p.Inject = n.cycle
-	fs := p.AppendFlits(n.injScratch[:0], &n.layout)
-	n.injScratch = fs[:0]
-	if !n.nis[r].enqueue(c, fs) {
+	if n.nis[r].coreFull(c, p.NumFlits()) {
+		// Refused before the flits are built: most injections into a
+		// saturated network are.
 		n.Counters.InjectFailures++
 		return false
 	}
+	fs := p.AppendFlits(n.injScratch[:0], &n.layout)
+	n.injScratch = fs[:0]
+	n.nis[r].enqueue(c, fs)
 	n.nextPacketID++
 	n.Counters.InjectedPackets++
 	n.Counters.InjectedFlits += uint64(len(fs))

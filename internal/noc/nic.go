@@ -101,14 +101,9 @@ func (ni *NI) reset() {
 // qlen returns the number of flits waiting in one core's injection queue.
 func (ni *NI) qlen(core int) int { return len(ni.queues[core]) - ni.heads[core] }
 
-// enqueue appends a packet's flits to the core-local injection queue if the
-// whole packet fits; otherwise it reports failure and queues nothing (the
-// source must retry — this is how full cores throttle, and what the paper's
-// "cores full" bins measure).
-func (ni *NI) enqueue(core int, fs []flit.Flit) bool {
-	if ni.qlen(core)+len(fs) > ni.cfg.InjQueueCap {
-		return false
-	}
+// enqueue appends a packet's flits to the core-local injection queue. The
+// caller has admitted the packet with coreFull, so the whole packet fits.
+func (ni *NI) enqueue(core int, fs []flit.Flit) {
 	q, h := ni.queues[core], ni.heads[core]
 	if h > 0 && len(q)+len(fs) > cap(q) {
 		n := copy(q, q[h:])
@@ -118,11 +113,12 @@ func (ni *NI) enqueue(core int, fs []flit.Flit) bool {
 	//nocvet:allowalloc bounded: qlen admission caps occupancy at InjQueueCap and the queue is pre-sized to it
 	ni.queues[core] = append(q, fs...)
 	ni.gain(len(fs))
-	return true
 }
 
 // coreFull reports whether a core's injection queue cannot accept a packet
-// of the given flit count.
+// of the given flit count: the admission rule for injection, and the
+// "core full" test of the paper's occupancy bins. A refused packet queues
+// nothing; the source must retry — this is how full cores throttle.
 func (ni *NI) coreFull(core, packetFlits int) bool {
 	return ni.qlen(core)+packetFlits > ni.cfg.InjQueueCap
 }

@@ -235,6 +235,27 @@ func TestInjectionQueueBackpressure(t *testing.T) {
 	if n.Counters.InjectFailures != uint64(fail) {
 		t.Fatalf("failure counter %d != %d", n.Counters.InjectFailures, fail)
 	}
+
+	// Admission is for the whole packet: with one free slot a three-flit
+	// packet is refused, changing only the failure counter, and a
+	// single-flit one still fits.
+	n = mkNet(t)
+	for i := 1; i < n.Config().InjQueueCap; i++ {
+		if !n.Inject(0, pkt(15, 0, 0, 0)) {
+			t.Fatalf("single-flit packet %d refused below the queue's capacity", i)
+		}
+	}
+	before := n.Counters
+	if n.Inject(0, pkt(15, 0, 0, 2)) {
+		t.Fatal("a three-flit packet was admitted into one free slot")
+	}
+	before.InjectFailures++
+	if n.Counters != before {
+		t.Fatalf("a refused packet changed the counters to %+v, want %+v", n.Counters, before)
+	}
+	if !n.Inject(0, pkt(15, 0, 0, 0)) {
+		t.Fatal("a single-flit packet was refused with one free slot")
+	}
 }
 
 func TestTransientFaultsAreAbsorbed(t *testing.T) {
