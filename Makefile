@@ -52,12 +52,14 @@ race:
 
 # Fuzz the header Encode/Decode round-trip across randomized layouts, the
 # event-driven core's per-cycle invariants and flit conservation across
-# random platforms, loads, faults and a mid-run link disable, and campaign
-# spec parsing, validation, hashing and expansion on malformed input.
+# random platforms, loads, faults and a mid-run link disable, campaign
+# spec parsing, validation, hashing and expansion on malformed input, and
+# campaign resume from malformed checkpoint sidecars.
 fuzz:
 	$(GO) test -fuzz=FuzzHeaderRoundTrip -fuzztime=10s ./internal/flit
 	$(GO) test -run xxx -fuzz=FuzzStepInvariants -fuzztime=10s ./internal/noc
 	$(GO) test -run xxx -fuzz=FuzzSpec -fuzztime=10s ./internal/campaign
+	$(GO) test -run xxx -fuzz=FuzzResume -fuzztime=10s ./internal/campaign
 
 # Regenerate the paper's tables/figures and extension studies.
 experiments:
@@ -101,15 +103,16 @@ bench:
 # (BENCH_<date>.json) so the perf trajectory is tracked across PRs. Covers
 # the clean Step benches (idle / uniform at 4x4, 8x8, 16x16 / drain) in
 # internal/noc plus the under-attack bench at the repo root. benchgate -json
-# writes the document with the same parser the gate reads baselines with.
+# writes the document with the same parser the gate uses.
 bench-json:
 	$(GO) test -bench=NetworkStep -benchmem -run xxx ./internal/noc . \
 		| $(GO) run ./cmd/benchgate -json -label "Network.Step hot path (clean + under attack)" > BENCH_$(DATE).json
 	@cat BENCH_$(DATE).json
 
 # The CI allocation gate, runnable locally: every hot-path benchmark a
-# fixed 100 iterations, fail on any nonzero allocs/op, and show ns/op
-# against the latest BENCH_<date>.json baseline. Covers the per-cycle Step
+# fixed 100 iterations, fail on any nonzero allocs/op. It prints no ns/op:
+# 100-iteration times are not comparable with the default-benchtime
+# medians of BENCH_<date>.json (`make bench-json`). Covers the per-cycle Step
 # benches (internal/noc, plus under attack at the repo root) and the
 # per-point campaign engine benches (a warmed core.Runner arena in
 # internal/core, the full simulate+fill+encode worker body in

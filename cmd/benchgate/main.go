@@ -1,11 +1,10 @@
 // Command benchgate is the one parser for `go test -bench -benchmem` text
 // (read on stdin). By default it is the CI allocation gate for the hot-path
-// benchmarks: it fails (exit 1) if any benchmark reports a nonzero
-// allocs/op, and prints each benchmark's ns/op next to the most recent
-// BENCH_<date>.json baseline so a run that passes the alloc budget but
-// drifts in time is visible in the job log. With -json it instead writes
-// the run as a BENCH_<date>.json document (`make bench-json`), the format
-// the gate reads its baselines from.
+// benchmarks: it prints each benchmark's allocs/op and fails (exit 1) if
+// any is nonzero. It prints no timing: the gate's short fixed-iteration
+// runs are not comparable with the default-benchtime medians of the
+// BENCH_<date>.json snapshots. With -json it instead writes the run as a
+// BENCH_<date>.json document (`make bench-json`).
 //
 // Usage:
 //
@@ -23,8 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -114,33 +111,6 @@ func parseBenchOutput(r io.Reader) (report, error) {
 	return rep, sc.Err()
 }
 
-// latestBaseline finds the lexicographically latest BENCH_*.json in dir
-// (the ISO dates in the names make that the newest) and returns its name
-// plus a bench-name → metrics index, keyed without the GOMAXPROCS suffix a
-// snapshot taken on a multi-CPU host carries. A missing baseline is not an
-// error: the alloc gate still runs, only the deltas are skipped.
-func latestBaseline(dir string) (string, map[string]map[string]float64, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
-	if err != nil || len(paths) == 0 {
-		return "", nil, err
-	}
-	sort.Strings(paths)
-	path := paths[len(paths)-1]
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, err
-	}
-	var bf report
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		return "", nil, fmt.Errorf("%s: %v", path, err)
-	}
-	idx := make(map[string]map[string]float64, len(bf.Benchmarks))
-	for _, b := range bf.Benchmarks {
-		idx[stripProcs(b.Name)] = b.Metrics
-	}
-	return filepath.Base(path), idx, nil
-}
-
 // writeReport writes rep as an indented BENCH_<date>.json document.
 func writeReport(w io.Writer, rep report) error {
 	enc := json.NewEncoder(w)
@@ -148,9 +118,9 @@ func writeReport(w io.Writer, rep report) error {
 	return enc.Encode(rep)
 }
 
-// gate prints one line per benchmark (alloc verdict plus ns/op delta vs the
-// baseline) and returns the number of benchmarks over the alloc budget.
-func gate(w io.Writer, benches []bench, baseName string, baseline map[string]map[string]float64) int {
+// gate prints one line per benchmark with its alloc verdict and returns
+// the number of benchmarks over the alloc budget.
+func gate(w io.Writer, benches []bench) int {
 	failures := 0
 	for _, b := range benches {
 		allocs := b.Metrics["allocs/op"]
@@ -159,21 +129,12 @@ func gate(w io.Writer, benches []bench, baseName string, baseline map[string]map
 			verdict = "ALLOC BUDGET EXCEEDED"
 			failures++
 		}
-		delta := "no baseline"
-		if base, ok := baseline[b.Name]; ok {
-			if baseNs := base["ns/op"]; baseNs > 0 {
-				ns := b.Metrics["ns/op"]
-				delta = fmt.Sprintf("%.4g ns/op vs %.4g in %s (%+.1f%%)",
-					ns, baseNs, baseName, 100*(ns-baseNs)/baseNs)
-			}
-		}
-		fmt.Fprintf(w, "%-52s %g allocs/op [%s]  %s\n", b.Name, allocs, verdict, delta)
+		fmt.Fprintf(w, "%-52s %g allocs/op [%s]\n", b.Name, allocs, verdict)
 	}
 	return failures
 }
 
 func main() {
-	baselineDir := flag.String("baselines", ".", "directory holding BENCH_<date>.json baselines")
 	asJSON := flag.Bool("json", false, "write the run as a BENCH_<date>.json document instead of gating it")
 	label := flag.String("label", "", "free-form label recorded in the -json document")
 	flag.Parse()
@@ -195,12 +156,7 @@ func main() {
 		}
 		return
 	}
-	baseName, baseline, err := latestBaseline(*baselineDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	if failures := gate(os.Stdout, rep.Benchmarks, baseName, baseline); failures > 0 {
+	if failures := gate(os.Stdout, rep.Benchmarks); failures > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) over the zero-alloc budget\n", failures)
 		os.Exit(1)
 	}

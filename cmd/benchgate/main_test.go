@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -63,43 +65,25 @@ PASS
 ok  	tasp/internal/noc	0.5s
 `
 
-func TestGatePassesZeroAllocAndPrintsDelta(t *testing.T) {
-	dir := t.TempDir()
-	old := `{"benchmarks":[{"name":"BenchmarkNetworkStep/idle","metrics":{"ns/op":9.0,"allocs/op":0}}]}`
-	latest := `{"benchmarks":[
-		{"name":"BenchmarkNetworkStep/idle","metrics":{"ns/op":2.0,"allocs/op":0}},
-		{"name":"BenchmarkNetworkStep/uniform","metrics":{"ns/op":9215,"allocs/op":0}}]}`
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_2026-08-01.json"), []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_2026-08-08.json"), []byte(latest), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	baseName, baseline, err := latestBaseline(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if baseName != "BENCH_2026-08-08.json" {
-		t.Fatalf("picked %q, want the lexicographically latest baseline", baseName)
-	}
-
+func TestGatePassesZeroAlloc(t *testing.T) {
 	rep, err := parseBenchOutput(strings.NewReader(sampleOutput))
 	if err != nil || len(rep.Benchmarks) != 2 {
 		t.Fatalf("parsed %d benches, err=%v", len(rep.Benchmarks), err)
 	}
 	var buf strings.Builder
-	if failures := gate(&buf, rep.Benchmarks, baseName, baseline); failures != 0 {
+	if failures := gate(&buf, rep.Benchmarks); failures != 0 {
 		t.Fatalf("zero-alloc run failed the gate:\n%s", buf.String())
 	}
 	out := buf.String()
-	// The idle delta must be computed against the latest baseline (2.0),
-	// not the older one (9.0): 2.10 vs 2.0 is +5.0%.
-	if !strings.Contains(out, "+5.0%") {
-		t.Errorf("idle ns/op delta vs latest baseline missing:\n%s", out)
+	for _, name := range []string{"BenchmarkNetworkStep/idle ", "BenchmarkNetworkStep/uniform "} {
+		if !strings.Contains(out, name) {
+			t.Errorf("%s missing from the report:\n%s", name, out)
+		}
 	}
-	if !strings.Contains(out, "BENCH_2026-08-08.json") {
-		t.Errorf("baseline file name missing from report:\n%s", out)
+	// The gate prints no timing: its short runs are not comparable with
+	// the snapshots' medians.
+	if strings.Contains(out, "ns/op") {
+		t.Errorf("the report prints ns/op:\n%s", out)
 	}
 }
 
@@ -111,45 +95,17 @@ func TestGateFailsOnNonzeroAllocs(t *testing.T) {
 		t.Fatalf("parsed %d benches, err=%v", len(rep.Benchmarks), err)
 	}
 	var buf strings.Builder
-	if failures := gate(&buf, rep.Benchmarks, "", nil); failures != 1 {
+	if failures := gate(&buf, rep.Benchmarks); failures != 1 {
 		t.Fatalf("gate let %d allocs/op through:\n%s", int(rep.Benchmarks[0].Metrics["allocs/op"]), buf.String())
 	}
 	if !strings.Contains(buf.String(), "ALLOC BUDGET EXCEEDED") {
 		t.Errorf("offender not named in report:\n%s", buf.String())
 	}
-	if !strings.Contains(buf.String(), "no baseline") {
-		t.Errorf("missing-baseline case not reported:\n%s", buf.String())
-	}
-}
-
-func TestLatestBaselineMissingDir(t *testing.T) {
-	name, baseline, err := latestBaseline(t.TempDir())
-	if err != nil || name != "" || baseline != nil {
-		t.Fatalf("empty dir should yield no baseline and no error: %q %v %v", name, baseline, err)
-	}
-}
-
-// TestLatestBaselineStripsProcs: a snapshot recorded on a multi-CPU host
-// names its benchmarks with the -<GOMAXPROCS> suffix; the index must match
-// the suffix-free names the gate parses from live output.
-func TestLatestBaselineStripsProcs(t *testing.T) {
-	dir := t.TempDir()
-	snap := `{"benchmarks": [{"name": "BenchmarkNetworkStep/uniform-8x8-2", "metrics": {"ns/op": 9688}}]}`
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_2026-10-16.json"), []byte(snap), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, baseline, err := latestBaseline(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := baseline["BenchmarkNetworkStep/uniform-8x8"]["ns/op"]; got != 9688 {
-		t.Fatalf("baseline for the suffix-free name: ns/op %v, index %v", got, baseline)
-	}
 }
 
 // TestJSONReportRoundTrips: a -json document carries the committed
 // snapshots' fields (label, host lines, per-benchmark package, runs and
-// metrics) and is read back by latestBaseline as the next gate's baseline.
+// metrics) and decodes back to the report it was written from.
 func TestJSONReportRoundTrips(t *testing.T) {
 	rep, err := parseBenchOutput(strings.NewReader(sampleOutput + `pkg: tasp
 BenchmarkNetworkStepAttack-8  	     100	      5600 ns/op	       0 B/op	       0 allocs/op
@@ -179,20 +135,14 @@ BenchmarkNetworkStepAttack-8  	     100	      5600 ns/op	       0 B/op	       0 
 			t.Errorf("document lacks %s:\n%s", field, raw)
 		}
 	}
-	name, baseline, err := latestBaseline(dir)
-	if err != nil || name != "BENCH_2026-10-17.json" {
-		t.Fatalf("latestBaseline = %q, %v", name, err)
+	var back report
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatal(err)
 	}
-	for bench, ns := range map[string]float64{
-		"BenchmarkNetworkStep/idle":    2.10,
-		"BenchmarkNetworkStep/uniform": 9300,
-		"BenchmarkNetworkStepAttack":   5600,
-	} {
-		if got := baseline[bench]["ns/op"]; got != ns {
-			t.Errorf("%s: ns/op %v after the round trip, want %v", bench, got, ns)
-		}
+	if !reflect.DeepEqual(back, rep) {
+		t.Errorf("the document decodes to %+v, want %+v", back, rep)
 	}
-	if got := baseline["BenchmarkNetworkStep/uniform"]["flits-in-flight"]; got != 117.2 {
+	if got := back.Benchmarks[1].Metrics["flits-in-flight"]; got != 117.2 {
 		t.Errorf("custom metric lost in the round trip: %v", got)
 	}
 }

@@ -9,9 +9,10 @@ import (
 // pointLoop is the worker's per-group body without the channel plumbing:
 // lower the group's scenarios, run them on the reused arena through
 // RunGroup — the first member checkpoints the shared warm-up, a member
-// repeating its run copies its results, and the others resume from the
-// checkpoint — and fill and encode each record into a recycled buffer. One
-// step runs one group.
+// repeating its run copies its results, the attacked rerouting member
+// resumes its unmitigated twin at its reroute cycle, and the others resume
+// the warm-up — and fill and encode each record into a recycled buffer.
+// One step runs one group.
 type pointLoop struct {
 	scenarios []Scenario
 	groups    [][]int
@@ -22,7 +23,8 @@ type pointLoop struct {
 	cfgs      []core.ExperimentConfig
 	members   []int
 	i         int
-	resumed   int // members that resumed a checkpoint, for the coverage check
+	resumed   int // members that resumed the warm-up, for the coverage check
+	twins     int // members that resumed their twin
 	copied    int // members that copied an earlier member's run
 }
 
@@ -42,9 +44,11 @@ func (p *pointLoop) emit(k int, res *core.Results) error {
 	p.rec.identify(i, &p.scenarios[i], &p.cfgs[k])
 	p.rec.Fill(res)
 	p.buf = p.rec.AppendJSONL(p.buf[:0])
-	switch {
-	case p.scenarios[i].Attack.Kind == "none" && k > 0:
-		p.copied++ // the clean point under s2s-lob repeats it under none
+	switch sc := &p.scenarios[i]; {
+	case sc.Attack.Kind == "none" && k > 0:
+		p.copied++ // the clean point under a mitigation repeats it under none
+	case sc.Mitigation == "rerouting":
+		p.twins++
 	case k > 0:
 		p.resumed++
 	}
@@ -68,15 +72,17 @@ func (p *pointLoop) step(tb testing.TB) {
 }
 
 // allocSpec exercises the paper's headline arms (clean, attacked,
-// defended) on one platform with rotating seeds — the shape of a real
-// sweep's inner loop. The four points of one seed share their warm-up, and
-// the clean point is one run under either mitigation, so every group is a
-// checkpointing member, a copied one and two resuming ones.
+// defended, rerouted) on one platform with rotating seeds — the shape of a
+// real sweep's inner loop. The six points of one seed share their warm-up,
+// the clean point is one run under every mitigation, and the attacked
+// point under rerouting is the one under none until its reroute cycle, so
+// every group is a checkpointing member, two copied ones, two resuming the
+// warm-up and one resuming its twin.
 func allocSpec() Spec {
 	return Spec{
 		Benchmarks:  []string{"blackscholes"},
 		Attacks:     []AttackSpec{{Kind: "none"}, {Kind: "dest"}},
-		Mitigations: []string{"none", "s2s-lob"},
+		Mitigations: []string{"none", "s2s-lob", "rerouting"},
 		SeedCount:   8,
 		Warmup:      200,
 		Measure:     200,
@@ -86,8 +92,8 @@ func allocSpec() Spec {
 // TestCampaignPointSteadyStateAllocs pins the campaign engine's per-point
 // allocation contract end to end: simulate + fill + encode allocates
 // nothing once the worker's arena, checkpoint and buffers have warmed up,
-// for the member that checkpoints its warm-up, the one that copies its run
-// and the ones that resume it.
+// for the member that checkpoints its warm-up, the ones that copy its run,
+// the ones that resume it and the one that resumes its twin.
 func TestCampaignPointSteadyStateAllocs(t *testing.T) {
 	p := newPointLoop(t)
 	// Warm past the recyclers' high-water marks (see the core runner's
@@ -95,19 +101,19 @@ func TestCampaignPointSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 2*len(p.groups); i++ {
 		p.step(t)
 	}
-	resumed, copied := p.resumed, p.copied
+	resumed, twins, copied := p.resumed, p.twins, p.copied
 	if avg := testing.AllocsPerRun(10, func() { p.step(t) }); avg > 0.1 {
 		t.Errorf("warmed campaign group allocates %.2f times per group; budget is 0", avg)
 	}
-	if p.resumed == resumed || p.copied == copied {
-		t.Error("no measured group had a member resume the warm-up checkpoint and one copy a run")
+	if p.resumed == resumed || p.twins == twins || p.copied == copied {
+		t.Error("no measured group had a member resume the warm-up, one resume its twin and one copy a run")
 	}
 }
 
 // BenchmarkCampaignPoint measures the warm per-group cost of a campaign
-// worker (one 400-cycle point, a copy of it, two points resumed from its
-// warm-up, and the four records' encodes). Wired into the CI allocation gate: the b.N loop must
-// report 0 allocs/op.
+// worker (one 400-cycle point, two copies of it, two points resumed from
+// its warm-up, one resumed from its twin, and the six records' encodes).
+// Wired into the CI allocation gate: the b.N loop must report 0 allocs/op.
 func BenchmarkCampaignPoint(b *testing.B) {
 	p := newPointLoop(b)
 	for i := 0; i < 2*len(p.groups); i++ {

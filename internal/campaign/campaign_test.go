@@ -498,6 +498,36 @@ func TestResumeRejectsStaleCheckpoint(t *testing.T) {
 	}
 }
 
+// TestHugeGridFailsWithAnError: a grid past maxPoints — here a seed axis of
+// 2^62, and one whose axes' product overflows an int — fails Validate and
+// Run with an error naming its size, before anything expands it or
+// creates the output.
+func TestHugeGridFailsWithAnError(t *testing.T) {
+	for _, tc := range []struct{ spec, want string }{
+		{`{"benchmarks":["fft"],"seed_count":4611686018427387904}`, "the grid has 4611686018427387904 points; the limit is 1000000"},
+		{`{"benchmarks":["fft","lu"],"seed_count":4611686018427387904}`, "overflows an int; the limit is 1000000 points"},
+		{`{"seed_count":1000001}`, "the grid has 1000001 points"},
+	} {
+		spec, err := ParseSpec([]byte(tc.spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.spec, err, tc.want)
+		}
+		out := filepath.Join(t.TempDir(), "out.jsonl")
+		if _, err := Run(context.Background(), spec, out, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Run() = %v, want an error containing %q", tc.spec, err, tc.want)
+		}
+		if _, err := os.Stat(out); err == nil {
+			t.Errorf("%s: Run created the output", tc.spec)
+		}
+	}
+	if n := (Spec{SeedCount: maxPoints}).Size(); n != maxPoints {
+		t.Errorf("Size = %d, want %d", n, maxPoints)
+	}
+}
+
 // TestSpecValidateRejectsBadAttackInputs: every malformed attack input, and
 // every out-of-range platform, protocol or fault value, fails Spec.Validate,
 // before any point runs, with an error naming the field and its valid range

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,7 +35,33 @@ func ReadCheckpoint(path string) (ck Checkpoint, ok bool, err error) {
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return Checkpoint{}, false, fmt.Errorf("corrupt checkpoint %s: %w", path, err)
 	}
+	if ck.Written < 0 || ck.Offset < 0 {
+		return Checkpoint{}, false, fmt.Errorf("corrupt checkpoint %s: %d records at offset %d", path, ck.Written, ck.Offset)
+	}
 	return ck, true, nil
+}
+
+// countRecords checks that the first n bytes of f hold exactly want
+// newline-terminated records: the committed prefix a checkpoint claims.
+func countRecords(f *os.File, n int64, want int) error {
+	buf := make([]byte, 64<<10)
+	got, last := 0, byte('\n')
+	for off := int64(0); off < n; {
+		k := int(min(int64(len(buf)), n-off))
+		if _, err := f.ReadAt(buf[:k], off); err != nil {
+			return err
+		}
+		got += bytes.Count(buf[:k], []byte{'\n'})
+		last = buf[k-1]
+		off += int64(k)
+	}
+	switch {
+	case last != '\n':
+		return fmt.Errorf("the first %d bytes end mid-record", n)
+	case got != want:
+		return fmt.Errorf("the first %d bytes hold %d records, not %d", n, got, want)
+	}
+	return nil
 }
 
 // writeCheckpoint commits a checkpoint atomically (write temp, rename), so

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 )
 
 // Dim is one grid axis value for network size.
@@ -54,20 +55,28 @@ func ParseSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
+// maxPoints is the largest grid Validate and Run accept. Expand holds every
+// point in memory, and a grid past it would take weeks to simulate.
+const maxPoints = 1_000_000
+
+// seedCount is the length of the seed axis.
+func (s Spec) seedCount() int {
+	if len(s.Seeds) > 0 {
+		return len(s.Seeds)
+	}
+	return max(s.SeedCount, 1)
+}
+
 // seeds resolves the seed axis.
 func (s Spec) seeds() []uint64 {
 	if len(s.Seeds) > 0 {
 		return s.Seeds
 	}
-	n := s.SeedCount
-	if n <= 0 {
-		n = 1
-	}
 	base := s.SeedBase
 	if base == 0 {
 		base = 1
 	}
-	out := make([]uint64, n)
+	out := make([]uint64, s.seedCount())
 	for i := range out {
 		out[i] = base + uint64(i)
 	}
@@ -103,10 +112,30 @@ func (s Spec) axes() (topos []string, dims []Dim, benches []string, attacks []At
 	return topos, dims, benches, attacks, mits, dets, s.seeds()
 }
 
-// Size reports the number of points the spec expands to.
+// Size reports the number of points the spec expands to, without expanding
+// it. A count past math.MaxInt reads as math.MaxInt.
 func (s Spec) Size() int {
-	topos, dims, benches, attacks, mits, dets, seeds := s.axes()
-	return len(topos) * len(dims) * len(benches) * len(attacks) * len(mits) * len(dets) * len(seeds)
+	n := s.seedCount()
+	for _, axis := range [...]int{len(s.Topologies), len(s.Dims), len(s.Benchmarks), len(s.Attacks), len(s.Mitigations), len(s.Detectors)} {
+		k := max(axis, 1)
+		if n > math.MaxInt/k {
+			return math.MaxInt
+		}
+		n *= k
+	}
+	return n
+}
+
+// checkSize rejects a grid of more than maxPoints points, before anything
+// expands it.
+func (s Spec) checkSize() error {
+	switch n := s.Size(); {
+	case n == math.MaxInt:
+		return fmt.Errorf("the grid's point count overflows an int; the limit is %d points", maxPoints)
+	case n > maxPoints:
+		return fmt.Errorf("the grid has %d points; the limit is %d", n, maxPoints)
+	}
+	return nil
 }
 
 // Expand materialises the grid in its canonical order.
@@ -146,9 +175,13 @@ func (s Spec) Expand() []Scenario {
 	return out
 }
 
-// Validate lowers and validates every point once, so a bad axis value fails
-// before any simulation runs rather than mid-sweep.
+// Validate checks the grid's size and lowers and validates every point
+// once, so a bad axis value fails before any simulation runs rather than
+// mid-sweep.
 func (s Spec) Validate() error {
+	if err := s.checkSize(); err != nil {
+		return err
+	}
 	for i, sc := range s.Expand() {
 		cfg, err := sc.Config()
 		if err != nil {

@@ -35,6 +35,9 @@ type Options struct {
 // boundary — already-committed output stays valid for Resume — and returns
 // ctx.Err().
 func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, error) {
+	if err := spec.checkSize(); err != nil {
+		return 0, err
+	}
 	scenarios := spec.Expand()
 	hash := spec.Hash()
 	workers := opt.Workers
@@ -66,9 +69,9 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		start, offset = ck.Written, ck.Offset
 	}
 
-	flags := os.O_CREATE | os.O_WRONLY
-	if !opt.Resume {
-		flags |= os.O_TRUNC
+	flags := os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+	if opt.Resume {
+		flags = os.O_CREATE | os.O_RDWR // the committed records are read back
 	}
 	f, err := os.OpenFile(outPath, flags, 0o644)
 	if err != nil {
@@ -87,6 +90,12 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		if offset > st.Size() {
 			return 0, fmt.Errorf("resume: checkpoint %s claims offset %d but %s is only %d bytes (stale or foreign checkpoint)",
 				ckptPath, offset, outPath, st.Size())
+		}
+		// Truncating to an offset that is not the end of the committed
+		// records would lose some or splice a torn one into the output.
+		if err := countRecords(f, offset, start); err != nil {
+			return 0, fmt.Errorf("resume: checkpoint %s claims %d records in %s at offset %d, but %w (stale or foreign checkpoint)",
+				ckptPath, start, outPath, offset, err)
 		}
 		// Drop any partial record written after the last checkpoint.
 		if err := f.Truncate(offset); err != nil {
@@ -113,10 +122,11 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 	// The remaining points are cut into fork groups (core.Groups): points
 	// whose warm-ups the network cannot tell apart, which a core.Runner
 	// simulates once per group. Workers pull the next group from a shared
-	// counter and run its members in index order; the in-order writer
-	// restores grid order, so the output depends only on per-point
-	// determinism. A resumed run groups only the uncommitted points, so a
-	// partly committed group restarts at its first uncommitted member.
+	// counter and run its members in the order RunGroup picks; the
+	// in-order writer restores grid order, so the output depends only on
+	// per-point determinism. A resumed run groups only the uncommitted
+	// points, so a partly committed group restarts at its first
+	// uncommitted member.
 	groups := core.Groups(len(scenarios)-start, workers, func(i int) (core.ExperimentConfig, error) {
 		return scenarios[start+i].Config()
 	})

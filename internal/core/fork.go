@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"tasp/internal/detect"
+	"tasp/internal/locate"
 	"tasp/internal/noc"
 	"tasp/internal/stats"
 	"tasp/internal/tasp"
@@ -22,7 +23,10 @@ import (
 // checkpoints it at the end of cycle EnableCycle()-1, and resumes every
 // other member from the checkpoint. A member whose whole run is another's
 // (same run identity) is not simulated at all: it gets a copy of that
-// member's Results.
+// member's Results. An attacked rerouting member is, up to its reroute
+// cycle, its twin — the same configuration under no mitigation — so when a
+// group holds both, the twin checkpoints again at the reroute cycle and the
+// rerouting member resumes there.
 
 // preEnable is the comparable part of a configuration's pre-enable
 // identity: the ExperimentConfig without what acts only from the enable
@@ -117,15 +121,28 @@ func runKeyOf(c *ExperimentConfig) runKey {
 	k.kind, k.yBits, k.hijack = a.Kind, a.YBits, a.Hijack
 	k.dutyPeriod, k.dutyActive, k.numLinks = a.DutyPeriod, a.DutyActive, a.NumLinks
 	k.mitigation = c.Mitigation
-	if c.Mitigation == Rerouting {
-		k.rerouteDelay = c.RerouteDetectDelay
-		if k.rerouteDelay <= 0 {
-			k.rerouteDelay = defaultRerouteDetectDelay
-		}
+	switch {
+	case c.Mitigation != Rerouting:
+	case rerouteAt(c) > uint64(c.Warmup+c.Measure):
+		k.mitigation = NoMitigation // it never reroutes: its run is its twin's
+	default:
+		k.rerouteDelay = rerouteDelay(c)
 	}
 	k.detectorHistory = c.DetectorHistory
 	return k
 }
+
+// rerouteDelay is the cycles the rerouting baseline waits after enable.
+func rerouteDelay(c *ExperimentConfig) int {
+	if c.RerouteDetectDelay <= 0 {
+		return defaultRerouteDetectDelay
+	}
+	return c.RerouteDetectDelay
+}
+
+// rerouteAt is the cycle at whose end an attacked rerouting run disables
+// the infected links; a run that ends before it never reroutes.
+func rerouteAt(c *ExperimentConfig) uint64 { return c.EnableCycle() + uint64(rerouteDelay(c)) }
 
 // sameRun reports whether two configurations run identically from the
 // first cycle to the last, so that their Results differ only in Config.
@@ -135,6 +152,32 @@ func sameRun(a, b *ExperimentConfig) bool {
 	return samePreEnable(a, b) && runKeyOf(a) == runKeyOf(b) &&
 		slices.Equal(a.Attack.Links, b.Attack.Links) &&
 		(faultFree(a) || slices.Equal(a.EscalationOrder, b.EscalationOrder))
+}
+
+// twinOf is a rerouting configuration's twin: the same configuration under
+// no mitigation, which runs cycle for cycle alike until the reroute.
+func twinOf(c *ExperimentConfig) ExperimentConfig {
+	t := *c
+	t.Mitigation = NoMitigation
+	return t
+}
+
+// reroutesMidRun reports whether c is a valid, forkable, attacked
+// rerouting configuration that reroutes before its last cycle: one that
+// may resume its twin's run at its reroute cycle.
+func reroutesMidRun(c *ExperimentConfig) bool {
+	return c.Mitigation == Rerouting && c.Attack.Enabled && forkable(c) &&
+		rerouteAt(c) <= uint64(c.Warmup+c.Measure) && c.Validate() == nil
+}
+
+// resumesTwin reports whether member c may resume the run of t at c's
+// reroute cycle: c reroutes mid-run and t runs as c's twin.
+func resumesTwin(c, t *ExperimentConfig) bool {
+	if !reroutesMidRun(c) {
+		return false
+	}
+	twin := twinOf(c)
+	return sameRun(&twin, t)
 }
 
 // forkable reports whether a configuration's warm-up may be shared, as far
@@ -252,48 +295,62 @@ func (k *preEnable) hash() uint64 {
 	return h
 }
 
-// forkStore is a Runner's warm-up checkpoint: one store reused across its
-// platforms and groups, holding copies of the live state a warm-up leaves
-// behind — the network's, the traffic generator's draw position, the
-// secure-ack monitor's windows, the L-Ob flow latches and the Results
-// prefix a warm-up writes (occupancy samples, the latency distribution, an
-// early conviction). Trojans need nothing: at the enable cycle their state
-// is still their Reset state.
+// forkStore is a Runner's checkpoint: one store reused across its platforms
+// and groups, holding copies of the live state a run leaves behind at the
+// top of one cycle's iteration — the network's, the traffic generator's
+// draw position, the secure-ack monitor's windows, the L-Ob flow latches,
+// every wire's traversal counters and the Results a run writes as it goes
+// (occupancy samples, the latency distribution, the counters at enable,
+// the victim's deliveries, an early conviction, the suspect trace). A
+// warm-up checkpoint is taken at the end of cycle EnableCycle()-1, when
+// every trojan is still in its Reset state and every wire counter zero; a
+// twin checkpoint at the end of the cycle before a rerouting member's
+// reroute cycle, with the armed trojans' state.
 type forkStore struct {
-	ok      bool             // holds a warm-up later members may resume
+	ok      bool             // holds a checkpoint later members may resume
 	latched bool             // flows holds every wire's flow latch
-	cfg     ExperimentConfig // the configuration the warm-up ran
+	at      uint64           // the cycle the saved network had finished
+	cfg     ExperimentConfig // the configuration whose run was saved
 
-	net     noc.Checkpoint
-	gen     traffic.GeneratorState
-	ack     detect.AckMonitor
-	flows   []flowSlot
-	samples []Sample
-	latency *stats.Histogram
-	flagged uint64 // Results.AckFlaggedAt
+	net      noc.Checkpoint
+	gen      traffic.GeneratorState
+	ack      detect.AckMonitor
+	flows    []flowSlot
+	counters []wireCounters
+	trojans  []tasp.Snapshot // past the enable cycle only
+	samples  []Sample
+	latency  *stats.Histogram
+	trace    []locate.TraceSample
+	atEnable noc.Counters // Results.AtEnable
+	victim   uint64       // Results.VictimDelivered
+	flagged  uint64       // Results.AckFlaggedAt
 }
 
-// save checkpoints the warm-up at the end of cycle EnableCycle()-1, with
-// the wires' flow latches when latched is set. A warm-up that reconfigured
-// the network leaves the store empty: the route tables and disabled links
-// are not part of the checkpoint.
-func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, latched bool) {
-	f.ok = len(a.disabled) == 0
-	if !f.ok {
+// save checkpoints cfg's run at the top of its current iteration, with the
+// wires' flow latches when latched is set and the state of the armed
+// trojans given. A run that reconfigured the network leaves the store as
+// it is: the route tables and disabled links are not part of the
+// checkpoint.
+func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, armed []tasp.Trojan, latched bool) {
+	if len(a.disabled) > 0 {
 		return
 	}
-	f.cfg = *cfg
+	f.ok, f.latched, f.at, f.cfg = true, latched, a.net.Cycle(), *cfg
 	a.net.Save(&f.net)
 	gen.Save(&f.gen)
 	if ack != nil {
 		f.ack.CopyFrom(ack)
 	}
-	f.latched = latched
-	f.flows = f.flows[:0]
-	if latched {
-		for _, w := range a.wires {
+	f.flows, f.counters = f.flows[:0], f.counters[:0]
+	for _, w := range a.wires {
+		if latched {
 			f.flows = w.saveFlows(f.flows)
 		}
+		f.counters = append(f.counters, w.counters())
+	}
+	f.trojans = f.trojans[:0]
+	for _, t := range armed {
+		f.trojans = append(f.trojans, t.Save())
 	}
 	f.samples = append(f.samples[:0], res.Samples...)
 	if f.latency == nil {
@@ -301,30 +358,50 @@ func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator
 	}
 	f.latency.Reset()
 	f.latency.Merge(res.Latency)
-	f.flagged = res.AckFlaggedAt
+	f.trace = append(f.trace[:0], res.SuspectTrace...)
+	f.atEnable, f.victim, f.flagged = res.AtEnable, res.VictimDelivered, res.AckFlaggedAt
 }
 
-// restore resumes a member from the stored warm-up, loading the flow
+// resumable reports whether member c may resume the stored checkpoint: a
+// warm-up its pre-enable identity shares, latched when c is s2s-lob, or its
+// twin's run at the end of the cycle before c's reroute cycle.
+func (f *forkStore) resumable(c *ExperimentConfig) bool {
+	switch {
+	case !f.ok:
+		return false
+	case f.at+1 == c.EnableCycle():
+		return samePreEnable(c, &f.cfg) && (f.latched || c.Mitigation != S2SLOb)
+	default:
+		return f.at+1 == rerouteAt(c) && resumesTwin(c, &f.cfg)
+	}
+}
+
+// restore resumes a member from the stored checkpoint, loading the flow
 // latches into its wires when mitigated is set. The member's own set-up
 // has already run — trojans reset, wires installed and reset, the
 // generator, monitor and telemetry tap attached — so what is restored is
-// exactly the state the warm-up changed.
-func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, mitigated bool) {
+// exactly the state the saved run changed.
+func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, trojans []tasp.Trojan, mitigated bool) {
 	a.net.Restore(&f.net)
 	gen.Restore(&f.gen)
 	if ack != nil {
 		ack.CopyFrom(&f.ack)
 	}
-	if mitigated {
-		rest := f.flows
-		for _, w := range a.wires {
+	rest := f.flows
+	for i, w := range a.wires {
+		if mitigated {
 			rest = w.restoreFlows(rest)
 		}
+		w.setCounters(f.counters[i])
+	}
+	for i, s := range f.trojans {
+		trojans[i].Restore(s)
 	}
 	res.Samples = append(res.Samples[:0], f.samples...)
 	res.Latency.Reset()
 	res.Latency.Merge(f.latency)
-	res.AckFlaggedAt = f.flagged
+	res.SuspectTrace = append(res.SuspectTrace[:0], f.trace...)
+	res.AtEnable, res.VictimDelivered, res.AckFlaggedAt = f.atEnable, f.victim, f.flagged
 }
 
 // keptRun is the Results of the last simulated group member whose run
@@ -368,19 +445,19 @@ func copyMap[K comparable, V any](dst, src map[K]V) map[K]V {
 	return dst
 }
 
-// runMode says what a run does about the warm-up checkpoint.
+// runMode says what a run does about the checkpoint.
 type runMode uint8
 
 const (
 	runWhole      runMode = iota // simulate every cycle, touch no checkpoint
 	runCheckpoint                // simulate every cycle, checkpoint the warm-up
 	runLatch                     // as runCheckpoint, latching flows on every wire until the save
-	runResume                    // resume from the checkpoint at the enable cycle
+	runResume                    // resume from the stored checkpoint
 )
 
-// RunGroup runs a group of configurations in order: member i's results go
-// into into(i), and each, when non-nil, is called with them once member i
-// has finished and before member i+1 starts. Every member's results are
+// RunGroup runs a group of configurations: member i's results go into
+// into(i), and each, when non-nil, is called with them once member i has
+// finished and before the next member starts. Every member's results are
 // exactly what RunInto gives it, but the group simulates each distinct run
 // once:
 //   - a member whose run identity an earlier simulated member shares gets
@@ -389,34 +466,45 @@ const (
 //     checkpoints its warm-up at the end of cycle EnableCycle()-1, and the
 //     later members resume from the checkpoint. When a resuming member is
 //     s2s-lob, the warm-up runs its wires mitigated so the checkpoint holds
-//     their flow latches.
+//     their flow latches;
+//   - when the group holds an attacked rerouting member and its twin, the
+//     twin checkpoints again at the end of the cycle before the member's
+//     reroute cycle, and the member resumes there.
 //
-// RunInto is a group of one and takes no checkpoint. Groups hands out
-// groups whose members share their pre-enable identity. The first error
-// stops the group.
+// The members run in index order, except that the twin, the rerouting
+// member and the members repeating either run last, in that order: the
+// twin's checkpoint replaces the warm-up's, so every member resuming the
+// warm-up runs before it. RunInto is a group of one and takes no
+// checkpoint. Groups hands out groups whose members share their pre-enable
+// identity. The first error stops the group.
 func (r *Runner) RunGroup(cfgs []ExperimentConfig, into func(i int) *Results, each func(i int, res *Results) error) error {
 	r.fork.ok, r.kept.ok = false, false
-	for i := range cfgs {
+	twin, twinAt := r.plan(cfgs)
+	for pos, i := range r.order {
 		c := &cfgs[i]
 		res := into(i)
 		var err error
 		switch {
 		case !forkable(c):
-			err = r.run(*c, res, runWhole)
+			err = r.run(*c, res, runWhole, 0)
 		case r.kept.ok && sameRun(c, &r.kept.cfg):
 			err = r.copyRun(*c, res)
 		default:
-			resume, latch, repeat := laterNeeds(c, cfgs[i+1:])
+			resume, latch, repeat := laterNeeds(c, cfgs, r.order[pos+1:])
 			mode := runWhole
 			switch {
-			case r.fork.ok && samePreEnable(c, &r.fork.cfg) && (r.fork.latched || c.Mitigation != S2SLOb):
+			case r.fork.resumable(c):
 				mode = runResume
 			case resume && (latch || c.Mitigation == S2SLOb):
 				mode = runLatch
 			case resume:
 				mode = runCheckpoint
 			}
-			err = r.run(*c, res, mode)
+			var saveAt uint64
+			if i == twin {
+				saveAt = twinAt
+			}
+			err = r.run(*c, res, mode, saveAt)
 			if err == nil && repeat {
 				r.kept.ok, r.kept.cfg = true, *c
 				copyResults(&r.kept.res, res)
@@ -434,6 +522,52 @@ func (r *Runner) RunGroup(cfgs []ExperimentConfig, into func(i int) *Results, ea
 	return nil
 }
 
+// plan fills r.order with the order RunGroup runs cfgs in, and picks the
+// group's twin fork: the first attacked rerouting member that reroutes
+// mid-run and has a twin in the group. It returns the first member running
+// the twin's configuration and the rerouting member's reroute cycle, or -1
+// and 0 when the group has no such pair. The members running the twin's
+// configuration go last, except for those running the rerouting member's,
+// which follow them.
+func (r *Runner) plan(cfgs []ExperimentConfig) (twin int, at uint64) {
+	r.order = r.order[:0]
+	twin, rr := -1, -1
+	for i := 0; i < len(cfgs) && twin < 0; i++ {
+		if !reroutesMidRun(&cfgs[i]) {
+			continue
+		}
+		t := twinOf(&cfgs[i])
+		for j := range cfgs {
+			if sameRun(&t, &cfgs[j]) {
+				twin, rr = j, i
+				break
+			}
+		}
+	}
+	phase := func(i int) int {
+		switch {
+		case twin < 0:
+			return 0
+		case sameRun(&cfgs[i], &cfgs[twin]):
+			return 1
+		case sameRun(&cfgs[i], &cfgs[rr]):
+			return 2
+		}
+		return 0
+	}
+	for p := 0; p < 3; p++ {
+		for i := range cfgs {
+			if phase(i) == p {
+				r.order = append(r.order, i)
+			}
+		}
+	}
+	if twin < 0 {
+		return -1, 0
+	}
+	return twin, rerouteAt(&cfgs[rr])
+}
+
 // copyRun gives a member the kept run's results. Its configuration is
 // validated and its defaults applied exactly as run would.
 func (r *Runner) copyRun(cfg ExperimentConfig, res *Results) error {
@@ -446,13 +580,16 @@ func (r *Runner) copyRun(cfg ExperimentConfig, res *Results) error {
 	return nil
 }
 
-// laterNeeds reports what the members after c need of its run: resume,
-// that one resumes c's warm-up (same pre-enable identity, a different
-// run); latch, that such a member is s2s-lob and reads the warm-up's flow
-// latches; repeat, that one repeats c's whole run and copies its results.
-func laterNeeds(c *ExperimentConfig, later []ExperimentConfig) (resume, latch, repeat bool) {
-	for i := range later {
-		l := &later[i]
+// laterNeeds reports what the members of later, indices into cfgs, need
+// of c's run: resume, that one resumes c's warm-up (same pre-enable
+// identity, a different run); latch, that such a member is s2s-lob and
+// reads the warm-up's flow latches; repeat, that one repeats c's whole run
+// and copies its results. A rerouting member that will resume its twin
+// counts as resuming the warm-up: it falls back to it when the twin's
+// checkpoint is declined.
+func laterNeeds(c *ExperimentConfig, cfgs []ExperimentConfig, later []int) (resume, latch, repeat bool) {
+	for _, i := range later {
+		l := &cfgs[i]
 		switch {
 		case !forkable(l) || !samePreEnable(c, l):
 		case sameRun(c, l):

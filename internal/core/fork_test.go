@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"tasp/internal/detect"
 	"tasp/internal/noc"
+	"tasp/internal/stats"
 	"tasp/internal/tasp"
 	"tasp/internal/traffic"
 )
@@ -36,34 +38,37 @@ func bump(v reflect.Value) {
 	}
 }
 
-// TestPreEnableClassifiesEveryField pins both fork identities field by
+// TestPreEnableClassifiesEveryField pins the fork identities field by
 // field. Changing a field the network reads before the enable cycle must
 // change the pre-enable identity, and changing one that acts only from the
 // enable cycle on must not. Changing any field a run reads must change the
 // run identity; on a fault-free run (attack disabled, no transient faults)
-// the fields that act only on faults must not. A field added to
+// the fields that act only on faults must not. Changing any field of an
+// attacked rerouting member but its reroute delay, which picks the cycle
+// of the twin's checkpoint, must part it from its twin. A field added to
 // ExperimentConfig or AttackConfig fails here until it is classified — and
 // added to preEnable or runKey where it belongs.
 func TestPreEnableClassifiesEveryField(t *testing.T) {
-	type class struct{ pre, run, cleanRun bool } // does a change split the identity?
-	all, onFaults := class{true, true, true}, class{false, true, false}
+	type class struct{ pre, run, cleanRun, twin bool } // does a change split the identity?
+	all, onFaults := class{true, true, true, true}, class{false, true, false, true}
 	classes := map[string]class{
 		"Noc": all, "Benchmark": all, "Model": all, "Seed": all, "Warmup": all,
-		"Measure": {false, true, true}, "SampleEvery": all, "TransientBER": all,
+		"Measure": {false, true, true, true}, "SampleEvery": all, "TransientBER": all,
 		// The base is unmitigated, so the reroute delay acts on nothing;
 		// under rerouting it is checked below.
-		"RerouteDetectDelay": {false, false, false},
+		"RerouteDetectDelay": {false, false, false, false},
 		"DetectorHistory":    onFaults, "EscalationOrder": onFaults, "Locate": all,
 		"SecureAck": all, "AckDeficitRatio": all, "RecoverOnConvict": all,
 		"PredisabledLinks": all,
 		// Mitigation is classified per value: TDM and end-to-end scrambling
 		// act from the first cycle, s2s-lob and rerouting only on faults.
-		"Mitigation=s2s-lob": onFaults, "Mitigation=rerouting": onFaults,
+		// Only a rerouting member has a twin.
+		"Mitigation=s2s-lob": onFaults, "Mitigation=rerouting": {false, true, false, false},
 		"Mitigation=tdm-qos": all, "Mitigation=e2e-obfuscation": all,
 		// Attack is classified per field. A disabled attack still reports
 		// its links and counts its target's deliveries.
-		"Attack.EnableAt": all, "Attack.Enabled": {false, true, true},
-		"Attack.Target": {false, true, true}, "Attack.Links": {false, true, true},
+		"Attack.EnableAt": all, "Attack.Enabled": {false, true, true, true},
+		"Attack.Target": {false, true, true, true}, "Attack.Links": {false, true, true, true},
 		"Attack.Kind": onFaults, "Attack.YBits": onFaults, "Attack.Hijack": onFaults,
 		"Attack.DutyPeriod": onFaults, "Attack.DutyActive": onFaults, "Attack.NumLinks": onFaults,
 	}
@@ -88,6 +93,15 @@ func TestPreEnableClassifiesEveryField(t *testing.T) {
 			} else if got.run != want.cleanRun {
 				t.Errorf("changing %s splits a fault-free run's identity: %v, want %v", name, got.run, want.cleanRun)
 			}
+		}
+		rr := attacked
+		rr.Mitigation = Rerouting
+		if !resumesTwin(&rr, &attacked) {
+			t.Fatal("an attacked rerouting point does not resume its twin")
+		}
+		mut(&rr)
+		if split := !resumesTwin(&rr, &attacked); split != want.twin {
+			t.Errorf("changing %s of a rerouting member parts it from its twin: %v, want %v", name, split, want.twin)
 		}
 	}
 	ct := reflect.TypeOf(ExperimentConfig{})
@@ -126,6 +140,12 @@ func TestPreEnableClassifiesEveryField(t *testing.T) {
 	if !sameRun(&a, &b) {
 		t.Error("the reroute delay of a fault-free run splits its identity")
 	}
+	a.Attack.Enabled = true
+	a.RerouteDetectDelay = a.Measure + 1
+	twin := twinOf(&a)
+	if !sameRun(&a, &twin) || resumesTwin(&a, &twin) {
+		t.Error("a rerouting run that ends before its reroute cycle must be its twin's run, not resume it")
+	}
 }
 
 // TestGroupsOrderAndSplit: groups list members ascending, ordered by their
@@ -162,25 +182,29 @@ func TestGroupsOrderAndSplit(t *testing.T) {
 	}
 }
 
-// forkState is everything a run carries across the enable cycle, as the
+// forkState is everything a run carries across a checkpoint, as the
 // checkpoint's own copy routines see it.
 type forkState struct {
-	net   noc.Checkpoint
-	gen   traffic.GeneratorState
-	ack   detect.AckMonitor
-	flows []flowSlot
-	steps int // cycles stepped by every point run
+	net      noc.Checkpoint
+	gen      traffic.GeneratorState
+	ack      detect.AckMonitor
+	flows    []flowSlot
+	counters []wireCounters
+	trojans  []tasp.Snapshot
+	res      Results // the prefix a run writes as it goes
+	strikes  uint64  // the trojans' strikes so far
+	steps    int     // cycles stepped by every point run
 }
 
-// stateAtEnable runs run on a fresh Runner and returns the state of the
-// last point to finish cycle cfg.EnableCycle().
-func stateAtEnable(t *testing.T, cfg ExperimentConfig, run func(*Runner) error) *forkState {
+// stateAt runs run on a fresh Runner and returns the state of the last
+// point to finish the given cycle.
+func stateAt(t *testing.T, cfg ExperimentConfig, cycle uint64, run func(*Runner) error) *forkState {
 	t.Helper()
 	r := NewRunner()
 	st := &forkState{}
 	r.audit = func(n *noc.Network) error {
 		st.steps++
-		if n.Cycle() != cfg.EnableCycle() {
+		if n.Cycle() != cycle {
 			return nil
 		}
 		a := r.arenas[cfg.Noc]
@@ -189,10 +213,28 @@ func stateAtEnable(t *testing.T, cfg ExperimentConfig, run func(*Runner) error) 
 		if cfg.SecureAck {
 			st.ack.CopyFrom(a.ackmon)
 		}
-		st.flows = st.flows[:0]
-		for _, w := range a.wires {
+		st.flows, st.counters, st.trojans, st.strikes = st.flows[:0], st.counters[:0], st.trojans[:0], 0
+		for id, w := range a.wires {
 			st.flows = w.saveFlows(st.flows)
+			st.counters = append(st.counters, w.counters())
+			for _, tap := range a.chains[id] {
+				if tr, ok := tap.(tasp.Trojan); ok {
+					st.trojans = append(st.trojans, tr.Save())
+					_, s := tr.Stats()
+					st.strikes += s
+				}
+			}
 		}
+		st.res = Results{
+			Samples:         slices.Clone(a.res.Samples),
+			Latency:         stats.NewHistogram(),
+			AtEnable:        a.res.AtEnable,
+			VictimDelivered: a.res.VictimDelivered,
+			AckFlaggedAt:    a.res.AckFlaggedAt,
+			ReroutedAt:      a.res.ReroutedAt,
+			SuspectTrace:    slices.Clone(a.res.SuspectTrace),
+		}
+		st.res.Latency.Merge(a.res.Latency)
 		return nil
 	}
 	if err := run(r); err != nil {
@@ -203,12 +245,15 @@ func stateAtEnable(t *testing.T, cfg ExperimentConfig, run func(*Runner) error) 
 
 // TestForkStateAtEnableMatchesWholeRun compares, one cycle after the fork,
 // everything a resumed member carries — the network, the generator's draw
-// position, the secure-ack monitor and every wire's flow latch — with the
-// same point run whole. Unlike the end-to-end comparison, it catches state
-// a checkpoint drops even when no outcome happens to depend on it. The
-// resumed member is the attacked one, after its clean twin; in the latched
-// case the twin is unmitigated, so the latches come from its warm-up run
-// with mitigated wires.
+// position, the secure-ack monitor, every wire's flow latch and counters,
+// the trojans and the Results written so far — with the same point run
+// whole. Unlike the end-to-end comparison, it catches state a checkpoint
+// drops even when no outcome happens to depend on it. In the warm-up cases
+// the resumed member is the attacked one, after its clean twin; in the
+// latched case the twin is unmitigated, so the latches come from its
+// warm-up run with mitigated wires. In the twin cases the resumed member
+// is an attacked rerouting point, after the same point under none, and the
+// state is compared at its reroute cycle, the first it steps.
 func TestForkStateAtEnableMatchesWholeRun(t *testing.T) {
 	base := DefaultExperiment()
 	base.Warmup, base.Measure = 400, 50
@@ -218,22 +263,37 @@ func TestForkStateAtEnableMatchesWholeRun(t *testing.T) {
 	secure.Noc.Topo = "torus"
 	secure.Attack.Kind = tasp.KindDrop
 	secure.SecureAck, secure.Locate = true, true
+	rerouting := func(c ExperimentConfig) ExperimentConfig {
+		c.Measure, c.Mitigation = 250, Rerouting
+		return c
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  ExperimentConfig
-		twin Mitigation // the clean twin's mitigation
-	}{{"s2s-lob", lob, S2SLOb}, {"secure-ack", secure, NoMitigation}, {"latched", lob, NoMitigation}} {
+		twin Mitigation // the twin's mitigation
+		fork bool       // the twin is attacked: the member resumes at its reroute cycle
+	}{
+		{"s2s-lob", lob, S2SLOb, false},
+		{"secure-ack", secure, NoMitigation, false},
+		{"latched", lob, NoMitigation, false},
+		{"twin", rerouting(base), NoMitigation, true},
+		{"twin secure-ack", rerouting(secure), NoMitigation, true},
+	} {
 		cfg := tc.cfg
 		t.Run(tc.name, func(t *testing.T) {
-			clean := cfg
-			clean.Attack.Enabled, clean.Mitigation = false, tc.twin
-			whole := stateAtEnable(t, cfg, func(r *Runner) error { return r.RunInto(cfg, &Results{}) })
-			forked := stateAtEnable(t, cfg, func(r *Runner) error {
+			twin := cfg
+			twin.Attack.Enabled, twin.Mitigation = tc.fork, tc.twin
+			at, resumed := cfg.EnableCycle(), cfg.Measure+1
+			if tc.fork {
+				at, resumed = rerouteAt(&cfg), cfg.Measure-defaultRerouteDetectDelay+1
+			}
+			whole := stateAt(t, cfg, at, func(r *Runner) error { return r.RunInto(cfg, &Results{}) })
+			forked := stateAt(t, cfg, at, func(r *Runner) error {
 				res := &Results{}
-				return r.RunGroup([]ExperimentConfig{clean, cfg}, func(int) *Results { return res }, nil)
+				return r.RunGroup([]ExperimentConfig{twin, cfg}, func(int) *Results { return res }, nil)
 			})
-			if forked.steps != whole.steps+cfg.Measure+1 {
-				t.Fatalf("the group stepped %d cycles, the point alone %d: the attacked member did not resume", forked.steps, whole.steps)
+			if forked.steps != whole.steps+resumed {
+				t.Fatalf("the group stepped %d cycles, the point alone %d: the member did not resume", forked.steps, whole.steps)
 			}
 			if !reflect.DeepEqual(whole.net, forked.net) {
 				t.Error("network state differs")
@@ -247,6 +307,15 @@ func TestForkStateAtEnableMatchesWholeRun(t *testing.T) {
 			if !reflect.DeepEqual(whole.flows, forked.flows) {
 				t.Error("flow latches differ")
 			}
+			if !reflect.DeepEqual(whole.counters, forked.counters) {
+				t.Error("wire counters differ")
+			}
+			if !reflect.DeepEqual(whole.trojans, forked.trojans) {
+				t.Error("trojan state differs")
+			}
+			if !reflect.DeepEqual(whole.res, forked.res) {
+				t.Error("the Results written so far differ")
+			}
 			live := 0
 			for _, f := range whole.flows {
 				if f.live {
@@ -255,6 +324,9 @@ func TestForkStateAtEnableMatchesWholeRun(t *testing.T) {
 			}
 			if cfg.Mitigation == S2SLOb && live == 0 {
 				t.Error("no flow latched across the enable cycle; the comparison is vacuous")
+			}
+			if tc.fork && (whole.strikes == 0 || whole.res.ReroutedAt != at) {
+				t.Errorf("%d strikes before the reroute cycle, rerouted at %d: the comparison is vacuous", whole.strikes, whole.res.ReroutedAt)
 			}
 		})
 	}

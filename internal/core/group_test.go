@@ -13,6 +13,7 @@ import (
 	"tasp/internal/campaign"
 	"tasp/internal/core"
 	"tasp/internal/noc"
+	"tasp/internal/tasp"
 )
 
 // outcome fingerprints everything a point produced: every observable field
@@ -78,16 +79,19 @@ func runAlone(t *testing.T, cfgs []core.ExperimentConfig) ([][sha256.Size]byte, 
 
 // runGrouped runs each group through RunGroup, one Runner per worker, and
 // returns each point's digest and the cycles stepped in all. The network
-// is audited at the first cycle a resumed member steps and every 32nd.
+// is audited every 32nd cycle and at the first cycle a resumed member
+// steps: the enable cycle, or the reroute cycle at the default delay
+// (no grid sets another).
 func runGrouped(t *testing.T, cfgs []core.ExperimentConfig, groups [][]int) ([][sha256.Size]byte, int64) {
 	t.Helper()
 	var steps atomic.Int64
+	enable := cfgs[0].EnableCycle()
 	runners := make([]*core.Runner, runtime.GOMAXPROCS(0))
 	for w := range runners {
 		runners[w] = core.NewRunner()
 		core.SetAudit(runners[w], func(n *noc.Network) error {
 			steps.Add(1)
-			if n.Cycle()%32 == 0 || n.Cycle() == cfgs[0].EnableCycle() {
+			if c := n.Cycle(); c%32 == 0 || c == enable || c == enable+200 {
 				return n.CheckInvariants()
 			}
 			return nil
@@ -137,13 +141,16 @@ func lowerGrid(t *testing.T, path string) []core.ExperimentConfig {
 // committed grid — the benchmark's workloads and every spec — running each
 // fork group through RunGroup gives every point exactly the results, Config
 // and record it gets alone on a fresh Runner, while the stepped-cycle count
-// drops by the shared warm-ups and the copied runs. For the benchmark
-// grids the grouping and the count are pinned: a resumed member steps from
-// the enable cycle to the end, Measure+1 cycles, because cycle
-// EnableCycle() is the first its armed trojans can strike in, and a copied
-// member steps none. In sweep, each (topology, benchmark, seed) group
-// simulates its clean point under none once, copies it for s2s-lob and
-// rerouting, and resumes the three attacked points from its warm-up.
+// drops by the shared warm-ups, the twin forks and the copied runs. For the
+// benchmark grids the grouping and the count are pinned: a member resumed
+// from the warm-up steps from the enable cycle to the end, Measure+1
+// cycles, because cycle EnableCycle() is the first its armed trojans can
+// strike in; a member resumed from its twin steps from its reroute cycle
+// to the end, Measure-RerouteDetectDelay+1 cycles; and a copied member
+// steps none. In sweep, each (topology, benchmark, seed) group simulates
+// its clean point under none once, copies it for s2s-lob and rerouting,
+// resumes the attacked points under s2s-lob and none from its warm-up, and
+// the attacked point under rerouting from the one under none.
 func TestGroupedEqualsAlone(t *testing.T) {
 	type pin struct {
 		sizes          map[int]int // group size -> groups of that size
@@ -151,7 +158,7 @@ func TestGroupedEqualsAlone(t *testing.T) {
 	}
 	bench := map[string]pin{
 		"secure.json": {map[int]int{5: 36}, 540_000, 36*3000 + 144*1501},
-		"sweep.json":  {map[int]int{6: 135}, 486_000, 135*600 + 405*301},
+		"sweep.json":  {map[int]int{6: 135}, 486_000, 135*600 + 270*301 + 135*101},
 		"scale.json":  {map[int]int{2: 8}, 80_000, 8*5000 + 8*4001},
 	}
 	specs, err := filepath.Glob("../../specs/*.json")
@@ -198,38 +205,63 @@ func TestGroupedEqualsAlone(t *testing.T) {
 // that reconfigured the network (here, pre-disabled links) cannot be
 // resumed on a pristine one. Groups never pairs the first three, and even
 // handed to RunGroup as one group, every such pair simulates both warm-ups
-// and matches its points run alone.
+// and matches its points run alone. The twin fork has two ineligible
+// cases of its own, in groups of a clean point, an attacked one under none
+// (the twin) and the attacked one under rerouting: a twin whose secure-ack
+// monitor convicts and recovers before the reroute cycle declines its
+// checkpoint, so the rerouting member resumes the warm-up; and a rerouting
+// member whose reroute cycle lies past its last cycle never reroutes, so
+// it copies its twin's run.
 func TestIneligibleGroupsRunUnforked(t *testing.T) {
+	base := core.DefaultExperiment()
+	base.Warmup, base.Measure = 300, 300
 	pair := func(mut func(*core.ExperimentConfig)) []core.ExperimentConfig {
-		cfg := core.DefaultExperiment()
-		cfg.Warmup, cfg.Measure = 300, 300
+		cfg := base
 		mut(&cfg)
 		clean := cfg
 		clean.Attack.Enabled = false
 		return []core.ExperimentConfig{clean, cfg}
 	}
+	twins := func(mut func(*core.ExperimentConfig)) []core.ExperimentConfig {
+		cfgs := pair(mut)
+		rr := cfgs[1]
+		rr.Mitigation = core.Rerouting
+		return append(cfgs, rr)
+	}
 	for _, tc := range []struct {
 		name     string
 		cfgs     []core.ExperimentConfig
 		pairable bool
+		grouped  int64 // cycles the group steps
 	}{
-		{"tdm", pair(func(c *core.ExperimentConfig) { c.Mitigation = core.TDMQoS }), false},
-		{"e2e", pair(func(c *core.ExperimentConfig) { c.Mitigation = core.E2EObfuscation }), false},
-		{"transient faults", pair(func(c *core.ExperimentConfig) { c.Mitigation = core.S2SLOb; c.TransientBER = 1e-4 }), false},
-		{"pre-disabled links", pair(func(c *core.ExperimentConfig) { c.PredisabledLinks = []int{5} }), true},
+		{"tdm", pair(func(c *core.ExperimentConfig) { c.Mitigation = core.TDMQoS }), false, 2 * 600},
+		{"e2e", pair(func(c *core.ExperimentConfig) { c.Mitigation = core.E2EObfuscation }), false, 2 * 600},
+		{"transient faults", pair(func(c *core.ExperimentConfig) { c.Mitigation = core.S2SLOb; c.TransientBER = 1e-4 }), false, 2 * 600},
+		{"pre-disabled links", pair(func(c *core.ExperimentConfig) { c.PredisabledLinks = []int{5} }), true, 2 * 600},
+		{"conviction before the reroute", twins(func(c *core.ExperimentConfig) {
+			c.Attack.Kind = tasp.KindDrop
+			c.SecureAck, c.RecoverOnConvict = true, true
+		}), true, 600 + 2*301},
+		{"reroute past the last cycle", twins(func(c *core.ExperimentConfig) { c.RerouteDetectDelay = 301 }), true, 600 + 301},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			groups := core.Groups(len(tc.cfgs), 1, func(i int) (core.ExperimentConfig, error) { return tc.cfgs[i], nil })
 			if paired := len(groups) == 1; paired != tc.pairable {
 				t.Fatalf("Groups = %v", groups)
 			}
-			want, alone := runAlone(t, tc.cfgs)
-			got, grouped := runGrouped(t, tc.cfgs, [][]int{{0, 1}})
-			if got[0] != want[0] || got[1] != want[1] {
-				t.Error("the group's results differ from its points run alone")
+			all := make([]int, len(tc.cfgs))
+			for i := range all {
+				all[i] = i
 			}
-			if grouped != alone || alone != 2*600 {
-				t.Errorf("stepped %d cycles grouped, %d alone; want both 1200 (no fork)", grouped, alone)
+			want, alone := runAlone(t, tc.cfgs)
+			got, grouped := runGrouped(t, tc.cfgs, [][]int{all})
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("point %d: the group's result differs from the point run alone", i)
+				}
+			}
+			if alone != int64(len(tc.cfgs))*600 || grouped != tc.grouped {
+				t.Errorf("stepped %d cycles grouped, %d alone; want %d and %d", grouped, alone, tc.grouped, len(tc.cfgs)*600)
 			}
 		})
 	}
@@ -282,7 +314,8 @@ func TestInertMitigationsAreOneRun(t *testing.T) {
 
 // TestGroupMembersInAnyOrder: RunGroup's roles depend on the order of a
 // group — which member checkpoints, whether the warm-up is latched, which
-// run is kept for a copy. Every rotation of a sweep group (clean and
+// run is kept for a copy, whether the attacked rerouting member comes
+// before or after its twin. Every rotation of a sweep group (clean and
 // attacked, each under none, s2s-lob and rerouting), forward and reversed,
 // gives every point its results alone. Among them, an attacked
 // unmitigated member checkpoints a latched warm-up and must not stay
@@ -298,7 +331,9 @@ func TestGroupMembersInAnyOrder(t *testing.T) {
 			sweep = append(sweep, c)
 		}
 	}
+	const twin, rerouting = 3, 5 // the attacked points under none and rerouting
 	want, _ := runAlone(t, sweep)
+	before := map[bool]int{} // orders by whether rerouting precedes its twin
 	for _, reversed := range []bool{false, true} {
 		for rot := range sweep {
 			order := make([]int, len(sweep))
@@ -310,20 +345,26 @@ func TestGroupMembersInAnyOrder(t *testing.T) {
 			}
 			cfgs := make([]core.ExperimentConfig, len(order))
 			all := make([]int, len(order))
+			pos := map[int]int{}
 			for k, i := range order {
-				cfgs[k], all[k] = sweep[i], k
+				cfgs[k], all[k], pos[i] = sweep[i], k, k
 			}
+			before[pos[rerouting] < pos[twin]]++
 			got, stepped := runGrouped(t, cfgs, [][]int{all})
 			for k, i := range order {
 				if got[k] != want[i] {
 					t.Errorf("order %v: point %d differs from its run alone", order, i)
 				}
 			}
-			// One whole run, two copies of the clean one, three resumed
-			// attacked members.
-			if stepped != 600+3*301 {
-				t.Errorf("order %v: stepped %d cycles, want %d", order, stepped, 600+3*301)
+			// One whole run, two copies of the clean one, two attacked
+			// members resumed from the warm-up and the rerouting one from
+			// its twin.
+			if stepped != 600+2*301+101 {
+				t.Errorf("order %v: stepped %d cycles, want %d", order, stepped, 600+2*301+101)
 			}
 		}
+	}
+	if before[true] == 0 || before[false] == 0 {
+		t.Errorf("orders with rerouting before and after its twin: %v", before)
 	}
 }

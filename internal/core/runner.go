@@ -34,10 +34,12 @@ type Runner struct {
 	// the run. Tests install noc.Network.CheckInvariants here.
 	audit func(*noc.Network) error
 
-	// fork is the warm-up checkpoint RunGroup's members share, and kept the
-	// results a later member repeats (fork.go).
-	fork forkStore
-	kept keptRun
+	// fork is the checkpoint RunGroup's members share, kept the results a
+	// later member repeats, and order the order RunGroup runs a group's
+	// members in (fork.go).
+	fork  forkStore
+	kept  keptRun
+	order []int
 }
 
 // NewRunner returns an empty Runner; arenas are built on first use per
@@ -107,6 +109,11 @@ type arena struct {
 	// and every reroute.Apply receives the full set (the route builder does
 	// not consult the network's own disabled-link state).
 	disabled map[int]bool
+
+	// rerouted is the Rerouting baseline's last table and reroutedIDs the
+	// links it avoids (reroute).
+	rerouted    *reroute.Table
+	reroutedIDs []int
 
 	// hijacks memoizes the auto-selected misroute hijack router per victim;
 	// nextAt is the (router, port) -> downstream-router table the selection
@@ -238,6 +245,31 @@ func (a *arena) trojanSet(kind tasp.Kind, target tasp.Target, yBits, hijack, per
 	return ts
 }
 
+// reroute disables a.disabled's links and installs routes around them, as
+// reroute.Apply does. The table is kept with the links it avoids: the
+// Rerouting baseline disables the same placement point after point, and a
+// kept table installs without allocating.
+func (a *arena) reroute() error {
+	same := a.rerouted != nil && len(a.reroutedIDs) == len(a.disabled)
+	for _, id := range a.reroutedIDs {
+		same = same && a.disabled[id]
+	}
+	if !same {
+		t, err := reroute.Build(a.cfg, a.net.LinkSlice(), a.disabled)
+		if err != nil {
+			return err
+		}
+		a.rerouted, a.reroutedIDs = t, a.reroutedIDs[:0]
+		for _, l := range a.net.LinkSlice() {
+			if a.disabled[l.ID] {
+				a.reroutedIDs = append(a.reroutedIDs, l.ID)
+			}
+		}
+	}
+	a.rerouted.Install(a.net, a.disabled)
+	return nil
+}
+
 // autoHijack picks the misroute hijack router for a victim: the reachable
 // router farthest from the victim by default-route walk distance (ties to the
 // higher id), so the diversion path is maximal and, on every supported
@@ -358,15 +390,15 @@ func resetResults(res *Results, cfg ExperimentConfig) {
 
 // RunInto executes one experiment into a caller-owned Results, reusing both
 // the Results' storage and the Runner's arena for the experiment's platform.
-// Repeated same-platform points with the none or s2s-lob mitigations run
-// allocation-free at steady state; points that reconfigure the topology
-// (rerouting) or scramble end-to-end pay their own per-point costs.
+// Repeated same-platform points with the none, s2s-lob or rerouting
+// mitigations run allocation-free at steady state; points that recover on
+// a conviction or scramble end-to-end pay their own per-point costs.
 //
 // The behaviour is exactly the old core.Run's: same seeded draw order, same
 // phase structure, same results — enforced by the golden experiment output
 // and the fresh-vs-reused equivalence test.
 func (r *Runner) RunInto(cfg ExperimentConfig, res *Results) error {
-	return r.run(cfg, res, runWhole)
+	return r.run(cfg, res, runWhole, 0)
 }
 
 // The defaults a run reads a configuration's zero (or negative) fields as.
@@ -392,8 +424,10 @@ func withDefaults(cfg *ExperimentConfig) {
 }
 
 // run executes one experiment; mode says whether it checkpoints its
-// warm-up for later group members, or resumes from that checkpoint.
-func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
+// warm-up for later group members, or resumes from the stored checkpoint.
+// A nonzero twinAt checkpoints the run again at the end of cycle twinAt-1,
+// for a rerouting member that reroutes at the end of cycle twinAt.
+func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt uint64) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -591,15 +625,13 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
 	// ---- main loop ----
 	total := cfg.Warmup + cfg.Measure
 	rerouted := false
-	first := 0
 	if mode == runResume {
-		r.fork.restore(a, gen, ackmon, res, mitigated)
-		first = int(enableAt) - 1
+		r.fork.restore(a, gen, ackmon, res, trojans, mitigated)
 	}
-	for c := first; c < total; c++ {
+	for c := int(net.Cycle()); c < total; c++ {
 		if net.Cycle()+1 == enableAt {
 			if mode == runCheckpoint || mode == runLatch {
-				r.fork.save(&cfg, a, gen, ackmon, res, mode == runLatch)
+				r.fork.save(&cfg, a, gen, ackmon, res, nil, mode == runLatch)
 				for _, w := range a.wires {
 					w.Mitigated = mitigated
 				}
@@ -607,6 +639,9 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
 			for _, ht := range trojans {
 				ht.SetKillSwitch(true)
 			}
+		}
+		if net.Cycle()+1 == twinAt {
+			r.fork.save(&cfg, a, gen, ackmon, res, trojans, false)
 		}
 		gen.TickInto(&a.scratch, a.injectFn)
 		net.Step()
@@ -618,7 +653,7 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode) error {
 			for _, id := range infected {
 				a.disabled[id] = true
 			}
-			if _, err := reroute.Apply(net, a.disabled); err != nil {
+			if err := a.reroute(); err != nil {
 				return fmt.Errorf("rerouting baseline: %w", err)
 			}
 			rerouted = true

@@ -108,9 +108,10 @@ func TestRunnerMatchesRun(t *testing.T) {
 // TestRunnerSteadyStateAllocs pins the campaign engine's per-point
 // allocation contract: after warm-up, repeated RunInto calls on the same
 // platform allocate nothing for the none and s2s-lob mitigations (the
-// paper's headline configurations).
+// paper's headline configurations) and for the rerouting baseline, whose
+// route table the arena keeps.
 func TestRunnerSteadyStateAllocs(t *testing.T) {
-	for _, mit := range []Mitigation{NoMitigation, S2SLOb} {
+	for _, mit := range []Mitigation{NoMitigation, S2SLOb, Rerouting} {
 		cfg := DefaultExperiment()
 		cfg.Warmup, cfg.Measure = 300, 300
 		cfg.Mitigation = mit

@@ -147,6 +147,20 @@ func (w *SecureWire) saveFlows(dst []flowSlot) []flowSlot { return append(dst, w
 // saveFlows wrote it, and returns the rest of src.
 func (w *SecureWire) restoreFlows(src []flowSlot) []flowSlot { return src[copy(w.flows, src):] }
 
+// wireCounters is a wire's traversal counters, the embedded PlainWire's:
+// after the enable cycle, the only state an unmitigated wire changes.
+type wireCounters struct{ corrected, dropped, swallowed uint64 }
+
+// counters returns the wire's traversal counters (the run-fork checkpoint).
+func (w *SecureWire) counters() wireCounters {
+	return wireCounters{w.Corrected, w.Dropped, w.Swallowed}
+}
+
+// setCounters loads traversal counters that counters returned.
+func (w *SecureWire) setCounters(c wireCounters) {
+	w.Corrected, w.Dropped, w.Swallowed = c.corrected, c.dropped, c.swallowed
+}
+
 // choose picks the obfuscation for this attempt on a mitigated wire.
 func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {
 	switch {

@@ -29,7 +29,8 @@ func newScenarios() scenarios {
 }
 
 // runAll lowers every scenario and runs it, returning the results in input
-// order. The error is that of the lowest-index scenario that failed.
+// order. The error is that of the lowest-index scenario that failed to
+// lower, or else runConfigs'.
 func (s scenarios) runAll(scs []campaign.Scenario) ([]*core.Results, error) {
 	cfgs := make([]core.ExperimentConfig, len(scs))
 	for i, sc := range scs {
@@ -44,8 +45,10 @@ func (s scenarios) runAll(scs []campaign.Scenario) ([]*core.Results, error) {
 // runConfigs runs every configuration, returning the results in input
 // order. The configurations are handed out in fork groups (core.Groups), so
 // points whose warm-ups the network cannot tell apart simulate it once. The
-// error is that of the lowest-index configuration that failed: a group stops
-// at its first failure, and its later members have higher indices.
+// error is that of the lowest-index configuration that failed first in its
+// group: a group stops at its first failure, and RunGroup runs a group's
+// members in index order but for an attacked rerouting point and its twin,
+// which it defers only once they validate.
 func (s scenarios) runConfigs(cfgs []core.ExperimentConfig) ([]*core.Results, error) {
 	out := make([]*core.Results, len(cfgs))
 	errs := make([]error, len(cfgs))

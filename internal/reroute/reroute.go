@@ -13,7 +13,6 @@ package reroute
 
 import (
 	"fmt"
-	"sort"
 
 	"tasp/internal/noc"
 )
@@ -25,6 +24,8 @@ type Table struct {
 	Port [][]int
 	// Hops[r][d] is the path length from r to d, -1 when unreachable.
 	Hops [][]int
+
+	route noc.RouteFunc // the table as a RouteFunc, built with it
 }
 
 // Build computes a table for the configured topology avoiding the given
@@ -122,6 +123,7 @@ func newTable(cfg noc.Config) *Table {
 		t.Port[r] = port[r*R : (r+1)*R : (r+1)*R]
 		t.Hops[r] = hops[r*R : (r+1)*R : (r+1)*R]
 	}
+	t.route = func(router, dst int) int { return t.Port[router][dst] }
 	return t
 }
 
@@ -251,9 +253,7 @@ func BuildSafe(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Ta
 }
 
 // Route returns the table as a noc.RouteFunc.
-func (t *Table) Route() noc.RouteFunc {
-	return func(router, dst int) int { return t.Port[router][dst] }
-}
+func (t *Table) Route() noc.RouteFunc { return t.route }
 
 // ExtraHops returns the total additional hops the table pays relative to
 // the topology's fault-free distance, summed over all pairs — the
@@ -273,10 +273,20 @@ func (t *Table) ExtraHops() int {
 
 // Apply disables the links on the network and installs the rebuilt table.
 func Apply(n *noc.Network, disabled map[int]bool) (*Table, error) {
-	return apply(n, disabled, Build, func(n *noc.Network, id int) int {
-		n.DisableLink(id)
-		return 0
-	})
+	return apply(n, disabled, Build, disableLink)
+}
+
+// Install disables the links on the network and installs the table, which
+// Build made for the network's configuration and these disabled links:
+// Apply without the rebuild, for a caller that keeps the table. It
+// allocates nothing.
+func (t *Table) Install(n *noc.Network, disabled map[int]bool) {
+	install(n, disabled, t, disableLink)
+}
+
+func disableLink(n *noc.Network, id int) int {
+	n.DisableLink(id)
+	return 0
 }
 
 // ApplySafe is the mid-run recovery variant of Apply: it installs the
@@ -307,18 +317,18 @@ func apply(n *noc.Network, disabled map[int]bool,
 	if err != nil {
 		return nil, err
 	}
-	// Disable in link-id order: disabling mutates network state (drops
-	// committed traffic), so the mutation order must not follow map order.
-	ids := make([]int, 0, len(disabled))
-	for id := range disabled { //nocvet:orderfree ids are sorted before use
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if !n.LinkDisabled(id) {
-			disable(n, id)
+	install(n, disabled, t, disable)
+	return t, nil
+}
+
+// install disables the links in link-id order — disabling mutates network
+// state (drops committed traffic), so the mutation order must not follow
+// map order — and installs the table's routes.
+func install(n *noc.Network, disabled map[int]bool, t *Table, disable func(*noc.Network, int) int) {
+	for _, l := range n.LinkSlice() {
+		if disabled[l.ID] && !n.LinkDisabled(l.ID) {
+			disable(n, l.ID)
 		}
 	}
 	n.SetRoute(t.Route())
-	return t, nil
 }

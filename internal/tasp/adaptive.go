@@ -94,6 +94,12 @@ func (d *ThrottledDropper) Reset() {
 	d.Matches, d.Drops = 0, 0
 }
 
+// Save implements Trojan.
+func (d *ThrottledDropper) Save() Snapshot { return d.save(d.Matches, d.Drops) }
+
+// Restore implements Trojan.
+func (d *ThrottledDropper) Restore(s Snapshot) { d.Matches, d.Drops = d.restore(s) }
+
 // Strike implements fault.Adversary: swallow matched heads while on duty,
 // forward everything else (including off-duty sightings) untouched.
 func (d *ThrottledDropper) Strike(cycle uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, fault.Outcome) {
@@ -181,6 +187,13 @@ func (d *ColludingDropper) Reset() {
 	d.resetFSM()
 	d.Matches, d.Drops = 0, 0
 }
+
+// Save implements Trojan. The coordinator needs no snapshot: its rotation
+// is a pure function of the cycle.
+func (d *ColludingDropper) Save() Snapshot { return d.save(d.Matches, d.Drops) }
+
+// Restore implements Trojan.
+func (d *ColludingDropper) Restore(s Snapshot) { d.Matches, d.Drops = d.restore(s) }
 
 // Strike implements fault.Adversary: swallow matched heads during the
 // member's own slices, forward everything else untouched.

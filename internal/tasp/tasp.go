@@ -283,6 +283,19 @@ func (h *HT) Kind() Kind { return KindFlip }
 // Stats implements Trojan.
 func (h *HT) Stats() (uint64, uint64) { return h.Matches, h.Injections }
 
+// Save implements Trojan.
+func (h *HT) Save() Snapshot {
+	s := h.save(h.Matches, h.Injections)
+	s.payload = h.plState
+	return s
+}
+
+// Restore implements Trojan.
+func (h *HT) Restore(s Snapshot) {
+	h.Matches, h.Injections = h.restore(s)
+	h.plState = s.payload
+}
+
 // PayloadStates returns the number of distinct two-wire payload states.
 func (h *HT) PayloadStates() int { return h.yBits * (h.yBits - 1) / 2 }
 

@@ -95,6 +95,22 @@ type Trojan interface {
 	// Reset rewinds the FSM and counters to the post-construction state
 	// without allocating (arena reuse).
 	Reset()
+	// Save returns the trojan's dynamic state as a value, and Restore puts
+	// a saved state back on a trojan of the same family, target and
+	// construction parameters (a run-fork checkpoint of armed trojans).
+	Save() Snapshot
+	Restore(Snapshot)
+}
+
+// Snapshot is a trojan's dynamic state: the kill switch, the FSM state, the
+// flip family's payload counter and the statistics. Everything else a
+// trojan holds — the compiled comparator, the hijack router, the duty cycle,
+// a colluder's rotation role — is fixed at construction or deployment.
+type Snapshot struct {
+	killsw           bool
+	state            State
+	payload          int
+	matches, strikes uint64
 }
 
 // trigger is the shared TASP trigger architecture: the externally driven
@@ -131,6 +147,17 @@ func (t *trigger) SetKillSwitch(on bool) {
 
 // KillSwitch reports the current enable.
 func (t *trigger) KillSwitch() bool { return t.killsw }
+
+// save snapshots the trigger's state with the family's statistics.
+func (t *trigger) save(matches, strikes uint64) Snapshot {
+	return Snapshot{killsw: t.killsw, state: t.state, matches: matches, strikes: strikes}
+}
+
+// restore puts a snapshot's trigger state back and returns its statistics.
+func (t *trigger) restore(s Snapshot) (matches, strikes uint64) {
+	t.killsw, t.state = s.killsw, s.state
+	return s.matches, s.strikes
+}
 
 // resetFSM disarms and rewinds the FSM (the compiled taps are a function of
 // the target and layout alone and are preserved).
@@ -191,6 +218,12 @@ func (d *Dropper) Reset() {
 	d.Matches, d.Drops = 0, 0
 }
 
+// Save implements Trojan.
+func (d *Dropper) Save() Snapshot { return d.save(d.Matches, d.Drops) }
+
+// Restore implements Trojan.
+func (d *Dropper) Restore(s Snapshot) { d.Matches, d.Drops = d.restore(s) }
+
 // Strike implements fault.Adversary: swallow matched heads, forward
 // everything else untouched.
 func (d *Dropper) Strike(_ uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, fault.Outcome) {
@@ -240,6 +273,12 @@ func (m *Misrouter) Reset() {
 	m.resetFSM()
 	m.Matches, m.Rewrites = 0, 0
 }
+
+// Save implements Trojan.
+func (m *Misrouter) Save() Snapshot { return m.save(m.Matches, m.Rewrites) }
+
+// Restore implements Trojan.
+func (m *Misrouter) Restore(s Snapshot) { m.Matches, m.Rewrites = m.restore(s) }
 
 // Strike implements fault.Adversary: rewrite the destination field of
 // matched heads inside a valid re-encoded codeword.
