@@ -53,13 +53,15 @@ race:
 # Fuzz the header Encode/Decode round-trip across randomized layouts, the
 # event-driven core's per-cycle invariants and flit conservation across
 # random platforms, loads, faults and a mid-run link disable, campaign
-# spec parsing, validation, hashing and expansion on malformed input, and
-# campaign resume from malformed checkpoint sidecars.
+# spec parsing, validation, hashing and expansion on malformed input,
+# campaign resume from malformed checkpoint sidecars, and campaign record
+# reading from malformed JSONL.
 fuzz:
 	$(GO) test -fuzz=FuzzHeaderRoundTrip -fuzztime=10s ./internal/flit
 	$(GO) test -run xxx -fuzz=FuzzStepInvariants -fuzztime=10s ./internal/noc
 	$(GO) test -run xxx -fuzz=FuzzSpec -fuzztime=10s ./internal/campaign
 	$(GO) test -run xxx -fuzz=FuzzResume -fuzztime=10s ./internal/campaign
+	$(GO) test -run xxx -fuzz=FuzzRecords -fuzztime=10s ./internal/campaign
 
 # Regenerate the paper's tables/figures and extension studies.
 experiments:

@@ -17,6 +17,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -123,8 +124,12 @@ func runCmd(args []string, resume bool) error {
 	if !*quiet {
 		fmt.Fprintln(os.Stderr)
 	}
-	if err != nil {
+	var stopped *campaign.StoppedError
+	if errors.As(err, &stopped) {
 		return fmt.Errorf("stopped at %d/%d records: %w (resume with: campaign resume)", written, total, err)
+	}
+	if err != nil {
+		return err
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "done: %d records\n", written)
@@ -147,7 +152,7 @@ func aggregateCmd(args []string) error {
 	defer f.Close()
 	records, err := campaign.ReadRecords(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", *inPath, err)
 	}
 	render := func(records []campaign.Record) (tab.Table, error) {
 		groups, err := campaign.Aggregate(records)

@@ -1,0 +1,58 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestResumeFailureBeforeTheSweepHasNoHint: a resume that fails before its
+// sweep starts, on a missing or corrupt checkpoint sidecar, prints only the
+// error. Advising "campaign resume" there would repeat the command that
+// just failed. The committed output stays byte for byte as it was.
+func TestResumeFailureBeforeTheSweepHasNoHint(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "two.json")
+	if err := os.WriteFile(spec, []byte(`{"benchmarks":["fft"],"mitigations":["none","s2s-lob"],"warmup":40,"measure":40}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "two.jsonl")
+	args := []string{"-spec", spec, "-out", out, "-quiet"}
+	if err := runCmd(args, false); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(want, []byte("\n")); n != 2 {
+		t.Fatalf("the run wrote %d records, want 2", n)
+	}
+	sidecar := out + ".ckpt"
+	for _, tc := range []struct {
+		name, want string
+		sidecar    func() error
+	}{
+		{"corrupt sidecar", "corrupt checkpoint", func() error { return os.WriteFile(sidecar, []byte(`{"written":-1}`), 0o644) }},
+		{"missing sidecar", "no checkpoint", func() error { return os.Remove(sidecar) }},
+	} {
+		if err := tc.sidecar(); err != nil {
+			t.Fatal(err)
+		}
+		err := runCmd(args, true)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: resume = %v, want an error containing %q", tc.name, err, tc.want)
+		} else if msg := err.Error(); strings.Contains(msg, "resume with") || strings.Contains(msg, "stopped at") {
+			t.Errorf("%s: resume error %q reads as a stopped sweep", tc.name, msg)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the failed resume changed the output", tc.name)
+		}
+	}
+}

@@ -65,7 +65,6 @@ var NocProtectedFields = []ProtectedField{
 	{Type: "scheduler", Field: "flitsParked"},
 	{Type: "scheduler", Field: "flitsNI"},
 	{Type: "activeSet", Field: "w"},
-	{Type: "Network", Field: "sleepUntil"},
 }
 
 // NocSchedFiles are the files allowed to mutate NocProtectedFields.

@@ -1,7 +1,7 @@
 package campaign
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,25 +10,32 @@ import (
 	"tasp/internal/tab"
 )
 
-// ReadRecords decodes a JSONL stream produced by Run.
+// ReadRecords decodes a JSONL stream as Run writes it. Each line must be
+// byte for byte what AppendJSONL makes of its record (the last line's
+// newline may be missing); any other line, such as {} or a record with an
+// unknown field, fails with its number.
 func ReadRecords(r io.Reader) ([]Record, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
 	var out []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
+	var enc []byte
+	for line := 1; len(data) > 0; line++ {
+		var text []byte
+		text, data, _ = bytes.Cut(data, []byte{'\n'})
 		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		if err := json.Unmarshal(text, &rec); err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
 		}
+		if enc = rec.AppendJSONL(enc[:0]); !bytes.Equal(text, enc[:len(enc)-1]) {
+			col := 1 // enc ends in the newline text lacks, so the scan stays in enc
+			for col <= len(text) && text[col-1] == enc[col-1] {
+				col++
+			}
+			return nil, fmt.Errorf("line %d: not a record as campaign run writes it (it differs from its encoding at column %d)", line, col)
+		}
 		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

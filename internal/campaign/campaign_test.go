@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -145,6 +147,41 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadRecordsRejectsLinesThatAreNotRecords: ReadRecords accepts a line
+// only when it is byte for byte a record as Run writes it, and names the
+// first line that is not. The empty object and an index alone would
+// otherwise aggregate into a row of empty fields.
+func TestReadRecordsRejectsLinesThatAreNotRecords(t *testing.T) {
+	spec := Spec{Benchmarks: []string{"fft"}, Attacks: []AttackSpec{{Kind: "none"}, {Kind: "dest"}}, Warmup: 40, Measure: 40}
+	data := runToBytes(t, spec, Options{Workers: 1})
+	if records, err := ReadRecords(bytes.NewReader(data)); err != nil || len(records) != 2 {
+		t.Fatalf("the run's own output: %d records, err %v", len(records), err)
+	}
+	nl := []byte("\n")
+	good := bytes.Split(bytes.TrimSuffix(data, nl), nl)[0]
+	if records, err := ReadRecords(bytes.NewReader(good)); err != nil || len(records) != 1 {
+		t.Fatalf("one record without its newline: %d records, err %v", len(records), err)
+	}
+	differs := func(col int) string {
+		return fmt.Sprintf("not a record as campaign run writes it (it differs from its encoding at column %d)", col)
+	}
+	for _, tc := range []struct{ name, line, want string }{
+		{"empty object", `{}`, differs(2)},
+		{"index alone", `{"index":3}`, differs(11)},
+		{"unknown field", strings.Replace(string(good), `{"index":0,`, `{"index":0,"extra":1,`, 1), differs(13)},
+		{"truncated", string(good[:len(good)/2]), "unexpected end of JSON input"},
+		{"reformatted number", strings.Replace(string(good), `"routers":16`, `"routers":16.0`, 1), "cannot unmarshal"},
+		{"blank", "", "unexpected end of JSON input"},
+		{"carriage return", string(good) + "\r", differs(len(good) + 1)},
+	} {
+		in := string(good) + "\n" + tc.line + "\n" + string(good) + "\n"
+		records, err := ReadRecords(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 2: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ReadRecords = %d records, err %v; want an error on line 2 containing %q", tc.name, len(records), err, tc.want)
+		}
+	}
+}
+
 // TestKillResumeByteIdentical kills a sweep mid-run (via context
 // cancellation from the record hook), resumes it, and requires the
 // concatenated output to be byte-identical to an uninterrupted run — at
@@ -166,8 +203,10 @@ func TestKillResumeByteIdentical(t *testing.T) {
 				},
 			})
 			cancel()
-			if err == nil {
-				t.Fatalf("workers=%d kill=%d: cancelled run reported success after %d records", workers, killAfter, n)
+			var stopped *StoppedError
+			if !errors.As(err, &stopped) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d kill=%d: cancelled run returned %v after %d records, want a StoppedError wrapping context.Canceled",
+					workers, killAfter, err, n)
 			}
 			ck, ok, err := ReadCheckpoint(CheckpointPath(out))
 			if err != nil || !ok {
@@ -214,20 +253,22 @@ func TestKillResumeByteIdentical(t *testing.T) {
 }
 
 // TestResumeGuards pins the failure modes: resuming without a checkpoint,
-// or against a different spec, must fail loudly.
+// or against a different spec, must fail loudly, before the sweep starts
+// (so with a plain error, not a resumable StoppedError).
 func TestResumeGuards(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.jsonl")
 	spec := testSpec()
-	if _, err := Run(context.Background(), spec, out, Options{Workers: 2, Resume: true}); err == nil {
-		t.Fatal("resume without a checkpoint should fail")
+	var stopped *StoppedError
+	if _, err := Run(context.Background(), spec, out, Options{Workers: 2, Resume: true}); err == nil || errors.As(err, &stopped) {
+		t.Fatalf("resume without a checkpoint = %v, want a plain error", err)
 	}
 	if _, err := Run(context.Background(), spec, out, Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	other := spec
 	other.Seeds = []uint64{7}
-	if _, err := Run(context.Background(), other, out, Options{Workers: 2, Resume: true}); err == nil {
-		t.Fatal("resume with a different spec should fail")
+	if _, err := Run(context.Background(), other, out, Options{Workers: 2, Resume: true}); err == nil || errors.As(err, &stopped) {
+		t.Fatalf("resume with a different spec = %v, want a plain error", err)
 	}
 	// Resuming a finished run is a no-op that keeps the bytes intact.
 	before, _ := os.ReadFile(out)
@@ -296,7 +337,9 @@ func TestAggregate(t *testing.T) {
 
 	// Synthetic record sets: a preset row shows one condition per arm, so a
 	// second condition its label does not display must be rejected with an
-	// error naming both groups, never merged into one row silently.
+	// error naming both groups, never merged into one row silently; and
+	// records that give a preset no row are an error naming the preset,
+	// not a header-only table.
 	arms := func(dim int, bench, attack string) []Record {
 		var out []Record
 		for _, a := range [][2]string{{"none", "none"}, {attack, "none"}, {attack, "s2s-lob"}} {
@@ -325,6 +368,11 @@ func TestAggregate(t *testing.T) {
 		{"scale dest and dest-drop", ScaleTable, twoAttacks,
 			[]string{"mesh 4x4 blackscholes attack=dest mit=none", "mesh 4x4 blackscholes attack=dest-drop mit=none"}},
 		{"scale two dims", ScaleTable, twoDims, nil},
+		{"cross-topology no records", CrossTopologyTable, nil, []string{"cross-topology preset: no row"}},
+		{"scale no records", ScaleTable, nil, []string{"scale preset: no row"}},
+		{"locate clean only", LocateTable, twoBench[:1], []string{"locate preset: no row"}},
+		{"adversary clean only", AdversaryTable, twoBench[:1], []string{"adversary preset: no row"}},
+		{"adaptive clean only", AdaptiveTable, twoBench[:1], []string{"adaptive preset: no row"}},
 	} {
 		table, err := tc.preset(tc.records)
 		if tc.want == nil {

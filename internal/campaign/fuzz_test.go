@@ -143,3 +143,47 @@ func FuzzResume(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRecords feeds arbitrary bytes to ReadRecords. No input may panic, and
+// each must either fail or decode to records that AppendJSONL encodes back
+// to the input (with the last line's newline, which may be missing). The
+// seed corpus is a small committed run, whole and line by line, the empty
+// object, an index alone, a record with an unknown field and a truncated
+// record.
+func FuzzRecords(f *testing.F) {
+	spec := Spec{Benchmarks: []string{"fft"}, Attacks: []AttackSpec{{Kind: "none"}, {Kind: "dest"}}, Warmup: 40, Measure: 40}
+	out := filepath.Join(f.TempDir(), "out.jsonl")
+	if _, err := Run(context.Background(), spec, out, Options{Workers: 1}); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	for _, line := range lines {
+		f.Add(line)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"index":3}`))
+	f.Add(bytes.Replace(lines[0], []byte(`{"index":0,`), []byte(`{"index":0,"extra":1,`), 1))
+	f.Add(lines[1][:len(lines[1])/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		records, err := ReadRecords(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var enc []byte
+		for i := range records {
+			enc = records[i].AppendJSONL(enc)
+		}
+		want := data
+		if len(data) > 0 && data[len(data)-1] != '\n' {
+			want = append(want[:len(want):len(want)], '\n')
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("ReadRecords accepted %q as %d records that encode to %q", data, len(records), enc)
+		}
+	})
+}

@@ -42,7 +42,8 @@ type figure11Row struct {
 // its three arms; groups that fit no arm are left out. Every row needs all
 // three arms, and one arm holds one group: a second benchmark, dims or
 // attack that the label does not display would otherwise overwrite the
-// first silently, so it is an error naming both groups.
+// first silently, so it is an error naming both groups. Records that give
+// no row are an error too, not a header-only table.
 func figure11Rows(records []Record, preset string, label func(GroupKey) string) ([]figure11Row, error) {
 	groups, err := Aggregate(records)
 	if err != nil {
@@ -79,6 +80,9 @@ func figure11Rows(records []Record, preset string, label func(GroupKey) string) 
 		if r.arms[0] == nil || r.arms[1] == nil || r.arms[2] == nil {
 			return nil, fmt.Errorf("%s preset, row %s: needs clean, attacked and s2s-lob arms", preset, r.label)
 		}
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("%s preset: no row in the records (a row needs clean, attacked and s2s-lob arms)", preset)
 	}
 	return rows, nil
 }
@@ -174,7 +178,7 @@ type attackedRow struct {
 // attackedRows gives one row per attacked group, in grid order, keyed by
 // label; a group labelled "" is left out. A label holds one group: a second
 // condition the label does not display is an error naming both groups, and
-// so is a row without its clean baseline.
+// so is a row without its clean baseline or records that give no row.
 func attackedRows(records []Record, preset string, label func(*Group) string) ([]attackedRow, error) {
 	groups, err := Aggregate(records)
 	if err != nil {
@@ -207,6 +211,9 @@ func attackedRows(records []Record, preset string, label func(*Group) string) ([
 			return nil, fmt.Errorf("%s preset, row %s: needs the clean arm %q", preset, name, k)
 		}
 		rows = append(rows, attackedRow{g, clean[k]})
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("%s preset: no row in the records (a row needs an attacked group it tabulates)", preset)
 	}
 	return rows, nil
 }

@@ -28,12 +28,22 @@ type Options struct {
 	OnRecord func(written int)
 }
 
+// StoppedError is Run's error for a sweep that started and stopped early:
+// cancelled, failed at a point, or unable to write its output. The records
+// committed before the stop stay valid, so a Resume can finish the output.
+// Run returns any failure before the sweep starts (an invalid grid, a
+// missing, corrupt or stale checkpoint) as it is.
+type StoppedError struct{ Err error }
+
+func (e *StoppedError) Error() string { return e.Err.Error() }
+func (e *StoppedError) Unwrap() error { return e.Err }
+
 // Run executes a spec's grid into a JSONL file at outPath (one Record per
 // point, in grid order) with a checkpoint sidecar next to it. It returns
 // the number of records committed over the run's whole life (including a
 // resumed prefix). A context cancellation stops the sweep at a record
 // boundary — already-committed output stays valid for Resume — and returns
-// ctx.Err().
+// a StoppedError wrapping ctx.Err().
 func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, error) {
 	if err := spec.checkSize(); err != nil {
 		return 0, err
@@ -177,7 +187,10 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 			failed = err
 		}
 	}
-	return w.written, failed
+	if failed != nil {
+		return w.written, &StoppedError{failed}
+	}
+	return w.written, nil
 }
 
 // worker pulls groups from next until none is left, runs each group's

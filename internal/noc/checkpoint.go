@@ -5,10 +5,10 @@ import "tasp/internal/flit"
 // Checkpoint holds a copy of a network's dynamic state: every buffered,
 // parked and queued flit, the wormhole, credit, ownership and arbitration
 // state around them, the per-port counters and stall clocks, the NIs'
-// registers and reassembly slots, the clock, the sleep counter, the packet
-// id counter, the Counters, the scheduler's active sets and the telemetry
-// tap's history. Restore puts that state back on a network of the same
-// configuration, which then steps exactly as the saved one would have.
+// registers and reassembly slots, the clock, the packet id counter, the
+// Counters, the scheduler's active sets and the telemetry tap's history.
+// Restore puts that state back on a network of the same configuration,
+// which then steps exactly as the saved one would have.
 //
 // A checkpoint does not hold what a network is wired with — the Wires, the
 // route function, the link schedule, the delivery callback — nor anything
@@ -18,8 +18,8 @@ import "tasp/internal/flit"
 // saves and restores repeatedly allocates only when a save holds more
 // flits than any before it.
 type Checkpoint struct {
-	cycle, sleepUntil, nextPacketID uint64
-	counters                        Counters
+	cycle, nextPacketID uint64
+	counters            Counters
 
 	routers []routerState
 	ivcs    []ivcState     // every router's input VCs, router after router
@@ -103,12 +103,11 @@ func refill[T any](dst, src []T) []T {
 }
 
 // Save copies the network's dynamic state into ck, replacing what ck held.
-// A network asleep inside a quiescent stretch is saved as it is, stale
-// stall clocks and all: the restored copy sleeps through the same stretch
-// and repairs them at the same moments.
+// Idle routers' stale stall clocks are saved as they are: the restored copy
+// refreshes them when it wakes the router, as the saved one would have.
 func (n *Network) Save(ck *Checkpoint) {
 	s := n.sched
-	ck.cycle, ck.sleepUntil, ck.nextPacketID = n.cycle, n.sleepUntil, n.nextPacketID
+	ck.cycle, ck.nextPacketID = n.cycle, n.nextPacketID
 	ck.counters = n.Counters
 	var ivcs, ports, vcs, cores, niVCs int
 	for _, r := range n.routers {
@@ -196,7 +195,7 @@ func (n *Network) Restore(ck *Checkpoint) {
 	if len(ck.routers) != len(n.routers) || ck.telOn != (n.telemetry != nil) {
 		panic("noc: Restore of a checkpoint saved from another network shape")
 	}
-	n.cycle, n.sleepUntil, n.nextPacketID = ck.cycle, ck.sleepUntil, ck.nextPacketID
+	n.cycle, n.nextPacketID = ck.cycle, ck.nextPacketID
 	n.Counters = ck.counters
 	var iv, buf, port, vc, ent int
 	for i, r := range n.routers {

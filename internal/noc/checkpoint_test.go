@@ -64,7 +64,7 @@ func (d *ckptLoad) run(n *Network, end uint64) {
 // reset and restored steps on exactly as the uninterrupted network does —
 // same deliveries, occupancy, telemetry and counters — and passes the
 // invariant audit right after the restore. Loads span an idle-heavy regime
-// (long sleep stretches behind the NACKing link) and a congested one.
+// (long penalty waits behind the NACKing link) and a congested one.
 func TestCheckpointRestoreResumesExactly(t *testing.T) {
 	const end = 1500
 	for _, rate := range []float64{0.02, 0.9} {

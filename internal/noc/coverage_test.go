@@ -34,7 +34,6 @@ func TestAccessors(t *testing.T) {
 	if n.Wire(0) == nil {
 		t.Fatal("Wire accessor returned nil")
 	}
-	n.SetRefPacketFlits(1)
 }
 
 func TestCountersAvgLatency(t *testing.T) {

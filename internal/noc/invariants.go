@@ -34,14 +34,10 @@ import (
 //     queued injection flits), and the global flit counters equal the
 //     per-router sums. A stale bit here is precisely the failure mode of
 //     the event-driven core: a phase skipping a router that has work.
-//  8. Sleep validity: inside a scheduled quiescent stretch the network
-//     holds no input or injection flits, and no parked entry becomes
-//     sendable before sleepUntil — the skipped cycles are provably
-//     no-ops.
-//  9. Drop accounting: the DroppedFlits total equals the sum of its
+//  8. Drop accounting: the DroppedFlits total equals the sum of its
 //     per-cause buckets (retransmission exhaustion, in-flight swallow,
 //     orphan retirement, reconfiguration).
-//  10. Stalled-work skips (DESIGN.md §9): the dead-output mask RC walks
+//  9. Stalled-work skips (DESIGN.md §9): the dead-output mask RC walks
 //     matches the ports' disabled flags, every VA request's cached
 //     destination equals its front head's, and an NI Step would skip
 //     (waiting) cannot inject — a dry run of inject's admission checks.
@@ -178,8 +174,7 @@ func (r *Router) checkMasks(l *flit.Layout) error {
 }
 
 // checkScheduler cross-checks the event-driven core's active sets and global
-// counters against brute-force recomputation, then audits any scheduled
-// sleep stretch.
+// counters against brute-force recomputation.
 func (n *Network) checkScheduler() error {
 	s := n.sched
 	var sumIn, sumParked, sumNI int
@@ -213,33 +208,6 @@ func (n *Network) checkScheduler() error {
 	if s.flitsIn != sumIn || s.flitsParked != sumParked || s.flitsNI != sumNI {
 		return fmt.Errorf("scheduler counters in/parked/ni = %d/%d/%d, sums %d/%d/%d",
 			s.flitsIn, s.flitsParked, s.flitsNI, sumIn, sumParked, sumNI)
-	}
-	if n.asleep() {
-		if sumIn != 0 || sumNI != 0 {
-			return fmt.Errorf("asleep until %d with %d input / %d injection flits",
-				n.sleepUntil, sumIn, sumNI)
-		}
-		if n.sleepUntil == ^uint64(0) {
-			if sumParked != 0 {
-				return fmt.Errorf("asleep forever with %d parked flits", sumParked)
-			}
-		} else {
-			for _, r := range n.routers {
-				for p := 0; p < r.numPorts; p++ {
-					for i := range r.outputs[p].entries {
-						e := &r.outputs[p].entries[i]
-						ready := e.enqueuedAt + 1
-						if e.nextTry > ready {
-							ready = e.nextTry
-						}
-						if ready < n.sleepUntil {
-							return fmt.Errorf("r%d %s: entry sendable at %d inside sleep until %d",
-								r.id, PortName(p), ready, n.sleepUntil)
-						}
-					}
-				}
-			}
-		}
 	}
 	return nil
 }

@@ -123,12 +123,6 @@ type Network struct {
 	// sched holds the per-phase active sets and global flit counters of
 	// the event-driven core (see sched.go).
 	sched *scheduler
-	// sleepUntil is the next cycle at which any phase can make progress;
-	// Step returns immediately for cycles before it. Zero means awake.
-	sleepUntil uint64
-
-	// refPacketFlits is the packet size used to judge "core full" bins.
-	refPacketFlits int
 
 	// schedule, when set, gates link traversals by (cycle, vc): TDM QoS
 	// baselines partition link bandwidth between domains with it. A nil
@@ -151,7 +145,7 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	topo := cfg.Topology()
-	n := &Network{cfg: cfg, layout: cfg.Layout(), topo: topo, refPacketFlits: 5}
+	n := &Network{cfg: cfg, layout: cfg.Layout(), topo: topo}
 	n.route = RouteTable(topo)
 	n.baseRoute = n.route
 	n.routePristine = true
@@ -240,8 +234,6 @@ func (n *Network) Reset() {
 	n.routePristine = true
 	n.adaptive = nil
 	n.schedule = nil
-	n.refPacketFlits = 5
-	n.resetSleep()
 	n.sched.reset()
 	for _, r := range n.routers {
 		r.reset(&n.cfg)
@@ -282,7 +274,6 @@ func (n *Network) LinkOutput(linkID int) *outputPort {
 // SetWire replaces the Wire of one link (to install a compromised or secured
 // link). It panics on an invalid link id.
 func (n *Network) SetWire(linkID int, w Wire) {
-	n.wakeAll()
 	l := n.links[linkID]
 	n.routers[l.From].outputs[l.FromPort].wire = w
 }
@@ -301,7 +292,6 @@ func (n *Network) Wire(linkID int) Wire {
 // flits of truncated packets are discarded when they reach a buffer front
 // (see phaseRC).
 func (n *Network) DisableLink(linkID int) {
-	n.wakeAll()
 	l := n.links[linkID]
 	r := n.routers[l.From]
 	op := r.outputs[l.FromPort]
@@ -349,8 +339,7 @@ const stallThreshold = 50
 // disabled, its router holds work, and nothing has crossed it for
 // stallThreshold cycles. Idle routers are skipped by Step, so their
 // progress clocks are stale by design (wake refreshes them); with no flits
-// anywhere they cannot be blocked. Callers repairIfAsleep first, so the
-// clocks are exact inside a sleep stretch.
+// anywhere they cannot be blocked.
 func (n *Network) portBlocked(r *Router, op *outputPort) bool {
 	return !op.disabled && !r.idle() && n.cycle-op.lastProgress >= stallThreshold
 }
@@ -360,7 +349,6 @@ func (n *Network) portBlocked(r *Router, op *outputPort) bool {
 // (blocked ports explain missing deliveries) from in-flight loss (a growing
 // sent/received gap on a link that is demonstrably flowing).
 func (n *Network) LinkBlocked(linkID int) bool {
-	n.repairIfAsleep()
 	l := n.links[linkID]
 	r := n.routers[l.From]
 	return n.portBlocked(r, r.outputs[l.FromPort])
@@ -371,7 +359,6 @@ func (n *Network) LinkBlocked(linkID int) bool {
 // conformance checking stops: arrivals can no longer be validated against
 // the default table.
 func (n *Network) SetRoute(fn RouteFunc) {
-	n.wakeAll()
 	n.route, n.adaptive = fn, nil
 	n.routePristine = false
 }
@@ -381,7 +368,6 @@ func (n *Network) SetRoute(fn RouteFunc) {
 // free downstream credits (ties broken by candidate order, so the first
 // candidate is the deterministic fallback).
 func (n *Network) SetAdaptiveRoute(fn AdaptiveRouteFunc) {
-	n.wakeAll()
 	n.adaptive = fn
 	n.routePristine = false
 	n.route = func(router, dst int) int {
@@ -409,7 +395,6 @@ func (n *Network) SetAdaptiveRoute(fn AdaptiveRouteFunc) {
 // traversal on virtual channel vc may only happen in cycles for which the
 // schedule returns true. Ejection to the local NI is never gated.
 func (n *Network) SetLinkSchedule(fn func(cycle uint64, vc uint8) bool) {
-	n.wakeAll()
 	n.schedule = fn
 }
 
@@ -420,15 +405,11 @@ func (n *Network) SetDelivered(fn func(d Delivery)) {
 	}
 }
 
-// SetRefPacketFlits sets the packet size used for "core full" accounting.
-func (n *Network) SetRefPacketFlits(flits int) { n.refPacketFlits = flits }
-
 // Inject submits a packet from a core. The header's source fields are
 // overwritten to match the core; the packet id and injection cycle are
 // assigned here. It returns false (and counts an InjectFailure) when the
 // core's injection queue cannot hold the packet.
 func (n *Network) Inject(core int, p *flit.Packet) bool {
-	n.wakeAll()
 	r := n.cfg.CoreRouter(core)
 	c := core - r*n.cfg.Concentration
 	p.Hdr.SrcR = uint8(r)
@@ -457,12 +438,6 @@ func (n *Network) Inject(core int, p *flit.Packet) bool {
 // the local input ports.
 func (n *Network) Step() {
 	n.cycle++
-	if n.cycle < n.sleepUntil {
-		// Scheduled quiescence: every phase is provably a no-op until
-		// sleepUntil (see scheduleSleep), so the cycle costs O(1). Stall
-		// clocks are replayed by repairClocks before any observation.
-		return
-	}
 	// Each phase iterates only its active set — the routers the old full
 	// sweep would not have skipped — in the same ascending-id order, so
 	// mid-phase interactions (credits returned upstream during SA, flits
@@ -515,55 +490,24 @@ func (n *Network) Step() {
 			}
 		}
 	}
-	// With no buffered or queued input flits and no TDM gate, the only
-	// future event source is the retransmission buffers: compute the next
-	// event and sleep through the gap.
-	if s.flitsIn == 0 && s.flitsNI == 0 && n.schedule == nil {
-		n.scheduleSleep()
-	}
 }
 
-// Run advances the network by k cycles, fast-forwarding over scheduled
-// quiescent stretches in O(1) instead of stepping through them.
+// Run advances the network by k cycles.
 func (n *Network) Run(k int) {
-	target := n.cycle + uint64(k)
-	for n.cycle < target {
-		if n.sleepUntil > n.cycle+1 {
-			// Jump to the last asleep cycle (or the target): the skipped
-			// cycles are exact no-ops, and Step's increment lands on the
-			// first cycle that can make progress.
-			jump := n.sleepUntil - 1
-			if jump > target {
-				jump = target
-			}
-			n.cycle = jump
-			if n.cycle >= target {
-				return
-			}
-		}
+	for i := 0; i < k; i++ {
 		n.Step()
 	}
 }
 
-// phaseLT attempts one link traversal on an output port: the first sendable
-// retransmission-buffer entry crosses the Wire; on ACK it is retired and the
-// flit deposited downstream, on NACK it waits RetransPenalty cycles and the
-// attempt counter feeds the Wire's obfuscation escalation. Entries of a
-// blocked VC may be overtaken by entries of other VCs (Figure 7's flit 3
-// passing the stalled flit 2), but per-VC order is preserved for wormhole
-// integrity.
+// phaseLT attempts one link traversal on an output port holding parked
+// entries (Step refreshes the other ports' stall clocks itself; a disabled
+// port holds none): the first sendable retransmission-buffer entry crosses
+// the Wire; on ACK it is retired and the flit deposited downstream, on NACK
+// it waits RetransPenalty cycles and the attempt counter feeds the Wire's
+// obfuscation escalation. Entries of a blocked VC may be overtaken by
+// entries of other VCs (Figure 7's flit 3 passing the stalled flit 2), but
+// per-VC order is preserved for wormhole integrity.
 func (n *Network) phaseLT(op *outputPort) {
-	if op.disabled || len(op.entries) == 0 {
-		// The port is stalled only if work is waiting for it somewhere in
-		// the router and it cannot move; with no parked entries, check the
-		// input side before declaring progress.
-		if op.disabled || !n.routers[op.router].hasWorkFor(op.port) {
-			op.lastProgress = n.cycle
-		}
-		if len(op.entries) == 0 {
-			return
-		}
-	}
 	var blocked [MaxVCs]bool // per-VC
 	pick := -1
 	for i := range op.entries {
@@ -663,6 +607,10 @@ func (n *Network) phaseLT(op *outputPort) {
 	n.routers[op.router].loseParked(1)
 }
 
+// refPacketFlits is the packet size Occupancy judges "core full" bins by: a
+// core whose injection queue cannot take a packet this long counts as full.
+const refPacketFlits = 5
+
 // Occupancy computes the utilisation snapshot the paper plots in Figures 11
 // and 12.
 func (n *Network) Occupancy() Occupancy {
@@ -682,7 +630,6 @@ func (n *Network) OccupancyWhere(vcIn func(vc int) bool, coreIn func(core int) b
 	if coreIn == nil {
 		coreIn = allCore
 	}
-	n.repairIfAsleep() // make lastProgress exact inside a sleep stretch
 	o := Occupancy{Cycle: n.cycle}
 	for i, r := range n.routers {
 		blocked := false
@@ -712,7 +659,7 @@ func (n *Network) OccupancyWhere(vcIn func(vc int) bool, coreIn func(core int) b
 			}
 			cores++
 			o.InjectionFlit += n.nis[i].qlen(c)
-			if n.nis[i].coreFull(c, n.refPacketFlits) {
+			if n.nis[i].coreFull(c, refPacketFlits) {
 				full++
 			}
 		}

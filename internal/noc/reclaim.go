@@ -59,7 +59,6 @@ func (n *Network) DisableLinkReclaim(linkID int) int {
 // or buffer keeps its packet alive. Returns the number of flits discarded
 // (booked as DroppedReconfig). O(network); reconfiguration-time only.
 func (n *Network) ReclaimTruncated() int {
-	n.wakeAll()
 	live := map[uint64]bool{}
 	holders := map[uint64]bool{}
 	for _, r := range n.routers {

@@ -321,7 +321,7 @@ func (r *Router) reset(cfg *Config) {
 
 // wake refreshes the stall clocks of a router that is receiving its first
 // flit after an idle stretch. While a router is idle, Step skips it — so
-// the per-port lastProgress updates phaseLT would have performed each idle
+// the per-port lastProgress updates the LT phase would have made each idle
 // cycle are applied in one batch here, keeping the Occupancy stall detector
 // oblivious to the skip.
 func (r *Router) wake(cycle uint64) {

@@ -1,12 +1,8 @@
 package noc
 
-import "math/bits"
-
 // This file implements the event-driven simulator core: per-phase active
-// sets plus a next-event sleep counter, so Step cost scales with the flits
-// in flight rather than the router count, and whole-network quiescent
-// stretches (retransmission-penalty waits, inter-burst gaps) cost O(1) per
-// cycle instead of a full sweep.
+// sets, so Step cost scales with the flits in flight rather than the
+// router count.
 //
 // Membership is maintained at the same counter edges the old sweep's skip
 // conditions tested:
@@ -34,8 +30,8 @@ func (s activeSet) clear(i int)    { s.w[i>>6] &^= 1 << uint(i&63) }
 func (s activeSet) has(i int) bool { return s.w[i>>6]>>uint(i&63)&1 == 1 }
 
 // scheduler tracks which routers and NIs can make progress in each pipeline
-// phase, and how many flits the network holds in total. The global counters
-// decide when the whole network may sleep.
+// phase, and how many flits the network holds in total (the counters size
+// checkpoints and are audited against the per-router tallies).
 type scheduler struct {
 	actIn  activeSet // routers with buffered input flits
 	actOut activeSet // routers with parked retransmission entries
@@ -176,94 +172,4 @@ func (s *scheduler) reset() {
 		s.actIn.w[i], s.actOut.w[i], s.actNI.w[i] = 0, 0, 0
 	}
 	s.flitsIn, s.flitsParked, s.flitsNI = 0, 0, 0
-}
-
-// resetSleep cancels any scheduled quiescence without replaying stall
-// clocks — Network.Reset rewinds every clock to zero anyway.
-func (n *Network) resetSleep() { n.sleepUntil = 0 }
-
-// asleep reports whether the network is inside a scheduled quiescent
-// stretch: cycles before sleepUntil are exact no-ops for every phase.
-func (n *Network) asleep() bool { return n.cycle < n.sleepUntil }
-
-// scheduleSleep computes the next cycle at which any pipeline phase can do
-// work, assuming no external mutation. Callable only when the input buffers
-// and injection queues are globally empty and no TDM schedule gates links
-// (a schedule makes sendability time-dependent in ways we don't model
-// here): the sole remaining event source is the retransmission buffers,
-// whose entries become sendable at max(nextTry, enqueuedAt+1). Until the
-// earliest such time every phaseLT call is a pure no-op (no entry passes
-// the pick scan), SA/VA/RC have no input flits to move, and injection has
-// no queued flits — so the skipped cycles change no state except the
-// entry-free ports' lastProgress refreshes, which repairClocks replays.
-func (n *Network) scheduleSleep() {
-	if n.sched.flitsParked == 0 {
-		n.sleepUntil = ^uint64(0) // fully idle: sleep until external input
-		return
-	}
-	next := ^uint64(0)
-	for wi, w := range n.sched.actOut.w {
-		for ; w != 0; w &= w - 1 {
-			r := n.routers[wi<<6+bits.TrailingZeros64(w)]
-			for p := 0; p < r.numPorts; p++ {
-				for i := range r.outputs[p].entries {
-					e := &r.outputs[p].entries[i]
-					t := e.enqueuedAt + 1
-					if e.nextTry > t {
-						t = e.nextTry
-					}
-					if t < next {
-						next = t
-					}
-				}
-			}
-		}
-	}
-	// A conservative (early) wake is harmless: the woken Step is a no-op
-	// and re-sleeps. Only commit to sleeping when at least one full cycle
-	// is skipped.
-	if next > n.cycle+1 {
-		n.sleepUntil = next
-	}
-}
-
-// repairClocks replays the lastProgress refreshes phaseLT would have
-// performed during skipped cycles: an entry-free (or disabled) port of a
-// non-idle router with no input flit routed toward it refreshes every
-// cycle, so batch-setting it to the current cycle is equivalent to the
-// per-cycle updates. Ports holding entries are deliberately left stale —
-// their stall clocks must keep running, exactly as under the sweep.
-func (n *Network) repairClocks() {
-	for wi := range n.sched.actOut.w {
-		w := n.sched.actIn.w[wi] | n.sched.actOut.w[wi]
-		for ; w != 0; w &= w - 1 {
-			r := n.routers[wi<<6+bits.TrailingZeros64(w)]
-			for p := 0; p < r.numPorts; p++ {
-				op := r.outputs[p]
-				if (op.disabled || len(op.entries) == 0) &&
-					(op.disabled || !r.hasWorkFor(p)) {
-					op.lastProgress = n.cycle
-				}
-			}
-		}
-	}
-}
-
-// repairIfAsleep makes stall clocks exact before an observation (Occupancy,
-// telemetry sampling) taken inside a sleep stretch.
-func (n *Network) repairIfAsleep() {
-	if n.asleep() {
-		n.repairClocks()
-	}
-}
-
-// wakeAll ends a sleep stretch because external state is about to change
-// (injection, wire swap, link disabling, routing or schedule updates). The
-// skipped refreshes are replayed first, under the pre-mutation state —
-// order matters, or the mutation would leak into past cycles' predicates.
-func (n *Network) wakeAll() {
-	if n.asleep() {
-		n.repairClocks()
-		n.sleepUntil = 0
-	}
 }

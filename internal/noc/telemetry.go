@@ -118,7 +118,6 @@ func (t *LinkTelemetry) copyFrom(src *LinkTelemetry) {
 // It allocates nothing.
 func (t *LinkTelemetry) Sample() {
 	n := t.net
-	n.repairIfAsleep() // make lastProgress exact inside a sleep stretch
 	row := t.ring[t.head*t.words : (t.head+1)*t.words]
 	for i := range row {
 		row[i] = 0
