@@ -54,14 +54,16 @@ race:
 # event-driven core's per-cycle invariants and flit conservation across
 # random platforms, loads, faults and a mid-run link disable, campaign
 # spec parsing, validation, hashing and expansion on malformed input,
-# campaign resume from malformed checkpoint sidecars, and campaign record
-# reading from malformed JSONL.
+# campaign resume from malformed checkpoint sidecars, campaign record
+# reading from malformed JSONL, and the attacker placement's reachability
+# test against reroute.Build over random disabled-link sets.
 fuzz:
 	$(GO) test -fuzz=FuzzHeaderRoundTrip -fuzztime=10s ./internal/flit
 	$(GO) test -run xxx -fuzz=FuzzStepInvariants -fuzztime=10s ./internal/noc
 	$(GO) test -run xxx -fuzz=FuzzSpec -fuzztime=10s ./internal/campaign
 	$(GO) test -run xxx -fuzz=FuzzResume -fuzztime=10s ./internal/campaign
 	$(GO) test -run xxx -fuzz=FuzzRecords -fuzztime=10s ./internal/campaign
+	$(GO) test -run xxx -fuzz=FuzzReachability -fuzztime=10s ./internal/reroute
 
 # Regenerate the paper's tables/figures and extension studies.
 experiments:
@@ -115,7 +117,8 @@ bench-json:
 # fixed 100 iterations, fail on any nonzero allocs/op. It prints no ns/op:
 # 100-iteration times are not comparable with the default-benchtime
 # medians of BENCH_<date>.json (`make bench-json`). Covers the per-cycle Step
-# benches (internal/noc, plus under attack at the repo root) and the
+# benches (internal/noc, plus under attack and one cycle of the flood
+# ablation under odd-even routing at the repo root) and the
 # per-point campaign engine benches (a warmed core.Runner arena in
 # internal/core, the full simulate+fill+encode worker body in
 # internal/campaign) — the steady-state 0 allocs/point contract behind

@@ -5,8 +5,11 @@ import (
 
 	"tasp"
 	"tasp/internal/flit"
+	"tasp/internal/flood"
 	"tasp/internal/noc"
+	"tasp/internal/routing"
 	taspht "tasp/internal/tasp"
+	"tasp/internal/traffic"
 	"tasp/internal/xrand"
 )
 
@@ -111,4 +114,44 @@ func benchAttackedStep(b *testing.B, newTrojan func(flit.Layout) taspht.Trojan,
 		net.Step()
 	}
 	b.ReportMetric(float64(counter(&net.Counters)-start)/float64(b.N), metric)
+}
+
+// BenchmarkNetworkStepFlood measures one cycle of the flood ablation
+// (exp.AblationRoutingUnderFlood) in its flooded regime: blackscholes
+// background traffic ticks, four rogue cores on router 15 flood router 0,
+// and the default mesh steps under odd-even adaptive routing. Flood
+// packets are drawn into the attack's own packet and the turn model
+// returns shared candidate slices, so the cycle allocates nothing; the
+// bench gate holds it at 0 allocs/op.
+func BenchmarkNetworkStepFlood(b *testing.B) {
+	cfg := noc.DefaultConfig()
+	net, err := noc.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net.SetAdaptiveRoute(routing.OddEven(cfg))
+	m, err := traffic.Benchmark("blackscholes", cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := m.Generator(1)
+	fl := flood.New([]int{60, 61, 62, 63}, 0, 0.9, 1^0xf1)
+	fl.BodyFlits = 4
+	var scratch flit.Packet
+	cycle := func() {
+		gen.TickInto(&scratch, func(core int, p *flit.Packet) bool { return net.Inject(core, p) })
+		fl.Tick(net.Cycle(), cfg.Routers(), func(core int, p *flit.Packet) bool { return net.Inject(core, p) })
+		net.Step()
+	}
+	for i := 0; i < 500; i++ {
+		cycle()
+	}
+	if fl.Sent() == 0 {
+		b.Fatal("flood idle: no rogue packet injected during warm-up")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
 }

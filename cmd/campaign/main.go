@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -41,7 +42,7 @@ func main() {
 	case "resume":
 		err = runCmd(os.Args[2:], true)
 	case "aggregate":
-		err = aggregateCmd(os.Args[2:])
+		err = aggregateCmd(os.Args[2:], os.Stdout)
 	case "-h", "--help", "help":
 		usage()
 		return
@@ -137,7 +138,10 @@ func runCmd(args []string, resume bool) error {
 	return nil
 }
 
-func aggregateCmd(args []string) error {
+// aggregateCmd renders the table of a sweep's records to w. An input
+// without records fails, naming the input, rather than print an empty
+// table.
+func aggregateCmd(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("aggregate", flag.ExitOnError)
 	inPath := fs.String("in", "", "sweep JSONL path")
 	preset := fs.String("preset", "", "table preset: '' (generic) or one of "+strings.Join(presetNames(), ", "))
@@ -153,6 +157,9 @@ func aggregateCmd(args []string) error {
 	records, err := campaign.ReadRecords(f)
 	if err != nil {
 		return fmt.Errorf("%s: %w", *inPath, err)
+	}
+	if len(records) == 0 {
+		return fmt.Errorf("aggregate: %s holds no records", *inPath)
 	}
 	render := func(records []campaign.Record) (tab.Table, error) {
 		groups, err := campaign.Aggregate(records)
@@ -173,6 +180,6 @@ func aggregateCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(t.Render())
+	fmt.Fprintln(w, t.Render())
 	return nil
 }

@@ -56,3 +56,23 @@ func TestResumeFailureBeforeTheSweepHasNoHint(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateRefusesAnEmptyInput: aggregating a zero-byte file, with or
+// without a preset, fails with an error naming the input and prints
+// nothing, where the generic table used to print its bare header.
+func TestAggregateRefusesAnEmptyInput(t *testing.T) {
+	in := filepath.Join(t.TempDir(), "empty.jsonl")
+	if err := os.WriteFile(in, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, preset := range []string{"", "scale"} {
+		var out bytes.Buffer
+		err := aggregateCmd([]string{"-in", in, "-preset", preset}, &out)
+		if err == nil || !strings.Contains(err.Error(), in) {
+			t.Errorf("preset %q: aggregate = %v, want an error naming %s", preset, err, in)
+		}
+		if out.Len() != 0 {
+			t.Errorf("preset %q: aggregate printed %q", preset, out.String())
+		}
+	}
+}

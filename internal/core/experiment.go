@@ -391,7 +391,9 @@ func flowMatcher(t tasp.Target) func(src, dst int) bool {
 // of the flows the target matches (Section III-A's link-selection analysis)
 // and returns the ids of the n hottest ones that keep the network connected
 // if disabled — the attacker wants maximum coverage, and the rerouting
-// comparison needs a survivable topology.
+// comparison needs a survivable topology. Connected means what
+// reroute.Build needs to route around the disabled links: every router
+// still reaches every other.
 func ChooseInfectedLinks(m *traffic.Model, cfg noc.Config, links []noc.LinkInfo, n int, target tasp.Target) []int {
 	loads := traffic.LinkLoadsWhere(m, cfg, flowMatcher(target))
 	type cand struct {
@@ -409,7 +411,8 @@ func ChooseInfectedLinks(m *traffic.Model, cfg noc.Config, links []noc.LinkInfo,
 		return cands[i].id < cands[j].id
 	})
 	var picked []int
-	disabled := map[int]bool{}
+	reach := reroute.NewReachability(cfg, links)
+	disabled := make([]bool, len(links)) // by link id
 	for _, c := range cands {
 		if len(picked) == n {
 			break
@@ -418,8 +421,8 @@ func ChooseInfectedLinks(m *traffic.Model, cfg noc.Config, links []noc.LinkInfo,
 			break // target flows never cross the remaining links
 		}
 		disabled[c.id] = true
-		if _, err := reroute.Build(cfg, links, disabled); err != nil {
-			delete(disabled, c.id) // would disconnect the mesh; skip
+		if !reach.Connected(disabled) {
+			disabled[c.id] = false // would disconnect the mesh; skip
 			continue
 		}
 		picked = append(picked, c.id)

@@ -116,7 +116,7 @@ func runGrouped(t *testing.T, cfgs []core.ExperimentConfig, groups [][]int) ([][
 }
 
 // lowerGrid reads a campaign grid and lowers every point.
-func lowerGrid(t *testing.T, path string) []core.ExperimentConfig {
+func lowerGrid(t testing.TB, path string) []core.ExperimentConfig {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -19,7 +19,8 @@ import (
 
 // Attack is a flood-based DoS configuration.
 type Attack struct {
-	// Cores lists the compromised cores running rogue threads.
+	// Cores lists the distinct compromised cores running rogue threads,
+	// fixed after New.
 	Cores []int
 	// Victim is the router whose resources the flood targets.
 	Victim int
@@ -36,8 +37,11 @@ type Attack struct {
 	EnableAt uint64 // cycle the rogue threads start
 
 	rng  *xrand.RNG
-	seq  map[int]uint8
+	seq  []uint8 // seq[i] is the last sequence number Cores[i] used
 	sent uint64
+	// pkt is the packet every draw is written into: inject must consume
+	// it before returning, as noc.Network.Inject does by copying the flits.
+	pkt flit.Packet
 }
 
 // New prepares a flood attack.
@@ -47,7 +51,7 @@ func New(cores []int, victim int, rate float64, seed uint64) *Attack {
 		Victim: victim,
 		Rate:   rate,
 		rng:    xrand.New(seed),
-		seq:    map[int]uint8{},
+		seq:    make([]uint8, len(cores)),
 	}
 }
 
@@ -56,12 +60,15 @@ func (a *Attack) Sent() uint64 { return a.sent }
 
 // Tick rolls the rogue threads for one cycle, injecting through the same
 // function the legitimate generator uses. routers is the mesh router count
-// (for spray mode).
+// (for spray mode). Every packet is drawn into one packet the attack owns,
+// so inject must consume it before returning (noc.Network.Inject copies
+// the flits); once its body has grown to BodyFlits, a tick allocates
+// nothing.
 func (a *Attack) Tick(cycle uint64, routers int, inject func(core int, p *flit.Packet) bool) {
 	if cycle < a.EnableAt {
 		return
 	}
-	for _, core := range a.Cores {
+	for i, core := range a.Cores {
 		if !a.rng.Bool(a.Rate) {
 			continue
 		}
@@ -69,15 +76,16 @@ func (a *Attack) Tick(cycle uint64, routers int, inject func(core int, p *flit.P
 		if a.Spray {
 			dst = a.rng.Intn(routers)
 		}
-		a.seq[core]++
-		p := &flit.Packet{Hdr: flit.Header{
+		a.seq[i]++
+		p := &a.pkt
+		*p = flit.Packet{Hdr: flit.Header{
 			VC:   uint8(a.rng.Intn(4)),
 			DstR: uint8(dst),
 			DstC: uint8(a.rng.Intn(4)),
 			Mem:  uint32(dst)<<24 | uint32(a.rng.Intn(1<<20)),
-			Seq:  a.seq[core],
-		}}
-		for i := 0; i < a.BodyFlits; i++ {
+			Seq:  a.seq[i],
+		}, Body: p.Body[:0]}
+		for range a.BodyFlits {
 			p.Body = append(p.Body, a.rng.Uint64())
 		}
 		if inject(core, p) {

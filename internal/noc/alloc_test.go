@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"testing"
 	"unsafe"
 )
@@ -66,5 +67,66 @@ func TestStepAllocationBudget(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, func() { idle.Step() }); avg != 0 {
 		t.Fatalf("idle Network.Step allocates %.3f times per cycle", avg)
+	}
+}
+
+// TestBufferWindowsEndAtTheirBounds: every router keeps each buffer kind
+// in one array and every NI its queues in one array, handed out as
+// windows. Each window must start where the previous one's capacity ends
+// and hold exactly its bound — BufDepth flits per input VC, retransCap
+// entries per output port, VCs owners and credits per port, InjQueueCap
+// flits per core — so no append, compaction or refill can reach a
+// neighbour's storage. Checked on every topology, with shared and per-VC
+// retransmission buffers.
+func TestBufferWindowsEndAtTheirBounds(t *testing.T) {
+	for _, topo := range Topologies() {
+		for _, perVC := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Topo, cfg.RetransPerVC = topo, perVC
+			n, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range n.routers {
+				where := fmt.Sprintf("%s retransPerVC=%v router %d", topo, perVC, r.id)
+				var bufs [][]bufFlit
+				for i := range r.ivcs {
+					bufs = append(bufs, r.ivcs[i].buf)
+				}
+				var entries [][]retransEntry
+				var owners [][]uint64
+				var credits [][]int
+				for _, op := range r.outputs {
+					entries = append(entries, op.entries)
+					owners = append(owners, op.vcOwner)
+					credits = append(credits, op.credits)
+				}
+				checkWindows(t, where+" input VCs", bufs, 0, cfg.BufDepth)
+				checkWindows(t, where+" retransmission buffers", entries, 0, retransCap(&cfg))
+				checkWindows(t, where+" VC owners", owners, cfg.VCs, cfg.VCs)
+				checkWindows(t, where+" credits", credits, cfg.VCs, cfg.VCs)
+				checkWindows(t, where+" NI queues", n.nis[r.id].queues, 0, cfg.InjQueueCap)
+			}
+		}
+	}
+}
+
+// checkWindows checks that each window has length n and capacity c and
+// starts right where the previous one's capacity ends.
+func checkWindows[T any](t *testing.T, where string, ws [][]T, n, c int) {
+	t.Helper()
+	var zero T
+	for i, w := range ws {
+		if len(w) != n || cap(w) != c {
+			t.Fatalf("%s: window %d has len %d cap %d, want len %d cap %d", where, i, len(w), cap(w), n, c)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := ws[i-1]
+		end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), uintptr(cap(prev))*unsafe.Sizeof(zero))
+		if unsafe.Pointer(unsafe.SliceData(w)) != end {
+			t.Fatalf("%s: window %d does not start where window %d ends", where, i, i-1)
+		}
 	}
 }

@@ -211,5 +211,6 @@ type RouteFunc func(router, dst int) int
 // AdaptiveRouteFunc returns the set of permissible output ports for a hop
 // (a turn-model candidate set). The router picks the least congested
 // candidate at route-computation time. Candidates must be non-empty and
-// deadlock-free by construction (e.g. west-first, north-last).
+// deadlock-free by construction (e.g. west-first, north-last). The router
+// only reads the returned slice, so a function may return shared slices.
 type AdaptiveRouteFunc func(router, dst int) []int

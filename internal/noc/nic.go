@@ -72,8 +72,12 @@ func newNI(router int, cfg Config, layout flit.Layout) *NI {
 		injLock: make([]int, cfg.VCs),
 		rx:      make([]rxState, cfg.VCs),
 	}
+	// The cores' queues share one array, each a window whose capacity ends
+	// where the next core's begins.
+	qcap := cfg.InjQueueCap
+	flits := make([]flit.Flit, len(ni.queues)*qcap)
 	for c := range ni.queues {
-		ni.queues[c] = make([]flit.Flit, 0, cfg.InjQueueCap)
+		ni.queues[c] = flits[c*qcap : c*qcap : (c+1)*qcap]
 	}
 	for v := range ni.injLock {
 		ni.injLock[v] = -1

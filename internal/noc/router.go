@@ -261,22 +261,30 @@ func newRouter(id int, cfg *Config, ports int, bitPV []portVC) *Router {
 	// One contiguous block per router for the output ports (and one for
 	// the input VCs): the LT phase walks all ports of every active router
 	// each cycle, and on big substrates the pointer-per-port layout was a
-	// cache miss per port.
+	// cache miss per port. Each kind of buffer is likewise one array per
+	// router, handed out as windows whose capacity ends where the next
+	// begins, so no append, compaction or refill crosses into a
+	// neighbour's storage.
 	ops := make([]outputPort, ports)
+	depth, rcap, vcs := cfg.BufDepth, retransCap(cfg), cfg.VCs
+	bufs := make([]bufFlit, len(r.ivcs)*depth)
 	for i := range r.ivcs {
-		r.ivcs[i].buf = make([]bufFlit, 0, cfg.BufDepth)
+		r.ivcs[i].buf = bufs[i*depth : i*depth : (i+1)*depth]
+	}
+	entries := make([]retransEntry, ports*rcap)
+	owners := make([]uint64, ports*vcs)
+	credits := make([]int, ports*vcs)
+	for v := range credits {
+		credits[v] = depth
 	}
 	for p := 0; p < ports; p++ {
 		op := &ops[p]
 		op.router = id
 		op.port = p
 		op.linkID = -1
-		op.entries = make([]retransEntry, 0, retransCap(cfg))
-		op.vcOwner = make([]uint64, cfg.VCs)
-		op.credits = make([]int, cfg.VCs)
-		for v := range op.credits {
-			op.credits[v] = cfg.BufDepth
-		}
+		op.entries = entries[p*rcap : p*rcap : (p+1)*rcap]
+		op.vcOwner = owners[p*vcs : (p+1)*vcs : (p+1)*vcs]
+		op.credits = credits[p*vcs : (p+1)*vcs : (p+1)*vcs]
 		r.outputs[p] = op
 	}
 	lp := r.outputs[PortLocal]

@@ -332,3 +332,82 @@ func install(n *noc.Network, disabled map[int]bool, t *Table, disable func(*noc.
 	}
 	n.SetRoute(t.Route())
 }
+
+// Reachability tests whether a topology's healthy directed links still
+// let every router reach every other — exactly when Build returns a table
+// rather than an error — without building one: a forward and a reverse
+// breadth-first search from router 0 over flat adjacency arrays, O(R+L)
+// per test. Its buffers are built once and reused by every test, so the
+// attacker's placement checks each candidate link for the price of two
+// searches instead of a full R x R table.
+type Reachability struct {
+	// out[outAt[r]:outAt[r+1]] are the links leaving router r, in link
+	// order; in[inAt[r]:inAt[r+1]] those entering it.
+	outAt, inAt []int
+	out, in     []arc
+	seen        []bool
+	queue       []int
+}
+
+// arc is one directed link seen from one of its ends: its id and the
+// router at its other end.
+type arc struct{ link, router int }
+
+// NewReachability prepares reachability tests over the given links of the
+// configured topology.
+func NewReachability(cfg noc.Config, links []noc.LinkInfo) *Reachability {
+	R := cfg.Routers()
+	c := &Reachability{
+		outAt: make([]int, R+1), inAt: make([]int, R+1),
+		out: make([]arc, len(links)), in: make([]arc, len(links)),
+		seen: make([]bool, R), queue: make([]int, 0, R),
+	}
+	for _, l := range links {
+		c.outAt[l.From+1]++
+		c.inAt[l.To+1]++
+	}
+	for r := 0; r < R; r++ {
+		c.outAt[r+1] += c.outAt[r]
+		c.inAt[r+1] += c.inAt[r]
+	}
+	// Fill each router's run in link order, with the run starts as
+	// cursors; the cursors end at the next router's start, which shifting
+	// the starts down by one restores.
+	for _, l := range links {
+		c.out[c.outAt[l.From]] = arc{l.ID, l.To}
+		c.outAt[l.From]++
+		c.in[c.inAt[l.To]] = arc{l.ID, l.From}
+		c.inAt[l.To]++
+	}
+	copy(c.outAt[1:], c.outAt[:R])
+	copy(c.inAt[1:], c.inAt[:R])
+	c.outAt[0], c.inAt[0] = 0, 0
+	return c
+}
+
+// Connected reports whether every router reaches every other over the
+// links not marked in disabled (indexed by link id; ids past its end, and
+// a nil slice, count as healthy). It allocates nothing.
+func (c *Reachability) Connected(disabled []bool) bool {
+	return c.reachesAll(c.outAt, c.out, disabled) && c.reachesAll(c.inAt, c.in, disabled)
+}
+
+// reachesAll runs a breadth-first search from router 0 over the healthy
+// arcs of one direction and reports whether it visits every router.
+func (c *Reachability) reachesAll(at []int, arcs []arc, disabled []bool) bool {
+	clear(c.seen)
+	c.seen[0] = true
+	q := append(c.queue[:0], 0)
+	for head := 0; head < len(q); head++ {
+		r := q[head]
+		for _, a := range arcs[at[r]:at[r+1]] {
+			if c.seen[a.router] || a.link < len(disabled) && disabled[a.link] {
+				continue
+			}
+			c.seen[a.router] = true
+			q = append(q, a.router)
+		}
+	}
+	c.queue = q
+	return len(q) == len(c.seen)
+}

@@ -49,13 +49,58 @@ func delta(cfg noc.Config, router, dst int) (dx, dy int) {
 	return tx - cx, ty - cy
 }
 
+// shared[a][b] is the candidate list (a) when b == a, else (a, b). Every
+// algorithm returns one of these slices, built once for the package, so a
+// route computation allocates nothing and the functions are safe to share
+// between networks stepping concurrently. Callers must treat a returned
+// candidate slice as read-only.
+var shared = func() (t [noc.MaxPorts][noc.MaxPorts][]int) {
+	for a := range t {
+		for b := range t[a] {
+			if a == b {
+				t[a][b] = []int{a}
+			} else {
+				t[a][b] = []int{a, b}
+			}
+		}
+	}
+	return t
+}()
+
+// cands collects up to two candidate ports in order; every algorithm
+// below offers at most two.
+type cands struct {
+	n int
+	p [2]int
+}
+
+func (c cands) add(port int) cands {
+	c.p[c.n] = port
+	c.n++
+	return c
+}
+
+// list returns the shared slice holding the collected ports.
+func (c cands) list() []int {
+	switch c.n {
+	case 0:
+		return nil
+	case 1:
+		return shared[c.p[0]][c.p[0]]
+	}
+	return shared[c.p[0]][c.p[1]]
+}
+
+// one returns the shared single-candidate list (port).
+func one(port int) []int { return shared[port][port] }
+
 // XY returns the topology's default deterministic route (dimension-order on
 // mesh and torus, shortest-direction on ring) as a (single-candidate)
 // adaptive function, for uniform comparisons.
 func XY(cfg noc.Config) noc.AdaptiveRouteFunc {
 	base := noc.RouteTable(cfg.Topology())
 	return func(router, dst int) []int {
-		return []int{base(router, dst)}
+		return one(base(router, dst))
 	}
 }
 
@@ -67,22 +112,22 @@ func WestFirst(cfg noc.Config) noc.AdaptiveRouteFunc {
 	return func(router, dst int) []int {
 		dx, dy := delta(cfg, router, dst)
 		if dx == 0 && dy == 0 {
-			return []int{noc.PortLocal}
+			return one(noc.PortLocal)
 		}
 		if dx < 0 {
-			return []int{noc.PortWest}
+			return one(noc.PortWest)
 		}
-		var c []int
+		var c cands
 		if dx > 0 {
-			c = append(c, noc.PortEast)
+			c = c.add(noc.PortEast)
 		}
 		if dy > 0 {
-			c = append(c, noc.PortNorth)
+			c = c.add(noc.PortNorth)
 		}
 		if dy < 0 {
-			c = append(c, noc.PortSouth)
+			c = c.add(noc.PortSouth)
 		}
-		return c
+		return c.list()
 	}
 }
 
@@ -93,22 +138,22 @@ func NorthLast(cfg noc.Config) noc.AdaptiveRouteFunc {
 	return func(router, dst int) []int {
 		dx, dy := delta(cfg, router, dst)
 		if dx == 0 && dy == 0 {
-			return []int{noc.PortLocal}
+			return one(noc.PortLocal)
 		}
-		var c []int
+		var c cands
 		if dx > 0 {
-			c = append(c, noc.PortEast)
+			c = c.add(noc.PortEast)
 		}
 		if dx < 0 {
-			c = append(c, noc.PortWest)
+			c = c.add(noc.PortWest)
 		}
 		if dy < 0 {
-			c = append(c, noc.PortSouth)
+			c = c.add(noc.PortSouth)
 		}
-		if len(c) == 0 {
-			return []int{noc.PortNorth} // north only as the last resort
+		if c.n == 0 {
+			return one(noc.PortNorth) // north only as the last resort
 		}
-		return c
+		return c.list()
 	}
 }
 
@@ -118,26 +163,26 @@ func NegativeFirst(cfg noc.Config) noc.AdaptiveRouteFunc {
 	return func(router, dst int) []int {
 		dx, dy := delta(cfg, router, dst)
 		if dx == 0 && dy == 0 {
-			return []int{noc.PortLocal}
+			return one(noc.PortLocal)
 		}
-		var neg []int
+		var neg cands
 		if dx < 0 {
-			neg = append(neg, noc.PortWest)
+			neg = neg.add(noc.PortWest)
 		}
 		if dy < 0 {
-			neg = append(neg, noc.PortSouth)
+			neg = neg.add(noc.PortSouth)
 		}
-		if len(neg) > 0 {
-			return neg
+		if neg.n > 0 {
+			return neg.list()
 		}
-		var pos []int
+		var pos cands
 		if dx > 0 {
-			pos = append(pos, noc.PortEast)
+			pos = pos.add(noc.PortEast)
 		}
 		if dy > 0 {
-			pos = append(pos, noc.PortNorth)
+			pos = pos.add(noc.PortNorth)
 		}
-		return pos
+		return pos.list()
 	}
 }
 
@@ -151,52 +196,52 @@ func OddEven(cfg noc.Config) noc.AdaptiveRouteFunc {
 		tx, ty := cfg.XY(dst)
 		dx, dy := tx-cx, ty-cy
 		if dx == 0 && dy == 0 {
-			return []int{noc.PortLocal}
+			return one(noc.PortLocal)
 		}
-		var c []int
+		var c cands
 		if dx == 0 { // same column: go vertically
 			if dy > 0 {
-				return []int{noc.PortNorth}
+				return one(noc.PortNorth)
 			}
-			return []int{noc.PortSouth}
+			return one(noc.PortSouth)
 		}
 		if dx > 0 { // eastbound
 			if dy == 0 {
-				return []int{noc.PortEast}
+				return one(noc.PortEast)
 			}
 			// EN/ES turns are allowed only in odd columns.
 			if cx%2 == 1 {
 				if dy > 0 {
-					c = append(c, noc.PortNorth)
+					c = c.add(noc.PortNorth)
 				} else {
-					c = append(c, noc.PortSouth)
+					c = c.add(noc.PortSouth)
 				}
 			}
 			// Continuing east is safe unless the next column is the (even)
 			// destination column, where the vertical turn would be
 			// forbidden — then the turn must happen here.
 			if dx > 1 || tx%2 == 1 {
-				c = append(c, noc.PortEast)
+				c = c.add(noc.PortEast)
 			}
-			if len(c) == 0 {
+			if c.n == 0 {
 				// Trapped only if cx is even and tx=cx+1 is even, which
 				// cannot happen (adjacent columns differ in parity); kept
 				// as a defensive fallback.
-				c = append(c, noc.PortEast)
+				c = c.add(noc.PortEast)
 			}
-			return c
+			return c.list()
 		}
 		// Westbound: NW/SW turns are forbidden in odd columns, so vertical
 		// movement must finish in even columns.
 		if dy != 0 && cx%2 == 0 {
 			if dy > 0 {
-				c = append(c, noc.PortNorth)
+				c = c.add(noc.PortNorth)
 			} else {
-				c = append(c, noc.PortSouth)
+				c = c.add(noc.PortSouth)
 			}
 		}
-		c = append(c, noc.PortWest)
-		return c
+		c = c.add(noc.PortWest)
+		return c.list()
 	}
 }
 

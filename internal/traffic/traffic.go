@@ -109,28 +109,32 @@ func Benchmark(name string, cfg noc.Config) (*Model, error) {
 		Intensity:    make([]float64, R),
 		cfg:          cfg,
 	}
-	// Proximity of a router to the nearest primary, decayed per hop of the
-	// topology's own distance metric.
-	prox := func(r int) float64 {
+	// prox[r] is the proximity of router r to the nearest primary, decayed
+	// per hop of the topology's own distance metric.
+	prox := make([]float64, R)
+	for r := range prox {
 		best := math.Inf(1)
 		for _, pr := range p.primaries {
 			if d := float64(topo.HopDist(r, pr)); d < best {
 				best = d
 			}
 		}
-		return math.Exp(-p.decay * best)
+		prox[r] = math.Exp(-p.decay * best)
 	}
+	// The rows share one backing array.
+	cells := make([]float64, R*R)
 	for s := 0; s < R; s++ {
-		row := make([]float64, R)
+		row := cells[s*R : (s+1)*R : (s+1)*R]
 		sum := 0.0
+		partner := transposeOf(cfg, s)
 		for d := 0; d < R; d++ {
 			if d == s {
 				continue
 			}
 			// Gravity component: both endpoints near a primary.
-			w := prox(s) * prox(d) * (1 - p.transpose - p.uniform)
+			w := prox[s] * prox[d] * (1 - p.transpose - p.uniform)
 			// Transpose component (butterfly-style exchanges).
-			if p.transpose > 0 && d == transposeOf(cfg, s) {
+			if p.transpose > 0 && d == partner {
 				w += p.transpose
 			}
 			// Uniform background.
@@ -142,7 +146,7 @@ func Benchmark(name string, cfg noc.Config) (*Model, error) {
 			row[d] /= sum
 		}
 		m.Matrix[s] = row
-		m.Intensity[s] = prox(s)
+		m.Intensity[s] = prox[s]
 	}
 	// Normalise intensities to mean 1 so Rate keeps its meaning, then clamp
 	// the spread: real traces concentrate sources near the primary core but
