@@ -33,7 +33,7 @@ lint: vet
 	$(GO) run ./cmd/nocvet ./...
 
 # The in-tree analyzer suite alone (detrange, detsource, hotalloc, hotcopy,
-# telemetrysafe — see DESIGN.md §10).
+# telemetrysafe, deadexport — see DESIGN.md §10).
 nocvet:
 	$(GO) run ./cmd/nocvet ./...
 

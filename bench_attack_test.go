@@ -138,15 +138,22 @@ func BenchmarkNetworkStepFlood(b *testing.B) {
 	fl := flood.New([]int{60, 61, 62, 63}, 0, 0.9, 1^0xf1)
 	fl.BodyFlits = 4
 	var scratch flit.Packet
+	flooded := 0
 	cycle := func() {
 		gen.TickInto(&scratch, func(core int, p *flit.Packet) bool { return net.Inject(core, p) })
-		fl.Tick(net.Cycle(), cfg.Routers(), func(core int, p *flit.Packet) bool { return net.Inject(core, p) })
+		fl.Tick(net.Cycle(), cfg.Routers(), func(core int, p *flit.Packet) bool {
+			if !net.Inject(core, p) {
+				return false
+			}
+			flooded++
+			return true
+		})
 		net.Step()
 	}
 	for i := 0; i < 500; i++ {
 		cycle()
 	}
-	if fl.Sent() == 0 {
+	if flooded == 0 {
 		b.Fatal("flood idle: no rogue packet injected during warm-up")
 	}
 	b.ReportAllocs()

@@ -30,6 +30,8 @@ func TestConfigureRejectsBadFlags(t *testing.T) {
 		{[]string{"-width", "-4"}, "width = -4: must be positive, or 0 for the default"},
 		{[]string{"-height", "-4"}, "height = -4: must be positive, or 0 for the default"},
 		{[]string{"-bench", "nope"}, `Benchmark = "nope" unknown (have [`},
+		{[]string{"-links", "-4"}, "num_links = -4: must be positive, or 0 for the default"},
+		{[]string{"-sample", "-3"}, "SampleEvery = -3 out of range: must be >= 0"},
 	} {
 		_, _, err := configure(tc.args)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

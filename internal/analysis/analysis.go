@@ -15,7 +15,9 @@
 //
 // The analyzers in this package (detrange, detsource, hotalloc, hotcopy,
 // telemetrysafe) turn both contracts into mechanical findings surfaced by
-// `go run ./cmd/nocvet ./...` in `make lint` and CI. See DESIGN.md §10.
+// `go run ./cmd/nocvet ./...` in `make lint` and CI; deadexport adds a
+// third, that every exported identifier of an internal package has a
+// non-test user. See DESIGN.md §10.
 package analysis
 
 import (
@@ -76,16 +78,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 // directly above. A match marks the annotation used.
 func (p *Pass) Suppressed(pos token.Pos, verb string) bool {
 	return p.Annots.at(p.Fset, pos, verb) != nil
-}
-
-// FileOf returns the *ast.File containing pos, or nil.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // RunAnalyzers runs the given analyzers over one loaded package and returns

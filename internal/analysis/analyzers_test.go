@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tasp/internal/analysis"
-	"tasp/internal/analysis/analysistest"
 )
 
 // The analyzer fixtures each demonstrate at least one flagged and one
@@ -12,19 +11,19 @@ import (
 // testdata/src sources for the expectations).
 
 func TestDetRangeFixture(t *testing.T) {
-	analysistest.Run(t, "testdata/src/detrange", analysis.NewDetRange())
+	runFixture(t, "testdata/src/detrange", analysis.NewDetRange())
 }
 
 func TestDetSourceFixture(t *testing.T) {
-	analysistest.Run(t, "testdata/src/detsource", analysis.NewDetSource())
+	runFixture(t, "testdata/src/detsource", analysis.NewDetSource())
 }
 
 func TestHotAllocFixture(t *testing.T) {
-	analysistest.Run(t, "testdata/src/hotalloc", analysis.NewHotAlloc([]string{"Net.Step"}))
+	runFixture(t, "testdata/src/hotalloc", analysis.NewHotAlloc([]string{"Net.Step"}))
 }
 
 func TestHotCopyFixture(t *testing.T) {
-	analysistest.Run(t, "testdata/src/hotcopy", analysis.NewHotCopy([]string{"Net.Step"}))
+	runFixture(t, "testdata/src/hotcopy", analysis.NewHotCopy([]string{"Net.Step"}))
 }
 
 func TestTelemetrySafeFixture(t *testing.T) {
@@ -35,7 +34,7 @@ func TestTelemetrySafeFixture(t *testing.T) {
 		{Type: "scheduler", Field: "actIn"},
 		{Type: "activeSet", Field: "w"},
 	}
-	analysistest.Run(t, "testdata/src/telemetrysafe",
+	runFixture(t, "testdata/src/telemetrysafe",
 		analysis.NewTelemetrySafe(protected, []string{"sched.go"}))
 }
 
@@ -44,5 +43,22 @@ func TestTelemetrySafeFixture(t *testing.T) {
 // does not suppress the finding beneath it, and a well-formed annotation
 // no analyzer consulted is reported as unused.
 func TestAnnotFixture(t *testing.T) {
-	analysistest.Run(t, "testdata/src/annot", analysis.NewDetRange())
+	runFixture(t, "testdata/src/annot", analysis.NewDetRange())
+}
+
+// TestDeadExportFixture runs deadexport over a module laid out like this
+// one: its internal package's identifiers are used from a command, from
+// inside the package, through interfaces, and from a nested benchmark
+// module, and the rest are reported.
+func TestDeadExportFixture(t *testing.T) {
+	const root = "testdata/deadexport"
+	uses, err := analysis.LoadUses(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.Load(root, "./internal/lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWants(t, pkgs[0], analysis.NewDeadExport(uses))
 }

@@ -18,6 +18,10 @@ import (
 //	//nocvet:nondet <reason>      detsource: the nondeterminism source is
 //	                              deliberate (e.g. tooling that stamps a
 //	                              wall-clock date outside any golden path).
+//	//nocvet:keep <reason>        deadexport: the exported identifier has no
+//	                              non-test user but stays, and the reason
+//	                              names the test, paper remark or open
+//	                              ROADMAP item that needs it.
 //
 // An annotation covers findings on its own line (trailing comment) or on
 // the line directly below (own-line comment). The reason is mandatory:
@@ -31,6 +35,7 @@ var knownVerbs = map[string]bool{
 	"allowalloc": true,
 	"allowcopy":  true,
 	"nondet":     true,
+	"keep":       true,
 }
 
 // Annotation is one parsed //nocvet:<verb> <reason> comment.
@@ -80,7 +85,7 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File) (*Annotations, []D
 						Pos:      c.Pos(),
 						Analyzer: "nocvet",
 						Message: "unknown nocvet annotation verb " + quoteVerb(verb) +
-							" (known: allowalloc, allowcopy, nondet, orderfree)",
+							" (known: allowalloc, allowcopy, keep, nondet, orderfree)",
 					})
 				case reason == "":
 					malformed = append(malformed, Diagnostic{

@@ -1,6 +1,7 @@
-// Package analysistest runs nocvet analyzers over fixture packages and
-// checks their diagnostics against in-source expectations, mirroring the
-// golang.org/x/tools/go/analysis/analysistest workflow:
+package analysis_test
+
+// The fixture harness mirrors the golang.org/x/tools/go/analysis/analysistest
+// workflow:
 //
 //	func F() {
 //		m := map[int]int{}
@@ -14,7 +15,6 @@
 // must match one expectation and every expectation must be matched by a
 // diagnostic, so fixtures demonstrate both the flagged and the permitted
 // pattern of each analyzer.
-package analysistest
 
 import (
 	"fmt"
@@ -29,17 +29,24 @@ import (
 // wantRE extracts the quoted expectations from a `// want` comment.
 var wantRE = regexp.MustCompile("`[^`]*`|\"[^\"]*\"")
 
-// Run loads the fixture package in dir, applies the analyzers, and reports
-// any mismatch between diagnostics and `// want` expectations through t.
-func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
+// runFixture loads the fixture package in dir and checks the analyzers'
+// diagnostics against its `// want` expectations.
+func runFixture(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	pkg, err := analysis.LoadFixtureDir(dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
+	checkWants(t, pkg, analyzers...)
+}
+
+// checkWants applies the analyzers to pkg and reports through t any
+// mismatch between their diagnostics and the `// want` expectations.
+func checkWants(t *testing.T, pkg *analysis.Package, analyzers ...*analysis.Analyzer) {
+	t.Helper()
 	diags, err := analysis.RunAnalyzers(pkg, analyzers)
 	if err != nil {
-		t.Fatalf("running analyzers on %s: %v", dir, err)
+		t.Fatalf("running analyzers on %s: %v", pkg.ImportPath, err)
 	}
 
 	type key struct {

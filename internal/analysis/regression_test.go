@@ -53,7 +53,7 @@ func (n *Network) Step() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunAnalyzers(pkg, analysis.SuiteFor("tasp/internal/noc"))
+	diags, err := analysis.RunAnalyzers(pkg, analysis.SuiteFor("tasp/internal/noc", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +103,9 @@ func (n *Network) Step() {
 		r.markOccupied(uint(id % 64))
 	}
 }
+
+// run gives Step a user, as the simulator's runner does.
+func run(n *Network) { n.Step() }
 `
 	if err := os.WriteFile(filepath.Join(dir, "sched.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
@@ -111,7 +114,8 @@ func (n *Network) Step() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunAnalyzers(pkg, analysis.SuiteFor("tasp/internal/noc"))
+	uses := analysis.CollectUses([]*analysis.Package{pkg})
+	diags, err := analysis.RunAnalyzers(pkg, analysis.SuiteFor("tasp/internal/noc", uses))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func (g *Generator) PacketInto(core int, dst *int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diags, err := analysis.RunAnalyzers(pkg, analysis.SuiteFor(tc.pkg))
+			diags, err := analysis.RunAnalyzers(pkg, analysis.SuiteFor(tc.pkg, nil))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,12 +221,12 @@ func (g *Generator) PacketInto(core int, dst *int) {
 }
 
 // TestSeededRegressionCampaign plants the campaign engine's canonical
-// contract violations — a per-point allocation inside the worker loop and a
-// writer-cursor mutation outside writer.go — in a campaign-shaped package
-// and proves the shipped internal/campaign configuration flags both. The
-// worker loop's 0 allocs/point contract is what makes thousand-point sweeps
-// run at arena speed; a make() in the loop would silently cost a heap
-// allocation per grid point.
+// contract violations — a per-point allocation in the worker's record
+// callback and a writer-cursor mutation outside writer.go — in a
+// campaign-shaped package and proves the shipped internal/campaign
+// configuration flags both. The worker's 0 allocs/point contract is what
+// makes thousand-point sweeps run at arena speed; a make() in the callback
+// would silently cost a heap allocation per grid point.
 func TestSeededRegressionCampaign(t *testing.T) {
 	dir := t.TempDir()
 	src := `package campaign
@@ -236,12 +240,16 @@ type writer struct {
 	written int
 }
 
-func worker(recs []Record, results chan<- []byte) {
-	for i := range recs {
-		buf := make([]byte, 0, 256)
-		buf = append(buf, recs[i].line...)
-		results <- buf
-	}
+type worker struct {
+	rec     Record
+	results chan<- []byte
+}
+
+func (w *worker) emit(i int) error {
+	buf := make([]byte, 0, 256)
+	buf = append(buf, w.rec.line...)
+	w.results <- buf
+	return nil
 }
 
 // commitDirect lives outside writer.go, so advancing the cursor here must
@@ -258,7 +266,7 @@ func (w *writer) commitDirect() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := analysis.RunAnalyzers(pkg, analysis.SuiteFor("tasp/internal/campaign"))
+	diags, err := analysis.RunAnalyzers(pkg, analysis.SuiteFor("tasp/internal/campaign", nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +275,7 @@ func (w *writer) commitDirect() {
 		byAnalyzer[d.Analyzer]++
 	}
 	if byAnalyzer["hotalloc"] == 0 {
-		t.Errorf("per-point allocation in the worker loop not flagged by hotalloc; got %v", diags)
+		t.Errorf("per-point allocation in the worker's record callback not flagged by hotalloc; got %v", diags)
 	}
 	if byAnalyzer["telemetrysafe"] == 0 {
 		t.Errorf("writer cursor mutation outside writer.go not flagged by telemetrysafe; got %v", diags)
@@ -275,21 +283,26 @@ func (w *writer) commitDirect() {
 }
 
 func TestSuiteFor(t *testing.T) {
-	if got := analysis.SuiteFor("tasp/internal/noc"); len(got) != 5 {
-		t.Errorf("internal/noc suite has %d analyzers, want 5 (detrange, detsource, hotalloc, hotcopy, telemetrysafe)", len(got))
+	if got := analysis.SuiteFor("tasp/internal/noc", nil); len(got) != 6 {
+		t.Errorf("internal/noc suite has %d analyzers, want 6 (detrange, detsource, deadexport, hotalloc, hotcopy, telemetrysafe)", len(got))
 	}
-	if got := analysis.SuiteFor("tasp/internal/campaign"); len(got) != 4 {
-		t.Errorf("internal/campaign suite has %d analyzers, want 4 (detrange, detsource, hotalloc, telemetrysafe)", len(got))
+	if got := analysis.SuiteFor("tasp/internal/campaign", nil); len(got) != 5 {
+		t.Errorf("internal/campaign suite has %d analyzers, want 5 (detrange, detsource, deadexport, hotalloc, telemetrysafe)", len(got))
 	}
 	for _, pkg := range []string{"tasp/internal/flit", "tasp/internal/traffic"} {
-		if got := analysis.SuiteFor(pkg); len(got) != 3 {
-			t.Errorf("%s suite has %d analyzers, want 3 (detrange, detsource, hotcopy)", pkg, len(got))
+		if got := analysis.SuiteFor(pkg, nil); len(got) != 4 {
+			t.Errorf("%s suite has %d analyzers, want 4 (detrange, detsource, deadexport, hotcopy)", pkg, len(got))
 		}
 	}
-	if got := analysis.SuiteFor("tasp/internal/exp"); len(got) != 2 {
-		t.Errorf("non-noc sim package suite has %d analyzers, want 2 (detrange, detsource)", len(got))
+	if got := analysis.SuiteFor("tasp/internal/exp", nil); len(got) != 3 {
+		t.Errorf("internal sim package suite has %d analyzers, want 3 (detrange, detsource, deadexport)", len(got))
 	}
-	if got := analysis.SuiteFor("fmt"); got != nil {
+	for _, pkg := range []string{"tasp/cmd/nocsim", "tasp/bench"} {
+		if got := analysis.SuiteFor(pkg, nil); len(got) != 2 {
+			t.Errorf("%s suite has %d analyzers, want 2 (detrange, detsource)", pkg, len(got))
+		}
+	}
+	if got := analysis.SuiteFor("fmt", nil); got != nil {
 		t.Errorf("non-module package got a suite: %v", got)
 	}
 }

@@ -74,14 +74,18 @@ var NocProtectedFields = []ProtectedField{
 var NocSchedFiles = []string{"sched.go", "checkpoint.go"}
 
 // CampaignHotPathRoots are the campaign engine's per-point entry points:
-// the worker loop body and the record fill/encode pair it calls once per
-// grid point. Statically reachable callees (Scenario.Config and the
-// AttackSpec/JSONL helpers) are covered without being named. Amortized
-// appends into recycled storage are annotated at their declarations; the
-// dynamic complement to this static gate is BenchmarkCampaignPoint's
-// 0 allocs/op contract.
+// the sweep worker's callbacks, which core.Runner.RunGroups calls once per
+// grid point (lower the scenario; hand out the results; fill, encode and
+// send the record), and the record fill/encode pair. Statically reachable
+// callees (Scenario.Config and the AttackSpec/JSONL helpers) are covered
+// without being named. Amortized appends into recycled storage are
+// annotated at their declarations; the dynamic complement to this static
+// gate is BenchmarkCampaignPoint's 0 allocs/op contract, which also covers
+// the loop in core that calls the callbacks.
 var CampaignHotPathRoots = []string{
-	"worker",
+	"worker.config",
+	"worker.into",
+	"worker.emit",
 	"Record.Fill",
 	"Record.AppendJSONL",
 }
@@ -114,7 +118,6 @@ var DetectHotPathRoots = []string{
 	"AckMonitor.Reset",
 	"AckMonitor.Class",
 	"AckMonitor.Channel",
-	"AckMonitor.Deficit",
 	"AckMonitor.Flagged",
 }
 
@@ -147,6 +150,13 @@ var LocateHotPathRoots = []string{
 	"Engine.RankWeighted",
 }
 
+// UserModules are the modules, as directories relative to the simulator
+// module's root, whose non-test code counts as a user of an exported
+// identifier (deadexport): the simulator and the benchmark. The benchmark is
+// type-checked read-only, so deleting something it calls fails nocvet
+// rather than the benchmark's build.
+var UserModules = []string{".", "bench"}
+
 // simPackage reports whether an import path is simulation code bound by
 // the determinism contracts. Everything in this module feeds the golden
 // files or the seed-determinism tests except the analysis tooling itself —
@@ -155,12 +165,23 @@ func simPackage(path string) bool {
 	return path == "tasp" || strings.HasPrefix(path, "tasp/")
 }
 
-// SuiteFor returns the analyzers nocvet runs on one package.
-func SuiteFor(importPath string) []*Analyzer {
+// internalPackage reports whether an import path is an internal package,
+// the packages deadexport checks.
+func internalPackage(path string) bool {
+	return strings.Contains(path, "/internal/")
+}
+
+// SuiteFor returns the analyzers nocvet runs on one package. uses is what
+// the non-test code of the UserModules refers to (LoadUses); deadexport
+// checks every internal package against it.
+func SuiteFor(importPath string, uses Uses) []*Analyzer {
 	if !simPackage(importPath) {
 		return nil
 	}
 	suite := []*Analyzer{NewDetRange(), NewDetSource()}
+	if internalPackage(importPath) {
+		suite = append(suite, NewDeadExport(uses))
+	}
 	switch importPath {
 	case "tasp/internal/noc":
 		suite = append(suite,

@@ -1,73 +1,72 @@
 package campaign
 
 import (
+	"context"
+	"sync/atomic"
 	"testing"
 
 	"tasp/internal/core"
 )
 
-// pointLoop is the worker's per-group body without the channel plumbing:
-// lower the group's scenarios, run them on the reused arena through
-// RunGroup — the first member checkpoints the shared warm-up, a member
-// repeating its run copies its results, the attacked rerouting member
-// resumes its unmitigated twin at its reroute cycle, and the others resume
-// the warm-up — and fill and encode each record into a recycled buffer.
-// One step runs one group.
+// pointLoop drives a sweep worker one group at a time: the worker's
+// Runner lowers the group's scenarios and runs them through RunGroup — the
+// first member checkpoints the shared warm-up, a member repeating its run
+// copies its results, the attacked rerouting member resumes its
+// unmitigated twin at its reroute cycle, and the others resume the
+// warm-up — and the worker fills and encodes each record into a recycled
+// buffer, which the loop hands back as the writer would.
 type pointLoop struct {
-	scenarios []Scenario
-	groups    [][]int
-	runner    *core.Runner
-	res       *core.Results
-	rec       Record
-	buf       []byte
-	cfgs      []core.ExperimentConfig
-	members   []int
-	i         int
-	resumed   int // members that resumed the warm-up, for the coverage check
-	twins     int // members that resumed their twin
-	copied    int // members that copied an earlier member's run
+	w       *worker
+	runner  *core.Runner
+	results chan encoded
+	groups  [][]int
+	next    atomic.Int64
+	i       int // steps taken
+	g       int // the group the current step runs
+	resumed int // members that resumed the warm-up, for the coverage check
+	twins   int // members that resumed their twin
+	copied  int // members that copied an earlier member's run
 }
 
 func newPointLoop(tb testing.TB) *pointLoop {
-	p := &pointLoop{scenarios: allocSpec().Expand(), runner: core.NewRunner(), res: &core.Results{}}
-	p.groups = core.Groups(len(p.scenarios), 1, func(i int) (core.ExperimentConfig, error) { return p.scenarios[i].Config() })
-	if len(p.groups) == len(p.scenarios) {
+	scenarios := allocSpec().Expand()
+	results := make(chan encoded, len(scenarios))
+	p := &pointLoop{
+		w:       &worker{ctx: context.Background(), scenarios: scenarios, pool: &bufPool{}, results: results},
+		runner:  core.NewRunner(),
+		results: results,
+	}
+	p.groups = core.Groups(len(scenarios), 1, p.w.config)
+	if len(p.groups) == len(scenarios) {
 		tb.Fatal("allocSpec forms no fork group; the loop would not cover a resumed member")
 	}
 	return p
 }
 
-func (p *pointLoop) into(int) *core.Results { return p.res }
-
-func (p *pointLoop) emit(k int, res *core.Results) error {
-	i := p.members[k]
-	p.rec.identify(i, &p.scenarios[i], &p.cfgs[k])
-	p.rec.Fill(res)
-	p.buf = p.rec.AppendJSONL(p.buf[:0])
-	switch sc := &p.scenarios[i]; {
-	case sc.Attack.Kind == "none" && k > 0:
+// emit counts the member's role and passes it on to the worker.
+func (p *pointLoop) emit(i int, cfg *core.ExperimentConfig, res *core.Results) error {
+	first := i == p.groups[p.g][0]
+	switch sc := &p.w.scenarios[i]; {
+	case sc.Attack.Kind == "none" && !first:
 		p.copied++ // the clean point under a mitigation repeats it under none
 	case sc.Mitigation == "rerouting":
 		p.twins++
-	case k > 0:
+	case !first:
 		p.resumed++
 	}
-	return nil
+	return p.w.emit(i, cfg, res)
 }
 
+// step runs the next group.
 func (p *pointLoop) step(tb testing.TB) {
-	p.members = p.groups[p.i%len(p.groups)]
+	p.g = p.i % len(p.groups)
 	p.i++
-	p.cfgs = p.cfgs[:0]
-	for _, i := range p.members {
-		cfg, err := p.scenarios[i].Config()
-		if err != nil {
-			tb.Fatal(err)
-		}
-		p.cfgs = append(p.cfgs, cfg)
+	p.next.Store(0)
+	if i, err := p.runner.RunGroups(p.w.ctx, p.groups[p.g:p.g+1], &p.next, p.w.config, p.w.into, p.emit); err != nil {
+		tb.Fatalf("point %d: %v", i, err)
 	}
-	if err := p.runner.RunGroup(p.cfgs, p.into, p.emit); err != nil {
-		tb.Fatal(err)
+	for range p.groups[p.g] {
+		p.w.pool.put((<-p.results).buf)
 	}
 }
 

@@ -601,6 +601,13 @@ func TestSpecValidateRejectsBadAttackInputs(t *testing.T) {
 		{"negative warmup", `{"warmup":-5}`, "warmup = -5: must be positive, or 0 for the default"},
 		{"negative measure", `{"measure":-10}`, "measure = -10: must be positive, or 0 for the default"},
 		{"unknown benchmark after a known one", `{"benchmarks":["blackscholes","nope"]}`, `Benchmark = "nope" unknown (have [`},
+		{"negative payload counter", `{"attacks":[{"kind":"dest","y_bits":-1}]}`, "y_bits = -1: must be positive, or 0 for the default"},
+		{"one-bit payload counter", `{"attacks":[{"kind":"dest","y_bits":1}]}`, "Attack.YBits = 1 out of range: 0 (default) or 2..72"},
+		{"payload counter past the codeword", `{"attacks":[{"kind":"dest","y_bits":73}]}`, "Attack.YBits = 73 out of range: 0 (default) or 2..72"},
+		{"negative link count", `{"attacks":[{"kind":"dest","num_links":-3}]}`, "num_links = -3: must be positive, or 0 for the default"},
+		{"negative duty period", `{"attacks":[{"kind":"dest","mode":"throttle","duty_period":-5}]}`, "duty_period = -5: must be positive, or 0 for the default"},
+		{"negative duty span", `{"attacks":[{"kind":"dest","mode":"collude","duty_active":-5}]}`, "duty_active = -5: must be positive, or 0 for the default"},
+		{"throttle span past its period", `{"attacks":[{"kind":"dest","mode":"throttle","duty_period":40,"duty_active":41}]}`, "Attack.DutyActive = 41 out of range: 0 (default) or 1..40"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec, err := ParseSpec([]byte(tc.spec))
@@ -681,6 +688,34 @@ func TestAdversaryPresetShapes(t *testing.T) {
 		}
 		if !strings.HasPrefix(row[rankCol], "hit") {
 			t.Errorf("%s/%s: locate rank-1 missed the infected set (%s)", row[0], row[1], row[rankCol])
+		}
+	}
+}
+
+// TestRunStopsAtTheInvalidPoint: a sweep over a grid with one point that
+// lowers but fails to run (a one-bit payload counter) stops at that point
+// and names it, at one and two workers. One worker commits every record
+// before it; with two, the failure cancels the other worker's point in
+// flight, so only a prefix of them is committed.
+func TestRunStopsAtTheInvalidPoint(t *testing.T) {
+	spec := Spec{
+		Benchmarks:  []string{"blackscholes"},
+		Attacks:     []AttackSpec{{Kind: "none"}, {Kind: "dest"}, {Kind: "dest", YBits: 1}},
+		Mitigations: []string{"none"},
+		SeedCount:   1,
+		Warmup:      100,
+		Measure:     100,
+	}
+	const want = "point 2: core: Attack.YBits = 1 out of range: 0 (default) or 2..72"
+	for _, workers := range []int{1, 2} {
+		out := filepath.Join(t.TempDir(), "out.jsonl")
+		n, err := Run(context.Background(), spec, out, Options{Workers: workers})
+		var stopped *StoppedError
+		if !errors.As(err, &stopped) || err.Error() != want {
+			t.Fatalf("workers=%d: Run = %v, want a StoppedError %q", workers, err, want)
+		}
+		if n > 2 || (workers == 1 && n != 2) {
+			t.Errorf("workers=%d: %d records committed, want the 2 before the invalid point (or fewer at 2 workers)", workers, n)
 		}
 	}
 }

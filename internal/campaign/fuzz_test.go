@@ -35,6 +35,8 @@ func FuzzSpec(f *testing.F) {
 			f.Add(data)
 		}
 	}
+	// Validate once let this through, and the sweep panicked in tasp.New.
+	f.Add([]byte(`{"attacks":[{"kind":"dest","y_bits":-1}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSpec(data)
 		if err != nil {

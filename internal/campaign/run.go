@@ -150,7 +150,8 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := worker(runCtx, scenarios, start, groups, &next, w.pool, results); err != nil {
+			wk := &worker{ctx: runCtx, scenarios: scenarios, start: start, pool: w.pool, results: results}
+			if err := wk.run(groups, &next); err != nil {
 				errs <- err
 				cancel()
 			}
@@ -193,56 +194,52 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 	return w.written, nil
 }
 
-// worker pulls groups from next until none is left, runs each group's
-// points with RunGroup and encodes every result into a recycled buffer.
-// One core.Runner per worker: repeated points on the same platform reuse
-// its arenas, which is where the engine's 0 allocs/point steady state comes
-// from, and a group's members share its warm-up checkpoint.
-func worker(ctx context.Context, scenarios []Scenario, start int, groups [][]int, next *atomic.Int64, pool *bufPool, results chan<- encoded) error {
-	runner := core.NewRunner()
-	res := &core.Results{} //nocvet:allowalloc once per worker, not per point; RunGroup reuses it
-	var rec Record
-	var members []int
-	var cfgs []core.ExperimentConfig
-	cur := 0 // the member RunGroup is running
-	//nocvet:allowalloc once per worker, not per point: RunGroup's result storage callback
-	into := func(k int) *core.Results {
-		cur = k
-		return res
-	}
-	//nocvet:allowalloc once per worker, not per point: RunGroup's per-member callback
-	emit := func(k int, res *core.Results) error {
-		i := start + members[k]
-		rec.identify(i, &scenarios[i], &cfgs[k])
-		rec.Fill(res)
-		buf := rec.AppendJSONL(pool.get())
-		//nocvet:nondet commit order is index-restored by the writer; the race only decides shutdown timing
-		select {
-		case results <- encoded{index: i, buf: buf}:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	for ctx.Err() == nil {
-		g := int(next.Add(1)) - 1
-		if g >= len(groups) {
-			return nil
-		}
-		members, cfgs = groups[g], cfgs[:0]
-		for _, k := range members {
-			cfg, err := scenarios[start+k].Config()
-			if err != nil {
-				return fmt.Errorf("point %d: %w", start+k, err) //nocvet:allowalloc error path aborts the sweep
-			}
-			cfgs = append(cfgs, cfg) //nocvet:allowalloc amortized: grows to the largest group once per worker
-		}
-		if err := runner.RunGroup(cfgs, into, emit); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("point %d: %w", start+members[cur], err) //nocvet:allowalloc error path aborts the sweep
-		}
+// worker is one sweep goroutine. Its core.Runner runs the groups it takes
+// (core.Runner.RunGroups), and it fills and encodes every point's record
+// into a recycled buffer for the writer. One Runner per worker: repeated
+// points on the same platform reuse its arenas, which is where the
+// engine's 0 allocs/point steady state comes from, and a group's members
+// share its warm-up checkpoint. Indices are those of the points left to
+// run; scenario start+i is point i.
+type worker struct {
+	ctx       context.Context
+	scenarios []Scenario
+	start     int
+	pool      *bufPool
+	results   chan<- encoded
+	res       core.Results // every point's results: RunGroup reuses them
+	rec       Record
+}
+
+// run runs groups until none is left, the sweep is cancelled, or a point
+// fails.
+func (w *worker) run(groups [][]int, next *atomic.Int64) error {
+	i, err := core.NewRunner().RunGroups(w.ctx, groups, next, w.config, w.into, w.emit)
+	if err != nil {
+		return fmt.Errorf("point %d: %w", w.start+i, err)
 	}
 	return nil
+}
+
+// config lowers point i.
+func (w *worker) config(i int) (core.ExperimentConfig, error) {
+	return w.scenarios[w.start+i].Config()
+}
+
+// into hands every point the worker's one Results.
+func (w *worker) into(int) *core.Results { return &w.res }
+
+// emit fills and encodes point i's record and sends it to the writer.
+func (w *worker) emit(i int, cfg *core.ExperimentConfig, res *core.Results) error {
+	i += w.start
+	w.rec.identify(i, &w.scenarios[i], cfg)
+	w.rec.Fill(res)
+	buf := w.rec.AppendJSONL(w.pool.get())
+	//nocvet:nondet commit order is index-restored by the writer; the race only decides shutdown timing
+	select {
+	case w.results <- encoded{index: i, buf: buf}:
+		return nil
+	case <-w.ctx.Done():
+		return w.ctx.Err()
+	}
 }

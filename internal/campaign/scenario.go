@@ -176,7 +176,11 @@ func (s Scenario) Config() (core.ExperimentConfig, error) {
 	for _, f := range [...]struct {
 		name string
 		v    int
-	}{{"width", s.Width}, {"height", s.Height}, {"warmup", s.Warmup}, {"measure", s.Measure}} {
+	}{
+		{"width", s.Width}, {"height", s.Height}, {"warmup", s.Warmup}, {"measure", s.Measure},
+		{"num_links", s.Attack.NumLinks}, {"y_bits", s.Attack.YBits},
+		{"duty_period", s.Attack.DutyPeriod}, {"duty_active", s.Attack.DutyActive},
+	} {
 		if f.v < 0 {
 			return cfg, fmt.Errorf("%s = %d: must be positive, or 0 for the default", f.name, f.v) //nocvet:allowalloc error path aborts the sweep
 		}

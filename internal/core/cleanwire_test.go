@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"tasp/internal/ecc"
@@ -37,7 +38,7 @@ func randomTraffic(seed uint64, packets int) []traversal {
 		for i := rng.Intn(5); i > 0; i-- {
 			p.Body = append(p.Body, rng.Uint64())
 		}
-		for _, f := range p.Flits(flit.Default) {
+		for _, f := range p.AppendFlits(nil, &flit.Default) {
 			out = append(out, traversal{f: f, vc: h.VC, attempt: rng.Intn(4)})
 		}
 	}
@@ -86,16 +87,18 @@ func TestCleanWireFastPathMatchesFullCodec(t *testing.T) {
 			}
 		}
 		type counters struct {
-			corrected, dropped, swallowed, obfuscated, bist, stall, hits uint64
-			logLen                                                       int
-			class                                                        string
+			corrected, dropped, swallowed, obfuscated, bist, stall uint64
+			class                                                  string
 		}
 		snap := func(w *SecureWire) counters {
 			return counters{w.Corrected, w.Dropped, w.Swallowed, w.Obfuscated, w.BISTScans, w.StallCycles,
-				w.Log.Hits, w.Log.Len(), w.Detector.Classification().String()}
+				w.Detector.Classification().String()}
 		}
 		if a, b := snap(fast), snap(full); a != b {
 			t.Fatalf("SecureWire(mitigated=%v) state: fast %+v, full %+v", mitigated, a, b)
+		}
+		if !reflect.DeepEqual(fast.Log, full.Log) {
+			t.Fatalf("SecureWire(mitigated=%v) method log: fast %+v, full %+v", mitigated, fast.Log, full.Log)
 		}
 		if mitigated && fast.Obfuscated == 0 {
 			t.Fatal("the stream never exercised an obfuscated traversal")

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"tasp/internal/detect"
+	"tasp/internal/ecc"
 	"tasp/internal/lob"
 	"tasp/internal/locate"
 	"tasp/internal/noc"
@@ -217,6 +218,31 @@ func (c *ExperimentConfig) Validate() error {
 	}
 	if c.Attack.Hijack >= routers {
 		return fmt.Errorf("core: Attack.Hijack = %d out of range: -1 (auto) or 0..%d", c.Attack.Hijack, routers-1)
+	}
+	if y := c.Attack.YBits; y != 0 && (y < 2 || y > ecc.CodewordBits) {
+		// The trojan spreads its payload over y distinct codeword wires.
+		return fmt.Errorf("core: Attack.YBits = %d out of range: 0 (default) or 2..%d", y, ecc.CodewordBits)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    int
+	}{
+		{"Attack.NumLinks", c.Attack.NumLinks}, {"Attack.DutyPeriod", c.Attack.DutyPeriod},
+		{"Attack.DutyActive", c.Attack.DutyActive}, {"SampleEvery", c.SampleEvery},
+		{"RerouteDetectDelay", c.RerouteDetectDelay}, {"DetectorHistory", c.DetectorHistory},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: %s = %d out of range: must be >= 0", f.name, f.v)
+		}
+	}
+	if c.Attack.Kind == tasp.KindThrottle {
+		period := c.Attack.DutyPeriod
+		if period == 0 {
+			period = tasp.DefaultDutyPeriod
+		}
+		if c.Attack.DutyActive > period {
+			return fmt.Errorf("core: Attack.DutyActive = %d out of range: 0 (default) or 1..%d, the throttle's DutyPeriod", c.Attack.DutyActive, period)
+		}
 	}
 	if len(c.Attack.Links) > 0 || len(c.PredisabledLinks) > 0 {
 		links := len(c.Noc.Topology().Links())

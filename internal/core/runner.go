@@ -36,10 +36,12 @@ type Runner struct {
 
 	// fork is the checkpoint RunGroup's members share, kept the results a
 	// later member repeats, and order the order RunGroup runs a group's
-	// members in (fork.go).
+	// members in (fork.go). cfgs holds the group RunGroups lowered last
+	// (pool.go).
 	fork  forkStore
 	kept  keptRun
 	order []int
+	cfgs  []ExperimentConfig
 }
 
 // NewRunner returns an empty Runner; arenas are built on first use per

@@ -20,9 +20,7 @@ func summarize(res *Results) string {
 		res.HTMatches, res.HTInjections, res.Obfuscated, res.StallCycles, res.BISTScans)
 	fmt.Fprintf(&b, "rerouted=%d victim=%d firstTrojan=%d\n",
 		res.ReroutedAt, res.VictimDelivered, res.FirstTrojanAt)
-	fmt.Fprintf(&b, "latency: n=%d mean=%.9f p50=%d p99=%d max=%d\n",
-		res.Latency.Count(), res.Latency.Mean(),
-		res.Latency.Percentile(50), res.Latency.Percentile(99), res.Latency.Max())
+	fmt.Fprintf(&b, "latency: %s mean=%.9f\n", res.Latency, res.Latency.Mean())
 	ids := make([]int, 0, len(res.Detections))
 	for id := range res.Detections { //nocvet:orderfree collecting keys for sorting
 		ids = append(ids, id)
@@ -185,6 +183,19 @@ func TestRunIntoRejectsBadConfigs(t *testing.T) {
 		{"enable at the run's end", func(c *ExperimentConfig) { c.Attack.EnableAt = 100 }, "Attack.EnableAt = 100 out of range: 0 (end of warm-up) or below Warmup+Measure = 100"},
 		{"enable past the run", func(c *ExperimentConfig) { c.Attack.EnableAt = 5000 }, "Attack.EnableAt = 5000 out of range"},
 		{"enable in a zero-cycle run", func(c *ExperimentConfig) { c.Warmup, c.Measure, c.Attack.EnableAt = 0, 0, 1 }, "Attack.EnableAt = 1 out of range"},
+		{"one-bit payload counter", func(c *ExperimentConfig) { c.Attack.YBits = 1 }, "Attack.YBits = 1 out of range: 0 (default) or 2..72"},
+		{"payload counter past the codeword", func(c *ExperimentConfig) { c.Attack.YBits = 73 }, "Attack.YBits = 73 out of range: 0 (default) or 2..72"},
+		{"negative payload counter", func(c *ExperimentConfig) { c.Attack.YBits = -1 }, "Attack.YBits = -1 out of range"},
+		{"negative infected-link count", func(c *ExperimentConfig) { c.Attack.NumLinks = -3 }, "Attack.NumLinks = -3 out of range: must be >= 0"},
+		{"negative duty period", func(c *ExperimentConfig) { c.Attack.DutyPeriod = -1 }, "Attack.DutyPeriod = -1 out of range: must be >= 0"},
+		{"negative duty span", func(c *ExperimentConfig) { c.Attack.DutyActive = -1 }, "Attack.DutyActive = -1 out of range: must be >= 0"},
+		{"negative sampling period", func(c *ExperimentConfig) { c.SampleEvery = -3 }, "SampleEvery = -3 out of range: must be >= 0"},
+		{"negative reroute delay", func(c *ExperimentConfig) { c.RerouteDetectDelay = -1 }, "RerouteDetectDelay = -1 out of range: must be >= 0"},
+		{"negative detector history", func(c *ExperimentConfig) { c.DetectorHistory = -1 }, "DetectorHistory = -1 out of range: must be >= 0"},
+		{"throttle span past its period", func(c *ExperimentConfig) {
+			c.Attack.Kind, c.Attack.DutyPeriod, c.Attack.DutyActive = tasp.KindThrottle, 40, 41
+		}, "Attack.DutyActive = 41 out of range: 0 (default) or 1..40, the throttle's DutyPeriod"},
+		{"throttle span past the default period", func(c *ExperimentConfig) { c.Attack.Kind, c.Attack.DutyActive = tasp.KindThrottle, 51 }, "Attack.DutyActive = 51 out of range: 0 (default) or 1..50"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultExperiment()
@@ -200,8 +211,14 @@ func TestRunIntoRejectsBadConfigs(t *testing.T) {
 	cfg.Attack.Links, cfg.PredisabledLinks = []int{0, 47}, []int{5}
 	cfg.Attack.Kind, cfg.Attack.Hijack = tasp.KindMisroute, 15
 	cfg.SecureAck, cfg.RecoverOnConvict = true, true
+	cfg.Attack.YBits = 72
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("in-range configuration rejected: %v", err)
+	}
+	throttle := DefaultExperiment()
+	throttle.Attack.Kind, throttle.Attack.DutyPeriod, throttle.Attack.DutyActive = tasp.KindThrottle, 40, 40
+	if err := throttle.Validate(); err != nil {
+		t.Fatalf("throttle striking its whole period rejected: %v", err)
 	}
 	cfg.Attack.EnableAt = uint64(cfg.Warmup+cfg.Measure) - 1
 	if err := cfg.Validate(); err != nil {

@@ -184,9 +184,6 @@ func NewAckMonitor(links int) *AckMonitor {
 	}
 }
 
-// Links reports the number of links the monitor was sized for.
-func (m *AckMonitor) Links() int { return len(m.class) }
-
 // Reset clears every window and verdict without allocating (arena reuse).
 func (m *AckMonitor) Reset() {
 	for i := range m.class {
@@ -372,9 +369,6 @@ func (m *AckMonitor) Class(linkID int) AckClass { return m.class[linkID] }
 // Channel returns the evidence channel that convicted a link (ChannelNone
 // while unconvicted).
 func (m *AckMonitor) Channel(linkID int) AckChannel { return m.channel[linkID] }
-
-// Deficit returns a link's cumulative unexplained loss in flits.
-func (m *AckMonitor) Deficit(linkID int) uint64 { return m.deficit[linkID] }
 
 // Flagged counts links convicted as droppers or misrouters.
 func (m *AckMonitor) Flagged() int {

@@ -121,7 +121,7 @@ func TestAckMonitorReset(t *testing.T) {
 	if m.Flagged() != 0 {
 		t.Fatal("Reset left flagged links")
 	}
-	for i := 0; i < m.Links(); i++ {
+	for i := range m.class {
 		if c := m.Class(i); c != AckHealthy {
 			t.Fatalf("link %d still %v after Reset", i, c)
 		}
@@ -147,7 +147,7 @@ func TestAckGapUnderflowSkewClamps(t *testing.T) {
 	if c := m.Class(0); c != AckHealthy {
 		t.Fatalf("skewed window classified %v, want healthy", c)
 	}
-	if d := m.Deficit(0); d != 0 {
+	if d := m.deficit[0]; d != 0 {
 		t.Fatalf("skewed window booked deficit %d, want 0", d)
 	}
 	// The skew settles; the link must still read healthy.

@@ -189,9 +189,6 @@ func (d *Detector) SetBISTResult(rep bist.Report) {
 	}
 }
 
-// BISTReport returns the last scan and whether one has run.
-func (d *Detector) BISTReport() (bist.Report, bool) { return d.bistReport, d.bistDone }
-
 // Classification returns the current verdict.
 func (d *Detector) Classification() Classification { return d.class }
 
@@ -285,9 +282,6 @@ func (d *Detector) Reset() {
 	d.FaultEvents, d.RepeatedFaults, d.CleanAfterObf = 0, 0, 0
 	d.class = Healthy
 }
-
-// HistoryLen reports the current fault-history occupancy.
-func (d *Detector) HistoryLen() int { return len(d.history) }
 
 // Cap reports the configured fault-history capacity.
 func (d *Detector) Cap() int { return d.historyCap }

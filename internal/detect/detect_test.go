@@ -28,8 +28,8 @@ func TestFirstFaultJustRetransmits(t *testing.T) {
 	if d.Classification() != Transient {
 		t.Fatalf("classification %v, want transient", d.Classification())
 	}
-	if d.HistoryLen() != 1 {
-		t.Fatalf("history len %d", d.HistoryLen())
+	if len(d.history) != 1 {
+		t.Fatalf("history len %d", len(d.history))
 	}
 }
 
@@ -65,7 +65,7 @@ func TestTrojanClassification(t *testing.T) {
 	if d.Classification() != Trojan {
 		t.Fatalf("classification %v, want trojan", d.Classification())
 	}
-	if d.HistoryLen() != 0 {
+	if len(d.history) != 0 {
 		t.Fatal("delivered flit left in history")
 	}
 }
@@ -78,8 +78,7 @@ func TestPermanentClassification(t *testing.T) {
 	if d.Classification() != Permanent {
 		t.Fatalf("classification %v, want permanent", d.Classification())
 	}
-	rep, ok := d.BISTReport()
-	if !ok || !rep.Permanent() {
+	if !d.bistDone || !d.bistReport.Permanent() {
 		t.Fatal("BIST report not retained")
 	}
 }
@@ -111,8 +110,8 @@ func TestHistoryEviction(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		d.OnFault(key(i, 0), 5, plain)
 	}
-	if d.HistoryLen() != 4 {
-		t.Fatalf("history len %d, cap 4", d.HistoryLen())
+	if len(d.history) != 4 {
+		t.Fatalf("history len %d, cap 4", len(d.history))
 	}
 	// The oldest entries were evicted: a repeat of flit 0 now looks new.
 	act := d.OnFault(key(0, 0), 5, plain)
@@ -172,8 +171,8 @@ func TestEvictionKeepsMemoryStable(t *testing.T) {
 	for i := uint64(cap_); i < 100*cap_; i++ {
 		d.OnFault(key(i, 0), 5, plain)
 	}
-	if d.HistoryLen() != cap_ {
-		t.Fatalf("history len %d, cap %d", d.HistoryLen(), cap_)
+	if len(d.history) != cap_ {
+		t.Fatalf("history len %d, cap %d", len(d.history), cap_)
 	}
 	if got := cap(d.history); got != base {
 		t.Fatalf("backing array grew: cap %d -> %d after sustained eviction", base, got)

@@ -22,9 +22,6 @@ const CodewordBits = 72
 // DataBits is the width of the information word (one flit payload).
 const DataBits = 64
 
-// CheckBits counts the redundancy: 7 Hamming check bits + 1 overall parity.
-const CheckBits = CodewordBits - DataBits
-
 // Status is the outcome of decoding a received codeword.
 type Status uint8
 
@@ -74,13 +71,6 @@ func (c Codeword) Flip(i int) Codeword {
 	} else {
 		c.Hi ^= 1 << uint(i-64)
 	}
-	return c
-}
-
-// Xor applies a 72-bit flip mask (same layout as Codeword) to the codeword.
-func (c Codeword) Xor(m Codeword) Codeword {
-	c.Lo ^= m.Lo
-	c.Hi ^= m.Hi
 	return c
 }
 
@@ -169,10 +159,6 @@ func init() {
 // DataPosition returns the codeword position that carries data bit d.
 func DataPosition(d int) int { return dataPos[d] }
 
-// PositionData returns the data bit carried at codeword position p, or -1 if
-// p is a parity position.
-func PositionData(p int) int { return posData[p] }
-
 // Encode computes the SECDED codeword for a 64-bit data word.
 func Encode(data uint64) Codeword {
 	// Scatter the data bytes into their codeword positions.
@@ -242,10 +228,4 @@ func Decode(c Codeword) (data uint64, st Status, syndrome int) {
 		// Nonzero syndrome with even overall parity: double-bit error.
 		return extractData(c), Uncorrectable, syn
 	}
-}
-
-// Weight returns the Hamming weight (number of set bits) of the codeword,
-// used by BIST to sanity-check pattern transmission.
-func (c Codeword) Weight() int {
-	return bits.OnesCount64(c.Lo) + bits.OnesCount8(c.Hi)
 }

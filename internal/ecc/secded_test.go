@@ -95,14 +95,14 @@ func TestDataPositionMaps(t *testing.T) {
 			t.Fatalf("position %d mapped twice", p)
 		}
 		seen[p] = true
-		if PositionData(p) != d {
+		if posData[p] != d {
 			t.Fatalf("inverse map broken at data bit %d (pos %d)", d, p)
 		}
 	}
 	// Parity positions must report -1.
 	for _, p := range []int{0, 1, 2, 4, 8, 16, 32, 64} {
-		if PositionData(p) != -1 {
-			t.Fatalf("parity position %d claims data bit %d", p, PositionData(p))
+		if posData[p] != -1 {
+			t.Fatalf("parity position %d claims data bit %d", p, posData[p])
 		}
 	}
 }
@@ -124,13 +124,11 @@ func TestCodewordBitFlipXor(t *testing.T) {
 			t.Fatalf("bit %d not set after flip", p)
 		}
 	}
-	if c.Weight() != 4 {
-		t.Fatalf("weight = %d, want 4", c.Weight())
+	if weight(c) != 4 {
+		t.Fatalf("weight = %d, want 4", weight(c))
 	}
-	m := Codeword{Lo: 1 | 1<<63, Hi: 0x81}
-	c = c.Xor(m)
-	if c.Weight() != 0 {
-		t.Fatalf("xor did not clear: weight %d", c.Weight())
+	if want := (Codeword{Lo: 1 | 1<<63, Hi: 0x81}); c != want {
+		t.Fatalf("flips gave %+v, want %+v", c, want)
 	}
 }
 

@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"context"
+	"sync/atomic"
+
 	"tasp/internal/campaign"
 	"tasp/internal/core"
 )
@@ -44,31 +47,31 @@ func (s scenarios) runAll(scs []campaign.Scenario) ([]*core.Results, error) {
 
 // runConfigs runs every configuration, returning the results in input
 // order. The configurations are handed out in fork groups (core.Groups), so
-// points whose warm-ups the network cannot tell apart simulate it once. The
-// error is that of the lowest-index configuration that failed first in its
-// group: a group stops at its first failure, and RunGroup runs a group's
-// members in index order but for an attacked rerouting point and its twin,
-// which it defers only once they validate.
+// points whose warm-ups the network cannot tell apart simulate it once.
+// Each runner takes groups until none is left (core.Runner.RunGroups),
+// carrying on past a failing point. The error is that of the lowest-index
+// configuration that failed first in its group: a group stops at its first
+// failure, and RunGroup runs a group's members in index order but for an
+// attacked rerouting point and its twin, which it defers only once they
+// validate.
 func (s scenarios) runConfigs(cfgs []core.ExperimentConfig) ([]*core.Results, error) {
 	out := make([]*core.Results, len(cfgs))
 	errs := make([]error, len(cfgs))
-	groups := core.Groups(len(cfgs), len(s.runners), func(i int) (core.ExperimentConfig, error) { return cfgs[i], nil })
-	fanOut(len(s.runners), len(groups), func(w, g int) error {
-		members := groups[g]
-		sub := make([]core.ExperimentConfig, len(members))
-		for k, i := range members {
-			sub[k] = cfgs[i]
+	cfg := func(i int) (core.ExperimentConfig, error) { return cfgs[i], nil }
+	into := func(i int) *core.Results {
+		out[i] = &core.Results{}
+		return out[i]
+	}
+	groups := core.Groups(len(cfgs), len(s.runners), cfg)
+	var next atomic.Int64
+	fanOut(len(s.runners), min(len(s.runners), len(groups)), func(w, _ int) error {
+		for {
+			i, err := s.runners[w].RunGroups(context.TODO(), groups, &next, cfg, into, nil)
+			if err == nil {
+				return nil
+			}
+			out[i], errs[i] = nil, err
 		}
-		cur := 0
-		err := s.runners[w].RunGroup(sub, func(k int) *core.Results {
-			cur = k
-			out[members[k]] = &core.Results{}
-			return out[members[k]]
-		}, nil)
-		if err != nil {
-			out[members[cur]], errs[members[cur]] = nil, err
-		}
-		return nil
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -129,6 +129,8 @@ type StuckAt struct {
 }
 
 // NewStuckAt returns a permanent fault source with the given stuck wires.
+//
+//nocvet:keep ROADMAP item 4 adds it as a stuck-at spec axis; the BIST, detector and wire tests use it today
 func NewStuckAt(wires map[int]uint) *StuckAt {
 	cp := make(map[int]uint, len(wires))
 	for p, v := range wires { //nocvet:orderfree builds a map keyed by the same bit position

@@ -171,12 +171,6 @@ func mustLayout(l Layout, err error) Layout {
 	return l
 }
 
-// MaxRouters returns the router-id capacity of the layout.
-func (l Layout) MaxRouters() int { return 1 << l.SrcBits }
-
-// MaxConcentration returns the per-router core-id capacity.
-func (l Layout) MaxConcentration() int { return 1 << l.SrcCoreBits }
-
 // MaxVCs returns the vc-id capacity.
 func (l Layout) MaxVCs() int { return 1 << l.VCBits }
 
@@ -306,16 +300,10 @@ func (p *Packet) NumFlits() int {
 	return 1 + len(p.Body)
 }
 
-// Flits serialises the packet into its wire flits under the given layout. A
-// packet with no body words becomes a lone Single flit; otherwise a Head flit
-// followed by Body flits with the final one marked Tail.
-func (p *Packet) Flits(l Layout) []Flit {
-	return p.AppendFlits(make([]Flit, 0, p.NumFlits()), &l)
-}
-
-// AppendFlits serialises the packet like Flits but appends to the provided
-// slice, letting hot injection paths reuse one scratch buffer instead of
-// allocating per packet.
+// AppendFlits serialises the packet into its wire flits under the layout,
+// appending them to out so hot injection paths reuse one scratch buffer. A
+// packet with no body words becomes a lone Single flit; otherwise a Head
+// flit followed by Body flits with the final one marked Tail.
 func (p *Packet) AppendFlits(out []Flit, l *Layout) []Flit {
 	n := p.NumFlits()
 	if n == 1 {

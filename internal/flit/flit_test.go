@@ -163,9 +163,9 @@ func TestLayoutCapacity(t *testing.T) {
 			t.Errorf("LayoutFor(%d,%d,%d): %v", tc.routers, tc.conc, tc.vcs, err)
 			continue
 		}
-		if l.MaxRouters() < tc.maxRouters || l.MaxConcentration() < tc.maxConc {
+		if 1<<l.SrcBits < tc.maxRouters || 1<<l.SrcCoreBits < tc.maxConc {
 			t.Errorf("LayoutFor(%d,%d,%d): capacity %d routers x %d cores, want >= %d x %d",
-				tc.routers, tc.conc, tc.vcs, l.MaxRouters(), l.MaxConcentration(), tc.maxRouters, tc.maxConc)
+				tc.routers, tc.conc, tc.vcs, 1<<l.SrcBits, 1<<l.SrcCoreBits, tc.maxRouters, tc.maxConc)
 		}
 		if l.HeaderBits() != tc.hdr {
 			t.Errorf("LayoutFor(%d,%d,%d): header window %d bits, want %d", tc.routers, tc.conc, tc.vcs, l.HeaderBits(), tc.hdr)
@@ -187,7 +187,7 @@ func TestBitsFor(t *testing.T) {
 
 func TestPacketFlitsSingle(t *testing.T) {
 	p := Packet{ID: 9, Hdr: Header{SrcR: 1, DstR: 2, Seq: 7}, Inject: 100}
-	fs := p.Flits(Default)
+	fs := p.AppendFlits(nil, &Default)
 	if len(fs) != 1 {
 		t.Fatalf("want 1 flit, got %d", len(fs))
 	}
@@ -205,7 +205,7 @@ func TestPacketFlitsSingle(t *testing.T) {
 
 func TestPacketFlitsMulti(t *testing.T) {
 	p := Packet{ID: 3, Hdr: Header{SrcR: 4, DstR: 8}, Body: []uint64{10, 20, 30, 40}}
-	fs := p.Flits(Default)
+	fs := p.AppendFlits(nil, &Default)
 	if len(fs) != 5 {
 		t.Fatalf("want 5 flits, got %d", len(fs))
 	}

@@ -36,9 +36,8 @@ type Attack struct {
 
 	EnableAt uint64 // cycle the rogue threads start
 
-	rng  *xrand.RNG
-	seq  []uint8 // seq[i] is the last sequence number Cores[i] used
-	sent uint64
+	rng *xrand.RNG
+	seq []uint8 // seq[i] is the last sequence number Cores[i] used
 	// pkt is the packet every draw is written into: inject must consume
 	// it before returning, as noc.Network.Inject does by copying the flits.
 	pkt flit.Packet
@@ -54,9 +53,6 @@ func New(cores []int, victim int, rate float64, seed uint64) *Attack {
 		seq:    make([]uint8, len(cores)),
 	}
 }
-
-// Sent counts the flood packets injected so far.
-func (a *Attack) Sent() uint64 { return a.sent }
 
 // Tick rolls the rogue threads for one cycle, injecting through the same
 // function the legitimate generator uses. routers is the mesh router count
@@ -88,9 +84,7 @@ func (a *Attack) Tick(cycle uint64, routers int, inject func(core int, p *flit.P
 		for range a.BodyFlits {
 			p.Body = append(p.Body, a.rng.Uint64())
 		}
-		if inject(core, p) {
-			a.sent++
-		}
+		inject(core, p)
 	}
 }
 
@@ -117,6 +111,8 @@ type LatencyAuditor struct {
 }
 
 // NewLatencyAuditor returns an auditor in its calibration phase.
+//
+//nocvet:keep TestLatencyAuditorFalsePositives checks [13]'s false positives on benign congestion
 func NewLatencyAuditor(threshold, window float64) *LatencyAuditor {
 	if threshold <= 1 {
 		threshold = 2
@@ -128,6 +124,8 @@ func NewLatencyAuditor(threshold, window float64) *LatencyAuditor {
 }
 
 // EndCalibration freezes the learned baseline.
+//
+//nocvet:keep TestLatencyAuditorFalsePositives checks [13]'s false positives on benign congestion
 func (a *LatencyAuditor) EndCalibration() {
 	a.calibrating = false
 	a.baseline = a.ewma
@@ -137,6 +135,8 @@ func (a *LatencyAuditor) EndCalibration() {
 }
 
 // Observe feeds one delivered packet's latency.
+//
+//nocvet:keep TestLatencyAuditorFalsePositives checks [13]'s false positives on benign congestion
 func (a *LatencyAuditor) Observe(latency uint64) {
 	a.samples++
 	l := float64(latency)
@@ -155,12 +155,3 @@ func (a *LatencyAuditor) Observe(latency uint64) {
 		}
 	}
 }
-
-// Baseline returns the calibrated baseline latency.
-func (a *LatencyAuditor) Baseline() float64 { return a.baseline }
-
-// EWMA returns the current latency estimate.
-func (a *LatencyAuditor) EWMA() float64 { return a.ewma }
-
-// Alarmed reports whether any alarm fired.
-func (a *LatencyAuditor) Alarmed() bool { return a.Alarms > 0 }

@@ -25,9 +25,6 @@ func TestFloodInjects(t *testing.T) {
 			t.Fatalf("core %d injected %d packets, want 10 (enable at 10)", core, got[core])
 		}
 	}
-	if a.Sent() != 40 {
-		t.Fatalf("sent %d", a.Sent())
-	}
 }
 
 func TestFloodSpray(t *testing.T) {
@@ -62,9 +59,15 @@ func TestFloodDepletesVictim(t *testing.T) {
 		}
 	})
 	// A legitimate flow router 5 -> router 0, one packet every 20 cycles.
-	legitSent := 0
+	legitSent, flooded := 0, 0
 	for cyc := uint64(0); cyc < 3000; cyc++ {
-		a.Tick(cyc, 16, func(core int, p *flit.Packet) bool { return n.Inject(core, p) })
+		a.Tick(cyc, 16, func(core int, p *flit.Packet) bool {
+			if !n.Inject(core, p) {
+				return false
+			}
+			flooded++
+			return true
+		})
 		if cyc%20 == 0 {
 			if n.Inject(20, &flit.Packet{Hdr: flit.Header{VC: uint8(cyc / 20 % 4), DstR: 0}}) {
 				legitSent++
@@ -72,7 +75,7 @@ func TestFloodDepletesVictim(t *testing.T) {
 		}
 		n.Step()
 	}
-	if a.Sent() == 0 {
+	if flooded == 0 {
 		t.Fatal("flood never injected")
 	}
 	// The flood must slow the legitimate flow measurably: either injections
@@ -91,25 +94,25 @@ func TestLatencyAuditorCalibration(t *testing.T) {
 		a.Observe(20)
 	}
 	a.EndCalibration()
-	if b := a.Baseline(); b < 19 || b > 21 {
+	if b := a.baseline; b < 19 || b > 21 {
 		t.Fatalf("baseline %g, want ~20", b)
 	}
 	// Normal variation below threshold: no alarm.
 	for i := 0; i < 100; i++ {
 		a.Observe(30)
 	}
-	if a.Alarmed() {
+	if a.Alarms > 0 {
 		t.Fatal("auditor alarmed on sub-threshold latency")
 	}
 	// Sustained 3x latency: alarm.
 	for i := 0; i < 200; i++ {
 		a.Observe(60)
 	}
-	if !a.Alarmed() {
+	if a.Alarms == 0 {
 		t.Fatal("auditor missed a 3x latency surge")
 	}
-	if a.FirstAlarm == 0 || a.EWMA() < 40 {
-		t.Fatalf("alarm bookkeeping wrong: first=%d ewma=%g", a.FirstAlarm, a.EWMA())
+	if a.FirstAlarm == 0 || a.ewma < 40 {
+		t.Fatalf("alarm bookkeeping wrong: first=%d ewma=%g", a.FirstAlarm, a.ewma)
 	}
 }
 
@@ -129,10 +132,10 @@ func TestLatencyAuditorFalsePositives(t *testing.T) {
 		tight.Observe(40)
 		loose.Observe(40)
 	}
-	if !tight.Alarmed() {
+	if tight.Alarms == 0 {
 		t.Fatal("tight threshold should false-positive on benign congestion")
 	}
-	if loose.Alarmed() {
+	if loose.Alarms > 0 {
 		t.Fatal("loose threshold should ride out benign congestion")
 	}
 }

@@ -13,7 +13,7 @@ func benchChoice(b *testing.B, c Choice) {
 	key := ks.Next()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cw = Undo(Apply(cw, c, key), c, key)
+		cw = defaultWindows.Undo(defaultWindows.Apply(cw, c, key), c, key)
 	}
 }
 

@@ -39,9 +39,6 @@ const (
 	Reorder
 )
 
-// Methods lists the real transforms in default escalation order.
-var Methods = []Method{Scramble, Invert, Shuffle, Reorder}
-
 // String names the method.
 func (m Method) String() string {
 	switch m {
@@ -160,9 +157,6 @@ func WindowsFor(l flit.Layout) *Windows {
 	return &Windows{wholePos: pos[:w:w], headerPos: pos[w:h:h], payloadPos: pos[h:]}
 }
 
-// DefaultWindows are the windows of the paper's default header layout.
-var DefaultWindows = WindowsFor(flit.Default)
-
 // window returns the positions a granularity covers.
 func (w *Windows) window(g Granularity) []int {
 	switch g {
@@ -235,16 +229,6 @@ func (w *Windows) Undo(cw ecc.Codeword, c Choice, key ecc.Codeword) ecc.Codeword
 		// Invert and Scramble are involutions.
 		return w.Apply(cw, c, key)
 	}
-}
-
-// Apply transforms the codeword using the default layout's windows.
-func Apply(cw ecc.Codeword, c Choice, key ecc.Codeword) ecc.Codeword {
-	return DefaultWindows.Apply(cw, c, key)
-}
-
-// Undo reverses Apply using the default layout's windows.
-func Undo(cw ecc.Codeword, c Choice, key ecc.Codeword) ecc.Codeword {
-	return DefaultWindows.Undo(cw, c, key)
 }
 
 // shuffleRotate is the rotation distance of the Shuffle method.
@@ -338,6 +322,3 @@ func Escalate(order []Choice, n int) Choice {
 	}
 	return Choice{Scramble, WholeFlit}
 }
-
-// Len reports the number of flows with logged methods.
-func (l *MethodLog) Len() int { return len(l.known) }

@@ -236,9 +236,6 @@ func New(t noc.Topology, links []noc.LinkInfo) *Engine {
 	return e
 }
 
-// Priors exposes the engine's structural priors.
-func (e *Engine) Priors() Priors { return e.priors }
-
 // Rank fuses the current telemetry and evidence under DefaultWeights into a
 // fresh slice the caller may retain. tel may be nil (no telemetry: detector
 // evidence and priors carry); ev may be nil or sparse (missing links read as

@@ -67,10 +67,3 @@ func (c Campaign) Run(tap fault.Adversary, seed uint64) Result {
 	}
 	return res
 }
-
-// ExpectedVectors returns the analytic expectation of vectors needed to
-// excite an exact-match trigger of the given width with uniform random
-// stimulus: 2^width.
-func ExpectedVectors(width int) float64 {
-	return float64(uint64(1) << uint(width&63))
-}

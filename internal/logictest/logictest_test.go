@@ -78,15 +78,6 @@ func TestCleanLinkNeverTriggers(t *testing.T) {
 	}
 }
 
-func TestExpectedVectors(t *testing.T) {
-	if ExpectedVectors(2) != 4 || ExpectedVectors(4) != 16 {
-		t.Fatal("expectation formula wrong")
-	}
-	if ExpectedVectors(42) < 4e12 {
-		t.Fatal("42-bit expectation should be astronomically large")
-	}
-}
-
 // TestStuckAtCaughtByLogicTesting contrasts the trojan with a permanent
 // fault: stuck wires corrupt roughly half of all vectors.
 func TestStuckAtCaughtByLogicTesting(t *testing.T) {

@@ -52,7 +52,7 @@ func (d *ckptLoad) run(n *Network, end uint64) {
 		}
 		n.Step()
 		if n.Cycle()%25 == 0 {
-			n.Telemetry().Sample()
+			n.telemetry.Sample()
 			o := n.Occupancy()
 			d.trace = fmt.Appendf(d.trace, "o %+v\n", o)
 		}

@@ -1,10 +1,10 @@
 // Package noc is a cycle-accurate simulator of the paper's evaluation
 // platform: a concentrated 4x4 mesh (16 routers x 4 cores = 64 cores) of
-// virtual-channel wormhole routers with a 5-stage pipeline (BW/RC, VA, SA,
-// ST, LT), credit-based flow control, XY dimension-order routing with
-// round-robin arbitration, SECDED-protected links and switch-to-switch
-// retransmission with the retransmission buffers placed after the crossbar
-// (the paper's stated worst case).
+// virtual-channel wormhole routers with a pipeline of BW/RC, VA, combined
+// SA/ST and LT (4 cycles per hop at zero load), credit-based flow control,
+// XY dimension-order routing with round-robin arbitration, SECDED-protected
+// links and switch-to-switch retransmission with the retransmission buffers
+// placed after the crossbar (the paper's stated worst case).
 //
 // The substrate is pluggable through the Topology interface: besides the
 // paper's mesh, a torus (wraparound links, dateline VC classes for deadlock
@@ -38,7 +38,6 @@ const (
 	PortWest  = 2 // -x
 	PortNorth = 3 // +y
 	PortSouth = 4 // -y
-	NumPorts  = 5
 )
 
 // PortName returns a short name for a port index.

@@ -31,7 +31,7 @@ func TestAccessors(t *testing.T) {
 	if n.Cycle() != 3 {
 		t.Fatalf("cycle %d after 3 steps", n.Cycle())
 	}
-	if n.Wire(0) == nil {
+	if n.routers[n.links[0].From].outputs[n.links[0].FromPort].wire == nil {
 		t.Fatal("Wire accessor returned nil")
 	}
 }
@@ -218,7 +218,7 @@ func TestMultiFlitWithStallReadyAt(t *testing.T) {
 	// A wire that delivers with a stall: readyAt must defer RC and the
 	// latency must grow accordingly.
 	n := mkNet(t)
-	base := n.Wire(0)
+	base := n.routers[n.links[0].From].outputs[n.links[0].FromPort].wire
 	n.SetWire(0, stallWire{inner: base})
 	n.Inject(0, pkt(1, 0, 0, 0))
 	n.Run(100)

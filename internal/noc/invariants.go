@@ -41,6 +41,8 @@ import (
 //     matches the ports' disabled flags, every VA request's cached
 //     destination equals its front head's, and an NI Step would skip
 //     (waiting) cannot inject — a dry run of inject's admission checks.
+//
+//nocvet:keep the noc, reroute and core tests audit every stepped cycle with it
 func (n *Network) CheckInvariants() error {
 	c := n.Counters
 	if sum := c.DroppedRetrans + c.DroppedInFlight + c.DroppedOrphan + c.DroppedReconfig; c.DroppedFlits != sum {

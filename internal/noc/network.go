@@ -278,12 +278,6 @@ func (n *Network) SetWire(linkID int, w Wire) {
 	n.routers[l.From].outputs[l.FromPort].wire = w
 }
 
-// Wire returns the current Wire of a link.
-func (n *Network) Wire(linkID int) Wire {
-	l := n.links[linkID]
-	return n.routers[l.From].outputs[l.FromPort].wire
-}
-
 // DisableLink marks a link permanently failed: the switch allocator stops
 // granting flits to it. Used by the rerouting baseline after BIST flags a
 // permanent fault. As in Ariadne-style reconfiguration, in-flight traffic
@@ -432,10 +426,11 @@ func (n *Network) Inject(core int, p *flit.Packet) bool {
 }
 
 // Step advances the whole network by one clock cycle. Phase order within a
-// step models the 5-stage pipeline: SA/ST and VA and RC operate on state
-// registered in earlier cycles, then LT moves flits across links (including
-// the ECC/obfuscation/trojan path inside each Wire), then injection fills
-// the local input ports.
+// step models the router pipeline: the combined SA/ST phase, VA and RC
+// operate on state registered in earlier cycles, then LT moves flits across
+// links (including the ECC/obfuscation/trojan path inside each Wire), then
+// injection fills the local input ports. A hop costs a head flit 4 cycles
+// at zero load (RC, VA, SA/ST, LT).
 func (n *Network) Step() {
 	n.cycle++
 	// Each phase iterates only its active set — the routers the old full
@@ -493,6 +488,8 @@ func (n *Network) Step() {
 }
 
 // Run advances the network by k cycles.
+//
+//nocvet:keep the noc, reroute, routing, qos and trace tests step their networks with it
 func (n *Network) Run(k int) {
 	for i := 0; i < k; i++ {
 		n.Step()
@@ -671,69 +668,4 @@ func (n *Network) OccupancyWhere(vcIn func(vc int) bool, coreIn func(core int) b
 		}
 	}
 	return o
-}
-
-// DebugRetransVCs exposes the VCs of the entries currently parked in a
-// link's retransmission buffer (testing/diagnostics only).
-func (n *Network) DebugRetransVCs(linkID int) []uint8 {
-	op := n.LinkOutput(linkID)
-	var out []uint8
-	for _, e := range op.entries {
-		out = append(out, e.vc)
-	}
-	return out
-}
-
-// DebugDump renders the full buffer/credit/ownership state of every router
-// whose buffers are non-empty — the tool for diagnosing wedged networks.
-func (n *Network) DebugDump() string {
-	var sb []byte
-	app := func(format string, args ...interface{}) { sb = append(sb, []byte(fmt.Sprintf(format, args...))...) }
-	for _, r := range n.routers {
-		busy := false
-		for p := 0; p < r.numPorts; p++ {
-			for v := 0; v < r.vcs; v++ {
-				if !r.input(p, v).empty() {
-					busy = true
-				}
-			}
-			if len(r.outputs[p].entries) > 0 {
-				busy = true
-			}
-		}
-		if !busy {
-			continue
-		}
-		app("router %d:\n", r.id)
-		for p := 0; p < r.numPorts; p++ {
-			for v := 0; v < r.vcs; v++ {
-				ivc := r.input(p, v)
-				f := ivc.front()
-				if f == nil {
-					continue
-				}
-				app("  in %s vc%d: %d flits routed=%v route=%d alloc=%v front={pkt %d idx %d %v ready %d}\n",
-					n.topo.PortName(r.id, p), v, ivc.size(), ivc.routed, ivc.route, ivc.allocated,
-					f.f.PacketID, f.f.Index, f.f.Kind, f.readyAt)
-			}
-			op := r.outputs[p]
-			if len(op.entries) > 0 || anyOwner(op.vcOwner) {
-				app("  out %s: owner=%v credits=%v entries=", n.topo.PortName(r.id, p), op.vcOwner, op.credits)
-				for _, e := range op.entries {
-					app("{pkt %d idx %d vc%d att%d next%d} ", e.f.PacketID, e.f.Index, e.vc, e.attempts, e.nextTry)
-				}
-				app("\n")
-			}
-		}
-	}
-	return string(sb)
-}
-
-func anyOwner(o []uint64) bool {
-	for _, v := range o {
-		if v != 0 {
-			return true
-		}
-	}
-	return false
 }

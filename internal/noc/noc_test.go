@@ -147,25 +147,50 @@ func TestSingleFlitDelivery(t *testing.T) {
 	if gotDst.DstR != 15 || gotDst.DstC != 3 {
 		t.Fatalf("wrong destination header: %v", gotDst)
 	}
-	// 6 hops (0->1->2->3->7->11->15) plus ejection, ~5 cycles per hop.
-	if gotLat < 12 || gotLat > 60 {
-		t.Fatalf("latency %d cycles implausible for a 6-hop path", gotLat)
+	// 6 hops (0->1->2->3->7->11->15): zeroLoadLatency's 5 + 4*6.
+	if gotLat != zeroLoadLatency(6, 1) {
+		t.Fatalf("latency %d cycles over a 6-hop path, want %d", gotLat, zeroLoadLatency(6, 1))
 	}
 }
 
+// zeroLoadLatency is the cycles an L-flit packet alone in the network takes
+// from injection to delivery over h hops: 5 to leave the source NI and
+// enter and leave the ejection port, 4 per hop (RC, VA, the combined
+// SA/ST phase and LT), and one per flit behind the head.
+func zeroLoadLatency(h, l int) uint64 { return uint64(5 + 4*h + l - 1) }
+
+// TestLatencyGrowsWithDistance pins the router's zero-load latency: a
+// packet alone in the network arrives exactly zeroLoadLatency after its
+// injection, on every topology and size, to every destination, at one,
+// two and five flits.
 func TestLatencyGrowsWithDistance(t *testing.T) {
-	lat := func(dst int) uint64 {
-		n := mkNet(t)
-		n.Inject(0, pkt(dst, 0, 0, 0))
-		n.Run(150)
-		if n.Counters.DeliveredPackets != 1 {
-			t.Fatalf("dst %d: not delivered", dst)
+	for _, tc := range []struct {
+		topo string
+		w, h int
+	}{
+		{"mesh", 4, 4}, {"mesh", 8, 8}, {"torus", 4, 4}, {"torus", 8, 8}, {"ring", 16, 1}, {"ring", 64, 1},
+	} {
+		cfg := DefaultConfig()
+		cfg.Topo, cfg.Width, cfg.Height = tc.topo, tc.w, tc.h
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return n.Counters.LatencySum
-	}
-	l1, l3, l15 := lat(1), lat(3), lat(15)
-	if !(l1 < l3 && l3 < l15) {
-		t.Fatalf("latency not monotone with distance: %d %d %d", l1, l3, l15)
+		var got uint64
+		topo := cfg.Topology()
+		for dst := 1; dst < cfg.Routers(); dst++ {
+			for _, l := range []int{1, 2, 5} {
+				n.Reset()
+				n.SetDelivered(func(d Delivery) { got = d.Latency })
+				n.Inject(0, pkt(dst, 0, 0, l-1))
+				want := zeroLoadLatency(topo.HopDist(0, dst), l)
+				n.Run(int(want))
+				if n.Counters.DeliveredPackets != 1 || got != want {
+					t.Fatalf("%s %dx%d, %d-flit packet to router %d (%d hops): delivered %d, latency %d, want %d",
+						tc.topo, tc.w, tc.h, l, dst, topo.HopDist(0, dst), n.Counters.DeliveredPackets, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -410,7 +435,7 @@ func TestCreditsNeverExceedDepth(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		n.Step()
 		for _, r := range n.routers {
-			for p := 0; p < NumPorts; p++ {
+			for p := 0; p < r.numPorts; p++ {
 				for v, cr := range r.outputs[p].credits {
 					if cr < 0 || cr > n.cfg.BufDepth {
 						t.Fatalf("cycle %d r%d %s vc%d credit %d out of [0,%d]",

@@ -80,10 +80,9 @@ func resetScenario(n *Network) []byte {
 		}
 	}
 	buf = fmt.Appendf(buf, "counters %+v\n", n.Counters)
-	for id := 0; id < tel.Links(); id++ {
-		fb, _ := tel.FirstBlocked(id)
+	for id := range n.links {
 		onset, _ := tel.Onset(id)
-		buf = fmt.Appendf(buf, "t %d %d %d %d %.6f\n", id, fb, onset, tel.OnsetStreak(id), tel.BlockedFrac(id))
+		buf = fmt.Appendf(buf, "t %d %d %d %.6f\n", id, onset, tel.bestLen[id], tel.RecentBlockedFrac(id))
 	}
 	return buf
 }
@@ -119,8 +118,8 @@ func TestResetReusesTelemetryTap(t *testing.T) {
 	if got := n.EnableTelemetry(32); got != tap {
 		t.Fatal("same-shape EnableTelemetry after Reset did not reuse the attached tap")
 	}
-	if tap.Samples() != 0 || tap.rows != 0 {
-		t.Fatalf("reused tap retained samples: samples=%d rows=%d", tap.Samples(), tap.rows)
+	if tap.head != 0 || tap.rows != 0 {
+		t.Fatalf("reused tap retained samples: head=%d rows=%d", tap.head, tap.rows)
 	}
 	if got := n.EnableTelemetry(16); got == tap {
 		t.Fatal("EnableTelemetry with a different depth must build a fresh tap")

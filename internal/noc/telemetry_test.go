@@ -9,22 +9,22 @@ func TestTelemetryQuiescentNetworkNeverBlocks(t *testing.T) {
 		n.Run(25)
 		tel.Sample()
 	}
-	if tel.Samples() != 20 {
-		t.Fatalf("samples %d, want 20", tel.Samples())
+	if tel.rows != 8 {
+		t.Fatalf("ring holds %d rows after 20 samples, want its depth 8", tel.rows)
 	}
-	for id := 0; id < tel.Links(); id++ {
-		if _, ever := tel.FirstBlocked(id); ever {
+	for id := range n.links {
+		if _, ever := tel.Onset(id); ever {
 			t.Fatalf("link %d blocked in an idle network", id)
 		}
-		if tel.BlockedFrac(id) != 0 || tel.RecentBlockedFrac(id) != 0 {
+		if tel.RecentBlockedFrac(id) != 0 {
 			t.Fatalf("link %d has non-zero blocked fraction in an idle network", id)
 		}
 	}
 }
 
 // TestTelemetryFlagsWedgedLink wedges one link with a persistent NACK wire
-// and checks the tap singles it out: it blocks first, and its blocked
-// fraction dominates the mesh.
+// and checks the tap singles it out: its blocked fraction over every
+// sample (the ring is deeper than the run) dominates the mesh.
 func TestTelemetryFlagsWedgedLink(t *testing.T) {
 	n := mkNet(t)
 	var target LinkInfo
@@ -35,7 +35,7 @@ func TestTelemetryFlagsWedgedLink(t *testing.T) {
 		}
 	}
 	n.SetWire(target.ID, nackWire{})
-	tel := n.EnableTelemetry(16)
+	tel := n.EnableTelemetry(64)
 	// Saturate the wedged link's flows: three-flit packets from router 1's
 	// cores toward router 0.
 	for i := 0; i < 400; i++ {
@@ -47,26 +47,25 @@ func TestTelemetryFlagsWedgedLink(t *testing.T) {
 			tel.Sample()
 		}
 	}
-	first, ever := tel.FirstBlocked(target.ID)
-	if !ever {
+	if _, ever := tel.Onset(target.ID); !ever {
 		t.Fatal("wedged link never sampled blocked")
 	}
-	for id := 0; id < tel.Links(); id++ {
-		if f, ever := tel.FirstBlocked(id); ever && f < first {
-			t.Fatalf("link %d blocked at %d, before the wedged link (%d)", id, f, first)
-		}
-		if id != target.ID && tel.BlockedFrac(id) > tel.BlockedFrac(target.ID) {
+	for id := range n.links {
+		if id != target.ID && tel.RecentBlockedFrac(id) > tel.RecentBlockedFrac(target.ID) {
 			t.Fatalf("link %d blocked fraction %.2f exceeds the wedged link's %.2f",
-				id, tel.BlockedFrac(id), tel.BlockedFrac(target.ID))
+				id, tel.RecentBlockedFrac(id), tel.RecentBlockedFrac(target.ID))
 		}
 	}
-	if tel.RecentBlockedFrac(target.ID) == 0 {
-		t.Fatal("wedged link not blocked in the trailing window")
+	if !newestBlocked(tel, target.ID) {
+		t.Fatal("wedged link not blocked in the newest sample")
 	}
-	// The ring's newest retained sample must agree with the aggregate.
-	if blocked, _, ok := tel.BlockedAt(target.ID, 0); !ok || !blocked {
-		t.Fatalf("newest ring sample: blocked=%v ok=%v, want blocked", blocked, ok)
-	}
+}
+
+// newestBlocked reports whether the link was blocked in the tap's newest
+// retained sample.
+func newestBlocked(tel *LinkTelemetry, link int) bool {
+	r := (tel.head - 1 + tel.depth) % tel.depth
+	return tel.ring[r*tel.words+link/64]&(1<<(link%64)) != 0
 }
 
 // TestTelemetrySampleDoesNotAllocate holds the tap to the simulator's
@@ -93,22 +92,14 @@ func TestTelemetryRingWrapsAndIndexes(t *testing.T) {
 		n.Step()
 		tel.Sample()
 	}
-	if _, _, ok := tel.BlockedAt(0, 4); ok {
-		t.Fatal("ring retains more rows than its depth")
-	}
-	// Newest row carries the latest sample cycle; oldest retained the
-	// depth-th most recent.
-	if _, cycle, ok := tel.BlockedAt(0, 0); !ok || cycle != n.Cycle() {
-		t.Fatalf("newest row cycle %d ok=%v, want %d", cycle, ok, n.Cycle())
-	}
-	if _, cycle, ok := tel.BlockedAt(0, 3); !ok || cycle != n.Cycle()-3 {
-		t.Fatalf("oldest row cycle %d ok=%v, want %d", cycle, ok, n.Cycle()-3)
+	if tel.rows != 4 || tel.head != 10%4 {
+		t.Fatalf("ring rows %d head %d after 10 samples, want 4 and %d", tel.rows, tel.head, 10%4)
 	}
 }
 
 // TestTelemetryOnsetIgnoresTransientBlip is the regression test for the
 // outage-onset estimate: a short congestion blip long before the real outage
-// sets FirstBlocked, but Onset must track the start of the longest sustained
+// is the link's first blocked streak, but Onset must track the start of the longest sustained
 // streak — the actual outage — not the ancient transient.
 func TestTelemetryOnsetIgnoresTransientBlip(t *testing.T) {
 	n := mkNet(t)
@@ -139,11 +130,11 @@ func TestTelemetryOnsetIgnoresTransientBlip(t *testing.T) {
 	run(120, true)
 	w.healed = true
 	run(300, false)
-	first, ever := tel.FirstBlocked(target.ID)
+	first, ever := tel.Onset(target.ID)
 	if !ever {
 		t.Fatal("blip never sampled blocked")
 	}
-	if blocked, _, ok := tel.BlockedAt(target.ID, 0); !ok || blocked {
+	if newestBlocked(tel, target.ID) {
 		t.Fatal("port did not drain after the wire healed")
 	}
 
@@ -157,12 +148,12 @@ func TestTelemetryOnsetIgnoresTransientBlip(t *testing.T) {
 		t.Fatal("no onset for a wedged link")
 	}
 	if onset <= first {
-		t.Fatalf("onset %d not after the transient blip's FirstBlocked %d", onset, first)
+		t.Fatalf("onset %d not after the transient blip's %d", onset, first)
 	}
 	if onset < outageFrom {
 		t.Fatalf("onset %d predates the outage (started at %d)", onset, outageFrom)
 	}
-	if tel.OnsetStreak(target.ID) < 10 {
-		t.Fatalf("outage streak %d samples, want a sustained streak", tel.OnsetStreak(target.ID))
+	if tel.bestLen[target.ID] < 10 {
+		t.Fatalf("outage streak %d samples, want a sustained streak", tel.bestLen[target.ID])
 	}
 }

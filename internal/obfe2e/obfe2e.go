@@ -41,6 +41,8 @@ func (s *Scrambler) key(src, dst uint8) uint64 {
 // Apply scrambles a packet in place at the source NI: the memory address
 // and every body word are XORed with the pair keystream. Routing fields
 // stay in plaintext — they must, for the NoC to deliver the packet.
+// Applying it again at the destination NI unscrambles, because the
+// keystream is regenerated from the same pair key and sequence number.
 func (s *Scrambler) Apply(p *flit.Packet) {
 	ks := xrand.New(s.key(p.Hdr.SrcR, p.Hdr.DstR) ^ uint64(p.Hdr.Seq))
 	p.Hdr.Mem ^= uint32(ks.Uint64())
@@ -48,19 +50,3 @@ func (s *Scrambler) Apply(p *flit.Packet) {
 		p.Body[i] ^= ks.Uint64()
 	}
 }
-
-// Remove unscrambles at the destination NI; Apply and Remove are inverse
-// because the keystream is regenerated from the same pair key and sequence
-// number.
-func (s *Scrambler) Remove(p *flit.Packet) {
-	s.Apply(p)
-}
-
-// HidesMemTargets reports the scheme's coverage: memory-address triggers
-// are hidden, routing-field triggers are not. Exposed for experiment
-// reporting.
-func HidesMemTargets() bool { return true }
-
-// HidesRoutingTargets reports that src/dst/vc triggers remain visible —
-// the failure mode Figure 11(a) demonstrates.
-func HidesRoutingTargets() bool { return false }

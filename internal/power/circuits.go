@@ -24,18 +24,6 @@ func EqComparator(name string, width int, activity float64) *Block {
 	return b
 }
 
-// RangeComparator builds a width-bit magnitude comparator (a borrow-ripple
-// subtractor with carry-lookahead grouping), used when a target is an
-// address *range* rather than an exact match.
-func RangeComparator(name string, width int, activity float64) *Block {
-	b := NewBlock(name, activity)
-	b.Add(FA, width)
-	b.Add(AND2, width/2) // lookahead grouping
-	groups := (width + 3) / 4
-	b.DepthPS = Default40nm[FA].DelayPS + float64(log2ceil(groups))*Default40nm[AND2].DelayPS
-	return b
-}
-
 // Counter builds a width-bit binary up-counter: a DFF and a half adder
 // (XOR2+AND2) per bit. The TASP payload counter is one of these.
 func Counter(name string, width int, activity float64) *Block {
@@ -74,16 +62,6 @@ func MuxTree(name string, inputs, width int, activity float64) *Block {
 		b.Add(MUX2, (inputs-1)*width)
 	}
 	b.DepthPS = float64(log2ceil(inputs)) * Default40nm[MUX2].DelayPS
-	return b
-}
-
-// Decoder builds an n-to-2^n one-hot decoder.
-func Decoder(name string, n int, activity float64) *Block {
-	b := NewBlock(name, activity)
-	outs := 1 << uint(n)
-	b.Add(AND2, outs*(n-1)/1)
-	b.Add(INV, n)
-	b.DepthPS = float64(log2ceil(n))*Default40nm[AND2].DelayPS + Default40nm[INV].DelayPS
 	return b
 }
 

@@ -17,6 +17,8 @@ type OperatingPoint struct {
 
 // DefaultOperatingPoints spans a typical 40 nm DVFS ladder around the
 // paper's nominal 2 GHz / 1.0 V point.
+//
+//nocvet:keep TestTASPFitsAcrossDVFSLadder checks Section V-A's timing remark on this ladder
 var DefaultOperatingPoints = []OperatingPoint{
 	{Name: "turbo", FreqGHz: 2.5, Voltage: 1.10},
 	{Name: "nominal", FreqGHz: 2.0, Voltage: 1.00},
@@ -27,6 +29,8 @@ var DefaultOperatingPoints = []OperatingPoint{
 // DynamicAt returns the block's switching power (uW) at an operating
 // point: library energies are quoted at DefaultVoltage, scaled by (V/V0)^2
 // and the point's clock.
+//
+//nocvet:keep ROADMAP item 9 prints the DVFS ladder in -exp all
 func DynamicAt(b *Block, op OperatingPoint) float64 {
 	r := op.Voltage / DefaultVoltage
 	return b.Dynamic(op.FreqGHz) * r * r
@@ -34,6 +38,8 @@ func DynamicAt(b *Block, op OperatingPoint) float64 {
 
 // LeakageAt returns the block's static power (nW) at an operating point
 // (linear voltage scaling over DVFS ranges).
+//
+//nocvet:keep ROADMAP item 9 prints the DVFS ladder in -exp all
 func LeakageAt(b *Block, op OperatingPoint) float64 {
 	return b.Leakage() * op.Voltage / DefaultVoltage
 }
@@ -46,6 +52,8 @@ func CriticalPathAt(b *Block, op OperatingPoint) float64 {
 
 // MeetsTimingAt reports whether the block closes timing at the operating
 // point's own clock.
+//
+//nocvet:keep TestTASPFitsAcrossDVFSLadder checks Section V-A's timing remark with it
 func MeetsTimingAt(b *Block, op OperatingPoint) bool {
 	return CriticalPathAt(b, op) <= 1000.0/op.FreqGHz
 }

@@ -123,45 +123,6 @@ func (b *Block) CriticalPathPS() float64 {
 	return worst
 }
 
-// MeetsTiming reports whether the block's critical path fits in one clock
-// period at the given frequency.
-func (b *Block) MeetsTiming(freqGHz float64) bool {
-	periodPS := 1000.0 / freqGHz
-	return b.CriticalPathPS() <= periodPS
-}
-
-// Breakdown returns per-direct-sub-block shares of the given metric
-// ("area", "leakage" or "dynamic"), with this block's own cells reported
-// under "(self)". Shares sum to 1 when the total is nonzero.
-func (b *Block) Breakdown(metric string, freqGHz float64) map[string]float64 {
-	val := func(x *Block) float64 {
-		switch metric {
-		case "area":
-			return x.Area()
-		case "leakage":
-			return x.Leakage()
-		case "dynamic":
-			return x.Dynamic(freqGHz)
-		default:
-			panic("power: unknown metric " + metric)
-		}
-	}
-	total := val(b)
-	out := map[string]float64{}
-	if total == 0 {
-		return out
-	}
-	selfOnly := *b
-	selfOnly.Subs = nil
-	if v := val(&selfOnly); v > 0 {
-		out["(self)"] = v / total
-	}
-	for _, s := range b.Subs {
-		out[s.Name] += val(s) / total
-	}
-	return out
-}
-
 // Report renders a one-level summary of the block for logs and tools.
 func (b *Block) Report(freqGHz float64) string {
 	var sb strings.Builder

@@ -64,11 +64,6 @@ func (t *TDM) Schedule(cycle uint64, vc uint8) bool {
 	return int(cycle)%NumDomains == t.DomainOfVC(int(vc))
 }
 
-// Install wires the policy into a network.
-func (t *TDM) Install(n *noc.Network) {
-	n.SetLinkSchedule(t.Schedule)
-}
-
 // OccupancyOf returns the utilisation snapshot restricted to one domain
 // (Figure 12(a)'s per-domain series).
 func (t *TDM) OccupancyOf(n *noc.Network, domain int) noc.Occupancy {

@@ -73,7 +73,7 @@ func TestTDMNonInterference(t *testing.T) {
 		t.Fatal(err)
 	}
 	tdm := NewTDM(cfg)
-	tdm.Install(n)
+	n.SetLinkSchedule(tdm.Schedule)
 
 	delivered := map[int]int{}
 	n.SetDelivered(func(d noc.Delivery) {

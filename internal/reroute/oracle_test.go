@@ -29,7 +29,7 @@ func buildOracle(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*
 		adj[l.From][l.FromPort] = l.To
 	}
 
-	t := &Table{cfg: cfg, Port: make([][]int, R), Hops: make([][]int, R)}
+	t := &Table{Port: make([][]int, R), Hops: make([][]int, R)}
 	for r := range t.Port {
 		t.Port[r] = make([]int, R)
 		t.Hops[r] = make([]int, R)

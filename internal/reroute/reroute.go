@@ -20,7 +20,6 @@ import (
 // Table is a fault-aware routing table: Port[r][d] is the output port
 // router r uses toward destination d.
 type Table struct {
-	cfg  noc.Config
 	Port [][]int
 	// Hops[r][d] is the path length from r to d, -1 when unreachable.
 	Hops [][]int
@@ -117,7 +116,7 @@ func healthyAdj(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) [][
 // by one array.
 func newTable(cfg noc.Config) *Table {
 	R := cfg.Routers()
-	t := &Table{cfg: cfg, Port: make([][]int, R), Hops: make([][]int, R)}
+	t := &Table{Port: make([][]int, R), Hops: make([][]int, R)}
 	port, hops := make([]int, R*R), make([]int, R*R)
 	for r := range t.Port {
 		t.Port[r] = port[r*R : (r+1)*R : (r+1)*R]
@@ -254,22 +253,6 @@ func BuildSafe(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Ta
 
 // Route returns the table as a noc.RouteFunc.
 func (t *Table) Route() noc.RouteFunc { return t.route }
-
-// ExtraHops returns the total additional hops the table pays relative to
-// the topology's fault-free distance, summed over all pairs — the
-// rerouting cost metric of Figure 2's permanent-fault panel.
-func (t *Table) ExtraHops() int {
-	topo := t.cfg.Topology()
-	extra := 0
-	for r := range t.Hops {
-		for d, h := range t.Hops[r] {
-			if min := topo.HopDist(r, d); h > min {
-				extra += h - min
-			}
-		}
-	}
-	return extra
-}
 
 // Apply disables the links on the network and installs the rebuilt table.
 func Apply(n *noc.Network, disabled map[int]bool) (*Table, error) {

@@ -39,9 +39,6 @@ func TestHealthyTableEqualsXY(t *testing.T) {
 			}
 		}
 	}
-	if tbl.ExtraHops() != 0 {
-		t.Fatalf("healthy table pays %d extra hops", tbl.ExtraHops())
-	}
 }
 
 func TestDetourAroundOneLink(t *testing.T) {
@@ -57,9 +54,6 @@ func TestDetourAroundOneLink(t *testing.T) {
 	}
 	if tbl.Hops[0][1] != 3 {
 		t.Fatalf("0->1 detour length %d, want 3", tbl.Hops[0][1])
-	}
-	if tbl.ExtraHops() == 0 {
-		t.Fatal("no extra hops recorded for the detour")
 	}
 	// Reverse direction is untouched.
 	if tbl.Hops[1][0] != 1 {

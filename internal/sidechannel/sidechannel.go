@@ -104,20 +104,3 @@ func (a Analysis) Run(base, ht float64, trials int, seed uint64) Result {
 		RelativeOverhead:  ht / base,
 	}
 }
-
-// MinDetectableOverhead estimates, by bisection, the smallest relative
-// trojan addition the campaign catches with at least the target detection
-// rate — the side-channel "resolution" a trojan designer must stay under.
-func (a Analysis) MinDetectableOverhead(base float64, targetRate float64, trials int, seed uint64) float64 {
-	lo, hi := 0.0, 2.0
-	for i := 0; i < 24; i++ {
-		mid := (lo + hi) / 2
-		r := a.Run(base, base*mid, trials, seed)
-		if r.DetectionRate >= targetRate {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
-}

@@ -73,18 +73,3 @@ func TestLowerVariationCatchesMore(t *testing.T) {
 		t.Fatalf("a 2%% trojan should be visible at 0.5%% variation: %.3f", rp.DetectionRate)
 	}
 }
-
-func TestMinDetectableOverhead(t *testing.T) {
-	a := Default40nm()
-	min := a.MinDetectableOverhead(5000, 0.9, 400, 6)
-	// With 7% process variation, the resolution should be on the order of
-	// tens of percent — far above TASP's <1%.
-	if min < 0.02 || min > 1.5 {
-		t.Fatalf("min detectable overhead %.3f implausible", min)
-	}
-	ht := power.BuildTASP(power.TASPFull)
-	router := power.BuildRouter(power.DefaultRouterParams())
-	if taspOv := ht.Leakage() / router.Leakage(); taspOv >= min {
-		t.Fatalf("TASP overhead %.4f not under the side-channel resolution %.3f", taspOv, min)
-	}
-}

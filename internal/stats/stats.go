@@ -1,15 +1,12 @@
-// Package stats provides the measurement utilities the experiment harness
-// aggregates with: streaming histograms with percentile queries, running
-// mean/max trackers, exponentially weighted averages and simple time-series
-// reductions. Everything is deterministic and allocation-light so it can
-// run inside the per-cycle simulation loop.
+// Package stats provides the latency histogram the experiment harness
+// aggregates with: a streaming histogram with mean, max and percentile
+// queries. It is deterministic and allocation-light so it can run inside
+// the per-cycle simulation loop.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // Histogram is a power-of-two-bucketed streaming histogram of non-negative
@@ -20,12 +17,11 @@ type Histogram struct {
 	count   uint64
 	sum     uint64
 	max     uint64
-	min     uint64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return &Histogram{buckets: make([]uint64, 40), min: math.MaxUint64}
+	return &Histogram{buckets: make([]uint64, 40)}
 }
 
 // Reset empties the histogram in place, reusing the bucket storage.
@@ -34,7 +30,6 @@ func (h *Histogram) Reset() {
 		h.buckets[i] = 0
 	}
 	h.count, h.sum, h.max = 0, 0, 0
-	h.min = math.MaxUint64
 }
 
 // bucketOf maps a sample to its bucket index.
@@ -59,13 +54,7 @@ func (h *Histogram) Observe(v uint64) {
 	if v > h.max {
 		h.max = v
 	}
-	if v < h.min {
-		h.min = v
-	}
 }
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
 
 // Mean returns the sample mean (0 when empty).
 func (h *Histogram) Mean() float64 {
@@ -81,14 +70,6 @@ func (h *Histogram) Max() uint64 {
 		return 0
 	}
 	return h.max
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() uint64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Percentile returns an upper bound of the p-th percentile (0 < p <= 100):
@@ -131,143 +112,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
-	if o.count > 0 {
-		if o.max > h.max {
-			h.max = o.max
-		}
-		if o.min < h.min {
-			h.min = o.min
-		}
+	if o.max > h.max {
+		h.max = o.max
 	}
-}
-
-// EWMA is an exponentially weighted moving average.
-type EWMA struct {
-	// Alpha is the update weight in (0, 1].
-	Alpha float64
-	val   float64
-	seen  bool
-}
-
-// Observe folds in a sample.
-func (e *EWMA) Observe(v float64) {
-	if !e.seen {
-		e.val, e.seen = v, true
-		return
-	}
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.1
-	}
-	e.val += a * (v - e.val)
-}
-
-// Value returns the current average (0 before any sample).
-func (e *EWMA) Value() float64 { return e.val }
-
-// Series is an append-only time series of (cycle, value) points with simple
-// reductions, used to post-process occupancy samples.
-type Series struct {
-	Cycles []uint64
-	Values []float64
-}
-
-// Add appends a point.
-func (s *Series) Add(cycle uint64, v float64) {
-	s.Cycles = append(s.Cycles, cycle)
-	s.Values = append(s.Values, v)
-}
-
-// Len returns the point count.
-func (s *Series) Len() int { return len(s.Values) }
-
-// Reset empties the series in place, keeping the grown point storage.
-func (s *Series) Reset() {
-	s.Cycles = s.Cycles[:0]
-	s.Values = s.Values[:0]
-}
-
-// Max returns the maximum value and its cycle.
-func (s *Series) Max() (cycle uint64, v float64) {
-	for i, x := range s.Values {
-		if i == 0 || x > v {
-			v, cycle = x, s.Cycles[i]
-		}
-	}
-	return
-}
-
-// MeanAfter returns the mean of values at cycles >= from.
-func (s *Series) MeanAfter(from uint64) float64 {
-	sum, n := 0.0, 0
-	for i, c := range s.Cycles {
-		if c >= from {
-			sum += s.Values[i]
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// FirstAbove returns the first cycle at which the value reaches at least
-// threshold (ok=false if never).
-func (s *Series) FirstAbove(threshold float64) (uint64, bool) {
-	for i, v := range s.Values {
-		if v >= threshold {
-			return s.Cycles[i], true
-		}
-	}
-	return 0, false
-}
-
-// Spark renders the series as a compact ASCII sparkline.
-func (s *Series) Spark(width int) string {
-	if s.Len() == 0 || width <= 0 {
-		return ""
-	}
-	marks := []byte("_.-=#@")
-	_, max := s.Max()
-	if max == 0 {
-		max = 1
-	}
-	var b strings.Builder
-	step := float64(s.Len()) / float64(width)
-	if step < 1 {
-		step = 1
-		width = s.Len()
-	}
-	for i := 0; i < width; i++ {
-		idx := int(float64(i) * step)
-		if idx >= s.Len() {
-			idx = s.Len() - 1
-		}
-		level := int(s.Values[idx] / max * float64(len(marks)-1))
-		b.WriteByte(marks[level])
-	}
-	return b.String()
-}
-
-// Quantiles computes exact quantiles of a small sample slice (sorted copy);
-// for offline analyses where bucketing is too coarse.
-func Quantiles(samples []float64, qs ...float64) []float64 {
-	if len(samples) == 0 {
-		return make([]float64, len(qs))
-	}
-	cp := append([]float64(nil), samples...)
-	sort.Float64s(cp)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		if q < 0 {
-			q = 0
-		}
-		if q > 1 {
-			q = 1
-		}
-		idx := int(q * float64(len(cp)-1))
-		out[i] = cp[idx]
-	}
-	return out
 }

@@ -172,9 +172,6 @@ func NewColludingDropper(target Target, l flit.Layout, coord *Collusion) *Collud
 // size changes (memoized trojan sets are sliced per point).
 func (d *ColludingDropper) SetRole(idx, n int) { d.idx, d.n = idx, n }
 
-// Role returns the member's rotation slot and the set size.
-func (d *ColludingDropper) Role() (idx, n int) { return d.idx, d.n }
-
 // Kind implements Trojan.
 func (d *ColludingDropper) Kind() Kind { return KindCollude }
 

@@ -30,7 +30,7 @@ type TargetKind uint8
 
 // Comparator variants, in the paper's order. The parenthesised widths are
 // for the paper's default 4x4/concentration-4/4-VC header layout; on other
-// layouts the routing-field variants widen with the id fields (WidthIn).
+// layouts the routing-field variants widen with the id fields.
 const (
 	TargetFull    TargetKind = iota // vc + src + dest + mem (42 bits)
 	TargetDest                      // destination router (4 bits)
@@ -57,34 +57,6 @@ func (k TargetKind) String() string {
 		return "VC"
 	default:
 		return fmt.Sprintf("TargetKind(%d)", uint8(k))
-	}
-}
-
-// Width returns the number of compared bits for the paper's hardware
-// instance (Section V-A, Table I) — the default header layout. This is what
-// the area/power model costs; use WidthIn for other layouts.
-func (k TargetKind) Width() int { return k.WidthIn(flit.Default) }
-
-// WidthIn returns the number of compared bits when the comparator is built
-// against the given header layout: the routing-field variants scale with the
-// layout's id widths, Full spans the layout's contiguous vc+src+dst+mem
-// comparator window.
-func (k TargetKind) WidthIn(l flit.Layout) int {
-	switch k {
-	case TargetFull:
-		return int(l.FullBits)
-	case TargetDest:
-		return int(l.DstBits)
-	case TargetSrc:
-		return int(l.SrcBits)
-	case TargetDestSrc:
-		return int(l.SrcBits + l.DstBits)
-	case TargetMem:
-		return int(l.MemBits)
-	case TargetVC:
-		return int(l.VCBits)
-	default:
-		return 0
 	}
 }
 

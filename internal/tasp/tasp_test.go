@@ -1,6 +1,7 @@
 package tasp
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -150,13 +151,15 @@ func TestAllVariantsMatchTheirFlows(t *testing.T) {
 }
 
 func TestTargetKindWidths(t *testing.T) {
-	want := map[TargetKind]int{
-		TargetFull: 42, TargetDest: 4, TargetSrc: 4,
-		TargetDestSrc: 8, TargetMem: 32, TargetVC: 2,
+	// Each variant's comparator taps its fields' wires: on the default
+	// layout, Table I's widths.
+	want := map[Target]int{
+		ForFull(1, 2, 3, 0, 0xffffffff): 42, ForDest(1): 4, ForSrc(1): 4,
+		ForDestSrc(1, 2): 8, ForMem(0, 0xffffffff): 32, ForVC(1): 2,
 	}
-	for k, w := range want {
-		if k.Width() != w {
-			t.Errorf("%v width %d, want %d", k, k.Width(), w)
+	for target, w := range want {
+		if got := len(target.compile(flit.Default)); got != w {
+			t.Errorf("%v comparator taps %d wires, want %d", target.Kind, got, w)
 		}
 	}
 	names := map[TargetKind]string{
@@ -187,8 +190,7 @@ func TestStrikeAlwaysTwoFlipsProperty(t *testing.T) {
 	f := func(src, dst uint8, mem uint32) bool {
 		cw := headWord(flit.Header{VC: 1, SrcR: src & 15, DstR: dst & 15, Mem: mem})
 		struck := forwarded(ht.Strike(0, cw, fault.Framing{Head: true}))
-		diff := struck.Xor(cw)
-		return diff.Weight() == 2
+		return bits.OnesCount64(struck.Lo^cw.Lo)+bits.OnesCount8(struck.Hi^cw.Hi) == 2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -259,9 +259,6 @@ func NewMisrouter(target Target, hijack uint8, l flit.Layout) *Misrouter {
 	return &Misrouter{trigger: newTrigger(target, l), layout: l, hijack: hijack}
 }
 
-// Hijack returns the programmed hijack router.
-func (m *Misrouter) Hijack() uint8 { return m.hijack }
-
 // Kind implements Trojan.
 func (m *Misrouter) Kind() Kind { return KindMisroute }
 

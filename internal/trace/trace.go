@@ -232,9 +232,6 @@ func (p *Player) Tick(cycle uint64, inject func(core int, pk *flit.Packet) bool)
 // Done reports whether every event has been injected.
 func (p *Player) Done() bool { return p.pos >= len(p.events) }
 
-// Remaining returns the count of not-yet-injected events.
-func (p *Player) Remaining() int { return len(p.events) - p.pos }
-
 // Record captures a workload model into a trace: it rolls the generator for
 // the given cycles against a virtual unlimited sink (no network), recording
 // every packet the model offers.

@@ -184,7 +184,7 @@ func TestRecordReplayIdentical(t *testing.T) {
 			n.Step()
 		}
 		if !pl.Done() {
-			t.Fatalf("player left %d events pending", pl.Remaining())
+			t.Fatalf("player left %d events pending", len(pl.events)-pl.pos)
 		}
 		return n.Counters
 	}
@@ -214,7 +214,7 @@ func TestPlayerStallsDoNotDrop(t *testing.T) {
 		n.Step()
 	}
 	if !pl.Done() {
-		t.Fatalf("player stuck with %d events", pl.Remaining())
+		t.Fatalf("player stuck with %d events", len(pl.events)-pl.pos)
 	}
 	if pl.Stalled == 0 {
 		t.Fatal("expected stalls with a 32-flit queue and 50 packets")

@@ -119,6 +119,3 @@ func (cl *ClosedLoop) Pending() int {
 	}
 	return n
 }
-
-// QueuedReplies returns replies awaiting injection.
-func (cl *ClosedLoop) QueuedReplies() int { return len(cl.replyQueue) }

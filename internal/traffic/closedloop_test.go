@@ -107,8 +107,8 @@ func TestClosedLoopReplyMarkRoundTrip(t *testing.T) {
 	// Feed a synthetic delivered request and check the queued reply.
 	req := flit.Header{Kind: flit.Single, VC: 2, SrcR: 3, SrcC: 1, DstR: 9, DstC: 2, Mem: 0x09001234, Seq: 7}
 	cl.OnDeliver(noc.Delivery{Hdr: req, Flits: 1})
-	if cl.QueuedReplies() != 1 {
-		t.Fatalf("replies queued: %d", cl.QueuedReplies())
+	if len(cl.replyQueue) != 1 {
+		t.Fatalf("replies queued: %d", len(cl.replyQueue))
 	}
 	r := cl.replyQueue[0]
 	if r.Hdr.Spare != ReplyMark || r.Hdr.DstR != 3 || r.Hdr.DstC != 1 {

@@ -38,7 +38,7 @@ func TestSampleDstMatchesLinearScan(t *testing.T) {
 		for _, size := range []int{4, 5, 6, 8, 12, 16} {
 			c := noc.DefaultConfig()
 			c.Topo, c.Width, c.Height = topo, size, size
-			models := []*Model{Uniform(c, 0.01), Hotspot(c, 0.01, 3, 0.3), Transpose(c, 0.01)}
+			models := []*Model{Uniform(c, 0.01), Hotspot(c, 0.01, 3, 0.3), transpose(c, 0.01)}
 			for _, name := range Benchmarks() {
 				m, err := Benchmark(name, c)
 				if err != nil {
@@ -78,4 +78,22 @@ func checkSampler(t *testing.T, m *Model) {
 			}
 		}
 	}
+}
+
+// transpose returns the classic transpose permutation workload: one
+// destination per source, a one-hot matrix row.
+func transpose(cfg noc.Config, rate float64) *Model {
+	R := cfg.Routers()
+	m := &Model{Name: "transpose", Rate: rate, DataFraction: 0.4, Matrix: make([][]float64, R), Intensity: make([]float64, R), cfg: cfg}
+	for s := 0; s < R; s++ {
+		row := make([]float64, R)
+		d := transposeOf(cfg, s)
+		if d == s {
+			d = (s + R/2) % R
+		}
+		row[d] = 1
+		m.Matrix[s] = row
+		m.Intensity[s] = 1
+	}
+	return m
 }

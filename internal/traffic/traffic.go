@@ -206,6 +206,8 @@ func Uniform(cfg noc.Config, rate float64) *Model {
 
 // Hotspot returns a model where frac of all traffic targets the hotspot
 // router and the rest is uniform.
+//
+//nocvet:keep core's TestCongestionNeverConvictsHealthyLinks saturates the network with it
 func Hotspot(cfg noc.Config, rate float64, hotspot int, frac float64) *Model {
 	m := Uniform(cfg, rate)
 	m.Name = "hotspot"
@@ -224,23 +226,6 @@ func Hotspot(cfg noc.Config, rate float64, hotspot int, frac float64) *Model {
 		for d := range row {
 			row[d] /= sum
 		}
-	}
-	return m
-}
-
-// Transpose returns the classic transpose permutation workload.
-func Transpose(cfg noc.Config, rate float64) *Model {
-	R := cfg.Routers()
-	m := &Model{Name: "transpose", Rate: rate, DataFraction: 0.4, Matrix: make([][]float64, R), Intensity: make([]float64, R), cfg: cfg}
-	for s := 0; s < R; s++ {
-		row := make([]float64, R)
-		d := transposeOf(cfg, s)
-		if d == s {
-			d = (s + R/2) % R
-		}
-		row[d] = 1
-		m.Matrix[s] = row
-		m.Intensity[s] = 1
 	}
 	return m
 }
@@ -313,9 +298,6 @@ func (g *Generator) Restore(s *GeneratorState) {
 	*g.rng = s.rng
 	copy(g.seq, s.seq)
 }
-
-// Model returns the model the generator draws from.
-func (g *Generator) Model() *Model { return g.m }
 
 // TickInto rolls injection for every core for one cycle and calls inject
 // for each generated packet. Packets are written into the caller-owned
@@ -447,14 +429,4 @@ func LinkLoadsWhere(m *Model, cfg noc.Config, keep func(src, dst int) bool) []fl
 		loads[id] /= total
 	}
 	return loads
-}
-
-// RouterTotals returns per-router outbound packet weight (Figure 1(b)'s
-// geographic source hot spots).
-func RouterTotals(m *Model) []float64 {
-	out := make([]float64, len(m.Matrix))
-	for s := range m.Matrix {
-		out[s] = m.Intensity[s]
-	}
-	return out
 }

@@ -123,7 +123,7 @@ func TestSyntheticModels(t *testing.T) {
 	if h.Matrix[0][5] < 0.5 {
 		t.Fatalf("hotspot share %g", h.Matrix[0][5])
 	}
-	tr := Transpose(cfg(), 0.05)
+	tr := transpose(cfg(), 0.05)
 	if tr.Matrix[1][4] != 1 {
 		t.Fatalf("transpose(1) weight to 4 is %g", tr.Matrix[1][4])
 	}
@@ -305,7 +305,7 @@ func TestLinkLoadsKeepParallelLinksApart(t *testing.T) {
 
 func TestRouterTotals(t *testing.T) {
 	m, _ := Benchmark("blackscholes", cfg())
-	tot := RouterTotals(m)
+	tot := m.Intensity
 	if len(tot) != 16 {
 		t.Fatalf("want 16 totals, got %d", len(tot))
 	}

@@ -115,17 +115,3 @@ func LinkMap(cfg noc.Config, title string, load func(from, to int) float64) stri
 	b.WriteString("  glyph ramp (low->high): " + strings.Join(shades, "") + "\n")
 	return b.String()
 }
-
-// OccupancyHeatmap renders a network's current per-router buffered-flit
-// totals.
-func OccupancyHeatmap(n *noc.Network) string {
-	cfg := n.Config()
-	vals := make([]float64, cfg.Routers())
-	for _, l := range n.LinkSlice() {
-		// Attribute each link's parked retransmission entries to its
-		// source router; input occupancy is not exposed per router, so use
-		// link telemetry as the congestion proxy.
-		vals[l.From] += float64(len(n.DebugRetransVCs(l.ID)))
-	}
-	return RouterHeatmap(cfg, fmt.Sprintf("retransmission-buffer occupancy (cycle %d)", n.Cycle()), vals)
-}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"tasp/internal/flit"
 	"tasp/internal/noc"
 )
 
@@ -52,23 +51,5 @@ func TestLinkMapShadesHotLink(t *testing.T) {
 	}
 	if !strings.Contains(s, "glyph ramp") {
 		t.Fatal("legend missing")
-	}
-}
-
-func TestOccupancyHeatmapOnLiveNetwork(t *testing.T) {
-	n, err := noc.New(noc.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		n.Inject(0, &flit.Packet{Hdr: flit.Header{VC: uint8(i % 4), DstR: 3}})
-	}
-	n.Run(8)
-	s := OccupancyHeatmap(n)
-	if !strings.Contains(s, "cycle 8") {
-		t.Fatalf("missing cycle stamp:\n%s", s)
-	}
-	if len(strings.Split(s, "\n")) < 5 {
-		t.Fatal("heatmap too short")
 	}
 }

@@ -92,32 +92,6 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(11)
-	for _, n := range []int{0, 1, 5, 64} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	parent := New(3)
-	c1 := parent.Fork()
-	c2 := parent.Fork()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("sibling forks produced identical first draws")
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	r := New(17)
 	const n = 100000

@@ -1,6 +1,7 @@
 package tasp_test
 
 import (
+	"strings"
 	"testing"
 
 	"tasp"
@@ -45,8 +46,8 @@ func TestPublicAPITargets(t *testing.T) {
 		"mem":     tasp.ForMem(0x03000000, 0xff000000),
 		"full":    tasp.ForFull(1, 3, 2, 0x03000000, 0xff000000),
 	} {
-		if target.Kind.Width() <= 0 {
-			t.Errorf("%s: zero comparator width", name)
+		if k := target.Kind.String(); strings.HasPrefix(k, "TargetKind(") {
+			t.Errorf("%s: unknown comparator kind %s", name, k)
 		}
 	}
 }
