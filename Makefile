@@ -48,7 +48,7 @@ race:
 	$(GO) test -race -count=2 ./internal/locate
 	$(GO) test -race -count=2 -run TestRunAll ./internal/exp
 	$(GO) test -race -count=10 -run TestFanOut ./internal/exp
-	$(GO) test -race -run 'TestWorkerCountInvariance|TestKillResume' ./internal/campaign
+	$(GO) test -race -run 'TestWorkerCountInvariance|TestKillResume|TestRunStopsAtTheInvalidPoint' ./internal/campaign
 
 # Fuzz the header Encode/Decode round-trip across randomized layouts, the
 # event-driven core's per-cycle invariants and flit conservation across

@@ -73,6 +73,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	})
 }
 
+// reportPolicyf records a finding about the analyzer's own configuration: a
+// policy entry that names nothing in the package and so silently checks
+// nothing. Having no position of its own, it is reported at the package
+// clause of the package's first file.
+func (p *Pass) reportPolicyf(format string, args ...interface{}) {
+	p.Reportf(p.Files[0].Package, format, args...)
+}
+
 // Suppressed reports whether a finding at pos is covered by an annotation
 // with the given verb — on the same line (trailing comment) or the line
 // directly above. A match marks the annotation used.

@@ -18,24 +18,29 @@ func TestDetSourceFixture(t *testing.T) {
 	runFixture(t, "testdata/src/detsource", analysis.NewDetSource())
 }
 
+// TestHotAllocFixture includes a root that names nothing, as a root left
+// behind by a rename would.
 func TestHotAllocFixture(t *testing.T) {
-	runFixture(t, "testdata/src/hotalloc", analysis.NewHotAlloc([]string{"Net.Step"}))
+	runFixture(t, "testdata/src/hotalloc", analysis.NewHotAlloc([]string{"Net.Step", "Net.Gone"}))
 }
 
 func TestHotCopyFixture(t *testing.T) {
 	runFixture(t, "testdata/src/hotcopy", analysis.NewHotCopy([]string{"Net.Step"}))
 }
 
+// TestTelemetrySafeFixture includes a protected field and an allowed file
+// that name nothing, as entries left behind by a rename would.
 func TestTelemetrySafeFixture(t *testing.T) {
 	protected := []analysis.ProtectedField{
 		{Type: "Router", Field: "occ"},
 		{Type: "Router", Field: "inFlits"},
+		{Type: "Router", Field: "gone"},
 		{Type: "scheduler", Field: "flitsIn"},
 		{Type: "scheduler", Field: "actIn"},
 		{Type: "activeSet", Field: "w"},
 	}
 	runFixture(t, "testdata/src/telemetrysafe",
-		analysis.NewTelemetrySafe(protected, []string{"sched.go"}))
+		analysis.NewTelemetrySafe(protected, []string{"sched.go", "gone.go"}))
 }
 
 // TestAnnotFixture exercises the annotation parser end to end: unknown

@@ -56,11 +56,13 @@ type hotFunc struct {
 // hotFuncs walks the package's static intra-package call graph from the
 // named roots ("Recv.Method" or "Func") and returns every reached function
 // declaration in file/declaration order, so reports are deterministic.
-// Dynamic calls (interfaces, func values) are not traversed.
+// Dynamic calls (interfaces, func values) are not traversed. A root that
+// names no function of the package is itself a finding: after a rename it
+// would otherwise drop its whole call graph from the check unnoticed.
 func hotFuncs(pass *Pass, roots []string) []hotFunc {
-	rootSet := map[string]bool{}
+	missing := map[string]bool{} // the roots no declaration has matched yet
 	for _, r := range roots {
-		rootSet[r] = true
+		missing[r] = true
 	}
 	// Index every function declaration by its types object.
 	decls := map[*types.Func]*ast.FuncDecl{}
@@ -79,9 +81,15 @@ func hotFuncs(pass *Pass, roots []string) []hotFunc {
 			decls[obj] = fd
 			name := funcDisplayName(obj)
 			names[obj] = name
-			if rootSet[name] {
+			if missing[name] {
 				rootFns = append(rootFns, obj)
+				delete(missing, name)
 			}
+		}
+	}
+	for _, r := range roots {
+		if missing[r] {
+			pass.reportPolicyf("hot-path root %q names no function of %s, so nothing it reaches is checked", r, pass.Pkg.Path())
 		}
 	}
 	// BFS over static intra-package calls; via[f] is the caller through

@@ -82,13 +82,24 @@ func (n *Network) Step() {
 
 // TestSeededRegressionCleanBaseline is the control: the same shape with the
 // violations removed produces zero findings, so the regression test above
-// fails for the right reason.
+// fails for the right reason. It declares every root, field and file the
+// shipped policy names, as internal/noc does; one missing is a finding.
 func TestSeededRegressionCleanBaseline(t *testing.T) {
 	dir := t.TempDir()
 	src := `package noc
 
 type Router struct {
-	occ uint64
+	occ, routedTo, reqVA, deadOut uint64
+	inFlits, parked               int
+}
+
+type NI struct{ total, refusedBy int }
+
+type activeSet struct{ w []uint64 }
+
+type scheduler struct {
+	actIn, actOut, actNI          activeSet
+	flitsIn, flitsParked, flitsNI int
 }
 
 // markOccupied lives in sched.go, the sanctioned mutation site.
@@ -104,10 +115,26 @@ func (n *Network) Step() {
 	}
 }
 
-// run gives Step a user, as the simulator's runner does.
-func run(n *Network) { n.Step() }
+func (n *Network) Inject()  {}
+func (n *Network) Run()     {}
+func (n *Network) Reset()   {}
+func (n *Network) Save()    {}
+func (n *Network) Restore() {}
+
+// run gives the roots and NI a user, as the simulator's runner does.
+func run(n *Network, _ *NI) {
+	n.Step()
+	n.Inject()
+	n.Run()
+	n.Reset()
+	n.Save()
+	n.Restore()
+}
 `
 	if err := os.WriteFile(filepath.Join(dir, "sched.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "checkpoint.go"), []byte("package noc\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	pkg, err := analysis.LoadFixtureDir(dir)
@@ -207,9 +234,11 @@ func (g *Generator) PacketInto(core int, dst *int) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The package declares only some of the shipped roots, so hotcopy
+			// also reports the others as naming nothing; count the copies.
 			copies := 0
 			for _, d := range diags {
-				if d.Analyzer == "hotcopy" {
+				if d.Analyzer == "hotcopy" && strings.Contains(d.Message, " copies ") {
 					copies++
 				}
 			}
@@ -270,14 +299,17 @@ func (w *writer) commitDirect() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byAnalyzer := map[string]int{}
+	// The package declares only some of what the shipped policy names, so
+	// both analyzers also report the rest; look for the planted findings.
+	var alloc, cursor bool
 	for _, d := range diags {
-		byAnalyzer[d.Analyzer]++
+		alloc = alloc || d.Analyzer == "hotalloc" && strings.Contains(d.Message, "make allocates")
+		cursor = cursor || d.Analyzer == "telemetrysafe" && strings.Contains(d.Message, "writer.next")
 	}
-	if byAnalyzer["hotalloc"] == 0 {
+	if !alloc {
 		t.Errorf("per-point allocation in the worker's record callback not flagged by hotalloc; got %v", diags)
 	}
-	if byAnalyzer["telemetrysafe"] == 0 {
+	if !cursor {
 		t.Errorf("writer cursor mutation outside writer.go not flagged by telemetrysafe; got %v", diags)
 	}
 }

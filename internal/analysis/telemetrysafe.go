@@ -24,6 +24,9 @@ type ProtectedField struct {
 // Flagged: assignments (including op-assign), ++/--, and taking the address
 // of a protected field, in any file not in allowedFiles. There is no
 // annotation escape: new scheduler-state transitions belong in sched.go.
+// A protected field that names no field of the package, or an allowed file
+// that is none of its files, is a finding too: after a rename it would
+// silently stop guarding anything.
 func NewTelemetrySafe(protected []ProtectedField, allowedFiles []string) *Analyzer {
 	prot := map[ProtectedField]bool{}
 	for _, p := range protected {
@@ -43,8 +46,15 @@ func NewTelemetrySafe(protected []ProtectedField, allowedFiles []string) *Analyz
 			what, pf.Type, pf.Field, allowedFiles)
 	}
 	a.Run = func(pass *Pass) error {
+		for _, pf := range protected {
+			if !isField(pass.Pkg, pf) {
+				pass.reportPolicyf("protected field %s.%s names no field of %s, so its mutations go unchecked", pf.Type, pf.Field, pass.Pkg.Path())
+			}
+		}
+		files := map[string]bool{}
 		for _, f := range pass.Files {
 			base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
+			files[base] = true
 			if allowed[base] {
 				continue
 			}
@@ -71,9 +81,26 @@ func NewTelemetrySafe(protected []ProtectedField, allowedFiles []string) *Analyz
 				return true
 			})
 		}
+		for _, f := range allowedFiles {
+			if !files[f] {
+				pass.reportPolicyf("allowed file %s is no file of %s", f, pass.Pkg.Path())
+			}
+		}
 		return nil
 	}
 	return a
+}
+
+// isField reports whether pf names a field, direct or promoted, of a named
+// type declared in pkg.
+func isField(pkg *types.Package, pf ProtectedField) bool {
+	tn, ok := pkg.Scope().Lookup(pf.Type).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, pf.Field)
+	v, ok := obj.(*types.Var)
+	return ok && v.IsField()
 }
 
 // protectedTarget unwraps an assignment target (parens, indexing, derefs)

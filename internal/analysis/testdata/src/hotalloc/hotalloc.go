@@ -1,7 +1,7 @@
 // Fixture for the hotalloc analyzer, rooted at Net.Step: every function
 // statically reachable from a root must be free of allocation-inducing
 // constructs unless annotated //nocvet:allowalloc with a reason.
-package hotalloc
+package hotalloc // want `hot-path root "Net.Gone" names no function of fixture/hotalloc`
 
 import "fmt"
 

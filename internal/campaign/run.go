@@ -43,7 +43,11 @@ func (e *StoppedError) Unwrap() error { return e.Err }
 // the number of records committed over the run's whole life (including a
 // resumed prefix). A context cancellation stops the sweep at a record
 // boundary — already-committed output stays valid for Resume — and returns
-// a StoppedError wrapping ctx.Err().
+// a StoppedError wrapping ctx.Err(). A failing point stops it too, without
+// cancelling the points in flight: no further group is handed out and the
+// groups in flight finish, so the output is committed up to the first point
+// that failed or never ran, and the StoppedError names the lowest failing
+// point.
 func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, error) {
 	if err := spec.checkSize(); err != nil {
 		return 0, err
@@ -144,16 +148,18 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	results := make(chan encoded, workers)
-	errs := make(chan error, workers)
+	// Each worker's failing point, if any, by grid index; read once the
+	// results channel has closed, after every worker has returned.
+	failAt := make([]int, workers)
+	failErr := make([]error, workers)
 	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			wk := &worker{ctx: runCtx, scenarios: scenarios, start: start, pool: w.pool, results: results}
-			if err := wk.run(groups, &next); err != nil {
-				errs <- err
-				cancel()
+			if failAt[k], failErr[k] = wk.run(groups, &next); failErr[k] != nil {
+				next.Store(int64(len(groups))) // hand out no further group
 			}
 		}()
 	}
@@ -173,9 +179,11 @@ func Run(ctx context.Context, spec Spec, outPath string, opt Options) (int, erro
 		}
 	}
 	if failed == nil {
-		select {
-		case failed = <-errs:
-		default:
+		at := len(scenarios)
+		for k, err := range failErr {
+			if err != nil && failAt[k] < at {
+				at, failed = failAt[k], err
+			}
 		}
 	}
 	if failed == nil {
@@ -212,13 +220,13 @@ type worker struct {
 }
 
 // run runs groups until none is left, the sweep is cancelled, or a point
-// fails.
-func (w *worker) run(groups [][]int, next *atomic.Int64) error {
+// fails, and then returns the failing point's grid index and error.
+func (w *worker) run(groups [][]int, next *atomic.Int64) (int, error) {
 	i, err := core.NewRunner().RunGroups(w.ctx, groups, next, w.config, w.into, w.emit)
 	if err != nil {
-		return fmt.Errorf("point %d: %w", w.start+i, err)
+		return w.start + i, fmt.Errorf("point %d: %w", w.start+i, err)
 	}
-	return nil
+	return 0, nil
 }
 
 // config lowers point i.

@@ -213,13 +213,13 @@ func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) 
 	if choice.Method != lob.None {
 		cw = w.windows.Undo(cw, choice, key)
 	}
-	data, st, syn := ecc.Decode(cw)
+	data, st, _ := ecc.Decode(cw)
 
 	fk := detect.FlitKey{PacketID: f.PacketID, Index: f.Index}
 	switch st {
 	case ecc.Uncorrectable:
 		w.Dropped++
-		act := w.Detector.OnFault(fk, syn, choice)
+		act := w.Detector.OnFault(fk, choice)
 		if act.RunBIST {
 			w.BISTScans++
 			w.Detector.SetBISTResult(bist.Scan(cycle, w.Tap))

@@ -73,8 +73,8 @@ func TestSecureWireDefeatsTrojan(t *testing.T) {
 	if got.Payload != f2.Payload {
 		t.Fatal("payload corrupted under logged method")
 	}
-	if ht.Injections != 2 {
-		t.Fatalf("trojan injections %d, want exactly the 2 plain strikes", ht.Injections)
+	if _, injections := ht.Stats(); injections != 2 {
+		t.Fatalf("trojan injections %d, want exactly the 2 plain strikes", injections)
 	}
 }
 

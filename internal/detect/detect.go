@@ -1,7 +1,7 @@
 // Package detect implements the paper's heuristic threat source detector
 // (Section IV-B, Figure 6). One detector guards each link's receiving side.
-// When ECC flags a fault it records the syndrome together with the packet's
-// characteristics; the decision flow is the paper's:
+// When ECC flags a fault it records the faulting flit, keyed by packet and
+// flit index, in a fault-history table; the decision flow is the paper's:
 //
 //   - fault not seen before          -> correct / signal retransmission
 //   - same flit faulted before       -> notify BIST (repeated transients are
@@ -70,10 +70,8 @@ type Action struct {
 
 // record is one fault-history entry.
 type record struct {
-	key       FlitKey
-	faults    int
-	syndromes []int
-	obfTried  int // obfuscation attempts made for this flit
+	key    FlitKey
+	faults int
 }
 
 // Detector is the per-link threat source detector.
@@ -100,9 +98,9 @@ type Detector struct {
 
 	class Classification
 
-	// free recycles retired records (and their syndrome storage) so a
-	// sustained attack's insert/remove churn stops allocating once the list
-	// has warmed up to the history high-water mark.
+	// free recycles retired records so a sustained attack's insert/remove
+	// churn stops allocating once the list has warmed up to the history
+	// high-water mark.
 	free []*record
 }
 
@@ -125,7 +123,7 @@ func New(historyCap int) *Detector {
 // OnFault implements the left half of Figure 6: an uncorrectable decode
 // arrived. obf is the obfuscation that was applied to this attempt (None
 // for plain traversals).
-func (d *Detector) OnFault(key FlitKey, syndrome int, obf lob.Choice) Action {
+func (d *Detector) OnFault(key FlitKey, obf lob.Choice) Action {
 	d.FaultEvents++
 	r := d.index[key]
 	if r == nil {
@@ -137,9 +135,7 @@ func (d *Detector) OnFault(key FlitKey, syndrome int, obf lob.Choice) Action {
 		r = d.getRecord(key)
 		d.insert(r)
 		r.faults = 1
-		r.syndromes = append(r.syndromes, syndrome)
 		if obf.Method != lob.None {
-			r.obfTried++
 			d.granFail[obf.Gran]++
 		}
 		if d.class == Healthy {
@@ -151,9 +147,7 @@ func (d *Detector) OnFault(key FlitKey, syndrome int, obf lob.Choice) Action {
 	// enable or escalate obfuscation.
 	d.RepeatedFaults++
 	r.faults++
-	r.syndromes = append(r.syndromes, syndrome)
 	if obf.Method != lob.None {
-		r.obfTried++
 		d.granFail[obf.Gran]++
 	}
 	if d.class == Healthy || d.class == Transient {
@@ -252,16 +246,14 @@ func (d *Detector) getRecord(key FlitKey) *record {
 		r := d.free[k-1]
 		d.free = d.free[:k-1]
 		r.key = key
-		r.faults, r.obfTried = 0, 0
-		r.syndromes = r.syndromes[:0]
+		r.faults = 0
 		return r
 	}
 	return &record{key: key}
 }
 
-// recycle returns a retired record (and its grown syndrome storage) to the
-// free list. The list is bounded by historyCap, since only resident records
-// are ever retired.
+// recycle returns a retired record to the free list. The list is bounded
+// by historyCap, since only resident records are ever retired.
 func (d *Detector) recycle(r *record) { d.free = append(d.free, r) }
 
 // Reset forgets every observation — history, BIST outcome, granularity

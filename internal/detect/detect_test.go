@@ -21,7 +21,7 @@ func TestHealthyUntilFault(t *testing.T) {
 
 func TestFirstFaultJustRetransmits(t *testing.T) {
 	d := New(0)
-	act := d.OnFault(key(1, 0), 33, plain)
+	act := d.OnFault(key(1, 0), plain)
 	if act.RunBIST || act.Obfuscate {
 		t.Fatalf("first fault over-reacted: %+v", act)
 	}
@@ -35,8 +35,8 @@ func TestFirstFaultJustRetransmits(t *testing.T) {
 
 func TestRepeatedFaultEscalates(t *testing.T) {
 	d := New(0)
-	d.OnFault(key(1, 0), 33, plain)
-	act := d.OnFault(key(1, 0), 35, plain)
+	d.OnFault(key(1, 0), plain)
+	act := d.OnFault(key(1, 0), plain)
 	if !act.RunBIST || !act.Obfuscate {
 		t.Fatalf("repeat fault did not escalate: %+v", act)
 	}
@@ -45,7 +45,7 @@ func TestRepeatedFaultEscalates(t *testing.T) {
 	}
 	// Once BIST has run, further faults must not re-request it.
 	d.SetBISTResult(bist.Scan(0, fault.None))
-	act = d.OnFault(key(1, 0), 37, lob.Choice{Method: lob.Scramble, Gran: lob.WholeFlit})
+	act = d.OnFault(key(1, 0), lob.Choice{Method: lob.Scramble, Gran: lob.WholeFlit})
 	if act.RunBIST {
 		t.Fatal("BIST re-requested after completion")
 	}
@@ -58,8 +58,8 @@ func TestTrojanClassification(t *testing.T) {
 	// The paper's discovery sequence: repeated faults on one flit, BIST
 	// clean, then a clean arrival under obfuscation => hardware trojan.
 	d := New(0)
-	d.OnFault(key(7, 0), 20, plain)
-	d.OnFault(key(7, 0), 22, plain)
+	d.OnFault(key(7, 0), plain)
+	d.OnFault(key(7, 0), plain)
 	d.SetBISTResult(bist.Scan(0, fault.None))
 	d.OnClean(key(7, 0), lob.Choice{Method: lob.Scramble, Gran: lob.WholeFlit})
 	if d.Classification() != Trojan {
@@ -72,8 +72,8 @@ func TestTrojanClassification(t *testing.T) {
 
 func TestPermanentClassification(t *testing.T) {
 	d := New(0)
-	d.OnFault(key(3, 0), 9, plain)
-	d.OnFault(key(3, 0), 9, plain)
+	d.OnFault(key(3, 0), plain)
+	d.OnFault(key(3, 0), plain)
 	d.SetBISTResult(bist.Scan(0, fault.NewStuckAt(map[int]uint{4: 1, 9: 0})))
 	if d.Classification() != Permanent {
 		t.Fatalf("classification %v, want permanent", d.Classification())
@@ -87,7 +87,7 @@ func TestTransientStaysTransient(t *testing.T) {
 	d := New(0)
 	// Many distinct flits fault once each — background upsets.
 	for i := uint64(0); i < 20; i++ {
-		act := d.OnFault(key(i, 0), int(i%63)+1, plain)
+		act := d.OnFault(key(i, 0), plain)
 		if act.Obfuscate {
 			t.Fatalf("isolated fault %d triggered obfuscation", i)
 		}
@@ -108,18 +108,18 @@ func TestCleanPlainArrivalIsNoop(t *testing.T) {
 func TestHistoryEviction(t *testing.T) {
 	d := New(4)
 	for i := uint64(0); i < 10; i++ {
-		d.OnFault(key(i, 0), 5, plain)
+		d.OnFault(key(i, 0), plain)
 	}
 	if len(d.history) != 4 {
 		t.Fatalf("history len %d, cap 4", len(d.history))
 	}
 	// The oldest entries were evicted: a repeat of flit 0 now looks new.
-	act := d.OnFault(key(0, 0), 5, plain)
+	act := d.OnFault(key(0, 0), plain)
 	if act.Obfuscate {
 		t.Fatal("evicted flit treated as repeat")
 	}
 	// But a repeat of a recent one escalates.
-	act = d.OnFault(key(9, 0), 5, plain)
+	act = d.OnFault(key(9, 0), plain)
 	if !act.Obfuscate {
 		t.Fatal("recent repeat not escalated")
 	}
@@ -132,8 +132,8 @@ func TestTriggerScopeLocalisation(t *testing.T) {
 	}
 	// Header-only obfuscation succeeds, payload-only fails: the trigger
 	// taps header wires.
-	d.OnFault(key(1, 0), 3, plain)
-	d.OnFault(key(1, 0), 3, lob.Choice{Method: lob.Scramble, Gran: lob.PayloadOnly})
+	d.OnFault(key(1, 0), plain)
+	d.OnFault(key(1, 0), lob.Choice{Method: lob.Scramble, Gran: lob.PayloadOnly})
 	d.OnClean(key(1, 0), lob.Choice{Method: lob.Scramble, Gran: lob.HeaderOnly})
 	if d.TriggerScope() != "header" {
 		t.Fatalf("scope %q, want header", d.TriggerScope())
@@ -150,7 +150,7 @@ func TestTriggerScopeFirstFaultObfuscated(t *testing.T) {
 	// First observed fault: header-only obfuscation already applied (the
 	// flow's logged method) and defeated — the trigger survives a scrambled
 	// header, so it taps the payload.
-	d.OnFault(key(1, 0), 3, lob.Choice{Method: lob.Scramble, Gran: lob.HeaderOnly})
+	d.OnFault(key(1, 0), lob.Choice{Method: lob.Scramble, Gran: lob.HeaderOnly})
 	// A later attempt under payload-only obfuscation gets through.
 	d.OnClean(key(1, 0), lob.Choice{Method: lob.Scramble, Gran: lob.PayloadOnly})
 	if got := d.TriggerScope(); got != "payload" {
@@ -165,11 +165,11 @@ func TestEvictionKeepsMemoryStable(t *testing.T) {
 	const cap_ = 8
 	d := New(cap_)
 	for i := uint64(0); i < cap_; i++ {
-		d.OnFault(key(i, 0), 5, plain)
+		d.OnFault(key(i, 0), plain)
 	}
 	base := cap(d.history)
 	for i := uint64(cap_); i < 100*cap_; i++ {
-		d.OnFault(key(i, 0), 5, plain)
+		d.OnFault(key(i, 0), plain)
 	}
 	if len(d.history) != cap_ {
 		t.Fatalf("history len %d, cap %d", len(d.history), cap_)
@@ -183,7 +183,7 @@ func TestEvictionKeepsMemoryStable(t *testing.T) {
 	// Steady-state insert allocates only the record itself, never the slice.
 	i := uint64(1000)
 	if avg := testing.AllocsPerRun(100, func() {
-		d.OnFault(key(i, 0), 5, plain)
+		d.OnFault(key(i, 0), plain)
 		i++
 	}); avg > 3 {
 		t.Fatalf("steady-state OnFault averages %.1f allocs, want <= 3", avg)
@@ -192,8 +192,8 @@ func TestEvictionKeepsMemoryStable(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	d := New(0)
-	d.OnFault(key(1, 0), 3, plain)
-	d.OnFault(key(1, 0), 3, plain)
+	d.OnFault(key(1, 0), plain)
+	d.OnFault(key(1, 0), plain)
 	d.OnClean(key(1, 0), lob.Choice{Method: lob.Invert, Gran: lob.WholeFlit})
 	if d.FaultEvents != 2 || d.RepeatedFaults != 1 || d.CleanAfterObf != 1 {
 		t.Fatalf("counters: %d %d %d", d.FaultEvents, d.RepeatedFaults, d.CleanAfterObf)

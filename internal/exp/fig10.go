@@ -3,7 +3,8 @@ package exp
 import (
 	"fmt"
 
-	"tasp/internal/campaign"
+	"tasp/internal/core"
+	"tasp/internal/tasp"
 )
 
 // Figure10Benches are the traces the paper sweeps in Figure 10.
@@ -31,30 +32,30 @@ type Figure10Point struct {
 func RunFigure10(seed uint64) ([]Figure10Point, error) {
 	// Cell c of the bench x frac grid is points 2c (s2s L-Ob) and 2c+1
 	// (rerouting).
-	var scs []campaign.Scenario
+	var cfgs []core.ExperimentConfig
 	for _, bench := range Figure10Benches {
 		for _, frac := range Figure10Fracs {
 			nLinks := int(frac*float64(48) + 0.5)
-			base := campaign.Scenario{Benchmark: bench, Seed: seed}
-			base.Attack.Kind = "none"
+			base := core.DefaultExperiment()
+			base.Benchmark, base.Seed = bench, seed
+			base.Attack.Enabled = nLinks > 0
 			if nLinks > 0 {
-				base.Attack.Kind = "dest"
 				base.Attack.NumLinks = nLinks
 			}
 			// Target the benchmark's primary core region.
-			base.Attack.Dest = primaryDest(bench)
+			base.Attack.Target = tasp.ForDest(uint8(primaryDest(bench)))
 
 			lob, rr := base, base
-			lob.Mitigation = "s2s-lob"
-			rr.Mitigation = "rerouting"
-			scs = append(scs, lob, rr)
+			lob.Mitigation = core.S2SLOb
+			rr.Mitigation = core.Rerouting
+			cfgs = append(cfgs, lob, rr)
 		}
 	}
-	res, err := newScenarios().runAll(scs)
+	res, err := newScenarios().runConfigs(cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
 	}
-	out := make([]Figure10Point, 0, len(scs)/2)
+	out := make([]Figure10Point, 0, len(cfgs)/2)
 	for _, bench := range Figure10Benches {
 		for _, frac := range Figure10Fracs {
 			rl, rr := res[2*len(out)], res[2*len(out)+1]

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"tasp/internal/campaign"
 	"tasp/internal/core"
 	"tasp/internal/tasp"
 	"tasp/internal/traffic"
@@ -20,11 +19,13 @@ type Figure11 struct {
 // RunFigure11 executes both runs with the paper's protocol: Blackscholes
 // traces, 1500-cycle warm-up, then the kill switch.
 func RunFigure11(seed uint64) (*Figure11, error) {
-	atk := figure11Scenario(seed)
-	atk.Mitigation = "e2e-obfuscation" // present but ineffective, as in 11(a)
-	clean := figure11Scenario(seed)
-	clean.Attack.Kind = "none"
-	res, err := newScenarios().runAll([]campaign.Scenario{atk, clean})
+	atk := core.DefaultExperiment()
+	atk.Seed = seed
+	atk.Mitigation = core.E2EObfuscation // present but ineffective, as in 11(a)
+	clean := atk
+	clean.Mitigation = core.NoMitigation
+	clean.Attack.Enabled = false
+	res, err := newScenarios().runConfigs([]core.ExperimentConfig{atk, clean})
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"tasp/internal/campaign"
+	"tasp/internal/core"
 	"tasp/internal/power"
 )
 
@@ -36,11 +36,12 @@ func Headline(seed uint64) (Table, error) {
 
 	// Attack potency and mitigation efficacy (Figure 11 protocol): the
 	// attack unmitigated, under s2s L-Ob, and with no trojan.
-	lo := figure11Scenario(seed)
-	lo.Mitigation = "s2s-lob"
-	clean := figure11Scenario(seed)
-	clean.Attack.Kind = "none"
-	runs, err := newScenarios().runAll([]campaign.Scenario{figure11Scenario(seed), lo, clean})
+	atk := core.DefaultExperiment()
+	atk.Seed = seed
+	lo, clean := atk, atk
+	lo.Mitigation = core.S2SLOb
+	clean.Attack.Enabled = false
+	runs, err := newScenarios().runConfigs([]core.ExperimentConfig{atk, lo, clean})
 	if err != nil {
 		return t, err
 	}

@@ -4,23 +4,18 @@ import (
 	"context"
 	"sync/atomic"
 
-	"tasp/internal/campaign"
 	"tasp/internal/core"
 )
 
-// scenarios adapts the harnesses onto the declarative campaign layer: an
-// experiment states its points as campaign.Scenario values and runs them as
-// one batch, fanned out across DefaultWorkers goroutines. Each worker owns
-// one core.Runner (a Runner is not safe for concurrent use), so simulation
-// arenas are reused across the points a worker runs, exactly like a
-// campaign worker. The results (and hence the golden experiment output) do
-// not depend on which worker ran which point — runner/Run equivalence is
-// pinned by core's TestRunnerMatchesRun and the golden regression.
-//
-// Experiments whose knobs a scenario cannot express (explicit link lists,
-// detector-history and retransmission-scheme ablations, custom traffic
-// models) state their points as core.ExperimentConfig values and run them
-// through runConfigs on the same per-worker runners.
+// scenarios runs a harness's points: an experiment states them as
+// core.ExperimentConfig values, most built from core.DefaultExperiment (the
+// paper's Figure 11 protocol), and runs them as one batch, fanned out
+// across DefaultWorkers goroutines. Each worker owns one core.Runner (a
+// Runner is not safe for concurrent use), so simulation arenas are reused
+// across the points a worker runs, exactly like a campaign worker. The
+// results (and hence the golden experiment output) do not depend on which
+// worker ran which point — runner/Run equivalence is pinned by core's
+// TestRunnerMatchesRun and the golden regression.
 type scenarios struct{ runners []*core.Runner }
 
 func newScenarios() scenarios {
@@ -29,20 +24,6 @@ func newScenarios() scenarios {
 		rs[i] = core.NewRunner()
 	}
 	return scenarios{rs}
-}
-
-// runAll lowers every scenario and runs it, returning the results in input
-// order. The error is that of the lowest-index scenario that failed to
-// lower, or else runConfigs'.
-func (s scenarios) runAll(scs []campaign.Scenario) ([]*core.Results, error) {
-	cfgs := make([]core.ExperimentConfig, len(scs))
-	for i, sc := range scs {
-		var err error
-		if cfgs[i], err = sc.Config(); err != nil {
-			return nil, err
-		}
-	}
-	return s.runConfigs(cfgs)
 }
 
 // runConfigs runs every configuration, returning the results in input
@@ -79,16 +60,4 @@ func (s scenarios) runConfigs(cfgs []core.ExperimentConfig) ([]*core.Results, er
 		}
 	}
 	return out, nil
-}
-
-// figure11Scenario is the paper's standard attack protocol (Figure 11:
-// blackscholes, dest-0 TASP on the two hottest target-flow links,
-// 1500-cycle phases) as a declarative scenario — the twin of
-// core.DefaultExperiment.
-func figure11Scenario(seed uint64) campaign.Scenario {
-	return campaign.Scenario{
-		Benchmark: "blackscholes",
-		Seed:      seed,
-		Attack:    campaign.AttackSpec{Kind: "dest"},
-	}
 }

@@ -103,7 +103,6 @@ type Network struct {
 	// restore the post-New wiring without allocating.
 	plainWires []*PlainWire
 
-	adaptive     AdaptiveRouteFunc
 	nextPacketID uint64
 	Counters     Counters
 
@@ -232,7 +231,6 @@ func (n *Network) Reset() {
 	n.Counters = Counters{}
 	n.route = n.baseRoute
 	n.routePristine = true
-	n.adaptive = nil
 	n.schedule = nil
 	n.sched.reset()
 	for _, r := range n.routers {
@@ -349,11 +347,10 @@ func (n *Network) LinkBlocked(linkID int) bool {
 }
 
 // SetRoute replaces the routing function (rerouting baselines install
-// fault-aware tables here) and clears any adaptive function. Route
-// conformance checking stops: arrivals can no longer be validated against
-// the default table.
+// fault-aware tables here). Route conformance checking stops: arrivals can
+// no longer be validated against the default table.
 func (n *Network) SetRoute(fn RouteFunc) {
-	n.route, n.adaptive = fn, nil
+	n.route = fn
 	n.routePristine = false
 }
 
@@ -362,7 +359,6 @@ func (n *Network) SetRoute(fn RouteFunc) {
 // free downstream credits (ties broken by candidate order, so the first
 // candidate is the deterministic fallback).
 func (n *Network) SetAdaptiveRoute(fn AdaptiveRouteFunc) {
-	n.adaptive = fn
 	n.routePristine = false
 	n.route = func(router, dst int) int {
 		cands := fn(router, dst)

@@ -127,21 +127,6 @@ func (ni *NI) coreFull(core, packetFlits int) bool {
 	return ni.qlen(core)+packetFlits > ni.cfg.InjQueueCap
 }
 
-// occupancy returns the total flits waiting across this NI's queues.
-func (ni *NI) occupancy() int { return ni.total }
-
-// fullCores returns how many of the NI's cores have (nearly) full queues:
-// a queue is "full" when it cannot accept another maximal packet.
-func (ni *NI) fullCores(packetFlits int) int {
-	n := 0
-	for c := range ni.queues {
-		if ni.coreFull(c, packetFlits) {
-			n++
-		}
-	}
-	return n
-}
-
 // inject moves at most one flit from the concentrator into the router's
 // local input port (the BW stage of the injection path). Wormhole integrity
 // across cores sharing a VC is preserved by injLock: once a core's head flit

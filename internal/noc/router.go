@@ -96,7 +96,6 @@ type retransEntry struct {
 // credit and VC-ownership state of the downstream input port, and the wire.
 type outputPort struct {
 	router int
-	port   int
 	linkID int // index into Network.links; -1 for the local ejection port
 
 	entries  []retransEntry
@@ -280,7 +279,6 @@ func newRouter(id int, cfg *Config, ports int, bitPV []portVC) *Router {
 	for p := 0; p < ports; p++ {
 		op := &ops[p]
 		op.router = id
-		op.port = p
 		op.linkID = -1
 		op.entries = entries[p*rcap : p*rcap : (p+1)*rcap]
 		op.vcOwner = owners[p*vcs : (p+1)*vcs : (p+1)*vcs]

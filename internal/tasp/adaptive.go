@@ -46,26 +46,14 @@ func dutyOn(cycle, period, active uint64) bool {
 	return p >= 1 && p <= active
 }
 
-// ThrottledDropper is the adaptive drop trojan: identical strike payload to
-// Dropper (swallow the matched head, forge the link ACK) but gated by a duty
-// cycle. At the default tuning it drops half the victim's matched heads —
-// still a heavy DoS — while the per-link ack-gap streak alternates
-// grow/quiet and the stock consecutive-window detector stays at
-// AckHealthy/AckSuspect forever.
-type ThrottledDropper struct {
-	trigger
-	// Period and Active define the duty cycle in cycles: the trojan strikes
-	// during the first Active cycles of every Period.
-	Period, Active uint64
-	// Matches counts sighted targets (on- and off-duty); Drops counts
-	// swallowed flits (on-duty sightings only).
-	Matches uint64
-	Drops   uint64
-}
-
-// NewThrottledDropper constructs a duty-cycled drop trojan. period/active
-// <= 0 take the defaults tuned against the default sampling window.
-func NewThrottledDropper(target Target, l flit.Layout, period, active int) *ThrottledDropper {
+// NewThrottledDropper constructs the adaptive drop trojan: the Dropper
+// payload (swallow the matched head, forge the link ACK) gated by a duty
+// cycle, striking during cycles 1..active of every period. period/active
+// <= 0 take the defaults tuned against the default sampling window, at
+// which it drops half the victim's matched heads — still a heavy DoS —
+// while the per-link ack-gap streak alternates grow/quiet and the stock
+// consecutive-window detector stays at AckHealthy/AckSuspect forever.
+func NewThrottledDropper(target Target, l flit.Layout, period, active int) *Dropper {
 	if period <= 0 {
 		period = DefaultDutyPeriod
 	}
@@ -75,44 +63,12 @@ func NewThrottledDropper(target Target, l flit.Layout, period, active int) *Thro
 	if active > period {
 		active = period
 	}
-	return &ThrottledDropper{
+	return &Dropper{
 		trigger: newTrigger(target, l),
-		Period:  uint64(period),
-		Active:  uint64(active),
+		kind:    KindThrottle,
+		period:  uint64(period),
+		active:  uint64(active),
 	}
-}
-
-// Kind implements Trojan.
-func (d *ThrottledDropper) Kind() Kind { return KindThrottle }
-
-// Stats implements Trojan.
-func (d *ThrottledDropper) Stats() (uint64, uint64) { return d.Matches, d.Drops }
-
-// Reset implements Trojan.
-func (d *ThrottledDropper) Reset() {
-	d.resetFSM()
-	d.Matches, d.Drops = 0, 0
-}
-
-// Save implements Trojan.
-func (d *ThrottledDropper) Save() Snapshot { return d.save(d.Matches, d.Drops) }
-
-// Restore implements Trojan.
-func (d *ThrottledDropper) Restore(s Snapshot) { d.Matches, d.Drops = d.restore(s) }
-
-// Strike implements fault.Adversary: swallow matched heads while on duty,
-// forward everything else (including off-duty sightings) untouched.
-func (d *ThrottledDropper) Strike(cycle uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, fault.Outcome) {
-	if !d.sighted(cw, fr) {
-		return cw, fault.Forward
-	}
-	d.Matches++
-	if !dutyOn(cycle, d.Period, d.Active) {
-		return cw, fault.Forward
-	}
-	d.state = Attacking
-	d.Drops++
-	return cw, fault.Swallow
 }
 
 // Collusion coordinates a set of trojan links that take turns striking:
@@ -149,16 +105,12 @@ func (c *Collusion) onDuty(cycle uint64, idx, n int) bool {
 }
 
 // ColludingDropper is one member of a colluding drop set: the Dropper
-// payload gated by the coordinator's rotation.
+// payload gated by the coordinator's rotation. Its role survives Reset;
+// the deployer reassigns it per point.
 type ColludingDropper struct {
 	trigger
-	coord *Collusion
-	idx   int
-	n     int
-	// Matches counts sighted targets (on- and off-duty); Drops counts
-	// swallowed flits (own-slice sightings only).
-	Matches uint64
-	Drops   uint64
+	coord  *Collusion
+	idx, n int
 }
 
 // NewColludingDropper constructs one member of a colluding set. Its role
@@ -175,40 +127,9 @@ func (d *ColludingDropper) SetRole(idx, n int) { d.idx, d.n = idx, n }
 // Kind implements Trojan.
 func (d *ColludingDropper) Kind() Kind { return KindCollude }
 
-// Stats implements Trojan.
-func (d *ColludingDropper) Stats() (uint64, uint64) { return d.Matches, d.Drops }
-
-// Reset implements Trojan. The role survives: it is re-assigned by the
-// deployer per point anyway.
-func (d *ColludingDropper) Reset() {
-	d.resetFSM()
-	d.Matches, d.Drops = 0, 0
-}
-
-// Save implements Trojan. The coordinator needs no snapshot: its rotation
-// is a pure function of the cycle.
-func (d *ColludingDropper) Save() Snapshot { return d.save(d.Matches, d.Drops) }
-
-// Restore implements Trojan.
-func (d *ColludingDropper) Restore(s Snapshot) { d.Matches, d.Drops = d.restore(s) }
-
 // Strike implements fault.Adversary: swallow matched heads during the
-// member's own slices, forward everything else untouched.
+// member's own slices. The coordinator needs no snapshot: its rotation is
+// a pure function of the cycle.
 func (d *ColludingDropper) Strike(cycle uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, fault.Outcome) {
-	if !d.sighted(cw, fr) {
-		return cw, fault.Forward
-	}
-	d.Matches++
-	if !d.coord.onDuty(cycle, d.idx, d.n) {
-		return cw, fault.Forward
-	}
-	d.state = Attacking
-	d.Drops++
-	return cw, fault.Swallow
+	return d.drop(cw, fr, d.coord.onDuty(cycle, d.idx, d.n))
 }
-
-// The adaptive families satisfy the pluggable contract too.
-var (
-	_ Trojan = (*ThrottledDropper)(nil)
-	_ Trojan = (*ColludingDropper)(nil)
-)

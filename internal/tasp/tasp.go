@@ -207,10 +207,6 @@ type HT struct {
 	yBits   int
 	wires   []int // the Y attackable wires the payload counter selects among
 	plState int   // current payload state (pair index)
-
-	// Matches counts sighted targets; Injections counts fault strikes.
-	Matches    uint64
-	Injections uint64
 }
 
 // DefaultPayloadBits is the reference Y (payload-counter width): 8 bits
@@ -244,27 +240,23 @@ func New(target Target, yBits int, l flit.Layout) *HT {
 // alone, so they are preserved — simulation arenas memoize one HT per
 // (target, layout) and Reset it between scenario points.
 func (h *HT) Reset() {
-	h.resetFSM()
+	h.trigger.Reset()
 	h.plState = 0
-	h.Matches, h.Injections = 0, 0
 }
 
 // Kind implements Trojan.
 func (h *HT) Kind() Kind { return KindFlip }
 
-// Stats implements Trojan.
-func (h *HT) Stats() (uint64, uint64) { return h.Matches, h.Injections }
-
-// Save implements Trojan.
+// Save implements Trojan, carrying the payload counter.
 func (h *HT) Save() Snapshot {
-	s := h.save(h.Matches, h.Injections)
+	s := h.trigger.Save()
 	s.payload = h.plState
 	return s
 }
 
 // Restore implements Trojan.
 func (h *HT) Restore(s Snapshot) {
-	h.Matches, h.Injections = h.restore(s)
+	h.trigger.Restore(s)
 	h.plState = s.payload
 }
 
@@ -295,10 +287,10 @@ func (h *HT) Strike(_ uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, 
 		return cw, fault.Forward
 	}
 	h.state = Attacking
-	h.Matches++
+	h.matches++
 	p1, p2 := h.payloadPair()
 	cw = cw.Flip(p1).Flip(p2)
 	h.plState = (h.plState + 1) % h.PayloadStates()
-	h.Injections++
+	h.strikes++
 	return cw, fault.Forward
 }

@@ -63,8 +63,8 @@ func TestStrikeIsUncorrectable(t *testing.T) {
 			t.Fatalf("strike %d decoded as %v, want uncorrectable", i, st)
 		}
 	}
-	if ht.Injections != 100 || ht.Matches != 100 {
-		t.Fatalf("counters: %d injections, %d matches", ht.Injections, ht.Matches)
+	if matches, injections := ht.Stats(); injections != 100 || matches != 100 {
+		t.Fatalf("counters: %d injections, %d matches", injections, matches)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestNonTargetPassesUntouched(t *testing.T) {
 			t.Fatalf("trojan struck wrong destination %d", d)
 		}
 	}
-	if ht.Injections != 0 {
+	if _, injections := ht.Stats(); injections != 0 {
 		t.Fatal("injections counted on non-targets")
 	}
 }

@@ -79,9 +79,11 @@ func ParseKind(s string) (Kind, error) {
 
 // Trojan is the pluggable adversary contract every trojan family implements:
 // the wire-boundary Strike plus the shared kill-switch/target FSM and the
-// statistics the experiment layer aggregates. HT (flip), Dropper and
-// Misrouter all satisfy it, which is what lets core.Runner memoize and wire
-// any family through the same arena plumbing.
+// statistics the experiment layer aggregates. Every family embeds one
+// trigger, which implements everything here but Kind and Strike, so HT
+// (flip), Dropper (drop and throttle), Misrouter and ColludingDropper all
+// satisfy it, which is what lets core.Runner memoize and wire any family
+// through the same arena plumbing.
 type Trojan interface {
 	fault.Adversary
 	SetKillSwitch(on bool)
@@ -102,26 +104,29 @@ type Trojan interface {
 	Restore(Snapshot)
 }
 
-// Snapshot is a trojan's dynamic state: the kill switch, the FSM state, the
-// flip family's payload counter and the statistics. Everything else a
-// trojan holds — the compiled comparator, the hijack router, the duty cycle,
-// a colluder's rotation role — is fixed at construction or deployment.
+// Snapshot is a trojan's dynamic state: the trigger's kill switch, FSM
+// state and statistics, plus the flip family's payload counter. Everything
+// else a trojan holds — the compiled comparator, the hijack router, the
+// duty cycle, a colluder's rotation role — is fixed at construction or
+// deployment.
 type Snapshot struct {
 	killsw           bool
 	state            State
-	payload          int
 	matches, strikes uint64
+	payload          int
 }
 
 // trigger is the shared TASP trigger architecture: the externally driven
 // kill switch, the compiled comparator taps and the Idle/Active/Attacking
-// FSM. Every trojan family embeds it; the payload (what happens on a
-// sighting) is the family's own.
+// FSM, with the sighting and strike counts. Every trojan family embeds it
+// and so shares its Stats, Reset, Save and Restore; the payload (what
+// happens on a sighting) is the family's own Strike.
 type trigger struct {
-	target Target
-	taps   []wireTap
-	killsw bool
-	state  State
+	target           Target
+	taps             []wireTap
+	killsw           bool
+	state            State
+	matches, strikes uint64
 }
 
 func newTrigger(target Target, l flit.Layout) trigger {
@@ -148,28 +153,36 @@ func (t *trigger) SetKillSwitch(on bool) {
 // KillSwitch reports the current enable.
 func (t *trigger) KillSwitch() bool { return t.killsw }
 
-// save snapshots the trigger's state with the family's statistics.
-func (t *trigger) save(matches, strikes uint64) Snapshot {
-	return Snapshot{killsw: t.killsw, state: t.state, matches: matches, strikes: strikes}
+// Stats implements Trojan.
+func (t *trigger) Stats() (matches, strikes uint64) { return t.matches, t.strikes }
+
+// Reset implements Trojan: it disarms the trojan and rewinds the FSM and
+// the counts. The compiled taps are a function of the target and layout
+// alone and are preserved.
+func (t *trigger) Reset() {
+	t.killsw, t.state = false, Idle
+	t.matches, t.strikes = 0, 0
 }
 
-// restore puts a snapshot's trigger state back and returns its statistics.
-func (t *trigger) restore(s Snapshot) (matches, strikes uint64) {
+// Save implements Trojan.
+func (t *trigger) Save() Snapshot {
+	return Snapshot{killsw: t.killsw, state: t.state, matches: t.matches, strikes: t.strikes}
+}
+
+// Restore implements Trojan.
+func (t *trigger) Restore(s Snapshot) {
 	t.killsw, t.state = s.killsw, s.state
-	return s.matches, s.strikes
+	t.matches, t.strikes = s.matches, s.strikes
 }
 
-// resetFSM disarms and rewinds the FSM (the compiled taps are a function of
-// the target and layout alone and are preserved).
-func (t *trigger) resetFSM() {
-	t.killsw = false
-	t.state = Idle
-}
-
-// matches runs the comparator over the codeword: every tapped wire must
-// carry its expected value. Head qualification happens on the link's
-// control wires (Framing), not in the payload.
-func (t *trigger) matches(cw ecc.Codeword) bool {
+// sighted reports whether an armed comparator matches this flit: the strike
+// gate every family's payload sits behind. Only flits the control wires
+// frame as header-carrying are inspected — body flits carry payload in the
+// compared positions — and every tapped wire must carry its expected value.
+func (t *trigger) sighted(cw ecc.Codeword, fr fault.Framing) bool {
+	if !t.killsw || !fr.Head {
+		return false
+	}
 	for _, tap := range t.taps {
 		if cw.Bit(tap.pos) != tap.want {
 			return false
@@ -178,12 +191,20 @@ func (t *trigger) matches(cw ecc.Codeword) bool {
 	return true
 }
 
-// sighted reports whether an armed comparator matches this flit: the strike
-// gate every family's payload sits behind. Only flits the control wires
-// frame as header-carrying are inspected — body flits carry payload in the
-// compared positions.
-func (t *trigger) sighted(cw ecc.Codeword, fr fault.Framing) bool {
-	return t.killsw && fr.Head && t.matches(cw)
+// drop is the payload of every dropping family: count a sighting and,
+// while onDuty, swallow the flit under a forged ACK; forward everything
+// else untouched.
+func (t *trigger) drop(cw ecc.Codeword, fr fault.Framing, onDuty bool) (ecc.Codeword, fault.Outcome) {
+	if !t.sighted(cw, fr) {
+		return cw, fault.Forward
+	}
+	t.matches++
+	if !onDuty {
+		return cw, fault.Forward
+	}
+	t.state = Attacking
+	t.strikes++
+	return cw, fault.Swallow
 }
 
 // Dropper is the packet-drop trojan: on a sighting it swallows the head
@@ -191,49 +212,29 @@ func (t *trigger) sighted(cw ecc.Codeword, fr fault.Framing) bool {
 // still traverse the link (the comparator only fires on header framing) and
 // are discarded as orphans at the downstream buffer front. No NACK is ever
 // raised, so the fault-triggered detector and L-Ob never engage — the
-// secure-ack monitor (internal/detect.AckMonitor) is the counter.
+// secure-ack monitor (internal/detect.AckMonitor) is the counter. A
+// KindDrop dropper strikes on every sighting; a KindThrottle one
+// (NewThrottledDropper) only in the active span of its duty cycle.
 type Dropper struct {
 	trigger
-	// Matches counts sighted targets; Drops counts swallowed flits (always
-	// equal for this family — every sighting drops).
-	Matches uint64
-	Drops   uint64
+	kind Kind
+	// period and active are the duty cycle in cycles; period 0 is always
+	// on duty.
+	period, active uint64
 }
 
 // NewDropper constructs a drop trojan for the given target, with the
 // comparator wired against the given header layout.
 func NewDropper(target Target, l flit.Layout) *Dropper {
-	return &Dropper{trigger: newTrigger(target, l)}
+	return &Dropper{trigger: newTrigger(target, l), kind: KindDrop}
 }
 
 // Kind implements Trojan.
-func (d *Dropper) Kind() Kind { return KindDrop }
+func (d *Dropper) Kind() Kind { return d.kind }
 
-// Stats implements Trojan.
-func (d *Dropper) Stats() (uint64, uint64) { return d.Matches, d.Drops }
-
-// Reset implements Trojan.
-func (d *Dropper) Reset() {
-	d.resetFSM()
-	d.Matches, d.Drops = 0, 0
-}
-
-// Save implements Trojan.
-func (d *Dropper) Save() Snapshot { return d.save(d.Matches, d.Drops) }
-
-// Restore implements Trojan.
-func (d *Dropper) Restore(s Snapshot) { d.Matches, d.Drops = d.restore(s) }
-
-// Strike implements fault.Adversary: swallow matched heads, forward
-// everything else untouched.
-func (d *Dropper) Strike(_ uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, fault.Outcome) {
-	if !d.sighted(cw, fr) {
-		return cw, fault.Forward
-	}
-	d.state = Attacking
-	d.Matches++
-	d.Drops++
-	return cw, fault.Swallow
+// Strike implements fault.Adversary: swallow matched heads while on duty.
+func (d *Dropper) Strike(cycle uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, fault.Outcome) {
+	return d.drop(cw, fr, d.period == 0 || dutyOn(cycle, d.period, d.active))
 }
 
 // Misrouter is the misrouting trojan: on a sighting it decodes the
@@ -248,9 +249,6 @@ type Misrouter struct {
 	trigger
 	layout flit.Layout
 	hijack uint8
-	// Matches counts sighted targets; Rewrites counts re-encoded headers.
-	Matches  uint64
-	Rewrites uint64
 }
 
 // NewMisrouter constructs a misroute trojan delivering matched packets to
@@ -261,21 +259,6 @@ func NewMisrouter(target Target, hijack uint8, l flit.Layout) *Misrouter {
 
 // Kind implements Trojan.
 func (m *Misrouter) Kind() Kind { return KindMisroute }
-
-// Stats implements Trojan.
-func (m *Misrouter) Stats() (uint64, uint64) { return m.Matches, m.Rewrites }
-
-// Reset implements Trojan.
-func (m *Misrouter) Reset() {
-	m.resetFSM()
-	m.Matches, m.Rewrites = 0, 0
-}
-
-// Save implements Trojan.
-func (m *Misrouter) Save() Snapshot { return m.save(m.Matches, m.Rewrites) }
-
-// Restore implements Trojan.
-func (m *Misrouter) Restore(s Snapshot) { m.Matches, m.Rewrites = m.restore(s) }
 
 // Strike implements fault.Adversary: rewrite the destination field of
 // matched heads inside a valid re-encoded codeword.
@@ -290,16 +273,17 @@ func (m *Misrouter) Strike(_ uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Cod
 		return cw, fault.Forward
 	}
 	m.state = Attacking
-	m.Matches++
+	m.matches++
 	mask := (uint64(1)<<m.layout.DstBits - 1) << m.layout.DstShift
 	data = data&^mask | (uint64(m.hijack) << m.layout.DstShift & mask)
-	m.Rewrites++
+	m.strikes++
 	return ecc.Encode(data), fault.Forward
 }
 
-// The three families all satisfy the pluggable contract.
+// Every family satisfies the pluggable contract.
 var (
 	_ Trojan = (*HT)(nil)
 	_ Trojan = (*Dropper)(nil)
 	_ Trojan = (*Misrouter)(nil)
+	_ Trojan = (*ColludingDropper)(nil)
 )
