@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tasp/internal/detect"
+	"tasp/internal/noc"
 	"tasp/internal/tasp"
 	"tasp/internal/traffic"
 )
@@ -210,6 +211,69 @@ func TestHijackSentinelRouterZero(t *testing.T) {
 	}
 	if res.HijackRouter == 5 {
 		t.Fatal("auto-select picked the victim itself")
+	}
+}
+
+// hijackByRouteWalk is the misroute hijack auto-selection as it was before
+// it asked the topology for hop distances, kept as a test oracle: it walks
+// the default route from the victim to every other router over the
+// topology's links and picks the reachable router with the longest walk,
+// ties to the higher id.
+func hijackByRouteWalk(t noc.Topology, victim int) int {
+	R := t.Routers()
+	nextAt := make([]int, R*noc.MaxPorts)
+	for i := range nextAt {
+		nextAt[i] = -1
+	}
+	for _, l := range t.Links() {
+		nextAt[l.From*noc.MaxPorts+l.FromPort] = l.To
+	}
+	best, bestDist := victim, -1
+	for cand := 0; cand < R; cand++ {
+		if cand == victim {
+			continue
+		}
+		r, dist := victim, 0
+		for hop := 0; r != cand && hop <= R; hop++ {
+			nxt := nextAt[r*noc.MaxPorts+t.Route(r, cand)]
+			if nxt < 0 {
+				dist = -1
+				break
+			}
+			r = nxt
+			dist++
+		}
+		if r != cand || dist < 0 {
+			continue
+		}
+		if dist > bestDist || (dist == bestDist && cand > best) {
+			best, bestDist = cand, dist
+		}
+	}
+	return best
+}
+
+// TestAutoHijackMatchesRouteWalk: the hop-distance argmax picks the route
+// walk's router for every victim on mesh, torus and ring at seven sizes
+// from 2x2 to 16x16.
+func TestAutoHijackMatchesRouteWalk(t *testing.T) {
+	victims := 0
+	for _, name := range noc.Topologies() {
+		for _, sz := range [][2]int{{2, 2}, {3, 2}, {2, 5}, {4, 4}, {5, 3}, {8, 8}, {16, 16}} {
+			topo, err := noc.NewTopology(name, sz[0], sz[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < topo.Routers(); v++ {
+				if got, want := autoHijack(topo, v), hijackByRouteWalk(topo, v); got != want {
+					t.Fatalf("%s %dx%d victim %d: hijack %d, route walk %d", name, sz[0], sz[1], v, got, want)
+				}
+				victims++
+			}
+		}
+	}
+	if victims != 1113 {
+		t.Fatalf("%d victims compared, want 1113", victims)
 	}
 }
 

@@ -75,10 +75,11 @@ type AttackConfig struct {
 	// Flip family only.
 	YBits int
 	// Hijack is the router misrouted packets are delivered to (misroute
-	// family only). Negative selects automatically: the reachable router
-	// farthest from the victim by route-walk distance, so the diversion is
-	// maximal and the first hop diverges from the legitimate path. Router 0
-	// is a valid explicit choice — the sentinel is -1, not 0.
+	// family only). Negative selects automatically: the router farthest
+	// from the victim by the topology's hop distance (ties to the higher
+	// id), so the diversion is maximal and the first hop diverges from the
+	// legitimate path. Router 0 is a valid explicit choice — the sentinel
+	// is -1, not 0.
 	Hijack int
 	// DutyPeriod and DutyActive define the adaptive families' duty cycle in
 	// cycles: a throttle trojan strikes during DutyActive cycles of every

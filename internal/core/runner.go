@@ -117,12 +117,6 @@ type arena struct {
 	rerouted    *reroute.Table
 	reroutedIDs []int
 
-	// hijacks memoizes the auto-selected misroute hijack router per victim;
-	// nextAt is the (router, port) -> downstream-router table the selection
-	// walks, built lazily on first misroute point.
-	hijacks map[int]int
-	nextAt  []int
-
 	// ackmon is the memoized secure-ack monitor (SecureAck points only).
 	ackmon *detect.AckMonitor
 
@@ -169,7 +163,6 @@ func (r *Runner) arena(cfg noc.Config) (*arena, error) {
 		trojans:    map[trojanKey][]tasp.Trojan{},
 		colls:      map[int]*tasp.Collusion{},
 		gens:       map[*traffic.Model]*traffic.Generator{},
-		hijacks:    map[int]int{},
 		disabled:   map[int]bool{},
 	}
 	windows := lob.WindowsFor(layout) // shared: read-only after construction
@@ -272,49 +265,17 @@ func (a *arena) reroute() error {
 	return nil
 }
 
-// autoHijack picks the misroute hijack router for a victim: the reachable
-// router farthest from the victim by default-route walk distance (ties to the
-// higher id), so the diversion path is maximal and, on every supported
-// substrate, already diverges at the first hop. Memoized per victim — the
-// route walk is O(R^2) and must not recur per campaign point.
-func (a *arena) autoHijack(victim int) int {
-	if h, ok := a.hijacks[victim]; ok {
-		return h
-	}
-	t := a.net.Topology()
-	R := t.Routers()
-	if a.nextAt == nil {
-		a.nextAt = make([]int, R*noc.MaxPorts)
-		for i := range a.nextAt {
-			a.nextAt[i] = -1
-		}
-		for _, l := range a.net.LinkSlice() {
-			a.nextAt[l.From*noc.MaxPorts+l.FromPort] = l.To
-		}
-	}
+// autoHijack picks the misroute hijack router for a victim: the router
+// farthest from it by hop distance (ties to the higher id), so the
+// diversion path is maximal and, on every supported substrate, already
+// diverges at the first hop.
+func autoHijack(t noc.Topology, victim int) int {
 	best, bestDist := victim, -1
-	for cand := 0; cand < R; cand++ {
-		if cand == victim {
-			continue
-		}
-		r, dist := victim, 0
-		for hop := 0; r != cand && hop <= R; hop++ {
-			nxt := a.nextAt[r*noc.MaxPorts+t.Route(r, cand)]
-			if nxt < 0 {
-				dist = -1
-				break
-			}
-			r = nxt
-			dist++
-		}
-		if r != cand || dist < 0 {
-			continue
-		}
-		if dist > bestDist || (dist == bestDist && cand > best) {
-			best, bestDist = cand, dist
+	for cand := 0; cand < t.Routers(); cand++ {
+		if d := t.HopDist(victim, cand); cand != victim && d >= bestDist {
+			best, bestDist = cand, d
 		}
 	}
-	a.hijacks[victim] = best
 	return best
 }
 
@@ -341,53 +302,16 @@ func (r *Runner) Run(cfg ExperimentConfig) (*Results, error) {
 	return res, nil
 }
 
-// resetResults rewinds a Results for reuse: maps cleared, slices truncated
-// in place, the latency histogram emptied. Grown storage is kept — the
-// amortisation RunInto's steady state relies on.
+// noResults is the Results of a point that has not run yet. Nothing
+// writes it.
+var noResults = Results{HijackRouter: -1, Latency: stats.NewHistogram()}
+
+// resetResults rewinds a Results for reuse: it becomes a copy of noResults
+// in its own grown storage, which is kept — the amortisation RunInto's
+// steady state relies on.
 func resetResults(res *Results, cfg ExperimentConfig) {
+	copyResults(res, &noResults)
 	res.Config = cfg
-	res.InfectedLinks = res.InfectedLinks[:0]
-	res.Samples = res.Samples[:0]
-	res.AtEnable, res.Final = noc.Counters{}, noc.Counters{}
-	res.Throughput, res.AvgLatency = 0, 0
-	res.HTMatches, res.HTInjections = 0, 0
-	if res.Detections == nil {
-		res.Detections = map[int]detect.Classification{}
-	} else {
-		clear(res.Detections)
-	}
-	if res.TriggerScopes == nil {
-		res.TriggerScopes = map[int]string{}
-	} else {
-		clear(res.TriggerScopes)
-	}
-	res.Obfuscated, res.StallCycles, res.BISTScans = 0, 0, 0
-	if res.AckVerdicts == nil {
-		res.AckVerdicts = map[int]detect.AckClass{}
-	} else {
-		clear(res.AckVerdicts)
-	}
-	if res.AckChannels == nil {
-		res.AckChannels = map[int]detect.AckChannel{}
-	} else {
-		clear(res.AckChannels)
-	}
-	res.AckFlaggedAt = 0
-	res.HijackRouter = -1
-	res.ReroutedAt = 0
-	res.RecoveredAt = 0
-	res.RecoveredLinks = res.RecoveredLinks[:0]
-	res.AtRecover = noc.Counters{}
-	res.VictimAtRecover = 0
-	res.VictimDelivered = 0
-	res.FirstTrojanAt = 0
-	if res.Latency == nil {
-		res.Latency = stats.NewHistogram()
-	} else {
-		res.Latency.Reset()
-	}
-	res.Suspects, res.SuspectsTelemetry = res.Suspects[:0], res.SuspectsTelemetry[:0]
-	res.SuspectTrace = res.SuspectTrace[:0]
 }
 
 // RunInto executes one experiment into a caller-owned Results, reusing both
@@ -478,7 +402,7 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 	hijack := cfg.Attack.Hijack
 	if cfg.Attack.Enabled && cfg.Attack.Kind == tasp.KindMisroute {
 		if hijack < 0 {
-			hijack = a.autoHijack(int(cfg.Attack.Target.DstR))
+			hijack = autoHijack(net.Topology(), int(cfg.Attack.Target.DstR))
 		}
 		res.HijackRouter = hijack
 	}

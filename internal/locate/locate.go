@@ -20,7 +20,6 @@ package locate
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"tasp/internal/detect"
 	"tasp/internal/noc"
@@ -40,14 +39,16 @@ type Priors struct {
 	// on the ring the two half-way crossings — the narrow waists every
 	// cross-half flow must use.
 	Bisection []bool
-	// Wraparound marks dateline links (torus wraparound pairs, the ring's
-	// modulo closure): they aggregate a whole dimension's shorter-way-around
-	// traffic, and their dateline VC discipline makes saturation there
-	// especially contagious.
+	// Wraparound marks the dateline links the topology's Dateline names
+	// (torus wraparound pairs, the ring's modulo closure): they aggregate a
+	// whole dimension's shorter-way-around traffic, and their dateline VC
+	// discipline makes saturation there especially contagious.
 	Wraparound []bool
 }
 
-// ComputePriors derives the structural priors for one substrate.
+// ComputePriors derives the structural priors for one substrate from its
+// topology: fan-in by walking the default routes, wraparound membership
+// from Dateline. The links are indexed by id.
 func ComputePriors(t noc.Topology, links []noc.LinkInfo) Priors {
 	p := Priors{
 		FanIn:      make([]float64, len(links)),
@@ -94,49 +95,11 @@ func ComputePriors(t noc.Topology, links []noc.LinkInfo) Priors {
 		}
 	}
 
-	// Bisection membership: the id-halving cut.
+	// Bisection membership (the id-halving cut) and wraparound membership
+	// (the dateline links of the topology's rings).
 	for _, l := range links {
 		p.Bisection[l.ID] = (l.From < R/2) != (l.To < R/2)
-	}
-
-	// Wraparound detection, topology-agnostic: group the links by port name
-	// (direction) and find each group's modal id stride To-From — the
-	// regular neighbour offset. Links deviating from the mode are the
-	// dimension's closure (torus wraparound, ring modulo link): e.g. east on
-	// a 4x4 torus is +1 twelve times and -3 four times. Ties break toward
-	// the smaller |stride|, since closures jump farther than neighbours.
-	byDir := map[string][]int{}
-	for _, l := range links {
-		byDir[l.FromName] = append(byDir[l.FromName], l.ID)
-	}
-	for _, ids := range byDir { //nocvet:orderfree each direction writes only its own links' Wraparound entries
-		strides := map[int]int{}
-		for _, id := range ids {
-			strides[links[id].To-links[id].From]++
-		}
-		// Scan the strides in sorted order: on a count tie with equal
-		// |stride| (e.g. +2 and -2 seen equally often) the winner would
-		// otherwise depend on map iteration order and the wraparound prior
-		// would differ run to run.
-		ss := make([]int, 0, len(strides))
-		for s := range strides { //nocvet:orderfree keys are sorted before use
-			ss = append(ss, s)
-		}
-		sort.Ints(ss)
-		mode, best := 0, -1
-		for _, s := range ss {
-			if c := strides[s]; c > best || (c == best && iabs(s) < iabs(mode)) {
-				mode, best = s, c
-			}
-		}
-		if len(strides) < 2 {
-			continue // uniform direction (mesh): no closure
-		}
-		for _, id := range ids {
-			if links[id].To-links[id].From != mode {
-				p.Wraparound[links[id].ID] = true
-			}
-		}
+		_, p.Wraparound[l.ID], _ = t.Dateline(l.From, l.FromPort)
 	}
 	return p
 }
@@ -419,11 +382,4 @@ func bySuspicion(a, b Suspect) int {
 		return 1
 	}
 	return cmp.Compare(a.LinkID, b.LinkID)
-}
-
-func iabs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

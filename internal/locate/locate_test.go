@@ -1,6 +1,9 @@
 package locate
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"tasp/internal/detect"
@@ -43,24 +46,25 @@ func TestPriorsMeshHasNoWraparound(t *testing.T) {
 	}
 }
 
+// TestPriorsTorusWraparound: a torus lists its wraparound links after its
+// mesh links, and exactly those are flagged. On the 2x2 torus each of them
+// runs between the same two routers as a mesh link, so only the port tells
+// them apart.
 func TestPriorsTorusWraparound(t *testing.T) {
-	topo, links := topoLinks(t, "torus", 4, 4)
-	p := ComputePriors(topo, links)
-	// The torus adds 8 wraparound pairs after the 48 mesh links: 4 east-west
-	// row pairs + 4 north-south column pairs = 16 directed links.
-	var wraps []int
-	for id, w := range p.Wraparound {
-		if w {
-			wraps = append(wraps, id)
-		}
-	}
-	if len(wraps) != 16 {
-		t.Fatalf("torus wraparound links: got %d (%v), want 16", len(wraps), wraps)
-	}
-	for _, id := range wraps {
-		if id < 48 {
-			t.Fatalf("mesh-portion link %d flagged wraparound", id)
-		}
+	for _, sz := range [][2]int{{4, 4}, {2, 2}, {3, 5}} {
+		w, h := sz[0], sz[1]
+		t.Run(fmt.Sprintf("%dx%d", w, h), func(t *testing.T) {
+			topo, links := topoLinks(t, "torus", w, h)
+			mesh := 2*(w-1)*h + 2*w*(h-1) // the 48 mesh links of the 4x4 torus
+			if len(links) != mesh+2*w+2*h {
+				t.Fatalf("%d links, want %d mesh and %d wraparound links", len(links), mesh, 2*w+2*h)
+			}
+			for id, wrap := range ComputePriors(topo, links).Wraparound {
+				if want := id >= mesh; wrap != want {
+					t.Errorf("link %d (%s): wraparound %v, want %v", id, links[id], wrap, want)
+				}
+			}
+		})
 	}
 }
 
@@ -92,6 +96,74 @@ func TestPriorsRingWraparoundAndBisection(t *testing.T) {
 	}
 	if len(cuts) != 4 {
 		t.Fatalf("ring bisection links: got %d (%v), want 4", len(cuts), cuts)
+	}
+}
+
+// strideWraparound is the wraparound inference ComputePriors used before
+// Topology.Dateline, kept as a test oracle: within each port name, the
+// links whose id stride To-From is not the group's modal stride (ties to
+// the smaller |stride|) are the closures.
+func strideWraparound(links []noc.LinkInfo) []bool {
+	wrap := make([]bool, len(links))
+	byDir := map[string][]int{}
+	for _, l := range links {
+		byDir[l.FromName] = append(byDir[l.FromName], l.ID)
+	}
+	for _, ids := range byDir { //nocvet:orderfree each direction writes only its own links
+		strides := map[int]int{}
+		for _, id := range ids {
+			strides[links[id].To-links[id].From]++
+		}
+		ss := make([]int, 0, len(strides))
+		for s := range strides { //nocvet:orderfree keys are sorted before use
+			ss = append(ss, s)
+		}
+		sort.Ints(ss)
+		mode, best := 0, -1
+		for _, s := range ss {
+			if c := strides[s]; c > best || (c == best && iabs(s) < iabs(mode)) {
+				mode, best = s, c
+			}
+		}
+		if len(strides) < 2 {
+			continue
+		}
+		for _, id := range ids {
+			if links[id].To-links[id].From != mode {
+				wrap[id] = true
+			}
+		}
+	}
+	return wrap
+}
+
+func iabs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// TestPriorsWraparoundMatchesStrideOracle: on every mesh and torus with
+// both sides in 3..9 and every ring of 3..40 routers, the Dateline-derived
+// wraparound prior flags the links the stride heuristic flagged. They part
+// only where a side is 2 wide (TestPriorsTorusWraparound/2x2).
+func TestPriorsWraparoundMatchesStrideOracle(t *testing.T) {
+	check := func(name string, w, h int) {
+		topo, links := topoLinks(t, name, w, h)
+		got, want := ComputePriors(topo, links).Wraparound, strideWraparound(links)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s %dx%d: wraparound %v, stride oracle %v", name, w, h, got, want)
+		}
+	}
+	for w := 3; w <= 9; w++ {
+		for h := 3; h <= 9; h++ {
+			check("mesh", w, h)
+			check("torus", w, h)
+		}
+	}
+	for n := 3; n <= 40; n++ {
+		check("ring", n, 1)
 	}
 }
 

@@ -95,46 +95,21 @@ func (m *Migrator) Rewrite(p *flit.Packet) {
 
 // PlanTarget picks the donor router for an evacuation: the router
 // maximising the minimum hop distance to any endpoint of an infected link
-// (breaking ties toward higher router ids for determinism). The victim's
-// current host is never chosen.
+// (breaking ties toward higher router ids for determinism). The links are
+// indexed by id. The victim's current host is never chosen.
 func PlanTarget(cfg noc.Config, links []noc.LinkInfo, infected []int, victimPhys int) int {
-	hot := map[int]bool{}
-	byID := map[int]noc.LinkInfo{}
-	for _, l := range links {
-		byID[l.ID] = l
-	}
-	for _, id := range infected {
-		if l, ok := byID[id]; ok {
-			hot[l.From] = true
-			hot[l.To] = true
-		}
-	}
+	t := cfg.Topology()
 	best, bestDist := victimPhys, -1
-	for r := 0; r < cfg.Routers(); r++ {
-		if r == victimPhys {
-			continue
+	for r := 0; r < t.Routers(); r++ {
+		near := 1 << 30
+		for _, id := range infected {
+			near = min(near, t.HopDist(links[id].From, r), t.HopDist(links[id].To, r))
 		}
-		min := 1 << 30
-		for h := range hot { //nocvet:orderfree commutative min over the hot set
-			hx, hy := cfg.XY(h)
-			rx, ry := cfg.XY(r)
-			d := abs(hx-rx) + abs(hy-ry)
-			if d < min {
-				min = d
-			}
-		}
-		if min > bestDist || (min == bestDist && r > best) {
-			best, bestDist = r, min
+		if r != victimPhys && near >= bestDist {
+			best, bestDist = r, near
 		}
 	}
 	return best
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // StateTransfer builds the bulk copy traffic of one evacuation: n five-flit

@@ -100,6 +100,87 @@ func TestPlanTargetNeverPicksVictim(t *testing.T) {
 	}
 }
 
+// TestPlanTargetUsesHopDistance infects link r0->r1 with the victim on
+// router 0. The donor is the router farthest from both link ends by the
+// topology's own hop distance: on the 16-router ring router 9, 7 hops from
+// the link, where grid coordinates would pick router 15, 1 hop from it; on
+// the 4x4 torus router 11, 3 hops away, where the grid would pick 15, 2 hops
+// away across the wraparound.
+func TestPlanTargetUsesHopDistance(t *testing.T) {
+	for _, tc := range []struct {
+		topo      string
+		want, hop int
+	}{{"ring", 9, 7}, {"torus", 11, 3}, {"mesh", 15, 5}} {
+		cfg := noc.DefaultConfig()
+		cfg.Topo = tc.topo
+		n, err := noc.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links := n.LinkSlice()
+		if l := links[0]; l.From != 0 || l.To != 1 {
+			t.Fatalf("%s: link 0 is %s, want r0 -> r1", tc.topo, l)
+		}
+		got := PlanTarget(cfg, links, []int{0}, 0)
+		hop := min(cfg.Topology().HopDist(0, got), cfg.Topology().HopDist(1, got))
+		if got != tc.want || hop != tc.hop {
+			t.Errorf("%s: donor %d, %d hops from the link; want %d, %d hops", tc.topo, got, hop, tc.want, tc.hop)
+		}
+	}
+}
+
+// planTargetManhattan is PlanTarget as it was before it asked the topology
+// for hop distances, kept as a test oracle: Manhattan distance over the
+// grid coordinates, which is the hop distance on the mesh alone.
+func planTargetManhattan(cfg noc.Config, links []noc.LinkInfo, infected []int, victimPhys int) int {
+	hot := map[int]bool{}
+	for _, id := range infected {
+		hot[links[id].From] = true
+		hot[links[id].To] = true
+	}
+	best, bestDist := victimPhys, -1
+	for r := 0; r < cfg.Routers(); r++ {
+		if r == victimPhys {
+			continue
+		}
+		near := 1 << 30
+		for h := range hot { //nocvet:orderfree commutative min over the hot set
+			hx, hy := cfg.XY(h)
+			rx, ry := cfg.XY(r)
+			near = min(near, max(hx-rx, rx-hx)+max(hy-ry, ry-hy))
+		}
+		if near > bestDist || (near == bestDist && r > best) {
+			best, bestDist = r, near
+		}
+	}
+	return best
+}
+
+// TestPlanTargetMatchesManhattanOnMesh: on the 4x4 mesh every (infected
+// link, victim) plan is the Manhattan oracle's, so the migration study's
+// output does not move.
+func TestPlanTargetMatchesManhattanOnMesh(t *testing.T) {
+	cfg := noc.DefaultConfig()
+	n, err := noc.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	links := n.LinkSlice()
+	plans := 0
+	for _, l := range links {
+		for v := 0; v < cfg.Routers(); v++ {
+			got, want := PlanTarget(cfg, links, []int{l.ID}, v), planTargetManhattan(cfg, links, []int{l.ID}, v)
+			if got != want {
+				t.Fatalf("link %s, victim %d: donor %d, oracle %d", l, v, got, want)
+			}
+			plans++
+		}
+	}
+	if plans != 768 {
+		t.Fatalf("%d plans compared, want 768", plans)
+	}
+}
+
 func TestStateTransferPackets(t *testing.T) {
 	m := New(noc.DefaultConfig())
 	ps := m.StateTransfer(0, 15, 8)

@@ -15,8 +15,9 @@ type LinkSpec struct {
 
 // Topology describes a network substrate: how many routers exist, how their
 // ports are named and wired, the deterministic deadlock-free default route,
-// and (for topologies with wraparound channels) the dateline virtual-channel
-// class that keeps the channel-dependency graph acyclic.
+// and (for topologies with wraparound channels) each link's wraparound ring
+// and the dateline virtual-channel class that keeps the channel-dependency
+// graph acyclic.
 //
 // Port 0 of every router is always the local injection/ejection port; ports
 // 1..NumPorts(r)-1 connect to neighbours. Link enumeration order is part of
@@ -49,6 +50,12 @@ type Topology interface {
 	// Topologies whose default route has an acyclic channel-dependency
 	// graph without VC restrictions (the mesh) return (0, false).
 	VCClass(from, to, dst int) (class int, restricted bool)
+	// Dateline names the one-way wraparound ring the link leaving router
+	// from on port belongs to, and whether that link is the ring's
+	// dateline, the wraparound link where VC class 0 ends. Ring ids are
+	// dense from 0. ok is false on topologies without wraparound rings
+	// (the mesh) and for ports that drive no link.
+	Dateline(from, port int) (ring int, wrap, ok bool)
 }
 
 // RouteTable precomputes a topology's default route as a flat
@@ -152,6 +159,9 @@ func (m Mesh) HopDist(a, b int) int {
 
 // VCClass implements Topology: the mesh needs no VC restriction.
 func (m Mesh) VCClass(_, _, _ int) (int, bool) { return 0, false }
+
+// Dateline implements Topology: the mesh has no wraparound rings.
+func (m Mesh) Dateline(_, _ int) (int, bool, bool) { return 0, false, false }
 
 // ----------------------------------------------------------------------------
 // Torus
@@ -263,6 +273,26 @@ func (t Torus) VCClass(from, to, dst int) (int, bool) {
 	return 1, true
 }
 
+// Dateline implements Topology. Each row carries an east ring (ids 0..H-1)
+// and a west ring (H..2H-1), each column a north ring (2H..2H+W-1) and a
+// south ring (2H+W..2H+2W-1). The east ring's dateline leaves column W-1,
+// the west ring's column 0, the north ring's row H-1 and the south ring's
+// row 0: the wraparound links, whichever way they point.
+func (t Torus) Dateline(from, port int) (int, bool, bool) {
+	x, y := from%t.W, from/t.W
+	switch port {
+	case PortEast:
+		return y, x == t.W-1, true
+	case PortWest:
+		return t.H + y, x == 0, true
+	case PortNorth:
+		return 2*t.H + x, y == t.H-1, true
+	case PortSouth:
+		return 2*t.H + t.W + x, y == 0, true
+	}
+	return 0, false, false
+}
+
 // ----------------------------------------------------------------------------
 // Ring
 
@@ -339,6 +369,18 @@ func (g Ring) VCClass(_, to, dst int) (int, bool) {
 		}
 	}
 	return 1, true
+}
+
+// Dateline implements Topology: the clockwise ring (id 0) wraps from N-1 to
+// 0, the counter-clockwise ring (id 1) from 0 to N-1.
+func (g Ring) Dateline(from, port int) (int, bool, bool) {
+	switch port {
+	case PortCW:
+		return 0, from == g.N-1, true
+	case PortCCW:
+		return 1, from == 0, true
+	}
+	return 0, false, false
 }
 
 func iabs(x int) int {

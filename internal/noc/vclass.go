@@ -11,37 +11,8 @@ package noc
 // cycle the dateline was cut to prevent closes again (observed as a
 // whole-network wormhole deadlock on the ring with three adjacent edges
 // disabled). ReclassifyVCs repairs the tables by walking the routes that
-// are actually installed.
-
-// ringOf identifies the unidirectional wraparound ring a directed
-// neighbour link (from -> to) belongs to, and reports whether the link is
-// that ring's dateline wraparound. ok is false on topologies without
-// wraparound rings (mesh) and for non-neighbour pairs.
-func ringOf(topo Topology, from, to int) (id int, wrap, ok bool) {
-	switch t := topo.(type) {
-	case Ring:
-		if to == (from+1)%t.N {
-			return 0, from == t.N-1, true // clockwise ring
-		}
-		if to == (from+t.N-1)%t.N {
-			return 1, from == 0, true // counter-clockwise ring
-		}
-	case Torus:
-		fx, fy := from%t.W, from/t.W
-		tx, ty := to%t.W, to/t.W
-		switch {
-		case fy == ty && (tx-fx+t.W)%t.W == 1:
-			return fy, fx == t.W-1, true // +x ring of row fy
-		case fy == ty && (fx-tx+t.W)%t.W == 1:
-			return t.H + fy, fx == 0, true // -x ring of row fy
-		case fx == tx && (ty-fy+t.H)%t.H == 1:
-			return 2*t.H + fx, fy == t.H-1, true // +y ring of column fx
-		case fx == tx && (fy-ty+t.H)%t.H == 1:
-			return 2*t.H + t.W + fx, fy == 0, true // -y ring of column fx
-		}
-	}
-	return 0, false, false
-}
+// are actually installed, asking the topology's Dateline which ring each
+// hop rides and where that ring wraps.
 
 // ReclassifyVCs rebuilds every wraparound link's dateline VC-class table
 // from the routing function currently installed. For a destination whose
@@ -64,30 +35,30 @@ func ringOf(topo Topology, from, to int) (id int, wrap, ok bool) {
 // restores those tables, preserving arena reuse equivalence.
 func (n *Network) ReclassifyVCs() {
 	R := len(n.routers)
-	maxRing := -1
+	rings := 0
 	for i := range n.links {
 		l := &n.links[i]
-		if id, _, ok := ringOf(n.topo, l.From, l.To); ok && id > maxRing {
-			maxRing = id
+		if ring, _, ok := n.topo.Dateline(l.From, l.FromPort); ok && ring >= rings {
+			rings = ring + 1
 		}
 	}
-	if maxRing < 0 {
+	if rings == 0 {
 		return // no wraparound rings (mesh): nothing to reclassify
 	}
 	// crossing[ring*R+d] = some installed path toward d traverses ring's
 	// dateline wraparound. Per-destination tables are trees, so walking
 	// from every source covers every installed link.
-	crossing := make([]bool, (maxRing+1)*R)
+	crossing := make([]bool, rings*R)
 	maxHops := 4 * R
 	for d := 0; d < R; d++ {
 		for s := 0; s < R; s++ {
 			for cur, hop := s, 0; cur != d && hop < maxHops; hop++ {
-				nb, ok := n.routeHop(cur, d)
+				p, nb, ok := n.routeHop(cur, d)
 				if !ok {
 					break
 				}
-				if id, wrap, ok := ringOf(n.topo, cur, nb); ok && wrap {
-					crossing[id*R+d] = true
+				if ring, wrap, ok := n.topo.Dateline(cur, p); ok && wrap {
+					crossing[ring*R+d] = true
 				}
 				cur = nb
 			}
@@ -99,22 +70,22 @@ func (n *Network) ReclassifyVCs() {
 		if op.vcClass == nil {
 			continue
 		}
-		rid, _, ok := ringOf(n.topo, l.From, l.To)
+		ring, _, ok := n.topo.Dateline(l.From, l.FromPort)
 		if !ok {
 			continue
 		}
 		for d := range op.vcClass {
-			if !crossing[rid*R+d] {
+			if !crossing[ring*R+d] {
 				op.vcClass[d] = uint8(d & 1) // unconstrained: balance by parity
 				continue
 			}
 			cl := uint8(1)
 			for cur, hop := l.To, 0; cur != d && hop < maxHops; hop++ {
-				nb, ok := n.routeHop(cur, d)
+				p, nb, ok := n.routeHop(cur, d)
 				if !ok {
 					break
 				}
-				if hid, wrap, ok := ringOf(n.topo, cur, nb); ok && wrap && hid == rid {
+				if hr, wrap, ok := n.topo.Dateline(cur, p); ok && wrap && hr == ring {
 					cl = 0 // this ring's dateline crossing is still ahead
 					break
 				}
@@ -126,18 +97,18 @@ func (n *Network) ReclassifyVCs() {
 	n.vcReclassed = true
 }
 
-// routeHop resolves one step of the installed routing function: the
-// neighbour router cur forwards toward d. ok is false when the table
-// yields no usable router-to-router hop (local delivery, out-of-range
-// port, or a disabled output).
-func (n *Network) routeHop(cur, d int) (next int, ok bool) {
+// routeHop resolves one step of the installed routing function: the port
+// router cur forwards toward d on and the neighbour it reaches. ok is
+// false when the table yields no usable router-to-router hop (local
+// delivery, out-of-range port, or a disabled output).
+func (n *Network) routeHop(cur, d int) (port, next int, ok bool) {
 	p := n.route(cur, d)
 	if p <= PortLocal || p >= n.routers[cur].numPorts {
-		return 0, false
+		return 0, 0, false
 	}
 	op := n.routers[cur].outputs[p]
 	if op.disabled {
-		return 0, false
+		return 0, 0, false
 	}
-	return n.links[op.linkID].To, true
+	return p, n.links[op.linkID].To, true
 }

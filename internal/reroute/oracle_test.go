@@ -131,3 +131,157 @@ func TestBuildMatchesOracle(t *testing.T) {
 		t.Fatalf("%d of %d cases disconnected; want both outcomes covered", failed, compared)
 	}
 }
+
+// buildSafeOracle is BuildSafe as it was before it routed over its
+// spanning tree with Build's search, kept as a test oracle: one forward BFS
+// per destination over the tree edges, with fresh buffers per destination.
+func buildSafeOracle(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Table, error) {
+	R := cfg.Routers()
+	adj := healthyAdj(cfg, links, disabled)
+	und := make([][]int, R)
+	for r := range und {
+		und[r] = make([]int, len(adj[r]))
+		for p := range und[r] {
+			und[r][p] = -1
+			nb := adj[r][p]
+			if nb < 0 {
+				continue
+			}
+			for q := 1; q < len(adj[nb]); q++ {
+				if adj[nb][q] == r {
+					und[r][p] = nb
+					break
+				}
+			}
+		}
+	}
+	root, best := 0, -1
+	for r := 0; r < R; r++ {
+		deg := 0
+		for p := 1; p < len(und[r]); p++ {
+			if und[r][p] >= 0 {
+				deg++
+			}
+		}
+		if deg > best {
+			root, best = r, deg
+		}
+	}
+	tree := make([][]int, R)
+	for r := range tree {
+		tree[r] = make([]int, len(und[r]))
+		for p := range tree[r] {
+			tree[r][p] = -1
+		}
+	}
+	seen := make([]bool, R)
+	seen[root] = true
+	visited := 1
+	for queue := []int{root}; len(queue) > 0; {
+		cur := queue[0]
+		queue = queue[1:]
+		for p := 1; p < len(und[cur]); p++ {
+			nb := und[cur][p]
+			if nb < 0 || seen[nb] {
+				continue
+			}
+			seen[nb] = true
+			visited++
+			tree[cur][p] = nb
+			for q := 1; q < len(und[nb]); q++ {
+				if und[nb][q] == cur {
+					tree[nb][q] = cur
+					break
+				}
+			}
+			queue = append(queue, nb)
+		}
+	}
+	if visited < R {
+		return Build(cfg, links, disabled)
+	}
+
+	t := newTable(cfg)
+	for d := 0; d < R; d++ {
+		dist := make([]int, R)
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[d] = 0
+		for queue := []int{d}; len(queue) > 0; {
+			cur := queue[0]
+			queue = queue[1:]
+			for p := 1; p < len(tree[cur]); p++ {
+				if nb := tree[cur][p]; nb >= 0 && dist[nb] == -1 {
+					dist[nb] = dist[cur] + 1
+					queue = append(queue, nb)
+				}
+			}
+		}
+		for r := 0; r < R; r++ {
+			t.Hops[r][d] = dist[r]
+			if r == d {
+				t.Port[r][d] = noc.PortLocal
+				continue
+			}
+			t.Port[r][d] = -1
+			for p := 1; p < len(tree[r]); p++ {
+				if nb := tree[r][p]; nb >= 0 && dist[nb] == dist[r]-1 {
+					t.Port[r][d] = p
+					break
+				}
+			}
+			if t.Port[r][d] == -1 {
+				return nil, fmt.Errorf("reroute: no tree port at %d toward %d", r, d)
+			}
+		}
+	}
+	return t, nil
+}
+
+// TestBuildSafeMatchesOracle compares BuildSafe's tables and errors with
+// the oracle's on every topology from 2x2 to 8x8, over random disabled-link
+// sets from a single link up to a third of the links: spanning trees, the
+// fallback to Build, and its disconnection errors.
+func TestBuildSafeMatchesOracle(t *testing.T) {
+	rng := xrand.New(28)
+	tables := 0
+	for _, topo := range noc.Topologies() {
+		for w := 2; w <= 8; w++ {
+			for h := 2; h <= 8; h++ {
+				cfg := noc.DefaultConfig()
+				cfg.Topo, cfg.Width, cfg.Height = topo, w, h
+				n, err := noc.New(cfg)
+				if err != nil {
+					t.Fatalf("%s %dx%d: %v", topo, w, h, err)
+				}
+				links := n.LinkSlice()
+				for trial := 0; trial < 6; trial++ {
+					disabled := map[int]bool{}
+					if trial > 0 {
+						for k := 1 + rng.Intn(max(len(links)/3, 1)); k > 0; k-- {
+							disabled[links[rng.Intn(len(links))].ID] = true
+						}
+					}
+					got, gotErr := BuildSafe(cfg, links, disabled)
+					want, wantErr := buildSafeOracle(cfg, links, disabled)
+					where := fmt.Sprintf("%s %dx%d disabled %v", topo, w, h, disabled)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+						t.Fatalf("%s: error %v, oracle %v", where, gotErr, wantErr)
+					}
+					if wantErr != nil {
+						continue
+					}
+					if fmt.Sprint(got.Port) != fmt.Sprint(want.Port) || fmt.Sprint(got.Hops) != fmt.Sprint(want.Hops) {
+						t.Fatalf("%s: tables differ from the oracle", where)
+					}
+					tables++
+				}
+			}
+		}
+	}
+	if tables == 0 {
+		t.Fatal("no table compared")
+	}
+	t.Logf("%d tables identical", tables)
+}

@@ -32,10 +32,16 @@ type Table struct {
 // to the lowest-numbered port, which on the mesh degenerates to XY routing
 // (x-dimension first).
 func Build(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Table, error) {
+	return routesOver(cfg, healthyAdj(cfg, links, disabled))
+}
+
+// routesOver computes the table of shortest paths over adj[r][port], the
+// neighbour router over port (-1 when the port drives no usable link),
+// taking the lowest-numbered port among the equally short ways.
+func routesOver(cfg noc.Config, adj [][]int) (*Table, error) {
 	R := cfg.Routers()
-	adj := healthyAdj(cfg, links, disabled)
-	// pred[to] lists the routers with a healthy link into to: the edges a
-	// reverse BFS from a destination walks.
+	// pred[to] lists the routers adj links into to: the edges a reverse
+	// BFS from a destination walks.
 	pred := make([][]int, R)
 	for from := range adj {
 		for p := 1; p < len(adj[from]); p++ {
@@ -46,7 +52,7 @@ func Build(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Table,
 	}
 
 	t := newTable(cfg)
-	// One reverse BFS per destination over directed healthy links. Every
+	// One reverse BFS per destination over adj's directed links. Every
 	// router enters the queue at most once per destination, so both
 	// buffers are sized once and reused.
 	dist := make([]int, R)
@@ -75,7 +81,7 @@ func Build(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Table,
 			if dist[r] == -1 {
 				return nil, fmt.Errorf("reroute: router %d cannot reach %d with the given faults", r, d)
 			}
-			// Choose the preferred healthy neighbour strictly closer to d.
+			// Choose the preferred neighbour strictly closer to d.
 			t.Port[r][d] = -1
 			for p := 1; p < len(adj[r]); p++ {
 				nb := adj[r][p]
@@ -211,44 +217,8 @@ func BuildSafe(cfg noc.Config, links []noc.LinkInfo, disabled map[int]bool) (*Ta
 		return Build(cfg, links, disabled)
 	}
 
-	t := newTable(cfg)
-	// Paths in a tree are unique, so one BFS per destination over tree
-	// edges fully determines the table.
-	for d := 0; d < R; d++ {
-		dist := make([]int, R)
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[d] = 0
-		for queue := []int{d}; len(queue) > 0; {
-			cur := queue[0]
-			queue = queue[1:]
-			for p := 1; p < len(tree[cur]); p++ {
-				if nb := tree[cur][p]; nb >= 0 && dist[nb] == -1 {
-					dist[nb] = dist[cur] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-		for r := 0; r < R; r++ {
-			t.Hops[r][d] = dist[r]
-			if r == d {
-				t.Port[r][d] = noc.PortLocal
-				continue
-			}
-			t.Port[r][d] = -1
-			for p := 1; p < len(tree[r]); p++ {
-				if nb := tree[r][p]; nb >= 0 && dist[nb] == dist[r]-1 {
-					t.Port[r][d] = p
-					break
-				}
-			}
-			if t.Port[r][d] == -1 {
-				return nil, fmt.Errorf("reroute: no tree port at %d toward %d", r, d)
-			}
-		}
-	}
-	return t, nil
+	// Paths in a tree are unique, so the shortest path is the tree path.
+	return routesOver(cfg, tree)
 }
 
 // Route returns the table as a noc.RouteFunc.
