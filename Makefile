@@ -52,7 +52,8 @@ race:
 
 # Fuzz the header Encode/Decode round-trip across randomized layouts, the
 # event-driven core's per-cycle invariants and flit conservation across
-# random platforms, loads, faults and a mid-run link disable, campaign
+# random platforms, loads, faults and a mid-run link disable, a network
+# restored from a checkpoint against the run it was saved from, campaign
 # spec parsing, validation, hashing and expansion on malformed input,
 # campaign resume from malformed checkpoint sidecars, campaign record
 # reading from malformed JSONL, and the attacker placement's reachability
@@ -60,6 +61,7 @@ race:
 fuzz:
 	$(GO) test -fuzz=FuzzHeaderRoundTrip -fuzztime=10s ./internal/flit
 	$(GO) test -run xxx -fuzz=FuzzStepInvariants -fuzztime=10s ./internal/noc
+	$(GO) test -run xxx -fuzz=FuzzCheckpointResume -fuzztime=10s ./internal/noc
 	$(GO) test -run xxx -fuzz=FuzzSpec -fuzztime=10s ./internal/campaign
 	$(GO) test -run xxx -fuzz=FuzzResume -fuzztime=10s ./internal/campaign
 	$(GO) test -run xxx -fuzz=FuzzRecords -fuzztime=10s ./internal/campaign

@@ -88,12 +88,16 @@ func TestSeededRegressionCleanBaseline(t *testing.T) {
 	dir := t.TempDir()
 	src := `package noc
 
-type Router struct {
+type routerState struct {
 	occ, routedTo, reqVA, deadOut uint64
 	inFlits, parked               int
 }
 
-type NI struct{ total, refusedBy int }
+type Router struct{ routerState }
+
+type niState struct{ total, refusedBy int }
+
+type NI struct{ niState }
 
 type activeSet struct{ w []uint64 }
 

@@ -48,14 +48,17 @@ var TrafficHotPathRoots = []string{
 // occupancy/request masks the arbitration scans trust, and the skip state
 // of stalled work (the dead-output mask RC walks, an NI's refusal record).
 // Every transition must go through the sched.go edge helpers the invariant
-// audit certifies.
+// audit certifies. The router's and the NI's state values hold these
+// fields, so a write of a whole value is such a transition too.
 var NocProtectedFields = []ProtectedField{
+	{Type: "Router", Field: "routerState"},
 	{Type: "Router", Field: "occ"},
 	{Type: "Router", Field: "routedTo"},
 	{Type: "Router", Field: "reqVA"},
 	{Type: "Router", Field: "deadOut"},
 	{Type: "Router", Field: "inFlits"},
 	{Type: "Router", Field: "parked"},
+	{Type: "NI", Field: "niState"},
 	{Type: "NI", Field: "total"},
 	{Type: "NI", Field: "refusedBy"},
 	{Type: "scheduler", Field: "actIn"},
@@ -127,15 +130,15 @@ var DetectHotPathRoots = []string{
 // through window boundaries — which only holds if every transition goes
 // through Observe/FinishWindow/Reset in ack.go.
 var DetectMonitorFields = []ProtectedField{
-	{Type: "AckMonitor", Field: "prevGap"},
-	{Type: "AckMonitor", Field: "prevViol"},
-	{Type: "AckMonitor", Field: "streak"},
-	{Type: "AckMonitor", Field: "class"},
-	{Type: "AckMonitor", Field: "channel"},
-	{Type: "AckMonitor", Field: "deficit"},
-	{Type: "AckMonitor", Field: "sent"},
+	{Type: "AckMonitor", Field: "links"},
 	{Type: "AckMonitor", Field: "windowGrowth"},
 	{Type: "AckMonitor", Field: "fusedStreak"},
+	{Type: "ackLink", Field: "prevGap"},
+	{Type: "ackLink", Field: "prevViol"},
+	{Type: "ackLink", Field: "deficit"},
+	{Type: "ackLink", Field: "streak"},
+	{Type: "ackLink", Field: "class"},
+	{Type: "ackLink", Field: "channel"},
 }
 
 // DetectMonitorFiles are the files allowed to mutate DetectMonitorFields.

@@ -316,7 +316,7 @@ type forkStore struct {
 	gen      traffic.GeneratorState
 	ack      detect.AckMonitor
 	flows    []flowSlot
-	counters []wireCounters
+	counters []noc.WireCounters
 	trojans  []tasp.Snapshot // past the enable cycle only
 	samples  []Sample
 	latency  *stats.Histogram
@@ -346,7 +346,7 @@ func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator
 		if latched {
 			f.flows = w.saveFlows(f.flows)
 		}
-		f.counters = append(f.counters, w.counters())
+		f.counters = append(f.counters, w.WireCounters)
 	}
 	f.trojans = f.trojans[:0]
 	for _, t := range armed {
@@ -392,7 +392,7 @@ func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMon
 		if mitigated {
 			rest = w.restoreFlows(rest)
 		}
-		w.setCounters(f.counters[i])
+		w.WireCounters = f.counters[i]
 	}
 	for i, s := range f.trojans {
 		trojans[i].Restore(s)

@@ -189,7 +189,7 @@ type forkState struct {
 	gen      traffic.GeneratorState
 	ack      detect.AckMonitor
 	flows    []flowSlot
-	counters []wireCounters
+	counters []noc.WireCounters
 	trojans  []tasp.Snapshot
 	res      Results // the prefix a run writes as it goes
 	strikes  uint64  // the trojans' strikes so far
@@ -216,7 +216,7 @@ func stateAt(t *testing.T, cfg ExperimentConfig, cycle uint64, run func(*Runner)
 		st.flows, st.counters, st.trojans, st.strikes = st.flows[:0], st.counters[:0], st.trojans[:0], 0
 		for id, w := range a.wires {
 			st.flows = w.saveFlows(st.flows)
-			st.counters = append(st.counters, w.counters())
+			st.counters = append(st.counters, w.WireCounters)
 			for _, tap := range a.chains[id] {
 				if tr, ok := tap.(tasp.Trojan); ok {
 					st.trojans = append(st.trojans, tr.Save())

@@ -20,8 +20,8 @@ import (
 // hardware: the upstream L-Ob block (method selection, per-flow method log,
 // keystream) and the downstream threat source detector plus BIST hook. The
 // trojan — and any other fault source — sits in the embedded PlainWire's
-// Tap, between the two, and the PlainWire's counters (Corrected, Dropped,
-// Swallowed) count every traversal, mitigated or not.
+// Tap, between the two, and the PlainWire's WireCounters (Corrected,
+// Dropped, Swallowed) count every traversal, mitigated or not.
 //
 // Per Figure 6/7 the escalation schedule over a flit's transmission
 // attempts is: attempt 0 uses the flow's logged method if one is known
@@ -146,20 +146,6 @@ func (w *SecureWire) saveFlows(dst []flowSlot) []flowSlot { return append(dst, w
 // restoreFlows loads the wire's flow latch from the front of src, as
 // saveFlows wrote it, and returns the rest of src.
 func (w *SecureWire) restoreFlows(src []flowSlot) []flowSlot { return src[copy(w.flows, src):] }
-
-// wireCounters is a wire's traversal counters, the embedded PlainWire's:
-// after the enable cycle, the only state an unmitigated wire changes.
-type wireCounters struct{ corrected, dropped, swallowed uint64 }
-
-// counters returns the wire's traversal counters (the run-fork checkpoint).
-func (w *SecureWire) counters() wireCounters {
-	return wireCounters{w.Corrected, w.Dropped, w.Swallowed}
-}
-
-// setCounters loads traversal counters that counters returned.
-func (w *SecureWire) setCounters(c wireCounters) {
-	w.Corrected, w.Dropped, w.Swallowed = c.corrected, c.dropped, c.swallowed
-}
 
 // choose picks the obfuscation for this attempt on a mitigated wire.
 func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {

@@ -41,8 +41,8 @@ type AckChannel uint8
 const (
 	// ChannelNone: the link is not convicted.
 	ChannelNone AckChannel = iota
-	// ChannelStreak: the gap grew over MinGapWindows consecutive unblocked
-	// windows — the stock detector, defeated by duty-cycled droppers.
+	// ChannelStreak: the gap grew over DefaultMinGapWindows consecutive
+	// unblocked windows — the stock detector, defeated by duty-cycled droppers.
 	ChannelStreak
 	// ChannelDeficit: the link's cumulative unexplained loss crossed the
 	// long-horizon deficit ratio — catches throttled droppers whose bursts
@@ -133,37 +133,25 @@ const (
 //
 // Three conviction channels feed the same latched verdict:
 //
-//   - streak (per-link): MinGapWindows consecutive unblocked growing-gap
-//     windows — fast against a naive dropper, blind to duty cycling;
+//   - streak (per-link): DefaultMinGapWindows consecutive unblocked
+//     growing-gap windows — fast against a naive dropper, blind to duty
+//     cycling;
 //   - deficit (per-link): the cumulative unexplained loss crosses
-//     DeficitRatio of sent traffic (with the DeficitMinLoss floor) — slower,
-//     but immune to duty cycling because loss accumulates across quiet
-//     windows;
+//     DeficitRatio of sent traffic (with the DefaultDeficitMinLoss floor) —
+//     slower, but immune to duty cycling because loss accumulates across
+//     quiet windows;
 //   - fused (cross-link): the sum of all links' unblocked gap growth
 //     sustains a network-wide streak (FinishWindow), and the accumulated
 //     fused deficit is attributed to the leaking links — catches colluders
 //     whose rotation keeps every per-link channel below threshold.
 type AckMonitor struct {
-	// MinGapWindows is the consecutive growing-gap windows needed to convict
-	// a dropper (0 = DefaultMinGapWindows). It also gates the fused
-	// cross-link streak.
-	MinGapWindows int
 	// DeficitRatio is the cumulative-loss fraction of sent flits that
 	// convicts via the deficit channel (0 = DefaultDeficitRatio; negative
 	// disables the deficit and fused channels — the stock streak-only
 	// detector, kept for ablation).
 	DeficitRatio float64
-	// DeficitMinLoss is the absolute flit-loss floor for the deficit and
-	// fused channels (0 = DefaultDeficitMinLoss).
-	DeficitMinLoss uint64
 
-	prevGap  []uint64
-	prevViol []uint64
-	streak   []int32
-	class    []AckClass
-	channel  []AckChannel
-	deficit  []uint64
-	sent     []uint64
+	links []ackLink
 
 	// Cross-link fused view: unblocked gap growth summed over all links in
 	// the current window, and the consecutive-window streak of that sum.
@@ -171,58 +159,34 @@ type AckMonitor struct {
 	fusedStreak  int32
 }
 
+// ackLink is one link's windowed state and verdict.
+type ackLink struct {
+	prevGap  uint64 // the sent/received gap at the last window
+	prevViol uint64 // route violations counted by the last window
+	deficit  uint64 // cumulative unexplained loss
+	streak   int32  // consecutive unblocked growing-gap windows
+	class    AckClass
+	channel  AckChannel
+}
+
 // NewAckMonitor returns a monitor for a network with the given link count.
 func NewAckMonitor(links int) *AckMonitor {
-	return &AckMonitor{
-		prevGap:  make([]uint64, links),
-		prevViol: make([]uint64, links),
-		streak:   make([]int32, links),
-		class:    make([]AckClass, links),
-		channel:  make([]AckChannel, links),
-		deficit:  make([]uint64, links),
-		sent:     make([]uint64, links),
-	}
+	return &AckMonitor{links: make([]ackLink, links)}
 }
 
 // Reset clears every window and verdict without allocating (arena reuse).
 func (m *AckMonitor) Reset() {
-	for i := range m.class {
-		m.prevGap[i], m.prevViol[i] = 0, 0
-		m.streak[i] = 0
-		m.class[i] = AckHealthy
-		m.channel[i] = ChannelNone
-		m.deficit[i], m.sent[i] = 0, 0
-	}
+	clear(m.links)
 	m.windowGrowth = 0
 	m.fusedStreak = 0
 }
 
 // CopyFrom makes m's windows and verdicts a copy of src's, reusing m's
-// arrays: the run-fork checkpoint saves a monitor into a spare one and
-// restores it back. The tuning fields belong to the run and are left alone.
+// array: the run-fork checkpoint saves a monitor into a spare one and
+// restores it back. DeficitRatio belongs to the run and is left alone.
 func (m *AckMonitor) CopyFrom(src *AckMonitor) {
-	m.prevGap = append(m.prevGap[:0], src.prevGap...)
-	m.prevViol = append(m.prevViol[:0], src.prevViol...)
-	m.streak = append(m.streak[:0], src.streak...)
-	m.class = append(m.class[:0], src.class...)
-	m.channel = append(m.channel[:0], src.channel...)
-	m.deficit = append(m.deficit[:0], src.deficit...)
-	m.sent = append(m.sent[:0], src.sent...)
+	m.links = append(m.links[:0], src.links...)
 	m.windowGrowth, m.fusedStreak = src.windowGrowth, src.fusedStreak
-}
-
-func (m *AckMonitor) minWindows() int {
-	if m.MinGapWindows <= 0 {
-		return DefaultMinGapWindows
-	}
-	return m.MinGapWindows
-}
-
-func (m *AckMonitor) minLoss() uint64 {
-	if m.DeficitMinLoss == 0 {
-		return DefaultDeficitMinLoss
-	}
-	return m.DeficitMinLoss
 }
 
 func (m *AckMonitor) deficitRatio() float64 {
@@ -236,23 +200,24 @@ func (m *AckMonitor) deficitRatio() float64 {
 // ties (it is the stronger, unambiguous evidence) and the first dropper
 // channel to fire keeps the credit.
 func (m *AckMonitor) convict(linkID int, ch AckChannel) {
-	if m.class[linkID] == AckMisroute || m.class[linkID] == AckDropper {
+	l := &m.links[linkID]
+	if l.class == AckMisroute || l.class == AckDropper {
 		return
 	}
-	m.class[linkID] = AckDropper
-	m.channel[linkID] = ch
+	l.class = AckDropper
+	l.channel = ch
 }
 
 // Observe feeds one link's window snapshot and updates its verdict.
 func (m *AckMonitor) Observe(linkID int, o AckObservation) {
-	min := m.minWindows()
-	if o.RouteViolations > m.prevViol[linkID] {
+	l := &m.links[linkID]
+	if o.RouteViolations > l.prevViol {
 		// A non-conforming arrival is unambiguous: no benign cause produces
 		// a valid codeword carrying a destination this link cannot serve.
-		m.class[linkID] = AckMisroute
-		m.channel[linkID] = ChannelViolation
+		l.class = AckMisroute
+		l.channel = ChannelViolation
 	}
-	m.prevViol[linkID] = o.RouteViolations
+	l.prevViol = o.RouteViolations
 	// Clamp, don't wrap: sampling skew can land a prior window's deposit
 	// before its acknowledgment is counted, making recv momentarily exceed
 	// sent. Unsigned subtraction would turn that into a ~2^64 "gap" and
@@ -263,19 +228,19 @@ func (m *AckMonitor) Observe(linkID int, o AckObservation) {
 	}
 	deficitOn := m.DeficitRatio >= 0
 	switch {
-	case gap > m.prevGap[linkID] && !o.Blocked:
+	case gap > l.prevGap && !o.Blocked:
 		if deficitOn {
-			grow := gap - m.prevGap[linkID]
-			m.deficit[linkID] += grow
+			grow := gap - l.prevGap
+			l.deficit += grow
 			m.windowGrowth += grow
 		}
-		m.streak[linkID]++
-		if int(m.streak[linkID]) >= min {
+		l.streak++
+		if l.streak >= DefaultMinGapWindows {
 			m.convict(linkID, ChannelStreak)
-		} else if m.class[linkID] == AckHealthy {
-			m.class[linkID] = AckSuspect
+		} else if l.class == AckHealthy {
+			l.class = AckSuspect
 		}
-	case gap > m.prevGap[linkID]:
+	case gap > l.prevGap:
 		// The gap grew but the port is stalled: congestion may explain
 		// withheld end-to-end acknowledgments, so the streak is discounted
 		// (it holds, neither growing nor resetting) and the deficit books
@@ -285,8 +250,8 @@ func (m *AckMonitor) Observe(linkID int, o AckObservation) {
 		// could bleed the victim forever behind blocked samples, while a
 		// healthy link never grows its gap at all, blocked or not.
 		if deficitOn {
-			grow := (gap - m.prevGap[linkID]) / 2
-			m.deficit[linkID] += grow
+			grow := (gap - l.prevGap) / 2
+			l.deficit += grow
 			m.windowGrowth += grow
 		}
 	default:
@@ -294,22 +259,21 @@ func (m *AckMonitor) Observe(linkID int, o AckObservation) {
 		// a conviction does not. A *shrinking* gap means earlier counted
 		// growth was sampling skew (the flits arrived after all), so the
 		// refund is taken back out of the cumulative deficit.
-		if deficitOn && gap < m.prevGap[linkID] {
-			if back := m.prevGap[linkID] - gap; back >= m.deficit[linkID] {
-				m.deficit[linkID] = 0
+		if deficitOn && gap < l.prevGap {
+			if back := l.prevGap - gap; back >= l.deficit {
+				l.deficit = 0
 			} else {
-				m.deficit[linkID] -= back
+				l.deficit -= back
 			}
 		}
-		m.streak[linkID] = 0
-		if m.class[linkID] == AckSuspect {
-			m.class[linkID] = AckHealthy
+		l.streak = 0
+		if l.class == AckSuspect {
+			l.class = AckHealthy
 		}
 	}
-	m.prevGap[linkID] = gap
-	m.sent[linkID] = o.FlitsSent
+	l.prevGap = gap
 	if deficitOn {
-		if d := m.deficit[linkID]; d >= m.minLoss() && float64(d) >= m.deficitRatio()*float64(o.FlitsSent) {
+		if d := l.deficit; d >= DefaultDeficitMinLoss && float64(d) >= m.deficitRatio()*float64(o.FlitsSent) {
 			m.convict(linkID, ChannelDeficit)
 		}
 	}
@@ -320,7 +284,7 @@ func (m *AckMonitor) Observe(linkID int, o AckObservation) {
 // so each member's gap grows only every n-th turn — but *someone's* gap
 // grows every window, so the network-wide sum of unblocked gap growth
 // sustains exactly the streak no single link shows. Once the fused streak
-// reaches MinGapWindows and the accumulated loss clears the floor, the
+// reaches DefaultMinGapWindows and the accumulated loss clears the floor, the
 // deficit is attributed to the leak set: every link carrying at least half
 // its equal share of the fused deficit is convicted. Allocation-free, like
 // Observe.
@@ -335,18 +299,18 @@ func (m *AckMonitor) FinishWindow() {
 	} else {
 		m.fusedStreak = 0
 	}
-	if int(m.fusedStreak) < m.minWindows() {
+	if m.fusedStreak < DefaultMinGapWindows {
 		return
 	}
 	var fused uint64
 	leaks := 0
-	for _, d := range m.deficit {
-		if d > 0 {
+	for i := range m.links {
+		if d := m.links[i].deficit; d > 0 {
 			fused += d
 			leaks++
 		}
 	}
-	if leaks == 0 || fused < m.minLoss() {
+	if leaks == 0 || fused < DefaultDeficitMinLoss {
 		return
 	}
 	// Attribution bar: half the equal share. Rotating colluders each hold
@@ -356,25 +320,25 @@ func (m *AckMonitor) FinishWindow() {
 	if bar == 0 {
 		bar = 1
 	}
-	for i, d := range m.deficit {
-		if d >= bar {
+	for i := range m.links {
+		if m.links[i].deficit >= bar {
 			m.convict(i, ChannelFused)
 		}
 	}
 }
 
 // Class returns a link's current verdict.
-func (m *AckMonitor) Class(linkID int) AckClass { return m.class[linkID] }
+func (m *AckMonitor) Class(linkID int) AckClass { return m.links[linkID].class }
 
 // Channel returns the evidence channel that convicted a link (ChannelNone
 // while unconvicted).
-func (m *AckMonitor) Channel(linkID int) AckChannel { return m.channel[linkID] }
+func (m *AckMonitor) Channel(linkID int) AckChannel { return m.links[linkID].channel }
 
 // Flagged counts links convicted as droppers or misrouters.
 func (m *AckMonitor) Flagged() int {
 	n := 0
-	for _, c := range m.class {
-		if c == AckDropper || c == AckMisroute {
+	for i := range m.links {
+		if c := m.links[i].class; c == AckDropper || c == AckMisroute {
 			n++
 		}
 	}

@@ -1,6 +1,10 @@
 package detect
 
-import "testing"
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
 
 func obsGap(sent, recv uint64, blocked bool) AckObservation {
 	return AckObservation{FlitsSent: sent, FlitsRecv: recv, Blocked: blocked}
@@ -99,12 +103,20 @@ func TestAckMonitorRouteViolationConvictsImmediately(t *testing.T) {
 	}
 }
 
-func TestAckMonitorCustomThreshold(t *testing.T) {
+// TestAckMonitorDeficitFloor: the deficit channel convicts only once the
+// unexplained loss reaches DefaultDeficitMinLoss flits, however large a
+// share of the sent flits a smaller loss is.
+func TestAckMonitorDeficitFloor(t *testing.T) {
 	m := NewAckMonitor(1)
-	m.MinGapWindows = 1
-	m.Observe(0, obsGap(10, 9, false))
-	if c := m.Class(0); c != AckDropper {
-		t.Fatalf("MinGapWindows=1 did not convict on first window: %v", c)
+	lost := uint64(DefaultDeficitMinLoss - 1)
+	m.Observe(0, obsGap(100, 100-lost, false)) // a quarter lost, one window
+	m.Observe(0, obsGap(200, 200-lost, false)) // quiet: the streak breaks
+	if c := m.Class(0); c != AckHealthy {
+		t.Fatalf("%d flits lost: %v, want healthy", lost, c)
+	}
+	m.Observe(0, obsGap(300, 300-lost-1, false))
+	if c, ch := m.Class(0), m.Channel(0); c != AckDropper || ch != ChannelDeficit {
+		t.Fatalf("%d flits lost: %v via %v, want dropper via deficit", lost+1, c, ch)
 	}
 }
 
@@ -121,7 +133,7 @@ func TestAckMonitorReset(t *testing.T) {
 	if m.Flagged() != 0 {
 		t.Fatal("Reset left flagged links")
 	}
-	for i := range m.class {
+	for i := range m.links {
 		if c := m.Class(i); c != AckHealthy {
 			t.Fatalf("link %d still %v after Reset", i, c)
 		}
@@ -147,7 +159,7 @@ func TestAckGapUnderflowSkewClamps(t *testing.T) {
 	if c := m.Class(0); c != AckHealthy {
 		t.Fatalf("skewed window classified %v, want healthy", c)
 	}
-	if d := m.deficit[0]; d != 0 {
+	if d := m.links[0].deficit; d != 0 {
 		t.Fatalf("skewed window booked deficit %d, want 0", d)
 	}
 	// The skew settles; the link must still read healthy.
@@ -171,7 +183,7 @@ func TestAckMonitorDeficitConvictsDutyCycledDropper(t *testing.T) {
 		sent += 1000
 		gap += 20 // active window: the trojan swallows 20 flits
 		m.Observe(0, obsGap(sent, sent-gap, false))
-		if int(m.streak[0]) >= DefaultMinGapWindows {
+		if m.links[0].streak >= DefaultMinGapWindows {
 			t.Fatal("duty-cycled dropper accumulated a streak: tuning broken")
 		}
 		sent += 1000 // quiet window: gap holds, streak resets
@@ -259,5 +271,39 @@ func TestAckMonitorFusedSparesBystander(t *testing.T) {
 		if c := m.Class(l); c != AckDropper {
 			t.Errorf("colluder %d classified %v, want dropper", l, c)
 		}
+	}
+}
+
+// TestAckMonitorClassifiesEveryField walks the monitor field by field.
+// Its windows and verdicts — the per-link records and the fused view —
+// are what Reset clears and CopyFrom copies for the run-fork checkpoint;
+// DeficitRatio is the run's tuning, set before the run and left alone by
+// both. A field added to the monitor fails here until it is classified, so
+// none can be added that CopyFrom forgets.
+func TestAckMonitorClassifiesEveryField(t *testing.T) {
+	state := []string{"links", "windowGrowth", "fusedStreak"}
+	tuning := []string{"DeficitRatio"}
+	typ := reflect.TypeFor[AckMonitor]()
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; !slices.Contains(state, name) && !slices.Contains(tuning, name) {
+			t.Errorf("AckMonitor.%s is neither window state nor tuning", name)
+		}
+	}
+	// Every piece of window state survives a copy and a reset clears it.
+	src := NewAckMonitor(3)
+	for w := uint64(1); w <= 4; w++ {
+		src.Observe(1, obsGap(100*w, 90*w, false))
+		src.Observe(2, AckObservation{FlitsSent: 10 * w, RouteViolations: 1})
+		src.FinishWindow()
+	}
+	src.windowGrowth = 7 // mid-window: Observe has booked growth FinishWindow has not closed
+	dst := NewAckMonitor(3)
+	dst.CopyFrom(src)
+	if !reflect.DeepEqual(dst, src) {
+		t.Fatalf("CopyFrom gave %+v, want %+v", dst, src)
+	}
+	dst.Reset()
+	if fresh := NewAckMonitor(3); !reflect.DeepEqual(dst, fresh) {
+		t.Fatalf("Reset left %+v, want %+v", dst, fresh)
 	}
 }

@@ -91,11 +91,6 @@ type Detector struct {
 	granOK   map[lob.Granularity]int
 	granFail map[lob.Granularity]int
 
-	// Counters for experiments and tests.
-	FaultEvents    uint64 // uncorrectable decodes observed
-	RepeatedFaults uint64 // faults on flits already in the history
-	CleanAfterObf  uint64 // obfuscated flits that arrived clean
-
 	class Classification
 
 	// free recycles retired records so a sustained attack's insert/remove
@@ -124,7 +119,6 @@ func New(historyCap int) *Detector {
 // arrived. obf is the obfuscation that was applied to this attempt (None
 // for plain traversals).
 func (d *Detector) OnFault(key FlitKey, obf lob.Choice) Action {
-	d.FaultEvents++
 	r := d.index[key]
 	if r == nil {
 		// "Has this flit or fault been seen before?" — no: record it and
@@ -145,7 +139,6 @@ func (d *Detector) OnFault(key FlitKey, obf lob.Choice) Action {
 	}
 	// Seen before: repeated transients are unlikely — involve BIST, and
 	// enable or escalate obfuscation.
-	d.RepeatedFaults++
 	r.faults++
 	if obf.Method != lob.None {
 		d.granFail[obf.Gran]++
@@ -163,7 +156,6 @@ func (d *Detector) OnClean(key FlitKey, obf lob.Choice) {
 	if obf.Method == lob.None {
 		return
 	}
-	d.CleanAfterObf++
 	d.granOK[obf.Gran]++
 	if r := d.index[key]; r != nil && r.faults >= 2 && d.bistDone && !d.bistReport.Permanent() {
 		// Targeted repeating faults that stop under obfuscation, on a link
@@ -257,7 +249,7 @@ func (d *Detector) getRecord(key FlitKey) *record {
 func (d *Detector) recycle(r *record) { d.free = append(d.free, r) }
 
 // Reset forgets every observation — history, BIST outcome, granularity
-// evidence, counters and verdict — returning the detector to its post-New
+// evidence and verdict — returning the detector to its post-New
 // state. Resident records are recycled rather than dropped, so a reset
 // detector re-reaches steady state without reallocating its history.
 func (d *Detector) Reset() {
@@ -271,7 +263,6 @@ func (d *Detector) Reset() {
 	d.bistReport = bist.Report{}
 	clear(d.granOK)
 	clear(d.granFail)
-	d.FaultEvents, d.RepeatedFaults, d.CleanAfterObf = 0, 0, 0
 	d.class = Healthy
 }
 

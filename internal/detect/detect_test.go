@@ -100,7 +100,7 @@ func TestTransientStaysTransient(t *testing.T) {
 func TestCleanPlainArrivalIsNoop(t *testing.T) {
 	d := New(0)
 	d.OnClean(key(1, 0), plain)
-	if d.Classification() != Healthy || d.CleanAfterObf != 0 {
+	if d.Classification() != Healthy || len(d.granOK) != 0 {
 		t.Fatal("plain clean arrival mutated detector state")
 	}
 }
@@ -190,13 +190,27 @@ func TestEvictionKeepsMemoryStable(t *testing.T) {
 	}
 }
 
+// TestCounters pins the detector's counts: a flit's record counts its
+// faults, a repeat of one makes the link suspect, and the obfuscated clean
+// arrival that retires the record counts as evidence for its granularity.
 func TestCounters(t *testing.T) {
 	d := New(0)
 	d.OnFault(key(1, 0), plain)
-	d.OnFault(key(1, 0), plain)
+	if act := d.OnFault(key(1, 0), plain); act != (Action{RunBIST: true, Obfuscate: true}) {
+		t.Fatalf("repeated fault asked for %+v", act)
+	}
+	if r := d.index[key(1, 0)]; r == nil || r.faults != 2 {
+		t.Fatalf("record after two faults: %+v, want 2 faults", r)
+	}
+	if d.Classification() != Suspect {
+		t.Fatalf("classification %v after a repeated fault, want suspect", d.Classification())
+	}
 	d.OnClean(key(1, 0), lob.Choice{Method: lob.Invert, Gran: lob.WholeFlit})
-	if d.FaultEvents != 2 || d.RepeatedFaults != 1 || d.CleanAfterObf != 1 {
-		t.Fatalf("counters: %d %d %d", d.FaultEvents, d.RepeatedFaults, d.CleanAfterObf)
+	if d.index[key(1, 0)] != nil || len(d.history) != 0 {
+		t.Fatal("clean arrival did not retire the flit's record")
+	}
+	if d.granOK[lob.WholeFlit] != 1 || len(d.granOK) != 1 || len(d.granFail) != 0 {
+		t.Fatalf("granularity evidence ok=%v fail=%v, want one whole-flit success", d.granOK, d.granFail)
 	}
 }
 

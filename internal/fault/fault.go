@@ -83,8 +83,6 @@ type Transient struct {
 	// BitErrorRate is the per-bit, per-traversal flip probability.
 	BitErrorRate float64
 	rng          *xrand.RNG
-	// Flips counts the total number of bits flipped, for tests and stats.
-	Flips uint64
 }
 
 // NewTransient returns a transient fault source with the given per-bit
@@ -99,7 +97,6 @@ func NewTransient(ber float64, seed uint64) *Transient {
 func (t *Transient) Reset(ber float64, seed uint64) {
 	t.BitErrorRate = ber
 	t.rng.Seed(seed)
-	t.Flips = 0
 }
 
 // Strike implements Adversary: upsets forward.
@@ -110,11 +107,9 @@ func (t *Transient) Strike(_ uint64, w ecc.Codeword, _ Framing) (ecc.Codeword, O
 		return w, Forward
 	}
 	w = w.Flip(t.rng.Intn(ecc.CodewordBits))
-	t.Flips++
 	// Rarely, a second upset hits the same traversal.
 	if t.rng.Bool(t.BitErrorRate * ecc.CodewordBits) {
 		w = w.Flip(t.rng.Intn(ecc.CodewordBits))
-		t.Flips++
 	}
 	return w, Forward
 }

@@ -33,9 +33,6 @@ func TestTransientRespectsRate(t *testing.T) {
 	if !flipped {
 		t.Fatal("high-rate transient source never flipped")
 	}
-	if noisy.Flips == 0 {
-		t.Fatal("flip counter not incremented")
-	}
 }
 
 func TestTransientMostlyCorrectable(t *testing.T) {

@@ -279,8 +279,6 @@ type FlowKey struct {
 // the escalation sequence for flits that keep failing.
 type MethodLog struct {
 	known map[FlowKey]Choice
-	// Hits counts log lookups that found a known-good method.
-	Hits uint64
 }
 
 // NewMethodLog returns an empty log.
@@ -289,21 +287,15 @@ func NewMethodLog() *MethodLog { return &MethodLog{known: map[FlowKey]Choice{}} 
 // Lookup returns the logged choice for a flow, if any.
 func (l *MethodLog) Lookup(k FlowKey) (Choice, bool) {
 	c, ok := l.known[k]
-	if ok {
-		l.Hits++
-	}
 	return c, ok
 }
 
 // Record stores a successful choice for a flow.
 func (l *MethodLog) Record(k FlowKey, c Choice) { l.known[k] = c }
 
-// Reset forgets every logged flow and the hit counter, returning the log to
-// its post-NewMethodLog state without reallocating the table.
-func (l *MethodLog) Reset() {
-	clear(l.known)
-	l.Hits = 0
-}
+// Reset forgets every logged flow, returning the log to its post-NewMethodLog
+// state without reallocating the table.
+func (l *MethodLog) Reset() { clear(l.known) }
 
 // Forget drops a logged choice (when it stops working, e.g. the trojan's
 // trigger turned out to alias the obfuscated form too).

@@ -22,9 +22,9 @@ type Checkpoint struct {
 	counters            Counters
 
 	routers []routerState
-	ivcs    []ivcState     // every router's input VCs, router after router
+	ivcs    []savedVC      // every router's input VCs, router after router
 	bufs    []bufFlit      // the input VCs' flits, front first, VC after VC
-	ports   []portState    // every router's output ports, router after router
+	ports   []savedPort    // every router's output ports, router after router
 	vcs     []portVCState  // each output port's per-VC state, port after port
 	entries []retransEntry // the ports' parked flits, port after port
 	nis     []niState
@@ -38,42 +38,22 @@ type Checkpoint struct {
 	telOn   bool
 }
 
-// routerState is a router's activity counters and arbitration masks.
-type routerState struct {
-	inFlits, parked int
-	occ, reqVA      uint64
-	routedTo        [MaxPorts]uint64
-	deadOut         uint8
+// savedVC is an input VC's wormhole state and flit count.
+type savedVC struct {
+	flits int
+	wormhole
 }
 
-// ivcState is an input VC's wormhole state and flit count.
-type ivcState struct {
-	flits             int
-	route             int
-	routed, allocated bool
-	outVC, dst        uint8
-}
-
-// portState is an output port's scalars and parked-entry count.
-type portState struct {
-	entries                     int
-	disabled                    bool
-	saPtr, vaPtr                int
-	lastProgress                uint64
-	flitsSent, flitsRecv        uint64
-	retransmissions, violations uint64
+// savedPort is an output port's state and parked-entry count.
+type savedPort struct {
+	entries int
+	portState
 }
 
 // portVCState is one downstream VC's ownership and credit count.
 type portVCState struct {
 	owner   uint64
 	credits int
-}
-
-// niState is an NI's injection registers.
-type niState struct {
-	total, rrCore int
-	refusedBy     uint8
 }
 
 // resize returns s with length n, reusing its backing array when it can
@@ -127,28 +107,16 @@ func (n *Network) Save(ck *Checkpoint) {
 	ck.entries = resize(ck.entries, s.flitsParked, ports*retransCap(&n.cfg))
 	var iv, buf, port, vc, ent int
 	for i, r := range n.routers {
-		ck.routers[i] = routerState{
-			inFlits: r.inFlits, parked: r.parked,
-			occ: r.occ, reqVA: r.reqVA, routedTo: r.routedTo, deadOut: r.deadOut,
-		}
+		ck.routers[i] = r.routerState
 		for j := range r.ivcs {
 			ivc := &r.ivcs[j]
-			ck.ivcs[iv] = ivcState{
-				flits: ivc.size(), route: ivc.route,
-				routed: ivc.routed, allocated: ivc.allocated,
-				outVC: ivc.outVC, dst: ivc.dst,
-			}
+			ck.ivcs[iv] = savedVC{flits: ivc.size(), wormhole: ivc.wormhole}
 			iv++
 			buf += copy(ck.bufs[buf:], ivc.buf[ivc.head:])
 		}
 		for p := 0; p < r.numPorts; p++ {
 			op := r.outputs[p]
-			ck.ports[port] = portState{
-				entries: len(op.entries), disabled: op.disabled,
-				saPtr: op.saPtr, vaPtr: op.vaPtr, lastProgress: op.lastProgress,
-				flitsSent: op.FlitsSent, flitsRecv: op.FlitsRecv,
-				retransmissions: op.Retransmissions, violations: op.RouteViolations,
-			}
+			ck.ports[port] = savedPort{entries: len(op.entries), portState: op.portState}
 			port++
 			for v := range op.vcOwner {
 				ck.vcs[vc] = portVCState{owner: op.vcOwner[v], credits: op.credits[v]}
@@ -164,7 +132,7 @@ func (n *Network) Save(ck *Checkpoint) {
 	ck.rx = resize(ck.rx, niVCs, 0)
 	var core, q, lock int
 	for i, ni := range n.nis {
-		ck.nis[i] = niState{total: ni.total, rrCore: ni.rrCore, refusedBy: ni.refusedBy}
+		ck.nis[i] = ni.niState
 		for c := range ni.queues {
 			k := copy(ck.queued[q:], ni.queues[c][ni.heads[c]:])
 			ck.cores[core] = k
@@ -199,27 +167,21 @@ func (n *Network) Restore(ck *Checkpoint) {
 	n.Counters = ck.counters
 	var iv, buf, port, vc, ent int
 	for i, r := range n.routers {
-		rs := &ck.routers[i]
-		r.inFlits, r.parked = rs.inFlits, rs.parked
-		r.occ, r.reqVA, r.routedTo, r.deadOut = rs.occ, rs.reqVA, rs.routedTo, rs.deadOut
+		r.routerState = ck.routers[i]
 		for j := range r.ivcs {
 			ivc, st := &r.ivcs[j], &ck.ivcs[iv]
 			iv++
 			ivc.buf = refill(ivc.buf, ck.bufs[buf:buf+st.flits])
 			ivc.head = 0
 			buf += st.flits
-			ivc.route, ivc.routed, ivc.allocated = st.route, st.routed, st.allocated
-			ivc.outVC, ivc.dst = st.outVC, st.dst
+			ivc.wormhole = st.wormhole
 		}
 		for p := 0; p < r.numPorts; p++ {
 			op, ps := r.outputs[p], &ck.ports[port]
 			port++
 			op.entries = refill(op.entries, ck.entries[ent:ent+ps.entries])
 			ent += ps.entries
-			op.disabled = ps.disabled
-			op.saPtr, op.vaPtr, op.lastProgress = ps.saPtr, ps.vaPtr, ps.lastProgress
-			op.FlitsSent, op.FlitsRecv = ps.flitsSent, ps.flitsRecv
-			op.Retransmissions, op.RouteViolations = ps.retransmissions, ps.violations
+			op.portState = ps.portState
 			for v := range op.vcOwner {
 				op.vcOwner[v], op.credits[v] = ck.vcs[vc].owner, ck.vcs[vc].credits
 				vc++
@@ -228,8 +190,7 @@ func (n *Network) Restore(ck *Checkpoint) {
 	}
 	var core, q, lock int
 	for i, ni := range n.nis {
-		ns := &ck.nis[i]
-		ni.total, ni.rrCore, ni.refusedBy = ns.total, ns.rrCore, ns.refusedBy
+		ni.niState = ck.nis[i]
 		for c := range ni.queues {
 			k := ck.cores[core]
 			core++

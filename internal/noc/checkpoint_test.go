@@ -3,7 +3,10 @@ package noc
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"tasp/internal/flit"
 	"tasp/internal/xrand"
@@ -114,5 +117,85 @@ func TestCheckpointRoundTripAllocatesNothing(t *testing.T) {
 		n.Restore(&ck)
 	}); avg != 0 {
 		t.Fatalf("warm Save+Restore allocates %.2f times; budget is 0", avg)
+	}
+}
+
+// TestCheckpointClassifiesEveryField walks the checkpointed components
+// field by field. Each field is in the component's embedded state value,
+// which Save copies and reset zeroes whole; or it is a buffer, register or
+// container Save copies or walks; or it is construction and wiring that a
+// checkpoint does not carry, which the restoring caller installs. A field
+// added to a component fails here until it is classified, so none can be
+// added without deciding whether it is saved. The checkpoint's own records
+// hold nothing but a count beside a component's state value.
+func TestCheckpointClassifiesEveryField(t *testing.T) {
+	for _, c := range []struct {
+		typ   reflect.Type
+		state string   // the embedded state value ("" for none)
+		saved []string // copied or walked by Save beside it
+		fixed []string // construction and wiring
+	}{
+		{reflect.TypeFor[Router](), "routerState",
+			[]string{"ivcs", "outputs"},
+			[]string{"id", "numPorts", "vcs", "bitPV", "ups", "sched"}},
+		{reflect.TypeFor[inputVC](), "wormhole", []string{"buf", "head"}, nil},
+		{reflect.TypeFor[outputPort](), "portState",
+			[]string{"entries", "vcOwner", "credits"},
+			[]string{"router", "linkID", "wire", "vcClass", "ejection"}},
+		{reflect.TypeFor[NI](), "niState",
+			[]string{"queues", "heads", "injLock", "rx"},
+			[]string{"router", "cfg", "layout", "sched", "Delivered"}},
+		{reflect.TypeFor[Network](), "",
+			[]string{"cycle", "nextPacketID", "Counters", "routers", "nis", "sched", "telemetry"},
+			[]string{"cfg", "layout", "topo", "links", "route", "baseRoute", "plainWires",
+				"routePristine", "vcReclassed", "schedule", "injScratch"}},
+		{reflect.TypeFor[savedVC](), "wormhole", []string{"flits"}, nil},
+		{reflect.TypeFor[savedPort](), "portState", []string{"entries"}, nil},
+	} {
+		classifyFields(t, c.typ, c.state, c.saved, c.fixed)
+	}
+}
+
+// classifyFields fails for every field of typ that is neither the embedded
+// state value nor listed, and for every listed name that is no field.
+func classifyFields(t *testing.T, typ reflect.Type, state string, saved, fixed []string) {
+	t.Helper()
+	listed := append(append([]string{}, saved...), fixed...)
+	if state != "" {
+		if f, ok := typ.FieldByName(state); !ok || !f.Anonymous || len(f.Index) != 1 {
+			t.Errorf("%s does not embed its state value %s", typ.Name(), state)
+		}
+		listed = append(listed, state)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; !slices.Contains(listed, name) {
+			t.Errorf("%s.%s is neither in the state value nor listed as saved or as construction and wiring", typ.Name(), name)
+		}
+	}
+	for _, name := range listed {
+		if f, ok := typ.FieldByName(name); !ok || len(f.Index) != 1 {
+			t.Errorf("%s has no field %s", typ.Name(), name)
+		}
+	}
+}
+
+// TestStateRecordSizes pins the layouts the field order buys on 64-bit
+// targets: the wormhole state packs an input VC into 48 bytes, and the
+// checkpoint's VC and port records stay at 24 and 72 bytes.
+func TestStateRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layouts pinned for 64-bit targets")
+	}
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"inputVC", unsafe.Sizeof(inputVC{}), 48},
+		{"savedVC", unsafe.Sizeof(savedVC{}), 24},
+		{"savedPort", unsafe.Sizeof(savedPort{}), 72},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
 	}
 }

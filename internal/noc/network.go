@@ -242,8 +242,7 @@ func (n *Network) Reset() {
 	for i := range n.links {
 		l := n.links[i]
 		pw := n.plainWires[i]
-		pw.Tap = fault.None
-		pw.Corrected, pw.Dropped, pw.Swallowed = 0, 0, 0
+		*pw = PlainWire{Tap: fault.None}
 		n.routers[l.From].outputs[l.FromPort].wire = pw
 	}
 	if n.vcReclassed {

@@ -6,9 +6,6 @@ import (
 	"tasp/internal/flit"
 )
 
-// NI is the network interface of one router tile: per-core injection queues
-// feeding the router's local input port through a concentrator, and packet
-// reassembly on the ejection side.
 // Delivery describes one fully reassembled packet at its destination NI.
 type Delivery struct {
 	ID      uint64      // packet id
@@ -31,14 +28,9 @@ type NI struct {
 	layout  flit.Layout
 	queues  [][]flit.Flit // one per local core, flit granularity
 	heads   []int         // per-core front index into queues[core]
-	total   int           // flits waiting across all queues
 	injLock []int         // vc -> core currently injecting a packet, -1 free
-	rrCore  int           // concentrator round-robin pointer
-	// refusedBy has bit v set for each local input VC that was full when
-	// the last inject moved nothing; nonzero means the NI waits (see
-	// waiting) until one of them frees a slot or new flits arrive. A
-	// successful inject clears it.
-	refusedBy uint8
+
+	niState
 
 	// rx holds one reassembly slot per ejection VC. The ejection port's VC
 	// ownership admits one packet per VC from VC allocation until its tail
@@ -53,6 +45,18 @@ type NI struct {
 
 	// Delivered is invoked for each fully reassembled packet. May be nil.
 	Delivered func(d Delivery)
+}
+
+// niState is an NI's registers beside its queues and slots. Checkpoints
+// copy it whole and reset zeroes it (sched.go).
+type niState struct {
+	total  int // flits waiting across all queues
+	rrCore int // concentrator round-robin pointer
+	// refusedBy has bit v set for each local input VC that was full when
+	// the last inject moved nothing; nonzero means the NI waits (see
+	// waiting) until one of them frees a slot or new flits arrive. A
+	// successful inject clears it.
+	refusedBy uint8
 }
 
 // rxState tracks one packet's reassembly; flits == 0 marks a free slot.
@@ -86,8 +90,9 @@ func newNI(router int, cfg Config, layout flit.Layout) *NI {
 }
 
 // reset empties the injection queues, releases VC locks, frees the
-// reassembly slots and removes the delivery callback, restoring the
-// post-newNI state without allocating. Network.Reset only.
+// reassembly slots, clears the registers and removes the delivery
+// callback, restoring the post-newNI state without allocating.
+// Network.Reset only.
 func (ni *NI) reset() {
 	for c := range ni.queues {
 		ni.queues[c] = ni.queues[c][:0]
@@ -96,7 +101,6 @@ func (ni *NI) reset() {
 	for v := range ni.injLock {
 		ni.injLock[v] = -1
 	}
-	ni.rrCore = 0
 	clear(ni.rx)
 	ni.Delivered = nil
 	ni.resetActivity()

@@ -82,7 +82,7 @@ func resetScenario(n *Network) []byte {
 	buf = fmt.Appendf(buf, "counters %+v\n", n.Counters)
 	for id := range n.links {
 		onset, _ := tel.Onset(id)
-		buf = fmt.Appendf(buf, "t %d %d %d %.6f\n", id, onset, tel.bestLen[id], tel.RecentBlockedFrac(id))
+		buf = fmt.Appendf(buf, "t %d %d %d %.6f\n", id, onset, tel.streaks[id].bestLen, tel.RecentBlockedFrac(id))
 	}
 	return buf
 }

@@ -14,9 +14,7 @@ type bufFlit struct {
 }
 
 // inputVC is one virtual-channel FIFO of an input port, plus the wormhole
-// state of the packet currently at its front: the computed route (RC) and
-// whether the downstream VC has been allocated (VA). Both persist from the
-// head flit until the tail is popped.
+// state of the packet currently at its front.
 //
 // The FIFO uses head-index ring semantics over a single backing array:
 // pop advances head instead of re-slicing (which would retain popped flits
@@ -24,11 +22,19 @@ type bufFlit struct {
 // down to index 0 when the array is exhausted. Steady state is
 // allocation-free once the buffer has grown to BufDepth.
 type inputVC struct {
-	buf       []bufFlit
-	head      int // index of the front flit within buf
-	routed    bool
-	route     int
-	allocated bool
+	buf  []bufFlit
+	head int // index of the front flit within buf
+	wormhole
+}
+
+// wormhole is the state of the packet at an input VC's front: the computed
+// route (RC) and whether the downstream VC has been allocated (VA). Both
+// persist from the head flit until the tail is popped. Checkpoints copy it
+// whole beside the VC's flits. The field order packs it into 16 bytes, an
+// inputVC into 48 (TestStateRecordSizes).
+type wormhole struct {
+	route             int
+	routed, allocated bool
 	// outVC is the downstream virtual channel VA allocated for the packet
 	// at the front. It equals the input VC index except on dateline links
 	// of wraparound topologies, where the VC class remap moves the packet
@@ -98,11 +104,10 @@ type outputPort struct {
 	router int
 	linkID int // index into Network.links; -1 for the local ejection port
 
-	entries  []retransEntry
-	vcOwner  []uint64 // downstream input VC -> owning packet id + 1 (0 = free)
-	credits  []int    // downstream input VC -> free buffer slots
-	wire     Wire
-	disabled bool
+	entries []retransEntry
+	vcOwner []uint64 // downstream input VC -> owning packet id + 1 (0 = free)
+	credits []int    // downstream input VC -> free buffer slots
+	wire    Wire
 
 	// vcClass, when non-nil, is the dateline VC-class table of the link
 	// this port drives: vcClass[dst] is the class (0 or 1) a packet
@@ -112,6 +117,15 @@ type outputPort struct {
 	vcClass []uint8
 
 	ejection bool // local port: delivers to the NI, no credits
+
+	portState
+}
+
+// portState is an output port's dynamic scalars: the disabled flag, the
+// arbitration pointers, the stall clock and the link counters. Checkpoints
+// copy it whole beside the port's parked entries; reset zeroes it.
+type portState struct {
+	disabled bool
 
 	saPtr int // round-robin pointer for switch allocation
 	vaPtr int // round-robin pointer for VC allocation
@@ -197,6 +211,7 @@ func bitTable(vcs int) []portVC {
 type Router struct {
 	id       int
 	numPorts int
+	vcs      int // VCs per input port
 	// ivcs holds every input VC in one contiguous block, indexed by the
 	// occupancy-mask bit p*vcs+v (occBit), so a set bit found by the
 	// arbitration walks is its VC's index; input(p, v) is the same lookup
@@ -208,6 +223,19 @@ type Router struct {
 	// local injection port); credits return there when a slot frees.
 	ups []*outputPort
 
+	routerState
+
+	// sched is the network's event-driven scheduler; the gain/lose
+	// helpers (sched.go) keep its active sets in lockstep with inFlits
+	// and parked. Set by Network.New right after construction.
+	sched *scheduler
+}
+
+// routerState is a router's dynamic bookkeeping beside its buffers: the
+// activity counters and the arbitration masks, the state the sched.go edge
+// helpers keep in step with the buffers. Checkpoints copy it whole and
+// reset zeroes it.
+type routerState struct {
 	// inFlits and parked count the flits currently buffered in this
 	// router's input VCs and output retransmission buffers. When both are
 	// zero every pipeline phase is a no-op, and Step skips the router
@@ -220,7 +248,6 @@ type Router struct {
 	// always suffices; the arbitration scans walk set bits instead of
 	// probing every VC.
 	occ uint64
-	vcs int
 
 	// routedTo[o] masks the input VCs whose resident packet is routed to
 	// output o (bit p*vcs+v, set while inputVC.routed with route == o).
@@ -234,11 +261,6 @@ type Router struct {
 	// deadOut has bit o set iff output o is disabled: RC re-routes the
 	// unallocated heads still routed to a dead output.
 	deadOut uint8
-
-	// sched is the network's event-driven scheduler; the gain/lose
-	// helpers (sched.go) keep its active sets in lockstep with inFlits
-	// and parked. Set by Network.New right after construction.
-	sched *scheduler
 }
 
 // occBit is the occupancy-mask bit index of input VC (port, vc).
@@ -296,31 +318,23 @@ func (r *Router) idle() bool { return r.inFlits == 0 && r.parked == 0 }
 
 // reset empties every buffer and restores the router's post-newRouter
 // state without allocating: input VCs and their wormhole state, output
-// retransmission buffers, credits, VC ownership, arbitration pointers,
-// per-port counters and the disabled flags. The scheduler-facing masks and
-// counters are cleared through resetActivity (sched.go). Wires are owned by
-// the network and restored by Network.Reset.
+// retransmission buffers, credits, VC ownership and each port's state. The
+// scheduler-facing state is cleared through resetActivity (sched.go).
+// Wires are owned by the network and restored by Network.Reset.
 func (r *Router) reset(cfg *Config) {
 	for i := range r.ivcs {
 		ivc := &r.ivcs[i]
-		ivc.buf = ivc.buf[:0]
-		ivc.head = 0
-		ivc.routed, ivc.allocated = false, false
-		ivc.route = 0
-		ivc.outVC, ivc.dst = 0, 0
+		ivc.clear()
+		ivc.wormhole = wormhole{}
 	}
 	for p := 0; p < r.numPorts; p++ {
 		op := r.outputs[p]
 		op.entries = op.entries[:0]
-		for v := range op.vcOwner {
-			op.vcOwner[v] = 0
+		clear(op.vcOwner)
+		for v := range op.credits {
 			op.credits[v] = cfg.BufDepth
 		}
-		op.disabled = false
-		op.saPtr, op.vaPtr = 0, 0
-		op.lastProgress = 0
-		op.FlitsSent, op.FlitsRecv = 0, 0
-		op.Retransmissions, op.RouteViolations = 0, 0
+		op.portState = portState{}
 	}
 	r.resetActivity()
 }

@@ -153,17 +153,12 @@ func (r *Router) retireRouted(o int, idx uint) { r.routedTo[o] &^= 1 << idx }
 // empty state. Only Network.Reset may call it: the buffers the masks mirror
 // must be emptied in the same breath, or the invariant audit's
 // counter/mask/buffer agreement breaks.
-func (r *Router) resetActivity() {
-	r.inFlits, r.parked = 0, 0
-	r.occ, r.reqVA, r.deadOut = 0, 0, 0
-	for o := range r.routedTo {
-		r.routedTo[o] = 0
-	}
-}
+func (r *Router) resetActivity() { r.routerState = routerState{} }
 
-// resetActivity clears an NI's flit counter and refusal record alongside
-// its emptied queues (Network.Reset only).
-func (ni *NI) resetActivity() { ni.total, ni.refusedBy = 0, 0 }
+// resetActivity clears an NI's registers — the flit counter, the
+// concentrator pointer and the refusal record — alongside its emptied
+// queues (Network.Reset only).
+func (ni *NI) resetActivity() { ni.niState = niState{} }
 
 // reset empties every active set and global counter (Network.Reset only;
 // the per-router and per-NI resets above restore the mirrored state).

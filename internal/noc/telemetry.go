@@ -25,14 +25,19 @@ type LinkTelemetry struct {
 	head  int // next row to overwrite
 	rows  int // rows filled so far (saturates at depth)
 
-	// Blocked-streak tracking, the basis of Onset: warm-up congestion can
-	// block a port for a sample or two long before any attack, so "first
-	// ever blocked" is a poor outage-onset estimate. The start of the
-	// longest contiguous blocked streak is robust to such transients.
-	curStart []uint64 // start cycle of the running streak
-	curLen   []uint64 // samples in the running streak (0 = unblocked now)
-	bestAt   []uint64 // start cycle of the longest streak seen
-	bestLen  []uint64 // samples in the longest streak seen (0 = never blocked)
+	// streaks[id] is link id's blocked-streak record.
+	streaks []streak
+}
+
+// streak is one link's blocked-streak record, the basis of Onset: warm-up
+// congestion can block a port for a sample or two long before any attack,
+// so "first ever blocked" is a poor outage-onset estimate. The start of the
+// longest contiguous blocked streak is robust to such transients.
+type streak struct {
+	curStart uint64 // start cycle of the running streak
+	curLen   uint64 // samples in the running streak (0 = unblocked now)
+	bestAt   uint64 // start cycle of the longest streak seen
+	bestLen  uint64 // samples in the longest streak seen (0 = never blocked)
 }
 
 // EnableTelemetry attaches a blocked-port telemetry tap with the given ring
@@ -46,19 +51,16 @@ func (n *Network) EnableTelemetry(depth int) *LinkTelemetry {
 		depth = DefaultTelemetryDepth
 	}
 	words := (len(n.links) + 63) / 64
-	if t := n.telemetry; t != nil && t.depth == depth && t.words == words && len(t.bestLen) == len(n.links) {
+	if t := n.telemetry; t != nil && t.depth == depth && t.words == words && len(t.streaks) == len(n.links) {
 		t.Reset()
 		return t
 	}
 	t := &LinkTelemetry{
-		net:      n,
-		depth:    depth,
-		words:    words,
-		ring:     make([]uint64, depth*words),
-		curStart: make([]uint64, len(n.links)),
-		curLen:   make([]uint64, len(n.links)),
-		bestAt:   make([]uint64, len(n.links)),
-		bestLen:  make([]uint64, len(n.links)),
+		net:     n,
+		depth:   depth,
+		words:   words,
+		ring:    make([]uint64, depth*words),
+		streaks: make([]streak, len(n.links)),
 	}
 	n.telemetry = t
 	return t
@@ -69,16 +71,9 @@ func (n *Network) EnableTelemetry(depth int) *LinkTelemetry {
 // to its post-Enable state. Network.Reset calls it so an arena-reused
 // network starts each scenario point with virgin telemetry.
 func (t *LinkTelemetry) Reset() {
-	for i := range t.ring {
-		t.ring[i] = 0
-	}
+	clear(t.ring)
 	t.head, t.rows = 0, 0
-	for i := range t.bestLen {
-		t.curStart[i] = 0
-		t.curLen[i] = 0
-		t.bestAt[i] = 0
-		t.bestLen[i] = 0
-	}
+	clear(t.streaks)
 }
 
 // copyFrom makes t's recorded history a copy of src's, reusing t's arrays
@@ -87,10 +82,7 @@ func (t *LinkTelemetry) copyFrom(src *LinkTelemetry) {
 	t.depth, t.words = src.depth, src.words
 	t.ring = refill(t.ring, src.ring)
 	t.head, t.rows = src.head, src.rows
-	t.curStart = refill(t.curStart, src.curStart)
-	t.curLen = refill(t.curLen, src.curLen)
-	t.bestAt = refill(t.bestAt, src.bestAt)
-	t.bestLen = refill(t.bestLen, src.bestLen)
+	t.streaks = refill(t.streaks, src.streaks)
 }
 
 // Sample records one blocked-port snapshot at the network's current cycle.
@@ -105,18 +97,19 @@ func (t *LinkTelemetry) Sample() {
 	for id := range n.links {
 		l := n.links[id]
 		r := n.routers[l.From]
+		s := &t.streaks[id]
 		if n.portBlocked(r, r.outputs[l.FromPort]) {
 			row[id/64] |= 1 << (id % 64)
-			if t.curLen[id] == 0 {
-				t.curStart[id] = cycle
+			if s.curLen == 0 {
+				s.curStart = cycle
 			}
-			t.curLen[id]++
-			if t.curLen[id] > t.bestLen[id] {
-				t.bestLen[id] = t.curLen[id]
-				t.bestAt[id] = t.curStart[id]
+			s.curLen++
+			if s.curLen > s.bestLen {
+				s.bestLen = s.curLen
+				s.bestAt = s.curStart
 			}
 		} else {
-			t.curLen[id] = 0
+			s.curLen = 0
 		}
 	}
 	t.head = (t.head + 1) % t.depth
@@ -132,7 +125,8 @@ func (t *LinkTelemetry) Sample() {
 // saturation outage. Ties between equal-length streaks keep the earlier
 // one.
 func (t *LinkTelemetry) Onset(link int) (uint64, bool) {
-	return t.bestAt[link], t.bestLen[link] != 0
+	s := &t.streaks[link]
+	return s.bestAt, s.bestLen != 0
 }
 
 // RecentBlockedFrac returns the fraction of the ring's retained samples (the

@@ -153,7 +153,7 @@ func TestTelemetryOnsetIgnoresTransientBlip(t *testing.T) {
 	if onset < outageFrom {
 		t.Fatalf("onset %d predates the outage (started at %d)", onset, outageFrom)
 	}
-	if tel.bestLen[target.ID] < 10 {
-		t.Fatalf("outage streak %d samples, want a sustained streak", tel.bestLen[target.ID])
+	if tel.streaks[target.ID].bestLen < 10 {
+		t.Fatalf("outage streak %d samples, want a sustained streak", tel.streaks[target.ID].bestLen)
 	}
 }

@@ -42,6 +42,12 @@ type PlainWire struct {
 	// Tap decides the codeword's fate in flight; fault.None for a healthy
 	// link.
 	Tap fault.Adversary
+	WireCounters
+}
+
+// WireCounters is a wire's traversal counters, its only dynamic state once
+// the tap is fixed: a checkpoint of a run copies it per wire.
+type WireCounters struct {
 	// Corrected and Dropped count link-level ECC outcomes; Swallowed counts
 	// flits an adversary consumed with a forged ACK.
 	Corrected uint64

@@ -1,8 +1,8 @@
 // Adaptive trojan families: droppers engineered against the defender's
 // runtime detector rather than against SECDED. The secure-ack monitor
 // (internal/detect.AckMonitor) convicts a dropper when the link's
-// sent/received gap grows over MinGapWindows *consecutive* sampling windows,
-// so a stealthy adversary has two obvious refinements, both from the
+// sent/received gap grows over DefaultMinGapWindows *consecutive* sampling
+// windows, so a stealthy adversary has two obvious refinements, both from the
 // refined/low-rate DoS regime of DL2Fence (arXiv:2403.13563):
 //
 //   - throttle: strike at a duty cycle tuned to the defender's sampling
@@ -74,7 +74,7 @@ func NewThrottledDropper(target Target, l flit.Layout, period, active int) *Drop
 // Collusion coordinates a set of trojan links that take turns striking:
 // time is cut into slices of Slice cycles and slice s belongs to link
 // s mod n. Each member link's ack gap grows only during its own slices, so
-// with Slice at most (MinGapWindows-1) sampling windows no member ever
+// with Slice at most (DefaultMinGapWindows-1) sampling windows no member ever
 // accumulates a conviction streak — while the victim flow is struck in
 // every slice by someone. The rotation is a pure function of the cycle, so
 // colluders need no runtime channel between them (a shared clock is all the

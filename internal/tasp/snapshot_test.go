@@ -1,6 +1,8 @@
 package tasp
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"tasp/internal/ecc"
@@ -76,5 +78,33 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatal("no sighting after the restore; the comparison is vacuous")
 			}
 		})
+	}
+}
+
+// TestTrojanClassifiesEveryField walks the trigger and every family field
+// by field. The trigger's dynamic state is its embedded Snapshot, which
+// Save returns, Restore assigns and Reset zeroes; everything else a trojan
+// holds is fixed at construction or deployment. A field added to the
+// trigger or to a family fails here until it is classified, so a family
+// cannot grow state that a run-fork checkpoint forgets.
+func TestTrojanClassifiesEveryField(t *testing.T) {
+	for _, c := range []struct {
+		typ   reflect.Type
+		fixed []string // construction and deployment
+	}{
+		{reflect.TypeFor[trigger](), []string{"target", "taps"}},
+		{reflect.TypeFor[HT](), []string{"trigger", "yBits", "wires"}},
+		{reflect.TypeFor[Dropper](), []string{"trigger", "kind", "period", "active"}},
+		{reflect.TypeFor[Misrouter](), []string{"trigger", "layout", "hijack"}},
+		{reflect.TypeFor[ColludingDropper](), []string{"trigger", "coord", "idx", "n"}},
+	} {
+		if f, ok := c.typ.FieldByName("Snapshot"); !ok || !f.Anonymous || f.Type != reflect.TypeFor[Snapshot]() {
+			t.Errorf("%s does not carry the trigger's embedded Snapshot", c.typ.Name())
+		}
+		for i := 0; i < c.typ.NumField(); i++ {
+			if name := c.typ.Field(i).Name; name != "Snapshot" && !slices.Contains(c.fixed, name) {
+				t.Errorf("%s.%s is neither in the Snapshot nor listed as construction or deployment", c.typ.Name(), name)
+			}
+		}
 	}
 }

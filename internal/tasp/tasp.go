@@ -204,9 +204,8 @@ func (s State) String() string {
 // to any link tap point. The zero value is not usable; construct with New.
 type HT struct {
 	trigger
-	yBits   int
-	wires   []int // the Y attackable wires the payload counter selects among
-	plState int   // current payload state (pair index)
+	yBits int
+	wires []int // the Y attackable wires the payload counter selects among
 }
 
 // DefaultPayloadBits is the reference Y (payload-counter width): 8 bits
@@ -234,31 +233,8 @@ func New(target Target, yBits int, l flit.Layout) *HT {
 	return h
 }
 
-// Reset disarms the trojan and rewinds its FSM, payload counter and strike
-// counters to the post-New state without allocating. The compiled comparator
-// taps and attackable-wire table are functions of the target and layout
-// alone, so they are preserved — simulation arenas memoize one HT per
-// (target, layout) and Reset it between scenario points.
-func (h *HT) Reset() {
-	h.trigger.Reset()
-	h.plState = 0
-}
-
 // Kind implements Trojan.
 func (h *HT) Kind() Kind { return KindFlip }
-
-// Save implements Trojan, carrying the payload counter.
-func (h *HT) Save() Snapshot {
-	s := h.trigger.Save()
-	s.payload = h.plState
-	return s
-}
-
-// Restore implements Trojan.
-func (h *HT) Restore(s Snapshot) {
-	h.trigger.Restore(s)
-	h.plState = s.payload
-}
 
 // PayloadStates returns the number of distinct two-wire payload states.
 func (h *HT) PayloadStates() int { return h.yBits * (h.yBits - 1) / 2 }
@@ -266,7 +242,7 @@ func (h *HT) PayloadStates() int { return h.yBits * (h.yBits - 1) / 2 }
 // payloadPair returns the two wires selected by the current payload state.
 func (h *HT) payloadPair() (int, int) {
 	// Enumerate unordered pairs (i, j) of the Y wires in a fixed sequence.
-	s := h.plState
+	s := h.payload
 	for i := 0; i < h.yBits-1; i++ {
 		n := h.yBits - 1 - i
 		if s < n {
@@ -290,7 +266,7 @@ func (h *HT) Strike(_ uint64, cw ecc.Codeword, fr fault.Framing) (ecc.Codeword, 
 	h.matches++
 	p1, p2 := h.payloadPair()
 	cw = cw.Flip(p1).Flip(p2)
-	h.plState = (h.plState + 1) % h.PayloadStates()
+	h.payload = (h.payload + 1) % h.PayloadStates()
 	h.strikes++
 	return cw, fault.Forward
 }

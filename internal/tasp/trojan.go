@@ -113,20 +113,20 @@ type Snapshot struct {
 	killsw           bool
 	state            State
 	matches, strikes uint64
-	payload          int
+	payload          int // the flip family's payload state (pair index)
 }
 
 // trigger is the shared TASP trigger architecture: the externally driven
 // kill switch, the compiled comparator taps and the Idle/Active/Attacking
 // FSM, with the sighting and strike counts. Every trojan family embeds it
 // and so shares its Stats, Reset, Save and Restore; the payload (what
-// happens on a sighting) is the family's own Strike.
+// happens on a sighting) is the family's own Strike. The dynamic state is
+// the embedded Snapshot, so saving, restoring and resetting it is one
+// assignment.
 type trigger struct {
-	target           Target
-	taps             []wireTap
-	killsw           bool
-	state            State
-	matches, strikes uint64
+	target Target
+	taps   []wireTap
+	Snapshot
 }
 
 func newTrigger(target Target, l flit.Layout) trigger {
@@ -156,24 +156,16 @@ func (t *trigger) KillSwitch() bool { return t.killsw }
 // Stats implements Trojan.
 func (t *trigger) Stats() (matches, strikes uint64) { return t.matches, t.strikes }
 
-// Reset implements Trojan: it disarms the trojan and rewinds the FSM and
-// the counts. The compiled taps are a function of the target and layout
-// alone and are preserved.
-func (t *trigger) Reset() {
-	t.killsw, t.state = false, Idle
-	t.matches, t.strikes = 0, 0
-}
+// Reset implements Trojan: it disarms the trojan and rewinds the FSM, the
+// counts and the payload counter. The compiled taps are a function of the
+// target and layout alone and are preserved.
+func (t *trigger) Reset() { t.Snapshot = Snapshot{} }
 
 // Save implements Trojan.
-func (t *trigger) Save() Snapshot {
-	return Snapshot{killsw: t.killsw, state: t.state, matches: t.matches, strikes: t.strikes}
-}
+func (t *trigger) Save() Snapshot { return t.Snapshot }
 
 // Restore implements Trojan.
-func (t *trigger) Restore(s Snapshot) {
-	t.killsw, t.state = s.killsw, s.state
-	t.matches, t.strikes = s.matches, s.strikes
-}
+func (t *trigger) Restore(s Snapshot) { t.Snapshot = s }
 
 // sighted reports whether an armed comparator matches this flit: the strike
 // gate every family's payload sits behind. Only flits the control wires
