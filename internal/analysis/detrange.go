@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -11,7 +12,10 @@ import (
 // permitted when it binds no variables (a pure counting loop observes no
 // order) or when annotated `//nocvet:orderfree <reason>`. Iterating a
 // sorted key slice is the sanctioned pattern and is naturally not flagged —
-// the range operand is then a slice, not a map.
+// the range operand is then a slice, not a map. No reason makes a body
+// order-free that accumulates into a floating-point variable declared
+// outside the loop (`+=`, `-=`, `*=`, `/=`): float arithmetic is not
+// associative, so such a loop is reported despite its annotation.
 func NewDetRange() *Analyzer {
 	a := &Analyzer{
 		Name: "detrange",
@@ -37,6 +41,11 @@ func NewDetRange() *Analyzer {
 					return true
 				}
 				if pass.Suppressed(rs.Pos(), "orderfree") {
+					if acc := floatAccumulator(pass, rs); acc != nil {
+						pass.Reportf(rs.Pos(),
+							"order-dependent floating-point accumulation into %s over map %s: float arithmetic is not associative, so iterate the keys in a fixed order",
+							types.ExprString(acc), types.TypeString(t, types.RelativeTo(pass.Pkg)))
+					}
 					return true
 				}
 				pass.Reportf(rs.Pos(),
@@ -48,4 +57,41 @@ func NewDetRange() *Analyzer {
 		return nil
 	}
 	return a
+}
+
+// floatAccumulator returns the first operand the loop body updates with
+// `+=`, `-=`, `*=` or `/=` that has a floating-point or complex type and
+// is a variable, or a field of one, declared outside the loop; nil when
+// there is none.
+func floatAccumulator(pass *Pass, rs *ast.RangeStmt) ast.Expr {
+	var acc ast.Expr
+	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || acc != nil {
+			return acc == nil
+		}
+		switch as.Tok {
+		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+		default:
+			return true
+		}
+		lhs := as.Lhs[0]
+		b, ok := pass.TypesInfo.TypeOf(lhs).Underlying().(*types.Basic)
+		if !ok || b.Info()&(types.IsFloat|types.IsComplex) == 0 {
+			return true
+		}
+		root := ast.Unparen(lhs)
+		for sel, ok := root.(*ast.SelectorExpr); ok; sel, ok = root.(*ast.SelectorExpr) {
+			root = ast.Unparen(sel.X)
+		}
+		id, ok := root.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		if obj := pass.TypesInfo.ObjectOf(id); obj != nil && (obj.Pos() < rs.Pos() || obj.Pos() >= rs.End()) {
+			acc = lhs
+		}
+		return acc == nil
+	})
+	return acc
 }

@@ -49,6 +49,38 @@ func PermittedAnnotated(m map[int]int) int {
 	return s
 }
 
+// FlaggedFloatSum carries an orderfree annotation, but it sums float64
+// terms in map order: float addition is not associative, so the total's
+// last bits vary from run to run and no reason makes the loop order-free.
+func FlaggedFloatSum(cells map[string]int, area map[string]float64) float64 {
+	a := 0.0
+	for c, n := range cells { //nocvet:orderfree commutative sum // want `order-dependent floating-point accumulation into a over map map\[string\]int`
+		a += area[c] * float64(n)
+	}
+	return a
+}
+
+// FlaggedFloatField accumulates into a field of a value declared outside
+// the loop, with a product this time.
+func FlaggedFloatField(m map[int]float64) float64 {
+	var acc struct{ prod float64 }
+	acc.prod = 1
+	for _, v := range m { //nocvet:orderfree commutative product // want `order-dependent floating-point accumulation into acc.prod`
+		acc.prod *= v
+	}
+	return acc.prod
+}
+
+// PermittedFloatLocal accumulates floats only into a variable declared
+// inside the body, which each iteration starts afresh.
+func PermittedFloatLocal(m map[int]float64, out map[int]float64) {
+	for k, v := range m { //nocvet:orderfree each key writes only its own entry
+		x := 0.0
+		x += v
+		out[k] = x
+	}
+}
+
 // Misplaced: an orderfree annotation on a slice range suppresses nothing
 // and is reported instead of being silently honored.
 func Misplaced(xs []int) int {

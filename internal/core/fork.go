@@ -298,13 +298,12 @@ func (k *preEnable) hash() uint64 {
 // forkStore is a Runner's checkpoint: one store reused across its platforms
 // and groups, holding copies of the live state a run leaves behind at the
 // top of one cycle's iteration — the network's, the traffic generator's
-// draw position, the secure-ack monitor's windows, the L-Ob flow latches,
-// every wire's traversal counters and the Results a run writes as it goes
-// (occupancy samples, the latency distribution, the counters at enable,
-// the victim's deliveries, an early conviction, the suspect trace). A
-// warm-up checkpoint is taken at the end of cycle EnableCycle()-1, when
-// every trojan is still in its Reset state and every wire counter zero; a
-// twin checkpoint at the end of the cycle before a rerouting member's
+// draw position, the secure-ack monitor's windows, the L-Ob flow latches
+// and the Results a run writes as it goes (occupancy samples, the latency
+// distribution, the counters at enable, the victim's deliveries, an early
+// conviction, the suspect trace). A warm-up checkpoint is taken at the end
+// of cycle EnableCycle()-1, when every trojan is still in its Reset state;
+// a twin checkpoint at the end of the cycle before a rerouting member's
 // reroute cycle, with the armed trojans' state.
 type forkStore struct {
 	ok      bool             // holds a checkpoint later members may resume
@@ -316,7 +315,6 @@ type forkStore struct {
 	gen      traffic.GeneratorState
 	ack      detect.AckMonitor
 	flows    []flowSlot
-	counters []noc.WireCounters
 	trojans  []tasp.Snapshot // past the enable cycle only
 	samples  []Sample
 	latency  *stats.Histogram
@@ -341,12 +339,11 @@ func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator
 	if ack != nil {
 		f.ack.CopyFrom(ack)
 	}
-	f.flows, f.counters = f.flows[:0], f.counters[:0]
-	for _, w := range a.wires {
-		if latched {
+	f.flows = f.flows[:0]
+	if latched {
+		for _, w := range a.wires {
 			f.flows = w.saveFlows(f.flows)
 		}
-		f.counters = append(f.counters, w.WireCounters)
 	}
 	f.trojans = f.trojans[:0]
 	for _, t := range armed {
@@ -387,12 +384,11 @@ func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMon
 	if ack != nil {
 		ack.CopyFrom(&f.ack)
 	}
-	rest := f.flows
-	for i, w := range a.wires {
-		if mitigated {
+	if mitigated {
+		rest := f.flows
+		for _, w := range a.wires {
 			rest = w.restoreFlows(rest)
 		}
-		w.WireCounters = f.counters[i]
 	}
 	for i, s := range f.trojans {
 		trojans[i].Restore(s)

@@ -185,15 +185,14 @@ func TestGroupsOrderAndSplit(t *testing.T) {
 // forkState is everything a run carries across a checkpoint, as the
 // checkpoint's own copy routines see it.
 type forkState struct {
-	net      noc.Checkpoint
-	gen      traffic.GeneratorState
-	ack      detect.AckMonitor
-	flows    []flowSlot
-	counters []noc.WireCounters
-	trojans  []tasp.Snapshot
-	res      Results // the prefix a run writes as it goes
-	strikes  uint64  // the trojans' strikes so far
-	steps    int     // cycles stepped by every point run
+	net     noc.Checkpoint
+	gen     traffic.GeneratorState
+	ack     detect.AckMonitor
+	flows   []flowSlot
+	trojans []tasp.Snapshot
+	res     Results // the prefix a run writes as it goes
+	strikes uint64  // the trojans' strikes so far
+	steps   int     // cycles stepped by every point run
 }
 
 // stateAt runs run on a fresh Runner and returns the state of the last
@@ -213,10 +212,9 @@ func stateAt(t *testing.T, cfg ExperimentConfig, cycle uint64, run func(*Runner)
 		if cfg.SecureAck {
 			st.ack.CopyFrom(a.ackmon)
 		}
-		st.flows, st.counters, st.trojans, st.strikes = st.flows[:0], st.counters[:0], st.trojans[:0], 0
+		st.flows, st.trojans, st.strikes = st.flows[:0], st.trojans[:0], 0
 		for id, w := range a.wires {
 			st.flows = w.saveFlows(st.flows)
-			st.counters = append(st.counters, w.WireCounters)
 			for _, tap := range a.chains[id] {
 				if tr, ok := tap.(tasp.Trojan); ok {
 					st.trojans = append(st.trojans, tr.Save())
@@ -245,7 +243,7 @@ func stateAt(t *testing.T, cfg ExperimentConfig, cycle uint64, run func(*Runner)
 
 // TestForkStateAtEnableMatchesWholeRun compares, one cycle after the fork,
 // everything a resumed member carries — the network, the generator's draw
-// position, the secure-ack monitor, every wire's flow latch and counters,
+// position, the secure-ack monitor, every wire's flow latch,
 // the trojans and the Results written so far — with the same point run
 // whole. Unlike the end-to-end comparison, it catches state a checkpoint
 // drops even when no outcome happens to depend on it. In the warm-up cases
@@ -306,9 +304,6 @@ func TestForkStateAtEnableMatchesWholeRun(t *testing.T) {
 			}
 			if !reflect.DeepEqual(whole.flows, forked.flows) {
 				t.Error("flow latches differ")
-			}
-			if !reflect.DeepEqual(whole.counters, forked.counters) {
-				t.Error("wire counters differ")
 			}
 			if !reflect.DeepEqual(whole.trojans, forked.trojans) {
 				t.Error("trojan state differs")

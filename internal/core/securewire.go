@@ -20,14 +20,15 @@ import (
 // hardware: the upstream L-Ob block (method selection, per-flow method log,
 // keystream) and the downstream threat source detector plus BIST hook. The
 // trojan — and any other fault source — sits in the embedded PlainWire's
-// Tap, between the two, and the PlainWire's WireCounters (Corrected,
-// Dropped, Swallowed) count every traversal, mitigated or not.
+// Tap, between the two. The network books every traversal's outcome from
+// its TxResult, mitigated or not.
 //
 // Per Figure 6/7 the escalation schedule over a flit's transmission
 // attempts is: attempt 0 uses the flow's logged method if one is known
 // (otherwise plain), attempt 1 is a plain retry (first fault might be
 // transient), and from attempt 2 on the L-Ob methods are walked in
-// escalation order.
+// escalation order. The schedule is the wire's alone: the detector
+// classifies the link and asks for BIST, it does not pick methods.
 type SecureWire struct {
 	// PlainWire is the link itself. Its Tap is never nil after
 	// NewSecureWire.
@@ -108,7 +109,7 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 	if tap == nil {
 		tap = fault.None
 	}
-	w.PlainWire = noc.PlainWire{Tap: tap}
+	w.Tap = tap
 	w.Detector.Reset()
 	w.Log.Reset()
 	w.Mitigated = true
@@ -193,7 +194,6 @@ func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) 
 		// never sees a syndrome — no NACK, no fault event — which is exactly
 		// why drop trojans need the secure-ack monitor, not this wire's
 		// threat detector.
-		w.Swallowed++
 		return f, noc.TxResult{OK: true, Swallowed: true}
 	}
 	if choice.Method != lob.None {
@@ -202,11 +202,8 @@ func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) 
 	data, st, _ := ecc.Decode(cw)
 
 	fk := detect.FlitKey{PacketID: f.PacketID, Index: f.Index}
-	switch st {
-	case ecc.Uncorrectable:
-		w.Dropped++
-		act := w.Detector.OnFault(fk, choice)
-		if act.RunBIST {
+	if st == ecc.Uncorrectable {
+		if w.Detector.OnFault(fk, choice) {
 			w.BISTScans++
 			w.Detector.SetBISTResult(bist.Scan(cycle, w.Tap))
 		}
@@ -215,8 +212,6 @@ func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) 
 			w.Log.Forget(flow)
 		}
 		return f, noc.TxResult{OK: false}
-	case ecc.Corrected:
-		w.Corrected++
 	}
 
 	f.Payload = data

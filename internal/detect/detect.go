@@ -5,15 +5,16 @@
 //
 //   - fault not seen before          -> correct / signal retransmission
 //   - same flit faulted before       -> notify BIST (repeated transients are
-//     unlikely) and, if the flit was already obfuscated, escalate to the
-//     next L-Ob method; otherwise enable L-Ob now
-//   - clean arrival of an obfuscated flit -> undo (1-cycle stall), notify
-//     the upstream so the successful method is logged for similar flits
+//     unlikely)
+//   - clean arrival of an obfuscated flit -> retire the flit's record (the
+//     link undoes the method, charging its stall, and logs it for the flow)
 //
 // Out of these observations the detector classifies the link: Transient
 // (isolated, non-repeating faults), Permanent (BIST found stuck wires) or
 // HardwareTrojan (repeating faults on targeted flits that stop under
-// obfuscation while BIST finds nothing).
+// obfuscation while BIST finds nothing). Which obfuscation each retry uses
+// — enabling L-Ob on a repeat, escalating it on the next — is the link's
+// attempt schedule (core.SecureWire), not a detector output.
 package detect
 
 import (
@@ -59,15 +60,6 @@ type FlitKey struct {
 	Index    uint8
 }
 
-// Action tells the link controller what to do after a fault.
-type Action struct {
-	// RunBIST asks for a link scan before the next retransmission.
-	RunBIST bool
-	// Obfuscate asks the upstream to apply (or escalate) L-Ob for this
-	// flit's retransmission.
-	Obfuscate bool
-}
-
 // record is one fault-history entry.
 type record struct {
 	key    FlitKey
@@ -80,23 +72,19 @@ type Detector struct {
 	// power model holds 4 entries; the functional model defaults larger so
 	// software analyses aren't table-limited).
 	historyCap int
-	history    []*record
-	index      map[FlitKey]*record
+	// history is the fault-history table, oldest record first. It holds at
+	// most historyCap records, so a lookup scans it. Its array is allocated
+	// at the first fault and kept across Reset.
+	history []record
 
 	bistDone   bool
 	bistReport bist.Report
 
 	// Granularity evidence for trigger localisation: success/failure per
 	// granularity of obfuscation attempts.
-	granOK   map[lob.Granularity]int
-	granFail map[lob.Granularity]int
+	granOK, granFail [lob.PayloadOnly + 1]int
 
 	class Classification
-
-	// free recycles retired records so a sustained attack's insert/remove
-	// churn stops allocating once the list has warmed up to the history
-	// high-water mark.
-	free []*record
 }
 
 // DefaultHistoryCap is the default fault-history table size.
@@ -107,46 +95,44 @@ func New(historyCap int) *Detector {
 	if historyCap <= 0 {
 		historyCap = DefaultHistoryCap
 	}
-	return &Detector{
-		historyCap: historyCap,
-		index:      map[FlitKey]*record{},
-		granOK:     map[lob.Granularity]int{},
-		granFail:   map[lob.Granularity]int{},
-	}
+	return &Detector{historyCap: historyCap}
 }
 
 // OnFault implements the left half of Figure 6: an uncorrectable decode
 // arrived. obf is the obfuscation that was applied to this attempt (None
-// for plain traversals).
-func (d *Detector) OnFault(key FlitKey, obf lob.Choice) Action {
-	r := d.index[key]
-	if r == nil {
-		// "Has this flit or fault been seen before?" — no: record it and
-		// signal retransmission. The first observation can already be
-		// obfuscated (attempt 0 replays the flow's logged method, and a
-		// sustained attack can evict a flit's record between its retries);
-		// that evidence feeds TriggerScope and must not be lost.
-		r = d.getRecord(key)
-		d.insert(r)
-		r.faults = 1
-		if obf.Method != lob.None {
-			d.granFail[obf.Gran]++
-		}
-		if d.class == Healthy {
-			d.class = Transient
-		}
-		return Action{}
-	}
-	// Seen before: repeated transients are unlikely — involve BIST, and
-	// enable or escalate obfuscation.
-	r.faults++
+// for plain traversals). It reports whether to scan the link with BIST
+// before the next retransmission: on a repeated fault, until a scan has
+// run.
+func (d *Detector) OnFault(key FlitKey, obf lob.Choice) bool {
+	// The first observation can already be obfuscated (attempt 0 replays
+	// the flow's logged method, and a sustained attack can evict a flit's
+	// record between its retries); that evidence feeds TriggerScope and
+	// must not be lost.
 	if obf.Method != lob.None {
 		d.granFail[obf.Gran]++
 	}
-	if d.class == Healthy || d.class == Transient {
-		d.class = Suspect
+	if i := d.find(key); i >= 0 {
+		// Seen before: repeated transients are unlikely — involve BIST.
+		d.history[i].faults++
+		if d.class == Healthy || d.class == Transient {
+			d.class = Suspect
+		}
+		return !d.bistDone
 	}
-	return Action{RunBIST: !d.bistDone, Obfuscate: true}
+	// "Has this flit or fault been seen before?" — no: record it and
+	// signal retransmission. A full table evicts its oldest record by
+	// copying the survivors down, so its array never grows.
+	if d.history == nil {
+		d.history = make([]record, 0, d.historyCap)
+	}
+	if len(d.history) >= d.historyCap {
+		d.history = d.history[:copy(d.history, d.history[1:])]
+	}
+	d.history = append(d.history, record{key: key, faults: 1})
+	if d.class == Healthy {
+		d.class = Transient
+	}
+	return false
 }
 
 // OnClean implements the right half of Figure 6: a flit arrived without
@@ -157,13 +143,27 @@ func (d *Detector) OnClean(key FlitKey, obf lob.Choice) {
 		return
 	}
 	d.granOK[obf.Gran]++
-	if r := d.index[key]; r != nil && r.faults >= 2 && d.bistDone && !d.bistReport.Permanent() {
+	i := d.find(key)
+	if i < 0 {
+		return
+	}
+	if d.history[i].faults >= 2 && d.bistDone && !d.bistReport.Permanent() {
 		// Targeted repeating faults that stop under obfuscation, on a link
 		// BIST says is electrically sound: a trojan.
 		d.class = Trojan
 	}
 	// The flit got through; retire its history entry.
-	d.remove(key)
+	d.history = append(d.history[:i], d.history[i+1:]...)
+}
+
+// find returns the index of key's record in the history, or -1.
+func (d *Detector) find(key FlitKey) int {
+	for i := range d.history {
+		if d.history[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // SetBISTResult records a completed link scan.
@@ -194,77 +194,10 @@ func (d *Detector) TriggerScope() string {
 	}
 }
 
-// insert adds a record, evicting the oldest beyond capacity. Eviction
-// copies the survivors down instead of re-slicing (`history = history[1:]`
-// would keep advancing into the backing array, forcing append to reallocate
-// an ever-new array every historyCap inserts under sustained attack); the
-// backing array is allocated once and never grows past historyCap.
-func (d *Detector) insert(r *record) {
-	if d.history == nil {
-		d.history = make([]*record, 0, d.historyCap)
-	}
-	if len(d.history) >= d.historyCap {
-		old := d.history[0]
-		delete(d.index, old.key)
-		n := copy(d.history, d.history[1:])
-		d.history[n] = nil // release the evicted pointer
-		d.history = d.history[:n]
-		d.recycle(old)
-	}
-	d.history = append(d.history, r)
-	d.index[r.key] = r
-}
-
-// remove drops a flit's record once it has been delivered.
-func (d *Detector) remove(key FlitKey) {
-	r := d.index[key]
-	if r == nil {
-		return
-	}
-	delete(d.index, key)
-	for i, h := range d.history {
-		if h == r {
-			d.history = append(d.history[:i], d.history[i+1:]...)
-			break
-		}
-	}
-	d.recycle(r)
-}
-
-// getRecord returns a recycled record keyed for a new flit, or a fresh one
-// while the free list is still warming up to the history high-water mark.
-func (d *Detector) getRecord(key FlitKey) *record {
-	if k := len(d.free); k > 0 {
-		r := d.free[k-1]
-		d.free = d.free[:k-1]
-		r.key = key
-		r.faults = 0
-		return r
-	}
-	return &record{key: key}
-}
-
-// recycle returns a retired record to the free list. The list is bounded
-// by historyCap, since only resident records are ever retired.
-func (d *Detector) recycle(r *record) { d.free = append(d.free, r) }
-
 // Reset forgets every observation — history, BIST outcome, granularity
-// evidence and verdict — returning the detector to its post-New
-// state. Resident records are recycled rather than dropped, so a reset
-// detector re-reaches steady state without reallocating its history.
-func (d *Detector) Reset() {
-	for i, r := range d.history {
-		delete(d.index, r.key)
-		d.history[i] = nil
-		d.recycle(r)
-	}
-	d.history = d.history[:0]
-	d.bistDone = false
-	d.bistReport = bist.Report{}
-	clear(d.granOK)
-	clear(d.granFail)
-	d.class = Healthy
-}
+// evidence and verdict — returning the detector to its post-New state. The
+// history's array is kept, so a reset detector does not reallocate it.
+func (d *Detector) Reset() { *d = Detector{historyCap: d.historyCap, history: d.history[:0]} }
 
 // Cap reports the configured fault-history capacity.
 func (d *Detector) Cap() int { return d.historyCap }

@@ -5,6 +5,7 @@ import (
 
 	"tasp/internal/core"
 	"tasp/internal/tasp"
+	"tasp/internal/traffic"
 )
 
 // Figure10Benches are the traces the paper sweeps in Figure 10.
@@ -34,6 +35,10 @@ func RunFigure10(seed uint64) ([]Figure10Point, error) {
 	// (rerouting).
 	var cfgs []core.ExperimentConfig
 	for _, bench := range Figure10Benches {
+		m, err := traffic.Benchmark(bench, core.DefaultExperiment().Noc)
+		if err != nil {
+			return nil, fmt.Errorf("fig10: %w", err)
+		}
 		for _, frac := range Figure10Fracs {
 			nLinks := int(frac*float64(48) + 0.5)
 			base := core.DefaultExperiment()
@@ -43,7 +48,7 @@ func RunFigure10(seed uint64) ([]Figure10Point, error) {
 				base.Attack.NumLinks = nLinks
 			}
 			// Target the benchmark's primary core region.
-			base.Attack.Target = tasp.ForDest(uint8(primaryDest(bench)))
+			base.Attack.Target = tasp.ForDest(uint8(m.Primary))
 
 			lob, rr := base, base
 			lob.Mitigation = core.S2SLOb
@@ -73,18 +78,6 @@ func RunFigure10(seed uint64) ([]Figure10Point, error) {
 		}
 	}
 	return out, nil
-}
-
-// primaryDest returns a benchmark's primary (hottest destination) router.
-func primaryDest(bench string) int {
-	switch bench {
-	case "facesim":
-		return 5
-	case "ferret":
-		return 2
-	default: // blackscholes, fft and most others concentrate on router 0
-		return 0
-	}
 }
 
 // Figure10Table renders the sweep.

@@ -285,11 +285,10 @@ func (f *Flit) IsTail() bool { return f.Kind == Tail || f.Kind == Single }
 
 // Packet is a whole message before flitisation.
 type Packet struct {
-	ID      uint64
-	Hdr     Header
-	Body    []uint64 // body payload words (may be empty for 1-flit packets)
-	Inject  uint64   // injection cycle
-	Deliver uint64   // delivery cycle of the tail flit (0 until delivered)
+	ID     uint64
+	Hdr    Header
+	Body   []uint64 // body payload words (may be empty for 1-flit packets)
+	Inject uint64   // injection cycle
 }
 
 // NumFlits returns the number of flits the packet occupies on the wire.

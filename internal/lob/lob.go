@@ -105,11 +105,11 @@ type Choice struct {
 // String renders the choice.
 func (c Choice) String() string { return c.Method.String() + "/" + c.Gran.String() }
 
-// defaultEscalation is the sequence the threat detector walks through on
-// consecutive failed retransmissions: whole-flit methods first (maximum
-// coverage), then narrowed granularities that localise the trigger. It is
-// never modified; a run that wants another order carries its own (see
-// Escalate), so concurrent runs cannot see each other's order.
+// defaultEscalation is the sequence a secured link's attempt schedule
+// walks through on consecutive failed retransmissions: whole-flit methods
+// first (maximum coverage), then narrowed granularities that localise the
+// trigger. It is never modified; a run that wants another order carries
+// its own (see Escalate), so concurrent runs cannot see each other's order.
 var defaultEscalation = [...]Choice{
 	{Scramble, WholeFlit},
 	{Invert, WholeFlit},

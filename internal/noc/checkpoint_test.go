@@ -147,7 +147,7 @@ func TestCheckpointClassifiesEveryField(t *testing.T) {
 			[]string{"router", "cfg", "layout", "sched", "Delivered"}},
 		{reflect.TypeFor[Network](), "",
 			[]string{"cycle", "nextPacketID", "Counters", "routers", "nis", "sched", "telemetry"},
-			[]string{"cfg", "layout", "topo", "links", "route", "baseRoute", "plainWires",
+			[]string{"cfg", "layout", "topo", "links", "route", "baseRoute",
 				"routePristine", "vcReclassed", "schedule", "injScratch"}},
 		{reflect.TypeFor[savedVC](), "wormhole", []string{"flits"}, nil},
 		{reflect.TypeFor[savedPort](), "portState", []string{"entries"}, nil},

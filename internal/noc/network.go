@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"tasp/internal/fault"
 	"tasp/internal/flit"
 )
 
@@ -99,9 +98,6 @@ type Network struct {
 	// baseRoute is the topology's default route table installed at New;
 	// Reset restores it after a SetRoute/SetAdaptiveRoute replacement.
 	baseRoute RouteFunc
-	// plainWires holds each link's original healthy PlainWire so Reset can
-	// restore the post-New wiring without allocating.
-	plainWires []*PlainWire
 
 	nextPacketID uint64
 	Counters     Counters
@@ -138,7 +134,7 @@ type Network struct {
 }
 
 // New builds a network from the configuration, fully wired with healthy
-// PlainWire links and the topology's deterministic deadlock-free routing.
+// links and the topology's deterministic deadlock-free routing.
 func New(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -174,9 +170,7 @@ func New(cfg Config) (*Network, error) {
 		})
 		op := n.routers[ls.From].outputs[ls.FromPort]
 		op.linkID = id
-		pw := NewPlainWire()
-		n.plainWires = append(n.plainWires, pw)
-		op.wire = pw
+		op.wire = perfectWire{}
 		if restricted {
 			op.vcClass = make([]uint8, R)
 			for d := 0; d < R; d++ {
@@ -217,9 +211,9 @@ func (n *Network) LinkSlice() []LinkInfo { return n.links }
 
 // Reset restores a constructed network to its post-New state without
 // allocating: buffers and retransmission entries are emptied, scheduler
-// bitmaps and counters cleared, per-link wires restored to their original
-// healthy PlainWires, disabled links revived, the topology's default route
-// table reinstalled, and all clocks rewound to zero. An attached telemetry
+// bitmaps and counters cleared, every link's wire restored to the healthy
+// one, disabled links revived, the topology's default route table
+// reinstalled, and all clocks rewound to zero. An attached telemetry
 // tap survives (observation-only state) but is cleared; delivery callbacks
 // and TDM schedules are removed. A reset network is behaviourally
 // indistinguishable from a freshly constructed one — the campaign engine's
@@ -239,11 +233,8 @@ func (n *Network) Reset() {
 	for _, ni := range n.nis {
 		ni.reset()
 	}
-	for i := range n.links {
-		l := n.links[i]
-		pw := n.plainWires[i]
-		*pw = PlainWire{Tap: fault.None}
-		n.routers[l.From].outputs[l.FromPort].wire = pw
+	for _, l := range n.links {
+		n.routers[l.From].outputs[l.FromPort].wire = perfectWire{}
 	}
 	if n.vcReclassed {
 		for i := range n.links {

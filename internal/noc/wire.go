@@ -36,23 +36,14 @@ type Wire interface {
 }
 
 // PlainWire is the baseline link: SECDED encode, pass through the adversary
-// tap, SECDED decode. No obfuscation, no detection. On a clean link (no tap,
-// or fault.None) the codec round trip is the identity and is skipped.
+// tap, SECDED decode. No obfuscation, no detection and no state: the
+// network books each attempt's outcome from the TxResult. On a clean link
+// (no tap, or fault.None) the codec round trip is the identity and is
+// skipped.
 type PlainWire struct {
 	// Tap decides the codeword's fate in flight; fault.None for a healthy
 	// link.
 	Tap fault.Adversary
-	WireCounters
-}
-
-// WireCounters is a wire's traversal counters, its only dynamic state once
-// the tap is fixed: a checkpoint of a run copies it per wire.
-type WireCounters struct {
-	// Corrected and Dropped count link-level ECC outcomes; Swallowed counts
-	// flits an adversary consumed with a forged ACK.
-	Corrected uint64
-	Dropped   uint64
-	Swallowed uint64
 }
 
 // NewPlainWire returns a healthy baseline wire.
@@ -65,26 +56,20 @@ func (w *PlainWire) Transmit(cycle uint64, f flit.Flit, _ uint8, _ int) (flit.Fl
 	}
 	cw, oc := w.Tap.Strike(cycle, ecc.Encode(f.Payload), fault.Framing{Head: f.IsHead(), Tail: f.IsTail()})
 	if oc == fault.Swallow {
-		w.Swallowed++
 		return f, TxResult{OK: true, Swallowed: true}
 	}
 	data, st, _ := ecc.Decode(cw)
-	switch st {
-	case ecc.Uncorrectable:
-		w.Dropped++
+	if st == ecc.Uncorrectable {
 		return f, TxResult{OK: false}
-	case ecc.Corrected:
-		w.Corrected++
-		f.Payload = data
-		return f, TxResult{OK: true, Corrected: true}
-	default:
-		f.Payload = data
-		return f, TxResult{OK: true}
 	}
+	f.Payload = data
+	return f, TxResult{OK: true, Corrected: st == ecc.Corrected}
 }
 
-// perfectWire is used for router-to-NI ejection: no ECC, no faults, always
-// delivers. The local "link" stays inside the trusted router tile.
+// perfectWire always delivers, exactly as a PlainWire on fault.None does.
+// It is every healthy link's wire until SetWire replaces it, and the
+// router-to-NI ejection's for good: that "link" stays inside the trusted
+// router tile.
 type perfectWire struct{}
 
 func (perfectWire) Transmit(_ uint64, f flit.Flit, _ uint8, _ int) (flit.Flit, TxResult) {

@@ -13,6 +13,8 @@
 // the calibration is asserted by tests and reported in EXPERIMENTS.md.
 package power
 
+import "slices"
+
 // Cell identifies a standard-cell type.
 type Cell string
 
@@ -71,6 +73,19 @@ var Default40nm = Library{
 	CMPBIT:  {Area: 0.33, Leakage: 0.10, ToggleFJ: 0.45, DelayPS: 20},
 	WIRE:    {Area: 4.00, Leakage: 0.00, ToggleFJ: 10.0, DelayPS: 10},
 	GWIRE:   {Area: 18.0, Leakage: 0.00, ToggleFJ: 20.0, DelayPS: 15},
+}
+
+// cellOrder is the library's cells in name order, the one order in which a
+// block sums its cells' area, leakage and switching power.
+var cellOrder = sortedCells(Default40nm)
+
+func sortedCells(lib Library) []Cell {
+	cells := make([]Cell, 0, len(lib))
+	for c := range lib { //nocvet:orderfree keys are sorted before use
+		cells = append(cells, c)
+	}
+	slices.Sort(cells)
+	return cells
 }
 
 // DefaultFreqGHz is the paper's operating frequency.

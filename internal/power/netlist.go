@@ -72,11 +72,13 @@ func (b *Block) TotalCells() int {
 	return n
 }
 
-// Area returns the total silicon area of the hierarchy in um^2.
+// Area returns the total silicon area of the hierarchy in um^2. Like
+// Leakage and Dynamic it sums the cells in cellOrder: float addition is not
+// associative, so a sum in map order would vary from run to run.
 func (b *Block) Area() float64 {
 	a := 0.0
-	for c, n := range b.cells { //nocvet:orderfree commutative sum
-		a += b.lib[c].Area * float64(n)
+	for _, c := range cellOrder {
+		a += b.lib[c].Area * float64(b.cells[c])
 	}
 	for _, s := range b.Subs {
 		a += s.Area()
@@ -87,8 +89,8 @@ func (b *Block) Area() float64 {
 // Leakage returns the total static power of the hierarchy in nW.
 func (b *Block) Leakage() float64 {
 	l := 0.0
-	for c, n := range b.cells { //nocvet:orderfree commutative sum
-		l += b.lib[c].Leakage * float64(n)
+	for _, c := range cellOrder {
+		l += b.lib[c].Leakage * float64(b.cells[c])
 	}
 	for _, s := range b.Subs {
 		l += s.Leakage()
@@ -101,8 +103,8 @@ func (b *Block) Leakage() float64 {
 // energies in fJ and f in GHz the product is in uW directly.
 func (b *Block) Dynamic(freqGHz float64) float64 {
 	d := 0.0
-	for c, n := range b.cells { //nocvet:orderfree commutative sum
-		d += b.lib[c].ToggleFJ * float64(n) * b.Activity * freqGHz
+	for _, c := range cellOrder {
+		d += b.lib[c].ToggleFJ * float64(b.cells[c]) * b.Activity * freqGHz
 	}
 	for _, s := range b.Subs {
 		d += s.Dynamic(freqGHz)

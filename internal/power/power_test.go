@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -253,4 +254,55 @@ func TestCalibrationReport(t *testing.T) {
 		m.WireArea/tot*100, m.ActiveArea/tot*100, m.AllTASPArea/tot*100)
 	t.Logf("NoC dynamic: routers %.2f%% tasp(all48) %.2f%%",
 		(1-m.AllTASPDynUW/m.NoCDynUW)*100, m.AllTASPDynUW/m.NoCDynUW*100)
+}
+
+// TestTotalsAreBitIdenticalAcrossBuilds builds every block the experiments
+// report (both routers, each TASP variant, the threat detector, L-Ob and
+// the NoC model) many times and requires the same float64 bits from every
+// build. Float addition is not associative, so a total summed in map order
+// varies in its last bits from run to run.
+func TestTotalsAreBitIdenticalAcrossBuilds(t *testing.T) {
+	const builds = 200
+	mitigated := DefaultRouterParams()
+	mitigated.WithMitigation = true
+	type block struct {
+		name  string
+		build func() *Block
+	}
+	blocks := []block{
+		{"router", func() *Block { return BuildRouter(DefaultRouterParams()) }},
+		{"mitigated router", func() *Block { return BuildRouter(mitigated) }},
+		{"threat detector", BuildThreatDetector},
+		{"l-ob", BuildLOb},
+	}
+	for _, v := range TASPVariants {
+		blocks = append(blocks, block{"TASP " + string(v), func() *Block { return BuildTASP(v) }})
+	}
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	totals := func(b *Block) []uint64 { return bits(b.Area(), b.Leakage(), b.Dynamic(DefaultFreqGHz)) }
+	for _, c := range blocks {
+		want := totals(c.build())
+		for i := 1; i < builds; i++ {
+			if got := totals(c.build()); !slices.Equal(got, want) {
+				t.Fatalf("%s build %d: area, leakage, dynamic bits %x, first build %x", c.name, i, got, want)
+			}
+		}
+	}
+	model := func() []uint64 {
+		m := BuildNoC(DefaultNoCParams(), DefaultFreqGHz)
+		return bits(m.RouterArea, m.ActiveArea, m.WireArea, m.TASPArea, m.AllTASPArea,
+			m.RouterDynUW, m.TASPDynUW, m.AllTASPDynUW, m.NoCDynUW)
+	}
+	want := model()
+	for i := 1; i < builds; i++ {
+		if got := model(); !slices.Equal(got, want) {
+			t.Fatalf("NoC model build %d: bits %x, first build %x", i, got, want)
+		}
+	}
 }
