@@ -108,11 +108,13 @@ bench:
 # Snapshot the simulator hot-path benchmarks as machine-readable JSON
 # (BENCH_<date>.json) so the perf trajectory is tracked across PRs. Covers
 # the clean Step benches (idle / uniform at 4x4, 8x8, 16x16 / drain) in
-# internal/noc plus the under-attack bench at the repo root. benchgate -json
-# writes the document with the same parser the gate uses.
+# internal/noc plus the under-attack bench at the repo root, and the
+# 256-router platform set-up (BenchmarkPlatformSetup, internal/core: what
+# the end-to-end benchmark's setup_s times). benchgate -json writes the
+# document with the same parser the gate uses.
 bench-json:
-	$(GO) test -bench=NetworkStep -benchmem -run xxx ./internal/noc . \
-		| $(GO) run ./cmd/benchgate -json -label "Network.Step hot path (clean + under attack)" > BENCH_$(DATE).json
+	$(GO) test '-bench=NetworkStep|PlatformSetup' -benchmem -run xxx ./internal/noc ./internal/core . \
+		| $(GO) run ./cmd/benchgate -json -label "Network.Step hot path (clean + under attack) and platform set-up" > BENCH_$(DATE).json
 	@cat BENCH_$(DATE).json
 
 # The CI allocation gate, runnable locally: every hot-path benchmark a

@@ -48,6 +48,8 @@ func main() {
 			log.Fatal(err)
 		}
 		if err := trace.Record(w, m.Generator(*seed), *cycles); err != nil {
+			f.Close()
+			os.Remove(*out)
 			log.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

@@ -105,7 +105,7 @@ func (h *tspHT) on() {
 func arm(n *noc.Network, model *traffic.Model) *tspHT {
 	target := taspht.ForDest(0)
 	out := &tspHT{}
-	for _, id := range core.ChooseInfectedLinks(model, n.Config(), n.Links(), 2, target) {
+	for _, id := range core.ChooseInfectedLinks(model, n, 2, target) {
 		ht := taspht.New(target, taspht.DefaultPayloadBits, n.Layout())
 		out.hts = append(out.hts, ht)
 		n.SetWire(id, &noc.PlainWire{Tap: ht})

@@ -414,15 +414,16 @@ func flowMatcher(t tasp.Target) func(src, dst int) bool {
 	}
 }
 
-// ChooseInfectedLinks ranks the mesh's directed links by the analytic load
-// of the flows the target matches (Section III-A's link-selection analysis)
-// and returns the ids of the n hottest ones that keep the network connected
-// if disabled — the attacker wants maximum coverage, and the rerouting
-// comparison needs a survivable topology. Connected means what
-// reroute.Build needs to route around the disabled links: every router
-// still reaches every other.
-func ChooseInfectedLinks(m *traffic.Model, cfg noc.Config, links []noc.LinkInfo, n int, target tasp.Target) []int {
-	loads := traffic.LinkLoadsWhere(m, cfg, flowMatcher(target))
+// ChooseInfectedLinks ranks the network's directed links by the analytic
+// load of the flows the target matches over its default routes (Section
+// III-A's link-selection analysis) and returns the ids of the n hottest
+// ones that keep the network connected if disabled — the attacker wants
+// maximum coverage, and the rerouting comparison needs a survivable
+// topology. Connected means what reroute.Build needs to route around the
+// disabled links: every router still reaches every other.
+func ChooseInfectedLinks(m *traffic.Model, net *noc.Network, n int, target tasp.Target) []int {
+	links := net.LinkSlice()
+	loads := traffic.LinkLoadsWhere(m, net.DefaultRoute(), links, flowMatcher(target))
 	type cand struct {
 		id   int
 		load float64
@@ -438,7 +439,7 @@ func ChooseInfectedLinks(m *traffic.Model, cfg noc.Config, links []noc.LinkInfo,
 		return cands[i].id < cands[j].id
 	})
 	var picked []int
-	reach := reroute.NewReachability(cfg, links)
+	reach := reroute.NewReachability(net.Config(), links)
 	disabled := make([]bool, len(links)) // by link id
 	for _, c := range cands {
 		if len(picked) == n {

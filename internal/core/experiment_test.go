@@ -304,7 +304,7 @@ func TestChooseInfectedLinksPrefersHotLinks(t *testing.T) {
 			}
 		}
 	}
-	picked := ChooseInfectedLinks(m, tc, tn.LinkSlice(), 2, tasp.ForDest(0))
+	picked := ChooseInfectedLinks(m, tn, 2, tasp.ForDest(0))
 	if len(picked) == 0 {
 		t.Fatal("2x2 torus: no link picked")
 	}

@@ -123,6 +123,7 @@ type arena struct {
 	tdm         *qos.TDM
 	tdmSchedule func(cycle uint64, vc uint8) bool
 	e2e         *obfe2e.Scrambler
+	locator     *locate.Engine // built on the first Locate point
 	evScratch   map[int]locate.LinkEvidence
 	ranked      []locate.Suspect // per-sample localization ranking
 	scratch     flit.Packet      // reused injection packet (TickInto)
@@ -197,7 +198,7 @@ func (a *arena) placement(m *traffic.Model, k int, target tasp.Target) []int {
 	if p, ok := a.placements[key]; ok {
 		return p
 	}
-	p := ChooseInfectedLinks(m, a.cfg, a.net.LinkSlice(), k, target)
+	p := ChooseInfectedLinks(m, a.net, k, target)
 	a.placements[key] = p
 	return p
 }
@@ -494,10 +495,11 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 	var eng *locate.Engine
 	if cfg.Locate {
 		tel = net.EnableTelemetry(0)
-		eng = locate.New(net.Topology(), net.LinkSlice())
-		if a.evScratch == nil {
+		if a.locator == nil {
+			a.locator = locate.New(net.Topology(), net.LinkSlice())
 			a.evScratch = make(map[int]locate.LinkEvidence, len(a.wires))
 		}
+		eng = a.locator
 	}
 	var ackmon *detect.AckMonitor
 	if cfg.SecureAck {

@@ -45,8 +45,11 @@ func summarize(res *Results) string {
 }
 
 // runnerCases spans every mitigation, attack kinds, localization, transient
-// noise and a second topology — the behaviours a reused arena must
-// reproduce exactly.
+// noise, a second and a third topology, and reconfiguration — the
+// behaviours a reused arena must reproduce exactly. The torus and ring
+// points with predisabled links install rerouted tables and reclassify
+// the dateline VC classes (reroute.ApplySafe); the plain point after each
+// runs on the arena Reset restored.
 func runnerCases() []ExperimentConfig {
 	short := func(mut func(*ExperimentConfig)) ExperimentConfig {
 		cfg := DefaultExperiment()
@@ -69,6 +72,10 @@ func runnerCases() []ExperimentConfig {
 			c.Mitigation = S2SLOb
 			c.Benchmark = "fft"
 		}),
+		short(func(c *ExperimentConfig) { c.Noc.Topo = "torus"; c.PredisabledLinks = []int{3, 50} }),
+		short(func(c *ExperimentConfig) { c.Noc.Topo = "torus" }),
+		short(func(c *ExperimentConfig) { c.Noc.Topo = "ring"; c.PredisabledLinks = []int{0, 1} }),
+		short(func(c *ExperimentConfig) { c.Noc.Topo = "ring" }),
 	}
 }
 

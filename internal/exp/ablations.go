@@ -265,10 +265,10 @@ func AblationPlacement(seed uint64) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	hottestTarget := core.ChooseInfectedLinks(m, ncfg, n.LinkSlice(), 2, tasp.ForDest(0))
-	hottestAny := core.ChooseInfectedLinks(m, ncfg, n.LinkSlice(), 2, tasp.ForVC(0)) // VC matcher = all flows
-	arbitrary := []int{11, 29}                                                       // mid-mesh links some target flows cross
-	cold := []int{12, 13}                                                            // 3<->7 edge links the dest-0 flow never crosses
+	hottestTarget := core.ChooseInfectedLinks(m, n, 2, tasp.ForDest(0))
+	hottestAny := core.ChooseInfectedLinks(m, n, 2, tasp.ForVC(0)) // VC matcher = all flows
+	arbitrary := []int{11, 29}                                     // mid-mesh links some target flows cross
+	cold := []int{12, 13}                                          // 3<->7 edge links the dest-0 flow never crosses
 
 	placements := []struct {
 		name  string

@@ -64,7 +64,7 @@ func runClosedLoopCase(seed uint64, attack, lob bool) ([]string, error) {
 	var trojans []*tasp.HT
 	if attack {
 		target := tasp.ForDest(0)
-		infected := core.ChooseInfectedLinks(model, ncfg, net.LinkSlice(), 2, target)
+		infected := core.ChooseInfectedLinks(model, net, 2, target)
 		for _, id := range infected {
 			ht := tasp.New(target, tasp.DefaultPayloadBits, net.Layout())
 			trojans = append(trojans, ht)

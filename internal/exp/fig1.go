@@ -53,8 +53,12 @@ func RunFigure1(bench string, cfg noc.Config) (*Figure1, error) {
 		}
 		out.RouterTotals[s] = rowSum
 	}
+	net, err := noc.New(cfg)
+	if err != nil {
+		return nil, err
+	}
 	out.Links = cfg.Topology().Links()
-	out.LinkShare = traffic.LinkLoads(m, cfg)
+	out.LinkShare = traffic.LinkLoadsWhere(m, net.DefaultRoute(), net.LinkSlice(), nil)
 	return out, nil
 }
 

@@ -67,7 +67,7 @@ func runMigrationCase(seed uint64, useLOb, useMigration bool) ([]string, error) 
 		detectDelay = 250
 	)
 	target := tasp.ForDest(victim)
-	infected := core.ChooseInfectedLinks(model, ncfg, net.LinkSlice(), 2, target)
+	infected := core.ChooseInfectedLinks(model, net, 2, target)
 	trojans := make([]*tasp.HT, 0, len(infected))
 	for _, l := range net.LinkSlice() {
 		var ht *tasp.HT

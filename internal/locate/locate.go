@@ -57,14 +57,19 @@ func ComputePriors(t noc.Topology, links []noc.LinkInfo) Priors {
 	}
 	R := t.Routers()
 
-	// linkAt[(router, port)] -> link id, for route walking.
-	linkAt := make(map[[2]int]int, len(links))
+	// at[router*MaxPorts+port] is the id of the link leaving router on
+	// port, -1 for an unwired port, for route walking.
+	at := make([]int32, R*noc.MaxPorts)
+	for i := range at {
+		at[i] = -1
+	}
 	for _, l := range links {
-		linkAt[[2]int{l.From, l.FromPort}] = l.ID
+		at[l.From*noc.MaxPorts+l.FromPort] = int32(l.ID)
 	}
 
 	// Route-table fan-in: walk every (src, dst) default route and count the
 	// links it crosses. Hop-bounded so a malformed route table cannot loop.
+	route := noc.RouteTable(t)
 	counts := make([]int, len(links))
 	maxHops := R + 1
 	for src := 0; src < R; src++ {
@@ -74,8 +79,8 @@ func ComputePriors(t noc.Topology, links []noc.LinkInfo) Priors {
 			}
 			r := src
 			for hop := 0; r != dst && hop < maxHops; hop++ {
-				id, ok := linkAt[[2]int{r, t.Route(r, dst)}]
-				if !ok {
+				id := at[r*noc.MaxPorts+route(r, dst)]
+				if id < 0 {
 					break // route points at an unwired port
 				}
 				counts[id]++
@@ -178,22 +183,24 @@ type Engine struct {
 	feeders [][]int // link id -> ids of links into links[id].From (reverse link excluded)
 }
 
-// New builds an engine for the given substrate.
+// New builds an engine for the given substrate. Everything it holds is
+// fixed per substrate, so one engine serves every run on it.
 func New(t noc.Topology, links []noc.LinkInfo) *Engine {
 	e := &Engine{
 		links:   append([]noc.LinkInfo(nil), links...),
 		priors:  ComputePriors(t, links),
 		feeders: make([][]int, len(links)),
 	}
+	// into[r] lists the links into router r, as indices into links.
+	into := make([][]int, t.Routers())
+	for i, f := range links {
+		into[f.To] = append(into[f.To], i)
+	}
 	for _, l := range links {
-		for _, f := range links {
-			if f.To != l.From {
-				continue
+		for _, i := range into[l.From] {
+			if f := links[i]; f.From != l.To { // the reverse link's traffic cannot feed l's flows
+				e.feeders[l.ID] = append(e.feeders[l.ID], f.ID)
 			}
-			if f.From == l.To && f.To == l.From {
-				continue // the reverse link: its traffic cannot feed l's flows
-			}
-			e.feeders[l.ID] = append(e.feeders[l.ID], f.ID)
 		}
 	}
 	return e

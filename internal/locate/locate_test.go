@@ -2,6 +2,7 @@ package locate
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -248,5 +249,83 @@ func TestRankIsDeterministic(t *testing.T) {
 		if a[i-1].Score < a[i].Score {
 			t.Fatal("ranking not sorted")
 		}
+	}
+}
+
+// fanInOracle and feedersOracle are ComputePriors' fan-in walk and New's
+// feeder loop before they indexed links by (router, port) and by arrival
+// router, kept as test oracles: the walk makes one Route call and one map
+// lookup per hop, the loop tests every pair of links.
+func fanInOracle(t noc.Topology, links []noc.LinkInfo) []float64 {
+	R := t.Routers()
+	linkAt := make(map[[2]int]int, len(links))
+	for _, l := range links {
+		linkAt[[2]int{l.From, l.FromPort}] = l.ID
+	}
+	counts := make([]int, len(links))
+	for src := 0; src < R; src++ {
+		for dst := 0; dst < R; dst++ {
+			if src == dst {
+				continue
+			}
+			r := src
+			for hop := 0; r != dst && hop < R+1; hop++ {
+				id, ok := linkAt[[2]int{r, t.Route(r, dst)}]
+				if !ok {
+					break
+				}
+				counts[id]++
+				r = links[id].To
+			}
+		}
+	}
+	max := slices.Max(counts)
+	fanIn := make([]float64, len(links))
+	for i, c := range counts {
+		if max > 0 {
+			fanIn[i] = float64(c) / float64(max)
+		}
+	}
+	return fanIn
+}
+
+func feedersOracle(links []noc.LinkInfo) [][]int {
+	feeders := make([][]int, len(links))
+	for _, l := range links {
+		for _, f := range links {
+			if f.To != l.From || (f.From == l.To && f.To == l.From) {
+				continue
+			}
+			feeders[l.ID] = append(feeders[l.ID], f.ID)
+		}
+	}
+	return feeders
+}
+
+// TestEngineMatchesMapWalkOracles: on meshes, tori and rings from the
+// smallest to 256 routers, the fan-in prior is bit for bit the map walk's
+// and every link's feeders are the pairwise loop's, in the same order.
+func TestEngineMatchesMapWalkOracles(t *testing.T) {
+	check := func(name string, w, h int) {
+		topo, links := topoLinks(t, name, w, h)
+		e := New(topo, links)
+		want := fanInOracle(topo, links)
+		for id, f := range e.priors.FanIn {
+			if math.Float64bits(f) != math.Float64bits(want[id]) {
+				t.Fatalf("%s %dx%d link %d: fan-in %v, oracle %v", name, w, h, id, f, want[id])
+			}
+		}
+		for id, fs := range feedersOracle(links) {
+			if !slices.Equal(e.feeders[id], fs) {
+				t.Fatalf("%s %dx%d link %d: feeders %v, oracle %v", name, w, h, id, e.feeders[id], fs)
+			}
+		}
+	}
+	for _, sz := range [][2]int{{2, 2}, {2, 5}, {5, 2}, {3, 7}, {4, 4}, {8, 8}, {16, 2}, {16, 16}} {
+		check("mesh", sz[0], sz[1])
+		check("torus", sz[0], sz[1])
+	}
+	for _, n := range []int{3, 4, 5, 16, 64, 256} {
+		check("ring", n, 1)
 	}
 }

@@ -148,7 +148,7 @@ func TestCheckpointClassifiesEveryField(t *testing.T) {
 		{reflect.TypeFor[Network](), "",
 			[]string{"cycle", "nextPacketID", "Counters", "routers", "nis", "sched", "telemetry"},
 			[]string{"cfg", "layout", "topo", "links", "route", "baseRoute",
-				"routePristine", "vcReclassed", "schedule", "injScratch"}},
+				"routePristine", "vcReclassed", "baseClasses", "schedule", "injScratch"}},
 		{reflect.TypeFor[savedVC](), "wormhole", []string{"flits"}, nil},
 		{reflect.TypeFor[savedPort](), "portState", []string{"entries"}, nil},
 	} {

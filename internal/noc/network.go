@@ -112,8 +112,11 @@ type Network struct {
 
 	// vcReclassed is set by ReclassifyVCs so Reset knows the dateline
 	// VC-class tables were rebuilt for a reconfigured route table and must
-	// be restored to the constructor's minimal-route values.
+	// be restored to the constructor's minimal-route values, which
+	// baseClasses holds per link id (the topology's VCClasses, nil on the
+	// mesh).
 	vcReclassed bool
+	baseClasses [][]uint8
 
 	// sched holds the per-phase active sets and global flit counters of
 	// the event-driven core (see sched.go).
@@ -159,11 +162,13 @@ func New(cfg Config) (*Network, error) {
 		n.nis[r].sched = n.sched
 	}
 	// The dateline VC-class tables (nil on the mesh): each link's output
-	// port gets its own table, vcClass[dst] = the class a packet destined
-	// for dst occupies in the downstream buffer of that specific link.
-	_, restricted := topo.VCClass(0, topo.Links()[0].To, 0)
-	for _, ls := range topo.Links() {
-		id := len(n.links)
+	// port gets its own copy of its table, which ReclassifyVCs rewrites:
+	// vcClass[dst] = the class a packet destined for dst occupies in the
+	// downstream buffer of that specific link.
+	n.baseClasses = topo.VCClasses()
+	specs := topo.Links()
+	n.links = make([]LinkInfo, 0, len(specs))
+	for id, ls := range specs {
 		n.links = append(n.links, LinkInfo{
 			ID: id, From: ls.From, FromPort: ls.FromPort, To: ls.To, ToPort: ls.ToPort,
 			FromName: topo.PortName(ls.From, ls.FromPort),
@@ -171,12 +176,8 @@ func New(cfg Config) (*Network, error) {
 		op := n.routers[ls.From].outputs[ls.FromPort]
 		op.linkID = id
 		op.wire = perfectWire{}
-		if restricted {
-			op.vcClass = make([]uint8, R)
-			for d := 0; d < R; d++ {
-				c, _ := topo.VCClass(ls.From, ls.To, d)
-				op.vcClass[d] = uint8(c)
-			}
+		if n.baseClasses != nil {
+			op.vcClass = append([]uint8(nil), n.baseClasses[id]...)
 		}
 		n.routers[ls.To].ups[ls.ToPort] = op
 	}
@@ -195,6 +196,11 @@ func (n *Network) Topology() Topology { return n.topo }
 
 // Cycle returns the current simulation time.
 func (n *Network) Cycle() uint64 { return n.cycle }
+
+// DefaultRoute returns the topology's default route table New built, the
+// one Reset reinstalls whatever SetRoute or SetAdaptiveRoute installed
+// since: the analytic models walk it instead of building their own.
+func (n *Network) DefaultRoute() RouteFunc { return n.baseRoute }
 
 // Links returns a fresh copy of the descriptors of every directed
 // router-to-router link. The copy is safe to retain and mutate, but it
@@ -237,13 +243,9 @@ func (n *Network) Reset() {
 		n.routers[l.From].outputs[l.FromPort].wire = perfectWire{}
 	}
 	if n.vcReclassed {
-		for i := range n.links {
+		for i, cl := range n.baseClasses {
 			l := &n.links[i]
-			op := n.routers[l.From].outputs[l.FromPort]
-			for d := range op.vcClass {
-				c, _ := n.topo.VCClass(l.From, l.To, d)
-				op.vcClass[d] = uint8(c)
-			}
+			copy(n.routers[l.From].outputs[l.FromPort].vcClass, cl)
 		}
 		n.vcReclassed = false
 	}

@@ -39,6 +39,10 @@ type Topology interface {
 	// default route from router r toward destination d (PortLocal when
 	// r == d). Dimension-order on mesh/torus, shortest-direction on ring.
 	Route(r, d int) int
+	// Routes returns Route for every pair as a flat table,
+	// tab[r*Routers()+d], built from the per-dimension decisions Route
+	// composes instead of one Route call per pair.
+	Routes() []uint8
 	// HopDist returns the hop count of the default route from a to b.
 	HopDist(a, b int) int
 	// VCClass returns the dateline virtual-channel class (0 or 1) a packet
@@ -50,6 +54,12 @@ type Topology interface {
 	// Topologies whose default route has an acyclic channel-dependency
 	// graph without VC restrictions (the mesh) return (0, false).
 	VCClass(from, to, dst int) (class int, restricted bool)
+	// VCClasses returns VCClass for every link and destination: tables[id]
+	// is the class table of link id (Links() order), tables[id][dst] its
+	// class for dst. It is nil on topologies that restrict no classes.
+	// Links of one dimension arriving at the same coordinate in it have
+	// equal tables and share one: a caller that writes a table copies it.
+	VCClasses() [][]uint8
 	// Dateline names the one-way wraparound ring the link leaving router
 	// from on port belongs to, and whether that link is the ring's
 	// dateline, the wraparound link where VC class 0 ends. Ring ids are
@@ -58,16 +68,11 @@ type Topology interface {
 	Dateline(from, port int) (ring int, wrap, ok bool)
 }
 
-// RouteTable precomputes a topology's default route as a flat
-// (router, dst) -> port table: one array load at route-computation time.
+// RouteTable returns a topology's default route as a RouteFunc over its
+// Routes table: one array load at route-computation time.
 func RouteTable(t Topology) RouteFunc {
 	R := t.Routers()
-	tab := make([]uint8, R*R)
-	for r := 0; r < R; r++ {
-		for d := 0; d < R; d++ {
-			tab[r*R+d] = uint8(t.Route(r, d))
-		}
-	}
+	tab := t.Routes()
 	return func(router, dst int) int {
 		return int(tab[router*R+dst])
 	}
@@ -89,6 +94,196 @@ func NewTopology(name string, width, height int) (Topology, error) {
 	default:
 		return nil, fmt.Errorf("noc: unknown topology %q (have %v)", name, Topologies())
 	}
+}
+
+// ----------------------------------------------------------------------------
+// Dimension-order grids
+
+// Every topology here routes in dimension order over one or two axes: the
+// mesh over two lines, the torus over two rings, the ring over one ring
+// (for routing, a one-row torus with cw/ccw ports). The route, the hop
+// distance and the dateline class are each decided per axis, from the two
+// routers' coordinates on that axis alone. Route, HopDist and VCClass
+// compose those decisions for one pair; Routes and VCClasses compose them
+// for every pair from per-axis tables, k×k entries an axis instead of one
+// decision per (router or link, destination) pair.
+
+// axis is one dimension of a grid: k positions along a line (the mesh) or
+// around a ring (the torus and ring), and the ports that step up and down
+// it.
+type axis struct {
+	k           int
+	wrap        bool
+	plus, minus uint8
+}
+
+// ringDelta returns the signed displacement of the minimal way from c to d
+// around a k-ring: positive = forward (+1 direction), ties break forward.
+func ringDelta(c, d, k int) int {
+	fwd := ((d-c)%k + k) % k
+	if fwd == 0 {
+		return 0
+	}
+	if 2*fwd <= k {
+		return fwd
+	}
+	return fwd - k
+}
+
+// delta is the default route's signed displacement from coordinate c to d:
+// straight along a line, the shorter way around a ring (ties forward).
+func (a axis) delta(c, d int) int {
+	if a.wrap {
+		return ringDelta(c, d, a.k)
+	}
+	return d - c
+}
+
+// port is the default route's decision on the axis: the port from
+// coordinate c toward d, PortLocal once they agree.
+func (a axis) port(c, d int) uint8 {
+	switch dd := a.delta(c, d); {
+	case dd > 0:
+		return a.plus
+	case dd < 0:
+		return a.minus
+	}
+	return PortLocal
+}
+
+// class is the dateline VC class on a ring axis of a packet that arrived
+// at coordinate c bound for d: 0 while its shorter way ahead still crosses
+// the wraparound between k-1 and 0, 1 once it never will again.
+func (a axis) class(c, d int) uint8 {
+	if dd := ringDelta(c, d, a.k); (dd > 0 && c > d) || (dd < 0 && c < d) {
+		return 0
+	}
+	return 1
+}
+
+// table tabulates f over every coordinate pair: tab[c*k+d] = f(c, d).
+func (a axis) table(f func(c, d int) uint8) []uint8 {
+	tab := make([]uint8, a.k*a.k)
+	for c := 0; c < a.k; c++ {
+		for d := 0; d < a.k; d++ {
+			tab[c*a.k+d] = f(c, d)
+		}
+	}
+	return tab
+}
+
+// ports tabulates port. Around a ring the decision depends only on the
+// forward distance (d-c) mod k, so it is taken once per distance and each
+// row is that table rotated.
+func (a axis) ports() []uint8 {
+	if !a.wrap {
+		return a.table(a.port)
+	}
+	k := a.k
+	byDist := make([]uint8, k)
+	for f := range byDist {
+		byDist[f] = a.port(0, f)
+	}
+	tab := make([]uint8, k*k)
+	for c := 0; c < k; c++ {
+		row := tab[c*k : (c+1)*k]
+		copy(row[c:], byDist)   // d >= c, distance d-c
+		copy(row, byDist[k-c:]) // d < c, distance d-c+k
+	}
+	return tab
+}
+
+// grid is a dimension-order topology over an x and a y axis: router r sits
+// at (r mod x.k, r div x.k), and the default route steps along x until the
+// column agrees, then along y.
+type grid struct{ x, y axis }
+
+// dimOrder composes the per-axis route decisions: x first, then y.
+func dimOrder(x, y uint8) uint8 {
+	if x != PortLocal {
+		return x
+	}
+	return y
+}
+
+// route is the default route for one pair.
+func (g grid) route(r, d int) int {
+	w := g.x.k
+	return int(dimOrder(g.x.port(r%w, d%w), g.y.port(r/w, d/w)))
+}
+
+// routes is route for every pair, composed row by row from the two axes'
+// port tables.
+func (g grid) routes() []uint8 {
+	w, h := g.x.k, g.y.k
+	R := w * h
+	xs, ys := g.x.ports(), g.y.ports()
+	tab := make([]uint8, R*R)
+	for r := 0; r < R; r++ {
+		cx, cy := r%w, r/w
+		row := tab[r*R : (r+1)*R]
+		for dy, y := range ys[cy*h : (cy+1)*h] {
+			for dx, x := range xs[cx*w : (cx+1)*w] {
+				row[dy*w+dx] = dimOrder(x, y)
+			}
+		}
+	}
+	return tab
+}
+
+// hopDist is the default route's hop count: the axes' distances summed.
+func (g grid) hopDist(a, b int) int {
+	w := g.x.k
+	return iabs(g.x.delta(a%w, b%w)) + iabs(g.y.delta(a/w, b/w))
+}
+
+// onX reports whether the link from->to runs along x: it joins two
+// routers of one row.
+func (g grid) onX(from, to int) bool { return from/g.x.k == to/g.x.k }
+
+// vcClass is the class of a packet bound for dst in the buffer the link
+// from->to fills, decided on the link's own axis.
+func (g grid) vcClass(from, to, dst int) int {
+	w := g.x.k
+	if g.onX(from, to) {
+		return int(g.x.class(to%w, dst%w))
+	}
+	return int(g.y.class(to/w, dst/w))
+}
+
+// vcClasses is vcClass for every link and destination. The table of a
+// link depends only on its axis and its arrival coordinate on it, so
+// there is one table per (axis, coordinate), w+h in all, each tiled from
+// the axis's class table.
+func (g grid) vcClasses(links []LinkSpec) [][]uint8 {
+	w, h := g.x.k, g.y.k
+	R := w * h
+	xc, yc := g.x.table(g.x.class), g.y.table(g.y.class)
+	rows := make([]uint8, (w+h)*R)
+	row := func(i int) []uint8 { return rows[i*R : (i+1)*R : (i+1)*R] }
+	for cx := 0; cx < w; cx++ {
+		r := row(cx)
+		for dy := 0; dy < h; dy++ {
+			copy(r[dy*w:], xc[cx*w:(cx+1)*w])
+		}
+	}
+	for cy := 0; cy < h; cy++ {
+		r := row(w + cy)
+		for dy, c := range yc[cy*h : (cy+1)*h] {
+			for dx := 0; dx < w; dx++ {
+				r[dy*w+dx] = c
+			}
+		}
+	}
+	tables := make([][]uint8, len(links))
+	for id, l := range links {
+		if g.onX(l.From, l.To) {
+			tables[id] = row(l.To % w)
+		} else {
+			tables[id] = row(w + l.To/w)
+		}
+	}
+	return tables
 }
 
 // ----------------------------------------------------------------------------
@@ -132,33 +327,25 @@ func (m Mesh) Links() []LinkSpec {
 	return ls
 }
 
-// Route implements Topology: XY dimension-order.
-func (m Mesh) Route(r, d int) int {
-	cx, cy := r%m.W, r/m.W
-	dx, dy := d%m.W, d/m.W
-	switch {
-	case dx > cx:
-		return PortEast
-	case dx < cx:
-		return PortWest
-	case dy > cy:
-		return PortNorth
-	case dy < cy:
-		return PortSouth
-	default:
-		return PortLocal
-	}
+// grid is the mesh as two lines, x along a row and y along a column.
+func (m Mesh) grid() grid {
+	return grid{axis{m.W, false, PortEast, PortWest}, axis{m.H, false, PortNorth, PortSouth}}
 }
 
+// Route implements Topology: XY dimension-order.
+func (m Mesh) Route(r, d int) int { return m.grid().route(r, d) }
+
+// Routes implements Topology.
+func (m Mesh) Routes() []uint8 { return m.grid().routes() }
+
 // HopDist implements Topology: Manhattan distance.
-func (m Mesh) HopDist(a, b int) int {
-	ax, ay := a%m.W, a/m.W
-	bx, by := b%m.W, b/m.W
-	return iabs(ax-bx) + iabs(ay-by)
-}
+func (m Mesh) HopDist(a, b int) int { return m.grid().hopDist(a, b) }
 
 // VCClass implements Topology: the mesh needs no VC restriction.
 func (m Mesh) VCClass(_, _, _ int) (int, bool) { return 0, false }
+
+// VCClasses implements Topology: the mesh needs no VC restriction.
+func (m Mesh) VCClasses() [][]uint8 { return nil }
 
 // Dateline implements Topology: the mesh has no wraparound rings.
 func (m Mesh) Dateline(_, _ int) (int, bool, bool) { return 0, false, false }
@@ -207,43 +394,20 @@ func (t Torus) Links() []LinkSpec {
 	return ls
 }
 
-// ringDelta returns the signed displacement of the minimal way from c to d
-// around a k-ring: positive = forward (+1 direction), ties break forward.
-func ringDelta(c, d, k int) int {
-	fwd := ((d-c)%k + k) % k
-	if fwd == 0 {
-		return 0
-	}
-	if 2*fwd <= k {
-		return fwd
-	}
-	return fwd - k
+// grid is the torus as two rings, x around a row and y around a column.
+func (t Torus) grid() grid {
+	return grid{axis{t.W, true, PortEast, PortWest}, axis{t.H, true, PortNorth, PortSouth}}
 }
 
 // Route implements Topology: minimal dimension-order, x before y, shorter
 // way around each ring.
-func (t Torus) Route(r, d int) int {
-	cx, cy := r%t.W, r/t.W
-	dx, dy := d%t.W, d/t.W
-	if dd := ringDelta(cx, dx, t.W); dd > 0 {
-		return PortEast
-	} else if dd < 0 {
-		return PortWest
-	}
-	if dd := ringDelta(cy, dy, t.H); dd > 0 {
-		return PortNorth
-	} else if dd < 0 {
-		return PortSouth
-	}
-	return PortLocal
-}
+func (t Torus) Route(r, d int) int { return t.grid().route(r, d) }
+
+// Routes implements Topology.
+func (t Torus) Routes() []uint8 { return t.grid().routes() }
 
 // HopDist implements Topology: minimal ring distance per dimension.
-func (t Torus) HopDist(a, b int) int {
-	ax, ay := a%t.W, a/t.W
-	bx, by := b%t.W, b/t.W
-	return iabs(ringDelta(ax, bx, t.W)) + iabs(ringDelta(ay, by, t.H))
-}
+func (t Torus) HopDist(a, b int) int { return t.grid().hopDist(a, b) }
 
 // VCClass implements Topology. The class is keyed to the dimension of the
 // arrival link — the dimension whose buffer the packet occupies — never to
@@ -253,25 +417,11 @@ func (t Torus) HopDist(a, b int) int {
 // the pair between rows H-1 and 0; x and y channels are disjoint resources
 // and dimension-order routing only ever creates x->y dependencies, so the
 // two spirals compose into a DAG.
-func (t Torus) VCClass(from, to, dst int) (int, bool) {
-	cx, cy := to%t.W, to/t.W
-	dx, dy := dst%t.W, dst/t.W
-	if from/t.W == to/t.W { // x-dimension link (same row)
-		if dd := ringDelta(cx, dx, t.W); dd != 0 {
-			if (dd > 0 && cx > dx) || (dd < 0 && cx < dx) {
-				return 0, true // the x wraparound crossing is still ahead
-			}
-		}
-		return 1, true
-	}
-	// y-dimension link (same column).
-	if dd := ringDelta(cy, dy, t.H); dd != 0 {
-		if (dd > 0 && cy > dy) || (dd < 0 && cy < dy) {
-			return 0, true
-		}
-	}
-	return 1, true
-}
+func (t Torus) VCClass(from, to, dst int) (int, bool) { return t.grid().vcClass(from, to, dst), true }
+
+// VCClasses implements Topology: one table per column for the row links,
+// one per row for the column links.
+func (t Torus) VCClasses() [][]uint8 { return t.grid().vcClasses(t.Links()) }
 
 // Dateline implements Topology. Each row carries an east ring (ids 0..H-1)
 // and a west ring (H..2H-1), each column a north ring (2H..2H+W-1) and a
@@ -344,32 +494,26 @@ func (g Ring) Links() []LinkSpec {
 	return ls
 }
 
+// grid is the ring as a one-row torus: its one axis is the cycle.
+func (g Ring) grid() grid { return grid{x: axis{g.N, true, PortCW, PortCCW}, y: axis{k: 1}} }
+
 // Route implements Topology: shorter direction, ties clockwise.
-func (g Ring) Route(r, d int) int {
-	switch dd := ringDelta(r, d, g.N); {
-	case dd > 0:
-		return PortCW
-	case dd < 0:
-		return PortCCW
-	default:
-		return PortLocal
-	}
-}
+func (g Ring) Route(r, d int) int { return g.grid().route(r, d) }
+
+// Routes implements Topology: each router's row is the one per-distance
+// table rotated.
+func (g Ring) Routes() []uint8 { return g.grid().routes() }
 
 // HopDist implements Topology.
-func (g Ring) HopDist(a, b int) int { return iabs(ringDelta(a, b, g.N)) }
+func (g Ring) HopDist(a, b int) int { return g.grid().hopDist(a, b) }
 
 // VCClass implements Topology: same dateline rule as the torus, one ring
 // per rotation direction. The ring has a single dimension, so only the
-// destination matters.
-func (g Ring) VCClass(_, to, dst int) (int, bool) {
-	if dd := ringDelta(to, dst, g.N); dd != 0 {
-		if (dd > 0 && to > dst) || (dd < 0 && to < dst) {
-			return 0, true
-		}
-	}
-	return 1, true
-}
+// arrival router and the destination matter.
+func (g Ring) VCClass(from, to, dst int) (int, bool) { return g.grid().vcClass(from, to, dst), true }
+
+// VCClasses implements Topology: one table per arrival router.
+func (g Ring) VCClasses() [][]uint8 { return g.grid().vcClasses(g.Links()) }
 
 // Dateline implements Topology: the clockwise ring (id 0) wraps from N-1 to
 // 0, the counter-clockwise ring (id 1) from 0 to N-1.

@@ -234,10 +234,14 @@ func (p *Player) Done() bool { return p.pos >= len(p.events) }
 
 // Record captures a workload model into a trace: it rolls the generator for
 // the given cycles against a virtual unlimited sink (no network), recording
-// every packet the model offers.
+// every packet the model offers. It records nothing and fails for fewer
+// than 1 cycle.
 func Record(w *Writer, gen interface {
 	TickInto(scratch *flit.Packet, inject func(core int, p *flit.Packet) bool)
 }, cycles int) error {
+	if cycles < 1 {
+		return fmt.Errorf("trace: cannot record %d cycles, need at least 1", cycles)
+	}
 	var scratch flit.Packet
 	for c := 0; c < cycles; c++ {
 		var err error

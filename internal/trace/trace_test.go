@@ -224,3 +224,33 @@ func TestPlayerStallsDoNotDrop(t *testing.T) {
 		t.Fatalf("delivered %d of 50", n.Counters.DeliveredPackets)
 	}
 }
+
+// TestRecordRejectsFewerThanOneCycle: a count below 1 fails without
+// rolling the generator or recording anything, where it used to succeed
+// with an empty trace that the reader reports as one cycle long.
+func TestRecordRejectsFewerThanOneCycle(t *testing.T) {
+	cfg := noc.DefaultConfig()
+	m, err := traffic.Benchmark("blackscholes", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cycles := range []int{0, -3} {
+		w, err := NewWriter(&bytes.Buffer{}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Record(w, m.Generator(1), cycles); err == nil {
+			t.Errorf("Record over %d cycles succeeded", cycles)
+		}
+		if w.Count() != 0 {
+			t.Errorf("Record over %d cycles wrote %d events", cycles, w.Count())
+		}
+	}
+	w, err := NewWriter(&bytes.Buffer{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Record(w, m.Generator(1), 1); err != nil {
+		t.Fatalf("Record over 1 cycle: %v", err)
+	}
+}

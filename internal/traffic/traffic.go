@@ -379,46 +379,39 @@ func (g *Generator) dstFor(src int, x float64) int {
 	return (src + 1) % len(row)
 }
 
-// LinkLoads computes the analytic per-link traffic shares of a model under
-// the topology's default routing (the quantity in Figure 1(c)). The result
-// is indexed by link id (the topology's Links() order, which is the
-// network's link numbering) and holds each directed link's share of total
-// link traversals.
-func LinkLoads(m *Model, cfg noc.Config) []float64 {
-	return LinkLoadsWhere(m, cfg, nil)
-}
-
-// LinkLoadsWhere computes per-link traffic shares restricted to flows for
-// which keep(src, dst) is true (nil keeps all). The attacker's link-
+// LinkLoadsWhere computes the analytic per-link traffic shares of a model
+// (the quantity in Figure 1(c)) restricted to flows for which keep(src,
+// dst) is true (nil keeps all). route is the topology's default route and
+// links the network's link list, indexed by id: Network.DefaultRoute and
+// Network.LinkSlice. The result, indexed by link id, holds each directed
+// link's share of the kept flows' link traversals. The attacker's link-
 // selection analysis (Section III-A) uses this to place trojans on the
 // links its *target* flows actually cross. Keying by link id keeps
 // parallel links apart: on a torus 2 routers wide, the mesh link and the
 // wraparound link join the same two routers.
-func LinkLoadsWhere(m *Model, cfg noc.Config, keep func(src, dst int) bool) []float64 {
-	topo := cfg.Topology()
-	route := noc.RouteTable(topo)
-	specs := topo.Links()
-	// out[r][port] is the id of the link leaving router r on that port.
-	out := make([][]int, cfg.Routers())
-	for r := range out {
-		out[r] = make([]int, topo.NumPorts(r))
+func LinkLoadsWhere(m *Model, route noc.RouteFunc, links []noc.LinkInfo, keep func(src, dst int) bool) []float64 {
+	R := len(m.Matrix)
+	// at[r*MaxPorts+port] is the id of the link leaving router r on port.
+	at := make([]int32, R*noc.MaxPorts)
+	for _, l := range links {
+		at[l.From*noc.MaxPorts+l.FromPort] = int32(l.ID)
 	}
-	for id, ls := range specs {
-		out[ls.From][ls.FromPort] = id
-	}
-	loads := make([]float64, len(specs))
+	loads := make([]float64, len(links))
 	total := 0.0
-	for s := 0; s < cfg.Routers(); s++ {
-		for d := 0; d < cfg.Routers(); d++ {
+	for s := 0; s < R; s++ {
+		for d := 0; d < R; d++ {
+			if s == d || (keep != nil && !keep(s, d)) {
+				continue
+			}
 			w := m.Matrix[s][d] * m.Intensity[s]
-			if w == 0 || s == d || (keep != nil && !keep(s, d)) {
+			if w == 0 {
 				continue
 			}
 			for cur := s; cur != d; {
-				id := out[cur][route(cur, d)]
+				id := at[cur*noc.MaxPorts+route(cur, d)]
 				loads[id] += w
 				total += w
-				cur = specs[id].To
+				cur = links[id].To
 			}
 		}
 	}

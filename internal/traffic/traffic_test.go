@@ -10,6 +10,16 @@ import (
 
 func cfg() noc.Config { return noc.DefaultConfig() }
 
+// linkLoads is the unfiltered LinkLoadsWhere over a network built on c.
+func linkLoads(t *testing.T, m *Model, c noc.Config) []float64 {
+	t.Helper()
+	n, err := noc.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return LinkLoadsWhere(m, n.DefaultRoute(), n.LinkSlice(), nil)
+}
+
 func TestBenchmarksListStable(t *testing.T) {
 	names := Benchmarks()
 	if len(names) < 10 {
@@ -187,7 +197,7 @@ func TestGeneratorFieldsValid(t *testing.T) {
 
 func TestLinkLoadsSumToOne(t *testing.T) {
 	m, _ := Benchmark("blackscholes", cfg())
-	loads := LinkLoads(m, cfg())
+	loads := linkLoads(t, m, cfg())
 	if len(loads) != len(cfg().Topology().Links()) {
 		t.Fatalf("%d loads for %d links", len(loads), len(cfg().Topology().Links()))
 	}
@@ -219,7 +229,7 @@ func loadBetween(t *testing.T, loads []float64, from, to int) float64 {
 // near the primary core carry a disproportionate share of traffic.
 func TestLinkLoadsConcentrateNearPrimary(t *testing.T) {
 	m, _ := Benchmark("blackscholes", cfg())
-	loads := LinkLoads(m, cfg())
+	loads := linkLoads(t, m, cfg())
 	near := loadBetween(t, loads, 0, 1) + loadBetween(t, loads, 1, 0)
 	far := loadBetween(t, loads, 14, 15) + loadBetween(t, loads, 15, 14)
 	if near <= far {
@@ -232,7 +242,7 @@ func TestLinkLoadsConcentrateNearPrimary(t *testing.T) {
 func TestLinkLoadsMatchSimulation(t *testing.T) {
 	c := cfg()
 	m, _ := Benchmark("blackscholes", c)
-	analytic := LinkLoads(m, c)
+	analytic := linkLoads(t, m, c)
 
 	n, err := noc.New(c)
 	if err != nil {
@@ -271,7 +281,7 @@ func TestLinkLoadsKeepParallelLinksApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loads := LinkLoads(m, c)
+	loads := linkLoads(t, m, c)
 	topo := c.Topology()
 	route := noc.RouteTable(topo)
 	// used[r][port]: some flow's default route leaves router r on port.
