@@ -35,6 +35,9 @@ func main() {
 
 	switch {
 	case *out != "":
+		if *cycles < 1 {
+			log.Fatalf("-cycles %d: need at least 1 cycle", *cycles)
+		}
 		m, err := traffic.Benchmark(*bench, cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -48,8 +51,6 @@ func main() {
 			log.Fatal(err)
 		}
 		if err := trace.Record(w, m.Generator(*seed), *cycles); err != nil {
-			f.Close()
-			os.Remove(*out)
 			log.Fatal(err)
 		}
 		if err := w.Close(); err != nil {

@@ -57,19 +57,10 @@ func ComputePriors(t noc.Topology, links []noc.LinkInfo) Priors {
 	}
 	R := t.Routers()
 
-	// at[router*MaxPorts+port] is the id of the link leaving router on
-	// port, -1 for an unwired port, for route walking.
-	at := make([]int32, R*noc.MaxPorts)
-	for i := range at {
-		at[i] = -1
-	}
-	for _, l := range links {
-		at[l.From*noc.MaxPorts+l.FromPort] = int32(l.ID)
-	}
-
 	// Route-table fan-in: walk every (src, dst) default route and count the
 	// links it crosses. Hop-bounded so a malformed route table cannot loop.
 	route := noc.RouteTable(t)
+	at := noc.IndexLinks(R, links)
 	counts := make([]int, len(links))
 	maxHops := R + 1
 	for src := 0; src < R; src++ {
@@ -79,7 +70,7 @@ func ComputePriors(t noc.Topology, links []noc.LinkInfo) Priors {
 			}
 			r := src
 			for hop := 0; r != dst && hop < maxHops; hop++ {
-				id := at[r*noc.MaxPorts+route(r, dst)]
+				id := at.Link(r, route(r, dst))
 				if id < 0 {
 					break // route points at an unwired port
 				}

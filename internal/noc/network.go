@@ -27,6 +27,28 @@ func (l LinkInfo) String() string {
 	return fmt.Sprintf("r%d %s -> r%d", l.From, name, l.To)
 }
 
+// LinkIndex maps each (router, output port) pair to the id of the link
+// that leaves the router on that port, so a walk along a route finds each
+// hop's link with one load.
+type LinkIndex []int32
+
+// IndexLinks builds the LinkIndex of a network of the given router count
+// from its links, indexed by id. A port that drives no link maps to -1.
+func IndexLinks(routers int, links []LinkInfo) LinkIndex {
+	at := make(LinkIndex, routers*MaxPorts)
+	for i := range at {
+		at[i] = -1
+	}
+	for _, l := range links {
+		at[l.From*MaxPorts+l.FromPort] = int32(l.ID)
+	}
+	return at
+}
+
+// Link returns the id of the link leaving router on port, -1 if the port
+// drives none.
+func (x LinkIndex) Link(router, port int) int { return int(x[router*MaxPorts+port]) }
+
 // Counters aggregates cumulative simulation statistics.
 type Counters struct {
 	InjectedPackets  uint64

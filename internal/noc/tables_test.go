@@ -204,6 +204,29 @@ func TestVCClassesMatchOracles(t *testing.T) {
 	}
 }
 
+// TestIndexLinksMatchesWiring: IndexLinks names, for every router and
+// port, the link the network wired there, and -1 where it wired none.
+func TestIndexLinksMatchesWiring(t *testing.T) {
+	for _, tp := range tableTopologies() {
+		n, err := New(tableConfig(tp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := IndexLinks(tp.Routers(), n.LinkSlice())
+		for r, rt := range n.routers {
+			for p := 0; p < MaxPorts; p++ {
+				want := -1
+				if p < len(rt.outputs) {
+					want = rt.outputs[p].linkID
+				}
+				if got := at.Link(r, p); got != want {
+					t.Fatalf("%s %v: Link(%d, %d) = %d, wired %d", tp.Name(), tp, r, p, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestNetworkTablesResetToFresh: a network installs the oracle route table
 // and gives every link its own copy of the oracle class table; after
 // ReclassifyVCs rewrites the class tables, Reset restores exactly a fresh

@@ -172,27 +172,6 @@ func (a axis) table(f func(c, d int) uint8) []uint8 {
 	return tab
 }
 
-// ports tabulates port. Around a ring the decision depends only on the
-// forward distance (d-c) mod k, so it is taken once per distance and each
-// row is that table rotated.
-func (a axis) ports() []uint8 {
-	if !a.wrap {
-		return a.table(a.port)
-	}
-	k := a.k
-	byDist := make([]uint8, k)
-	for f := range byDist {
-		byDist[f] = a.port(0, f)
-	}
-	tab := make([]uint8, k*k)
-	for c := 0; c < k; c++ {
-		row := tab[c*k : (c+1)*k]
-		copy(row[c:], byDist)   // d >= c, distance d-c
-		copy(row, byDist[k-c:]) // d < c, distance d-c+k
-	}
-	return tab
-}
-
 // grid is a dimension-order topology over an x and a y axis: router r sits
 // at (r mod x.k, r div x.k), and the default route steps along x until the
 // column agrees, then along y.
@@ -217,7 +196,7 @@ func (g grid) route(r, d int) int {
 func (g grid) routes() []uint8 {
 	w, h := g.x.k, g.y.k
 	R := w * h
-	xs, ys := g.x.ports(), g.y.ports()
+	xs, ys := g.x.table(g.x.port), g.y.table(g.y.port)
 	tab := make([]uint8, R*R)
 	for r := 0; r < R; r++ {
 		cx, cy := r%w, r/w
@@ -500,8 +479,7 @@ func (g Ring) grid() grid { return grid{x: axis{g.N, true, PortCW, PortCCW}, y: 
 // Route implements Topology: shorter direction, ties clockwise.
 func (g Ring) Route(r, d int) int { return g.grid().route(r, d) }
 
-// Routes implements Topology: each router's row is the one per-distance
-// table rotated.
+// Routes implements Topology.
 func (g Ring) Routes() []uint8 { return g.grid().routes() }
 
 // HopDist implements Topology.

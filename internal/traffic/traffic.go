@@ -388,14 +388,11 @@ func (g *Generator) dstFor(src int, x float64) int {
 // selection analysis (Section III-A) uses this to place trojans on the
 // links its *target* flows actually cross. Keying by link id keeps
 // parallel links apart: on a torus 2 routers wide, the mesh link and the
-// wraparound link join the same two routers.
+// wraparound link join the same two routers. A flow's walk ends early if
+// the route leads to an unwired port or runs past R hops.
 func LinkLoadsWhere(m *Model, route noc.RouteFunc, links []noc.LinkInfo, keep func(src, dst int) bool) []float64 {
 	R := len(m.Matrix)
-	// at[r*MaxPorts+port] is the id of the link leaving router r on port.
-	at := make([]int32, R*noc.MaxPorts)
-	for _, l := range links {
-		at[l.From*noc.MaxPorts+l.FromPort] = int32(l.ID)
-	}
+	at := noc.IndexLinks(R, links)
 	loads := make([]float64, len(links))
 	total := 0.0
 	for s := 0; s < R; s++ {
@@ -407,8 +404,11 @@ func LinkLoadsWhere(m *Model, route noc.RouteFunc, links []noc.LinkInfo, keep fu
 			if w == 0 {
 				continue
 			}
-			for cur := s; cur != d; {
-				id := at[cur*noc.MaxPorts+route(cur, d)]
+			for cur, hop := s, 0; cur != d && hop <= R; hop++ {
+				id := at.Link(cur, route(cur, d))
+				if id < 0 {
+					break
+				}
 				loads[id] += w
 				total += w
 				cur = links[id].To

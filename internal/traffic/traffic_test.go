@@ -313,6 +313,41 @@ func TestLinkLoadsKeepParallelLinksApart(t *testing.T) {
 	}
 }
 
+// TestLinkLoadsStopAtBadRoutes: a route that leads to an unwired port
+// charges no link, and one that cycles ends after R hops, where a walk
+// that read an unwired port as link 0 charged it and went on.
+func TestLinkLoadsStopAtBadRoutes(t *testing.T) {
+	c := cfg()
+	m, err := Benchmark("blackscholes", c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := noc.New(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unwired := func(int, int) int { return noc.MaxPorts - 1 }
+	for id, v := range LinkLoadsWhere(m, unwired, n.LinkSlice(), nil) {
+		if v != 0 {
+			t.Fatalf("route to an unwired port: link %d carries %g", id, v)
+		}
+	}
+	// Between routers 0 and 1, east then west forever.
+	shuttle := func(r, _ int) int {
+		if r%2 == 0 {
+			return noc.PortEast
+		}
+		return noc.PortWest
+	}
+	loads := LinkLoadsWhere(m, shuttle, n.LinkSlice(), func(s, d int) bool { return s == 0 && d == 2 })
+	for id, l := range n.LinkSlice() {
+		between := (l.From == 0 && l.To == 1) || (l.From == 1 && l.To == 0)
+		if between != (loads[id] > 0) {
+			t.Fatalf("cycling route: link %v carries %g", l, loads[id])
+		}
+	}
+}
+
 func TestRouterTotals(t *testing.T) {
 	m, _ := Benchmark("blackscholes", cfg())
 	tot := m.Intensity
