@@ -110,10 +110,12 @@ bench:
 # the clean Step benches (idle / uniform at 4x4, 8x8, 16x16 / drain) in
 # internal/noc plus the under-attack bench at the repo root, and the
 # 256-router platform set-up (BenchmarkPlatformSetup, internal/core: what
-# the end-to-end benchmark's setup_s times). benchgate -json writes the
-# document with the same parser the gate uses.
+# the end-to-end benchmark's setup_s times). Each benchmark runs five times
+# and benchgate -json, the same parser the gate uses, records each metric's
+# median with its minimum, maximum and run count: one run varies too much
+# on a shared host to compare.
 bench-json:
-	$(GO) test '-bench=NetworkStep|PlatformSetup' -benchmem -run xxx ./internal/noc ./internal/core . \
+	$(GO) test '-bench=NetworkStep|PlatformSetup' -benchmem -count=5 -run xxx ./internal/noc ./internal/core . \
 		| $(GO) run ./cmd/benchgate -json -label "Network.Step hot path (clean + under attack) and platform set-up" > BENCH_$(DATE).json
 	@cat BENCH_$(DATE).json
 

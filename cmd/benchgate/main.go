@@ -4,12 +4,14 @@
 // any is nonzero. It prints no timing: the gate's short fixed-iteration
 // runs are not comparable with the default-benchtime medians of the
 // BENCH_<date>.json snapshots. With -json it instead writes the run as a
-// BENCH_<date>.json document (`make bench-json`).
+// BENCH_<date>.json document (`make bench-json`), folding the repeated
+// lines of one benchmark (`go test -count`) into the median of each
+// metric, with its minimum, maximum and number of lines.
 //
 // Usage:
 //
 //	go test -bench=NetworkStep -benchtime=100x -benchmem -run xxx ./internal/noc . | go run ./cmd/benchgate
-//	go test -bench=NetworkStep -benchmem -run xxx ./internal/noc . | go run ./cmd/benchgate -json -label hotpath
+//	go test -bench=NetworkStep -benchmem -count=5 -run xxx ./internal/noc . | go run ./cmd/benchgate -json -label hotpath
 //
 // benchgate is a Go program so the parsing and the gate itself are under
 // test (main_test.go), the same standard the rest of the tree is held to.
@@ -22,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,12 +39,22 @@ type report struct {
 	Benchmarks []bench `json:"benchmarks"`
 }
 
-// bench is one parsed benchmark result line.
+// bench is one parsed benchmark result line, or in a -json document the
+// median of one benchmark's lines (fold).
 type bench struct {
 	Name    string             `json:"name"` // GOMAXPROCS suffix ("-8") stripped
 	Pkg     string             `json:"pkg,omitempty"`
 	Runs    int64              `json:"runs"`
 	Metrics map[string]float64 `json:"metrics"` // "ns/op", "allocs/op", "B/op", extra ReportMetric units
+	// Spread is each metric's range over the folded lines.
+	Spread map[string]spread `json:"spread,omitempty"`
+}
+
+// spread is the range of one metric over a benchmark's folded lines.
+type spread struct {
+	Min float64 `json:"min"`
+	Max float64 `json:"max"`
+	N   int     `json:"n"`
 }
 
 // parseBenchLine parses one `Benchmark... <runs> <value> <unit>...` line.
@@ -111,6 +124,55 @@ func parseBenchOutput(r io.Reader) (report, error) {
 	return rep, sc.Err()
 }
 
+// fold merges the lines of each (pkg, name) benchmark into one, in the
+// order the benchmarks first appear: each metric and the iteration count
+// become the median of the lines' values (the mean of the middle two for
+// an even count), and Spread holds each metric's minimum, maximum and
+// number of lines. One run of a benchmark varies too much on a shared
+// host for a snapshot to rest on it.
+func fold(benches []bench) []bench {
+	type key struct{ pkg, name string }
+	var order []key
+	lines := map[key][]bench{}
+	for _, b := range benches {
+		k := key{b.Pkg, b.Name}
+		if lines[k] == nil {
+			order = append(order, k)
+		}
+		lines[k] = append(lines[k], b)
+	}
+	out := make([]bench, 0, len(order))
+	for _, k := range order {
+		bs := lines[k]
+		runs := make([]float64, len(bs))
+		values := map[string][]float64{}
+		for i, b := range bs {
+			runs[i] = float64(b.Runs)
+			for unit, v := range b.Metrics { //nocvet:orderfree each unit's values keep the lines' order
+				values[unit] = append(values[unit], v)
+			}
+		}
+		f := bench{Name: k.name, Pkg: k.pkg, Runs: int64(median(runs)),
+			Metrics: map[string]float64{}, Spread: map[string]spread{}}
+		for unit, vs := range values { //nocvet:orderfree each unit is folded on its own
+			f.Metrics[unit] = median(vs)
+			f.Spread[unit] = spread{Min: slices.Min(vs), Max: slices.Max(vs), N: len(vs)}
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median returns the median of vs, sorting vs in place.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
+}
+
 // writeReport writes rep as an indented BENCH_<date>.json document.
 func writeReport(w io.Writer, rep report) error {
 	enc := json.NewEncoder(w)
@@ -150,6 +212,7 @@ func main() {
 	}
 	if *asJSON {
 		rep.Label = *label
+		rep.Benchmarks = fold(rep.Benchmarks)
 		if err := writeReport(os.Stdout, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(2)

@@ -146,3 +146,46 @@ BenchmarkNetworkStepAttack-8  	     100	      5600 ns/op	       0 B/op	       0 
 		t.Errorf("custom metric lost in the round trip: %v", got)
 	}
 }
+
+// TestFoldTakesMediansPerBenchmark: -json folds the repeated lines of one
+// benchmark into the median of each metric with its minimum, maximum and
+// line count, keeps same-named benchmarks of different packages apart and
+// lists the benchmarks in the order they first appear.
+func TestFoldTakesMediansPerBenchmark(t *testing.T) {
+	rep, err := parseBenchOutput(strings.NewReader(`pkg: tasp/internal/noc
+BenchmarkNetworkStep/idle-8     	     100	        21 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNetworkStep/uniform-8  	     300	      9300 ns/op	     117.2 flits-in-flight	       0 B/op	       0 allocs/op
+BenchmarkNetworkStep/idle-8     	     120	        13 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNetworkStep/uniform-8  	     200	      8100 ns/op	     117.0 flits-in-flight	       0 B/op	       0 allocs/op
+BenchmarkNetworkStep/idle-8     	     110	        17 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNetworkStep/idle-8     	     130	        22 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNetworkStep/idle-8     	      90	        16 ns/op	       0 B/op	       0 allocs/op
+pkg: tasp
+BenchmarkNetworkStep/idle-8     	     100	        40 ns/op	       8 B/op	       1 allocs/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fold(rep.Benchmarks)
+	want := []bench{
+		{Name: "BenchmarkNetworkStep/idle", Pkg: "tasp/internal/noc", Runs: 110,
+			Metrics: map[string]float64{"ns/op": 17, "B/op": 0, "allocs/op": 0},
+			Spread: map[string]spread{
+				"ns/op": {Min: 13, Max: 22, N: 5}, "B/op": {N: 5}, "allocs/op": {N: 5},
+			}},
+		{Name: "BenchmarkNetworkStep/uniform", Pkg: "tasp/internal/noc", Runs: 250,
+			Metrics: map[string]float64{"ns/op": 8700, "flits-in-flight": 117.1, "B/op": 0, "allocs/op": 0},
+			Spread: map[string]spread{
+				"ns/op": {Min: 8100, Max: 9300, N: 2}, "flits-in-flight": {Min: 117.0, Max: 117.2, N: 2},
+				"B/op": {N: 2}, "allocs/op": {N: 2},
+			}},
+		{Name: "BenchmarkNetworkStep/idle", Pkg: "tasp", Runs: 100,
+			Metrics: map[string]float64{"ns/op": 40, "B/op": 8, "allocs/op": 1},
+			Spread: map[string]spread{
+				"ns/op": {Min: 40, Max: 40, N: 1}, "B/op": {Min: 8, Max: 8, N: 1}, "allocs/op": {Min: 1, Max: 1, N: 1},
+			}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fold = %+v,\nwant %+v", got, want)
+	}
+}

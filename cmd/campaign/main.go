@@ -82,11 +82,17 @@ func runCmd(args []string, resume bool) error {
 	specPath := fs.String("spec", "", "scenario grid spec (JSON)")
 	outPath := fs.String("out", "", "output JSONL path")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	ckptEvery := fs.Int("checkpoint-every", 64, "records between checkpoints")
+	ckptEvery := fs.Int("checkpoint-every", 64, "records between checkpoints (0 = 64)")
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	fs.Parse(args)
 	if *specPath == "" || *outPath == "" {
 		return fmt.Errorf("%s: -spec and -out are required", name)
+	}
+	if *workers < 0 {
+		return fmt.Errorf("%s: -workers = %d: must be positive, or 0 for GOMAXPROCS", name, *workers)
+	}
+	if *ckptEvery < 0 {
+		return fmt.Errorf("%s: -checkpoint-every = %d: must be positive, or 0 for 64", name, *ckptEvery)
 	}
 	data, err := os.ReadFile(*specPath)
 	if err != nil {

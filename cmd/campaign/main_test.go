@@ -76,3 +76,32 @@ func TestAggregateRefusesAnEmptyInput(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsNegativeFlags: run and resume refuse a negative -workers
+// or -checkpoint-every with an error naming the flag, before they touch
+// the output, where -workers -1 used to run at GOMAXPROCS and
+// -checkpoint-every -5 to checkpoint every 64 records.
+func TestRunRejectsNegativeFlags(t *testing.T) {
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "one.json")
+	if err := os.WriteFile(spec, []byte(`{"benchmarks":["fft"],"warmup":40,"measure":40}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "one.jsonl")
+	for _, resume := range []bool{false, true} {
+		for _, tc := range []struct {
+			flag, value, want string
+		}{
+			{"-workers", "-1", "-workers = -1: must be positive, or 0 for GOMAXPROCS"},
+			{"-checkpoint-every", "-5", "-checkpoint-every = -5: must be positive, or 0 for 64"},
+		} {
+			err := runCmd([]string{"-spec", spec, "-out", out, "-quiet", tc.flag, tc.value}, resume)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("resume=%v %s %s: %v, want an error containing %q", resume, tc.flag, tc.value, err, tc.want)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Fatalf("resume=%v %s %s: the rejected run touched the output (%v)", resume, tc.flag, tc.value, err)
+			}
+		}
+	}
+}

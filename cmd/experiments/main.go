@@ -41,9 +41,12 @@ func main() {
 		conc     = flag.Int("conc", 4, "fig1 cores per router (1..8)")
 		vcs      = flag.Int("vcs", 4, "fig1 virtual channels per port (1..8)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
-		parallel = flag.Int("parallel", exp.DefaultWorkers(), "experiments -exp all runs at once (1 = one at a time; each still fans its points across GOMAXPROCS)")
+		parallel = flag.Int("parallel", exp.DefaultWorkers(), "experiments -exp all runs at once (1 = one at a time, 0 = one per CPU; each still fans its points across GOMAXPROCS)")
 	)
 	flag.Parse()
+	if *parallel < 0 {
+		log.Fatalf("-parallel = %d: must be positive, or 0 for one per CPU", *parallel)
+	}
 
 	ncfg := noc.DefaultConfig()
 	ncfg.Topo = *topology

@@ -398,19 +398,20 @@ type Results struct {
 	SuspectTrace []locate.TraceSample
 }
 
-// flowMatcher returns the flow filter a target implies: the attacker places
+// targetFlows returns the flows a target implies as LinkLoadsWhere's
+// source and destination selectors, -1 for any router: the attacker places
 // trojans on links its *target* flows actually cross (Section III-A). VC
-// and Mem targets match flits of every flow, so no filter applies.
-func flowMatcher(t tasp.Target) func(src, dst int) bool {
+// and Mem targets match flits of every flow, so they select all flows.
+func targetFlows(t tasp.Target) (src, dst int) {
 	switch t.Kind {
 	case tasp.TargetDest:
-		return func(_, dst int) bool { return dst == int(t.DstR) }
+		return -1, int(t.DstR)
 	case tasp.TargetSrc:
-		return func(src, _ int) bool { return src == int(t.SrcR) }
+		return int(t.SrcR), -1
 	case tasp.TargetDestSrc, tasp.TargetFull:
-		return func(src, dst int) bool { return src == int(t.SrcR) && dst == int(t.DstR) }
+		return int(t.SrcR), int(t.DstR)
 	default:
-		return nil
+		return -1, -1
 	}
 }
 
@@ -423,7 +424,8 @@ func flowMatcher(t tasp.Target) func(src, dst int) bool {
 // disabled links: every router still reaches every other.
 func ChooseInfectedLinks(m *traffic.Model, net *noc.Network, n int, target tasp.Target) []int {
 	links := net.LinkSlice()
-	loads := traffic.LinkLoadsWhere(m, net.DefaultRoute(), links, flowMatcher(target))
+	src, dst := targetFlows(target)
+	loads := traffic.LinkLoadsWhere(m, net.DefaultRoute(), links, src, dst)
 	type cand struct {
 		id   int
 		load float64

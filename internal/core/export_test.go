@@ -8,9 +8,11 @@ func SetAudit(r *Runner, fn func(*noc.Network) error) { r.audit = fn }
 // Summarize renders every observable field of a Results (runner_test.go).
 var Summarize = summarize
 
-// FlowMatcher and LinkLoadsOracle give the external placement tests the
-// attacker's flow filter and the old analytic loads (placement_test.go).
+// TargetFlows, FlowMatcherOracle and LinkLoadsOracle give the external
+// placement tests the attacker's flow selectors, the flow filter they
+// replaced and the old analytic loads (placement_test.go).
 var (
-	FlowMatcher     = flowMatcher
-	LinkLoadsOracle = linkLoadsOracle
+	TargetFlows       = targetFlows
+	FlowMatcherOracle = flowMatcherOracle
+	LinkLoadsOracle   = linkLoadsOracle
 )

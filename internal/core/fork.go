@@ -341,9 +341,7 @@ func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator
 	}
 	f.flows = f.flows[:0]
 	if latched {
-		for _, w := range a.wires {
-			f.flows = w.saveFlows(f.flows)
-		}
+		f.flows = a.saveLatches(f.flows)
 	}
 	f.trojans = f.trojans[:0]
 	for _, t := range armed {
@@ -385,10 +383,7 @@ func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMon
 		ack.CopyFrom(&f.ack)
 	}
 	if mitigated {
-		rest := f.flows
-		for _, w := range a.wires {
-			rest = w.restoreFlows(rest)
-		}
+		a.restoreLatches(f.flows)
 	}
 	for i, s := range f.trojans {
 		trojans[i].Restore(s)
@@ -398,6 +393,32 @@ func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMon
 	res.Latency.Merge(f.latency)
 	res.SuspectTrace = append(res.SuspectTrace[:0], f.trace...)
 	res.AtEnable, res.VictimDelivered, res.AckFlaggedAt = f.atEnable, f.victim, f.flagged
+}
+
+// saveLatches appends every link's flow latch to dst in link order, the
+// layout's MaxVCs slots a link. A link without a wire has empty latches.
+func (a *arena) saveLatches(dst []flowSlot) []flowSlot {
+	vcs := a.net.Layout().MaxVCs()
+	for _, w := range a.wires {
+		if w == nil {
+			dst = append(dst, make([]flowSlot, vcs)...)
+			continue
+		}
+		dst = w.saveFlows(dst)
+	}
+	return dst
+}
+
+// restoreLatches loads the latches saveLatches wrote into the links that
+// carry a wire this point. The others keep perfectWire, which latches
+// nothing.
+func (a *arena) restoreLatches(src []flowSlot) {
+	vcs := a.net.Layout().MaxVCs()
+	for id, w := range a.wires {
+		if w != nil {
+			w.restoreFlows(src[id*vcs : (id+1)*vcs])
+		}
+	}
 }
 
 // keptRun is the Results of the last simulated group member whose run

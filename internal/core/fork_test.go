@@ -188,7 +188,7 @@ type forkState struct {
 	net     noc.Checkpoint
 	gen     traffic.GeneratorState
 	ack     detect.AckMonitor
-	flows   []flowSlot
+	flows   []flowSlot // the latches of the links with a fault source
 	trojans []tasp.Snapshot
 	res     Results // the prefix a run writes as it goes
 	strikes uint64  // the trojans' strikes so far
@@ -213,9 +213,12 @@ func stateAt(t *testing.T, cfg ExperimentConfig, cycle uint64, run func(*Runner)
 			st.ack.CopyFrom(a.ackmon)
 		}
 		st.flows, st.trojans, st.strikes = st.flows[:0], st.trojans[:0], 0
-		for id, w := range a.wires {
-			st.flows = w.saveFlows(st.flows)
-			for _, tap := range a.chains[id] {
+		for id, chain := range a.chains {
+			if len(chain) == 0 {
+				continue // perfectWire: no latch any run reads
+			}
+			st.flows = a.wires[id].saveFlows(st.flows)
+			for _, tap := range chain {
 				if tr, ok := tap.(tasp.Trojan); ok {
 					st.trojans = append(st.trojans, tr.Save())
 					_, s := tr.Stats()
@@ -243,9 +246,10 @@ func stateAt(t *testing.T, cfg ExperimentConfig, cycle uint64, run func(*Runner)
 
 // TestForkStateAtEnableMatchesWholeRun compares, one cycle after the fork,
 // everything a resumed member carries — the network, the generator's draw
-// position, the secure-ack monitor, every wire's flow latch,
-// the trojans and the Results written so far — with the same point run
-// whole. Unlike the end-to-end comparison, it catches state a checkpoint
+// position, the secure-ack monitor, the flow latches of the links that
+// carry a fault source in the member's run (the only latches any run
+// reads: every other link keeps perfectWire), the trojans and the Results
+// written so far — with the same point run whole. Unlike the end-to-end comparison, it catches state a checkpoint
 // drops even when no outcome happens to depend on it. In the warm-up cases
 // the resumed member is the attacked one, after its clean twin; in the
 // latched case the twin is unmitigated, so the latches come from its

@@ -12,6 +12,23 @@ import (
 	"tasp/internal/traffic"
 )
 
+// flowMatcherOracle is the flow filter the attacker's placement applied
+// before it selected flows by source and destination, kept as a test
+// oracle for targetFlows: it keeps the (src, dst) flows a target matches,
+// and nil keeps all.
+func flowMatcherOracle(t tasp.Target) func(src, dst int) bool {
+	switch t.Kind {
+	case tasp.TargetDest:
+		return func(_, dst int) bool { return dst == int(t.DstR) }
+	case tasp.TargetSrc:
+		return func(src, _ int) bool { return src == int(t.SrcR) }
+	case tasp.TargetDestSrc, tasp.TargetFull:
+		return func(src, dst int) bool { return src == int(t.SrcR) && dst == int(t.DstR) }
+	default:
+		return nil
+	}
+}
+
 // linkLoadsOracle is traffic.LinkLoadsWhere before it walked the network's
 // route table, kept as a test oracle: it builds its own table with one
 // Route call per pair and its own (router, port) -> link map from the
@@ -64,7 +81,7 @@ func linkLoadsOracle(m *traffic.Model, cfg noc.Config, keep func(src, dst int) b
 // candidate and skips the candidate when the build fails. skipped reports
 // whether it skipped any.
 func chooseInfectedLinksOracle(m *traffic.Model, cfg noc.Config, links []noc.LinkInfo, n int, target tasp.Target) (picked []int, skipped bool) {
-	loads := linkLoadsOracle(m, cfg, flowMatcher(target))
+	loads := linkLoadsOracle(m, cfg, flowMatcherOracle(target))
 	type cand struct {
 		id   int
 		load float64

@@ -96,7 +96,14 @@ type arena struct {
 	cfg noc.Config
 	net *noc.Network
 
-	wires      []*SecureWire      // per link id, installed each point
+	// wires is, per link id, the SecureWire installed this point, nil on
+	// a link that keeps the network's perfectWire (wire). built is, per
+	// link id, the wire built on the link's first need, kept for later
+	// points, and windows the granularity windows all of them share.
+	wires   []*SecureWire
+	built   []*SecureWire
+	windows *lob.Windows
+
 	chains     []fault.Chain      // per link id, reusable injector chain storage
 	transients []*fault.Transient // per link id, lazily built, reseeded per point
 	isInfected []bool             // per link id scratch
@@ -151,12 +158,12 @@ func (r *Runner) arena(cfg noc.Config) (*arena, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout := cfg.Layout()
 	links := net.LinkSlice()
 	a := &arena{
 		cfg:        cfg,
 		net:        net,
 		wires:      make([]*SecureWire, len(links)),
+		built:      make([]*SecureWire, len(links)),
 		chains:     make([]fault.Chain, len(links)),
 		transients: make([]*fault.Transient, len(links)),
 		isInfected: make([]bool, len(links)),
@@ -165,10 +172,6 @@ func (r *Runner) arena(cfg noc.Config) (*arena, error) {
 		colls:      map[int]*tasp.Collusion{},
 		gens:       map[*traffic.Model]*traffic.Generator{},
 		disabled:   map[int]bool{},
-	}
-	windows := lob.WindowsFor(layout) // shared: read-only after construction
-	for i := range a.wires {
-		a.wires[i] = newSecureWire(fault.None, 0, layout, windows)
 	}
 	a.deliveredFn = func(d noc.Delivery) {
 		a.res.Latency.Observe(d.Latency)
@@ -188,6 +191,22 @@ func (r *Runner) arena(cfg noc.Config) (*arena, error) {
 	}
 	r.arenas[cfg] = a
 	return a, nil
+}
+
+// wire returns link id's SecureWire, building it on the link's first
+// need. A point installs one only on a link it puts a fault source on, or
+// on every link during a latched warm-up (run), so a clean platform builds
+// none.
+func (a *arena) wire(id int) *SecureWire {
+	if w := a.built[id]; w != nil {
+		return w
+	}
+	if a.windows == nil {
+		a.windows = lob.WindowsFor(a.net.Layout()) // read-only after construction
+	}
+	w := newSecureWire(fault.None, 0, a.net.Layout(), a.windows)
+	a.built[id] = w
+	return w
 }
 
 // placement memoizes the attacker's optimal link selection, which reruns the
@@ -418,6 +437,7 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 	for _, id := range infected {
 		a.isInfected[id] = true
 	}
+	clear(a.wires)
 	ti := 0
 	for _, l := range net.LinkSlice() {
 		chain := a.chains[l.ID][:0]
@@ -436,13 +456,21 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 			chain = append(chain, tr)
 		}
 		a.chains[l.ID] = chain
+		if len(chain) == 0 && mode != runLatch {
+			// No fault can strike the link, so it keeps the perfectWire
+			// Reset installed: a SecureWire there would send every flit
+			// plain and change nothing but its flow latch, which only a
+			// resuming s2s-lob member reads, after a latched warm-up that
+			// wires every link.
+			continue
+		}
 		var tap fault.Adversary = fault.None
 		if len(chain) > 0 {
 			// *Chain (not Chain) keeps the interface assignment pointer-
 			// shaped: boxing the slice header would allocate per link.
 			tap = &a.chains[l.ID]
 		}
-		w := a.wires[l.ID]
+		w := a.wire(l.ID)
 		w.Reset(tap, cfg.Seed^0x10b^uint64(l.ID))
 		// A latching warm-up runs every wire mitigated until the checkpoint,
 		// for the flow latches a later s2s-lob member resumes with. Before
@@ -453,6 +481,7 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 		if w.Detector.Cap() != wantCap {
 			w.Detector = detect.New(wantCap)
 		}
+		a.wires[l.ID] = w
 		net.SetWire(l.ID, w)
 	}
 
@@ -497,7 +526,7 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 		tel = net.EnableTelemetry(0)
 		if a.locator == nil {
 			a.locator = locate.New(net.Topology(), net.LinkSlice())
-			a.evScratch = make(map[int]locate.LinkEvidence, len(a.wires))
+			a.evScratch = make(map[int]locate.LinkEvidence, len(net.LinkSlice()))
 		}
 		eng = a.locator
 	}
@@ -534,11 +563,13 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 				ackGap = op.FlitsSent - op.FlitsRecv
 			}
 			ev := locate.LinkEvidence{
-				Class:           a.wires[l.ID].Detector.Classification(),
 				Retransmissions: op.Retransmissions,
 				FlitsSent:       op.FlitsSent,
 				AckGap:          ackGap,
 				RouteViolations: op.RouteViolations,
+			}
+			if w := a.wires[l.ID]; w != nil {
+				ev.Class = w.Detector.Classification()
 			}
 			if ackmon != nil {
 				ev.Ack = ackmon.Class(l.ID)
@@ -561,7 +592,9 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 			if mode == runCheckpoint || mode == runLatch {
 				r.fork.save(&cfg, a, gen, ackmon, res, nil, mode == runLatch)
 				for _, w := range a.wires {
-					w.Mitigated = mitigated
+					if w != nil {
+						w.Mitigated = mitigated
+					}
 				}
 			}
 			for _, ht := range trojans {
@@ -589,7 +622,7 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 		}
 		if mitigated && res.FirstTrojanAt == 0 {
 			for _, w := range a.wires {
-				if w.Detector.Classification() == detect.Trojan {
+				if w != nil && w.Detector.Classification() == detect.Trojan {
 					res.FirstTrojanAt = net.Cycle()
 					break
 				}
@@ -691,6 +724,9 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 	}
 	for _, l := range net.LinkSlice() {
 		w := a.wires[l.ID]
+		if w == nil {
+			continue // healthy, every counter zero
+		}
 		res.Obfuscated += w.Obfuscated
 		res.StallCycles += w.StallCycles
 		res.BISTScans += w.BISTScans

@@ -144,9 +144,8 @@ func (w *SecureWire) flowOf(f *flit.Flit, vc uint8) lob.FlowKey {
 // saveFlows appends the wire's flow latch to dst (the run-fork checkpoint).
 func (w *SecureWire) saveFlows(dst []flowSlot) []flowSlot { return append(dst, w.flows...) }
 
-// restoreFlows loads the wire's flow latch from the front of src, as
-// saveFlows wrote it, and returns the rest of src.
-func (w *SecureWire) restoreFlows(src []flowSlot) []flowSlot { return src[copy(w.flows, src):] }
+// restoreFlows loads the wire's flow latch from src, as saveFlows wrote it.
+func (w *SecureWire) restoreFlows(src []flowSlot) { copy(w.flows, src) }
 
 // choose picks the obfuscation for this attempt on a mitigated wire.
 func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {

@@ -44,8 +44,10 @@ func BenchmarkPlatformSetup(b *testing.B) {
 
 // TestPlacementLoadsMatchOracle: on every platform of the scale, sweep and
 // secure workloads, the attacker's analytic loads over the network's own
-// route table and link list are bit for bit the loads of the walk that
-// built its own table and port map, for every target kind.
+// route table and link list, walking only the flows the target's source
+// and destination selectors pick, are bit for bit the loads of the walk
+// that built its own table and port map and filtered every flow through
+// the target's matcher, for every target kind.
 func TestPlacementLoadsMatchOracle(t *testing.T) {
 	type platform struct {
 		cfg   noc.Config
@@ -72,9 +74,9 @@ func TestPlacementLoadsMatchOracle(t *testing.T) {
 				tasp.ForDest(0), tasp.ForDest(last), tasp.ForSrc(last / 2), tasp.ForDestSrc(last/2, 0),
 				tasp.ForFull(last, last/2, 1, 0x1000, 0xffff), tasp.ForMem(0x2000, 0xff00), tasp.ForVC(1),
 			} {
-				keep := core.FlowMatcher(target)
-				got := traffic.LinkLoadsWhere(m, net.DefaultRoute(), net.LinkSlice(), keep)
-				want := core.LinkLoadsOracle(m, c.Noc, keep)
+				src, dst := core.TargetFlows(target)
+				got := traffic.LinkLoadsWhere(m, net.DefaultRoute(), net.LinkSlice(), src, dst)
+				want := core.LinkLoadsOracle(m, c.Noc, core.FlowMatcherOracle(target))
 				if len(got) != len(want) {
 					t.Fatalf("%s on %s %dx%d: %d loads, oracle %d", w, c.Noc.Topo, c.Noc.Width, c.Noc.Height, len(got), len(want))
 				}

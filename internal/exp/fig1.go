@@ -58,7 +58,7 @@ func RunFigure1(bench string, cfg noc.Config) (*Figure1, error) {
 		return nil, err
 	}
 	out.Links = cfg.Topology().Links()
-	out.LinkShare = traffic.LinkLoadsWhere(m, net.DefaultRoute(), net.LinkSlice(), nil)
+	out.LinkShare = traffic.LinkLoadsWhere(m, net.DefaultRoute(), net.LinkSlice(), -1, -1)
 	return out, nil
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"unsafe"
+
+	"tasp/internal/flit"
 )
 
 // TestHotStructSizes pins the sizes of the structs every hop copies: input
@@ -70,14 +72,17 @@ func TestStepAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestBufferWindowsEndAtTheirBounds: every router keeps each buffer kind
-// in one array and every NI its queues in one array, handed out as
-// windows. Each window must start where the previous one's capacity ends
-// and hold exactly its bound — BufDepth flits per input VC, retransCap
-// entries per output port, VCs owners and credits per port, InjQueueCap
-// flits per core — so no append, compaction or refill can reach a
-// neighbour's storage. Checked on every topology, with shared and per-VC
-// retransmission buffers.
+// TestBufferWindowsEndAtTheirBounds: a network keeps each kind of buffer
+// in one array for all its routers and NIs, handed out as windows in
+// router order. Each window must start where the previous one's capacity
+// ends, across routers too, and hold exactly its bound — the routers and
+// NIs themselves, ports×VCs input VCs and ports output ports and pointers
+// per router, BufDepth flits per input VC, retransCap entries per output
+// port, VCs owners and credits per port, Concentration queues and heads
+// and VCs locks and reassembly slots per NI, InjQueueCap flits per core,
+// one class per destination per link — so no append, compaction or refill
+// can reach a neighbour's storage. Checked on every topology, with shared
+// and per-VC retransmission buffers.
 func TestBufferWindowsEndAtTheirBounds(t *testing.T) {
 	for _, topo := range Topologies() {
 		for _, perVC := range []bool{false, true} {
@@ -87,26 +92,99 @@ func TestBufferWindowsEndAtTheirBounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range n.routers {
-				where := fmt.Sprintf("%s retransPerVC=%v router %d", topo, perVC, r.id)
-				var bufs [][]bufFlit
-				for i := range r.ivcs {
-					bufs = append(bufs, r.ivcs[i].buf)
+			where := fmt.Sprintf("%s retransPerVC=%v", topo, perVC)
+			ports := n.routers[0].numPorts
+			vcs, conc := cfg.VCs, cfg.Concentration
+			var (
+				routers [][]Router
+				nis     [][]NI
+				ivcs    [][]inputVC
+				bufs    [][]bufFlit
+				ops     [][]outputPort
+				ptrs    [][]*outputPort
+				entries [][]retransEntry
+				owners  [][]uint64
+				credits [][]int
+				queues  [][][]flit.Flit
+				flits   [][]flit.Flit
+				heads   [][]int
+				locks   [][]int
+				rx      [][]rxState
+				classes [][]uint8
+			)
+			for i, r := range n.routers {
+				ni := n.nis[i]
+				routers = append(routers, unsafe.Slice(r, 1))
+				nis = append(nis, unsafe.Slice(ni, 1))
+				ivcs = append(ivcs, r.ivcs)
+				for v := range r.ivcs {
+					bufs = append(bufs, r.ivcs[v].buf)
 				}
-				var entries [][]retransEntry
-				var owners [][]uint64
-				var credits [][]int
-				for _, op := range r.outputs {
+				ops = append(ops, unsafe.Slice(r.outputs[0], r.numPorts))
+				ptrs = append(ptrs, r.outputs, r.ups)
+				for p, op := range r.outputs {
+					if op != &ops[len(ops)-1][p] {
+						t.Fatalf("%s router %d: output %d is not its router's port window's", where, i, p)
+					}
 					entries = append(entries, op.entries)
 					owners = append(owners, op.vcOwner)
 					credits = append(credits, op.credits)
 				}
-				checkWindows(t, where+" input VCs", bufs, 0, cfg.BufDepth)
-				checkWindows(t, where+" retransmission buffers", entries, 0, retransCap(&cfg))
-				checkWindows(t, where+" VC owners", owners, cfg.VCs, cfg.VCs)
-				checkWindows(t, where+" credits", credits, cfg.VCs, cfg.VCs)
-				checkWindows(t, where+" NI queues", n.nis[r.id].queues, 0, cfg.InjQueueCap)
+				queues = append(queues, ni.queues)
+				flits = append(flits, ni.queues...)
+				heads = append(heads, ni.heads)
+				locks = append(locks, ni.injLock)
+				rx = append(rx, ni.rx)
 			}
+			for _, l := range n.links {
+				if cl := n.LinkOutput(l.ID).vcClass; cl != nil {
+					classes = append(classes, cl)
+				}
+			}
+			checkWindows(t, where+" routers", routers, 1, 1)
+			checkWindows(t, where+" NIs", nis, 1, 1)
+			checkWindows(t, where+" input VCs", ivcs, ports*vcs, ports*vcs)
+			checkWindows(t, where+" input VC buffers", bufs, 0, cfg.BufDepth)
+			checkWindows(t, where+" output ports", ops, ports, ports)
+			checkWindows(t, where+" output and upstream port tables", ptrs, ports, ports)
+			checkWindows(t, where+" retransmission buffers", entries, 0, retransCap(&cfg))
+			checkWindows(t, where+" VC owners", owners, vcs, vcs)
+			checkWindows(t, where+" credits", credits, vcs, vcs)
+			checkWindows(t, where+" NI queue tables", queues, conc, conc)
+			checkWindows(t, where+" NI queues", flits, 0, cfg.InjQueueCap)
+			checkWindows(t, where+" NI queue heads", heads, conc, conc)
+			checkWindows(t, where+" NI injection locks", locks, vcs, vcs)
+			checkWindows(t, where+" NI reassembly slots", rx, vcs, vcs)
+			if want := len(n.links); n.baseClasses != nil && len(classes) != want {
+				t.Fatalf("%s: %d links have a class table, want %d", where, len(classes), want)
+			}
+			checkWindows(t, where+" VC-class tables", classes, cfg.Routers(), cfg.Routers())
+		}
+	}
+}
+
+// TestNewAllocationsDoNotGrowWithRouters: New allocates each kind of
+// buffer once for the whole network, so its allocation count stays under
+// one bound from 16 to 256 routers on every topology, where one allocation
+// per router and buffer kind made a 16x16 torus take thousands.
+func TestNewAllocationsDoNotGrowWithRouters(t *testing.T) {
+	const bound = 48
+	for _, c := range []struct {
+		topo string
+		w, h int
+	}{
+		{"mesh", 4, 4}, {"mesh", 16, 16}, {"torus", 4, 4}, {"torus", 16, 16}, {"ring", 4, 4}, {"ring", 8, 8},
+	} {
+		cfg := DefaultConfig()
+		cfg.Topo, cfg.Width, cfg.Height = c.topo, c.w, c.h
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := New(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s %dx%d: %.0f allocations", c.topo, c.w, c.h, allocs)
+		if allocs > bound {
+			t.Errorf("New(%s %dx%d) makes %.0f allocations, over the bound of %d", c.topo, c.w, c.h, allocs, bound)
 		}
 	}
 }

@@ -170,25 +170,37 @@ func New(cfg Config) (*Network, error) {
 	n.baseRoute = n.route
 	n.routePristine = true
 	R := topo.Routers()
-	n.sched = newScheduler(R)
-	bitPV := bitTable(cfg.VCs)
+	ports := 0
 	for r := 0; r < R; r++ {
-		ports := topo.NumPorts(r)
-		if ports < 2 || ports > MaxPorts {
+		p := topo.NumPorts(r)
+		if p < 2 || p > MaxPorts {
 			return nil, fmt.Errorf("noc: topology %s declares %d ports on router %d (supported: 2..%d)",
-				topo.Name(), ports, r, MaxPorts)
+				topo.Name(), p, r, MaxPorts)
 		}
-		n.routers = append(n.routers, newRouter(r, &cfg, ports, bitPV))
-		n.nis = append(n.nis, newNI(r, cfg, n.layout))
+		ports += p
+	}
+	n.sched = newScheduler(R)
+	st := newStorage(&cfg, R, ports)
+	bitPV := bitTable(cfg.VCs)
+	n.routers = make([]*Router, R)
+	n.nis = make([]*NI, R)
+	for r := range n.routers {
+		n.routers[r] = newRouter(&st, r, &cfg, topo.NumPorts(r), bitPV)
+		n.nis[r] = newNI(&st, r, &cfg, &n.layout)
 		n.routers[r].sched = n.sched
 		n.nis[r].sched = n.sched
 	}
 	// The dateline VC-class tables (nil on the mesh): each link's output
-	// port gets its own copy of its table, which ReclassifyVCs rewrites:
-	// vcClass[dst] = the class a packet destined for dst occupies in the
-	// downstream buffer of that specific link.
+	// port gets its own copy of its table, a window of one block for all
+	// links, which ReclassifyVCs rewrites: vcClass[dst] = the class a
+	// packet destined for dst occupies in the downstream buffer of that
+	// specific link.
 	n.baseClasses = topo.VCClasses()
 	specs := topo.Links()
+	var classes []uint8
+	if n.baseClasses != nil {
+		classes = make([]uint8, len(specs)*R)
+	}
 	n.links = make([]LinkInfo, 0, len(specs))
 	for id, ls := range specs {
 		n.links = append(n.links, LinkInfo{
@@ -199,7 +211,8 @@ func New(cfg Config) (*Network, error) {
 		op.linkID = id
 		op.wire = perfectWire{}
 		if n.baseClasses != nil {
-			op.vcClass = append([]uint8(nil), n.baseClasses[id]...)
+			op.vcClass = carve(&classes, R, R)
+			copy(op.vcClass, n.baseClasses[id])
 		}
 		n.routers[ls.To].ups[ls.ToPort] = op
 	}

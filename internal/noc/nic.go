@@ -66,26 +66,21 @@ type rxState struct {
 	flits int
 }
 
-func newNI(router int, cfg Config, layout flit.Layout) *NI {
-	ni := &NI{
-		router:  router,
-		cfg:     cfg,
-		layout:  layout,
-		queues:  make([][]flit.Flit, cfg.Concentration),
-		heads:   make([]int, cfg.Concentration),
-		injLock: make([]int, cfg.VCs),
-		rx:      make([]rxState, cfg.VCs),
-	}
-	// The cores' queues share one array, each a window whose capacity ends
-	// where the next core's begins.
-	qcap := cfg.InjQueueCap
-	flits := make([]flit.Flit, len(ni.queues)*qcap)
+// newNI builds router's NI in its windows of the network's storage.
+func newNI(st *storage, router int, cfg *Config, layout *flit.Layout) *NI {
+	ni := &carve(&st.nis, 1, 1)[0]
+	conc, vcs := cfg.Concentration, cfg.VCs
+	ni.router, ni.cfg, ni.layout = router, *cfg, *layout
+	ni.queues = carve(&st.queues, conc, conc)
 	for c := range ni.queues {
-		ni.queues[c] = flits[c*qcap : c*qcap : (c+1)*qcap]
+		ni.queues[c] = carve(&st.flits, 0, cfg.InjQueueCap)
 	}
+	ni.heads = carve(&st.heads, conc, conc)
+	ni.injLock = carve(&st.locks, vcs, vcs)
 	for v := range ni.injLock {
 		ni.injLock[v] = -1
 	}
+	ni.rx = carve(&st.rx, vcs, vcs)
 	return ni
 }
 

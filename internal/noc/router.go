@@ -269,42 +269,32 @@ func (r *Router) occBit(port, vc int) uint { return uint(port*r.vcs + vc) }
 // input returns input VC (port, vc).
 func (r *Router) input(port, vc int) *inputVC { return &r.ivcs[port*r.vcs+vc] }
 
-func newRouter(id int, cfg *Config, ports int, bitPV []portVC) *Router {
-	r := &Router{
-		id:       id,
-		numPorts: ports,
-		ivcs:     make([]inputVC, ports*cfg.VCs),
-		bitPV:    bitPV,
-		outputs:  make([]*outputPort, ports),
-		ups:      make([]*outputPort, ports),
-		vcs:      cfg.VCs,
-	}
-	// One contiguous block per router for the output ports (and one for
-	// the input VCs): the LT phase walks all ports of every active router
-	// each cycle, and on big substrates the pointer-per-port layout was a
-	// cache miss per port. Each kind of buffer is likewise one array per
-	// router, handed out as windows whose capacity ends where the next
-	// begins, so no append, compaction or refill crosses into a
-	// neighbour's storage.
-	ops := make([]outputPort, ports)
-	depth, rcap, vcs := cfg.BufDepth, retransCap(cfg), cfg.VCs
-	bufs := make([]bufFlit, len(r.ivcs)*depth)
+// newRouter builds router id in its windows of the network's storage. The
+// input VCs are one block indexed by occupancy bit, and the output ports
+// one block beside their pointer tables: the LT phase walks all ports of
+// every active router each cycle, and on big substrates the
+// pointer-per-port layout was a cache miss per port.
+func newRouter(st *storage, id int, cfg *Config, ports int, bitPV []portVC) *Router {
+	r := &carve(&st.routers, 1, 1)[0]
+	vcs, depth, rcap := cfg.VCs, cfg.BufDepth, retransCap(cfg)
+	r.id, r.numPorts, r.vcs, r.bitPV = id, ports, vcs, bitPV
+	r.ivcs = carve(&st.ivcs, ports*vcs, ports*vcs)
 	for i := range r.ivcs {
-		r.ivcs[i].buf = bufs[i*depth : i*depth : (i+1)*depth]
+		r.ivcs[i].buf = carve(&st.bufs, 0, depth)
 	}
-	entries := make([]retransEntry, ports*rcap)
-	owners := make([]uint64, ports*vcs)
-	credits := make([]int, ports*vcs)
-	for v := range credits {
-		credits[v] = depth
-	}
-	for p := 0; p < ports; p++ {
+	ops := carve(&st.ports, ports, ports)
+	r.outputs = carve(&st.ptrs, ports, ports)
+	r.ups = carve(&st.ptrs, ports, ports)
+	for p := range ops {
 		op := &ops[p]
 		op.router = id
 		op.linkID = -1
-		op.entries = entries[p*rcap : p*rcap : (p+1)*rcap]
-		op.vcOwner = owners[p*vcs : (p+1)*vcs : (p+1)*vcs]
-		op.credits = credits[p*vcs : (p+1)*vcs : (p+1)*vcs]
+		op.entries = carve(&st.entries, 0, rcap)
+		op.vcOwner = carve(&st.owners, vcs, vcs)
+		op.credits = carve(&st.credits, vcs, vcs)
+		for v := range op.credits {
+			op.credits[v] = depth
+		}
 		r.outputs[p] = op
 	}
 	lp := r.outputs[PortLocal]

@@ -288,8 +288,11 @@ func (m Mesh) PortName(_, p int) string { return PortName(p) }
 
 // Links implements Topology, preserving the seed simulator's enumeration
 // order: row-major over routers, the east pair then the north pair.
-func (m Mesh) Links() []LinkSpec {
-	var ls []LinkSpec
+func (m Mesh) Links() []LinkSpec { return m.links(0) }
+
+// links lists the mesh's links in a slice with room for extra more.
+func (m Mesh) links(extra int) []LinkSpec {
+	ls := make([]LinkSpec, 0, 2*((m.W-1)*m.H+m.W*(m.H-1))+extra)
 	for y := 0; y < m.H; y++ {
 		for x := 0; x < m.W; x++ {
 			r := y*m.W + x
@@ -359,7 +362,7 @@ func (t Torus) PortName(_, p int) string { return PortName(p) }
 // Links implements Topology: the mesh links in mesh order, then the
 // wraparound pairs (east-west per row, north-south per column).
 func (t Torus) Links() []LinkSpec {
-	ls := Mesh{W: t.W, H: t.H}.Links()
+	ls := Mesh{W: t.W, H: t.H}.links(2 * (t.H + t.W))
 	for y := 0; y < t.H; y++ {
 		last := y*t.W + t.W - 1
 		first := y * t.W
@@ -465,7 +468,7 @@ func (g Ring) PortName(_, p int) string {
 // Links implements Topology: per router, the clockwise pair to its
 // successor.
 func (g Ring) Links() []LinkSpec {
-	var ls []LinkSpec
+	ls := make([]LinkSpec, 0, 2*g.N)
 	for r := 0; r < g.N; r++ {
 		next := (r + 1) % g.N
 		ls = append(ls, LinkSpec{r, PortCW, next, PortCCW}, LinkSpec{next, PortCCW, r, PortCW})

@@ -380,24 +380,28 @@ func (g *Generator) dstFor(src int, x float64) int {
 }
 
 // LinkLoadsWhere computes the analytic per-link traffic shares of a model
-// (the quantity in Figure 1(c)) restricted to flows for which keep(src,
-// dst) is true (nil keeps all). route is the topology's default route and
-// links the network's link list, indexed by id: Network.DefaultRoute and
-// Network.LinkSlice. The result, indexed by link id, holds each directed
-// link's share of the kept flows' link traversals. The attacker's link-
-// selection analysis (Section III-A) uses this to place trojans on the
-// links its *target* flows actually cross. Keying by link id keeps
-// parallel links apart: on a torus 2 routers wide, the mesh link and the
-// wraparound link join the same two routers. A flow's walk ends early if
-// the route leads to an unwired port or runs past R hops.
-func LinkLoadsWhere(m *Model, route noc.RouteFunc, links []noc.LinkInfo, keep func(src, dst int) bool) []float64 {
+// (the quantity in Figure 1(c)) restricted to the flows from router src to
+// router dst, where -1 selects any router: (-1, -1) keeps every flow, and
+// a source or destination target walks R flows, not R². route is the
+// topology's default route and links the network's link list, indexed by
+// id: Network.DefaultRoute and Network.LinkSlice. The result, indexed by
+// link id, holds each directed link's share of the kept flows' link
+// traversals. The attacker's link-selection analysis (Section III-A) uses
+// this to place trojans on the links its *target* flows actually cross.
+// Keying by link id keeps parallel links apart: on a torus 2 routers wide,
+// the mesh link and the wraparound link join the same two routers. A
+// flow's walk ends early if the route leads to an unwired port or runs
+// past R hops.
+func LinkLoadsWhere(m *Model, route noc.RouteFunc, links []noc.LinkInfo, src, dst int) []float64 {
 	R := len(m.Matrix)
 	at := noc.IndexLinks(R, links)
 	loads := make([]float64, len(links))
+	s0, s1 := selected(src, R)
+	d0, d1 := selected(dst, R)
 	total := 0.0
-	for s := 0; s < R; s++ {
-		for d := 0; d < R; d++ {
-			if s == d || (keep != nil && !keep(s, d)) {
+	for s := s0; s < s1; s++ {
+		for d := d0; d < d1; d++ {
+			if s == d {
 				continue
 			}
 			w := m.Matrix[s][d] * m.Intensity[s]
@@ -422,4 +426,17 @@ func LinkLoadsWhere(m *Model, route noc.RouteFunc, links []noc.LinkInfo, keep fu
 		loads[id] /= total
 	}
 	return loads
+}
+
+// selected returns the routers [lo, hi) a LinkLoadsWhere selector picks
+// out of R: all of them for -1, else the one it names (none past R-1).
+func selected(sel, R int) (lo, hi int) {
+	switch {
+	case sel < 0:
+		return 0, R
+	case sel < R:
+		return sel, sel + 1
+	default:
+		return R, R
+	}
 }

@@ -17,7 +17,7 @@ func linkLoads(t *testing.T, m *Model, c noc.Config) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return LinkLoadsWhere(m, n.DefaultRoute(), n.LinkSlice(), nil)
+	return LinkLoadsWhere(m, n.DefaultRoute(), n.LinkSlice(), -1, -1)
 }
 
 func TestBenchmarksListStable(t *testing.T) {
@@ -327,7 +327,7 @@ func TestLinkLoadsStopAtBadRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	unwired := func(int, int) int { return noc.MaxPorts - 1 }
-	for id, v := range LinkLoadsWhere(m, unwired, n.LinkSlice(), nil) {
+	for id, v := range LinkLoadsWhere(m, unwired, n.LinkSlice(), -1, -1) {
 		if v != 0 {
 			t.Fatalf("route to an unwired port: link %d carries %g", id, v)
 		}
@@ -339,7 +339,7 @@ func TestLinkLoadsStopAtBadRoutes(t *testing.T) {
 		}
 		return noc.PortWest
 	}
-	loads := LinkLoadsWhere(m, shuttle, n.LinkSlice(), func(s, d int) bool { return s == 0 && d == 2 })
+	loads := LinkLoadsWhere(m, shuttle, n.LinkSlice(), 0, 2)
 	for id, l := range n.LinkSlice() {
 		between := (l.From == 0 && l.To == 1) || (l.From == 1 && l.To == 0)
 		if between != (loads[id] > 0) {
