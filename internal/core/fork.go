@@ -17,7 +17,7 @@ import (
 // that protocol with attack families and mitigations whose warm-ups the
 // network cannot tell apart: every trojan family acts only once its kill
 // switch is armed at the enable cycle, a mitigated wire does nothing on a
-// fault-free link but latch flows, and rerouting acts only
+// fault-free link that an unmitigated one does not, and rerouting acts only
 // RerouteDetectDelay cycles after enable. RunGroup therefore simulates one
 // warm-up per set of configurations that share a pre-enable identity,
 // checkpoints it at the end of cycle EnableCycle()-1, and resumes every
@@ -297,24 +297,23 @@ func (k *preEnable) hash() uint64 {
 
 // forkStore is a Runner's checkpoint: one store reused across its platforms
 // and groups, holding copies of the live state a run leaves behind at the
-// top of one cycle's iteration — the network's, the traffic generator's
-// draw position, the secure-ack monitor's windows, the L-Ob flow latches
-// and the Results a run writes as it goes (occupancy samples, the latency
-// distribution, the counters at enable, the victim's deliveries, an early
-// conviction, the suspect trace). A warm-up checkpoint is taken at the end
-// of cycle EnableCycle()-1, when every trojan is still in its Reset state;
-// a twin checkpoint at the end of the cycle before a rerouting member's
-// reroute cycle, with the armed trojans' state.
+// top of one cycle's iteration — the network's (with the flows its flits
+// carry), the traffic generator's draw position, the secure-ack monitor's
+// windows and the Results a run writes as it goes (occupancy samples, the
+// latency distribution, the counters at enable, the victim's deliveries, an
+// early conviction, the suspect trace). It holds nothing of the wires. A
+// warm-up checkpoint is taken at the end of cycle EnableCycle()-1, when
+// every trojan is still in its Reset state; a twin checkpoint at the end of
+// the cycle before a rerouting member's reroute cycle, with the armed
+// trojans' state.
 type forkStore struct {
-	ok      bool             // holds a checkpoint later members may resume
-	latched bool             // flows holds every wire's flow latch
-	at      uint64           // the cycle the saved network had finished
-	cfg     ExperimentConfig // the configuration whose run was saved
+	ok  bool             // holds a checkpoint later members may resume
+	at  uint64           // the cycle the saved network had finished
+	cfg ExperimentConfig // the configuration whose run was saved
 
 	net      noc.Checkpoint
 	gen      traffic.GeneratorState
 	ack      detect.AckMonitor
-	flows    []flowSlot
 	trojans  []tasp.Snapshot // past the enable cycle only
 	samples  []Sample
 	latency  *stats.Histogram
@@ -325,23 +324,18 @@ type forkStore struct {
 }
 
 // save checkpoints cfg's run at the top of its current iteration, with the
-// wires' flow latches when latched is set and the state of the armed
-// trojans given. A run that reconfigured the network leaves the store as
-// it is: the route tables and disabled links are not part of the
-// checkpoint.
-func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, armed []tasp.Trojan, latched bool) {
+// state of the armed trojans given. A run that reconfigured the network
+// leaves the store as it is: the route tables and disabled links are not
+// part of the checkpoint.
+func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, armed []tasp.Trojan) {
 	if len(a.disabled) > 0 {
 		return
 	}
-	f.ok, f.latched, f.at, f.cfg = true, latched, a.net.Cycle(), *cfg
+	f.ok, f.at, f.cfg = true, a.net.Cycle(), *cfg
 	a.net.Save(&f.net)
 	gen.Save(&f.gen)
 	if ack != nil {
 		f.ack.CopyFrom(ack)
-	}
-	f.flows = f.flows[:0]
-	if latched {
-		f.flows = a.saveLatches(f.flows)
 	}
 	f.trojans = f.trojans[:0]
 	for _, t := range armed {
@@ -358,32 +352,28 @@ func (f *forkStore) save(cfg *ExperimentConfig, a *arena, gen *traffic.Generator
 }
 
 // resumable reports whether member c may resume the stored checkpoint: a
-// warm-up its pre-enable identity shares, latched when c is s2s-lob, or its
-// twin's run at the end of the cycle before c's reroute cycle.
+// warm-up its pre-enable identity shares, or its twin's run at the end of
+// the cycle before c's reroute cycle.
 func (f *forkStore) resumable(c *ExperimentConfig) bool {
 	switch {
 	case !f.ok:
 		return false
 	case f.at+1 == c.EnableCycle():
-		return samePreEnable(c, &f.cfg) && (f.latched || c.Mitigation != S2SLOb)
+		return samePreEnable(c, &f.cfg)
 	default:
 		return f.at+1 == rerouteAt(c) && resumesTwin(c, &f.cfg)
 	}
 }
 
-// restore resumes a member from the stored checkpoint, loading the flow
-// latches into its wires when mitigated is set. The member's own set-up
-// has already run — trojans reset, wires installed and reset, the
+// restore resumes a member from the stored checkpoint. The member's own
+// set-up has already run — trojans reset, wires installed and reset, the
 // generator, monitor and telemetry tap attached — so what is restored is
 // exactly the state the saved run changed.
-func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, trojans []tasp.Trojan, mitigated bool) {
+func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMonitor, res *Results, trojans []tasp.Trojan) {
 	a.net.Restore(&f.net)
 	gen.Restore(&f.gen)
 	if ack != nil {
 		ack.CopyFrom(&f.ack)
-	}
-	if mitigated {
-		a.restoreLatches(f.flows)
 	}
 	for i, s := range f.trojans {
 		trojans[i].Restore(s)
@@ -393,32 +383,6 @@ func (f *forkStore) restore(a *arena, gen *traffic.Generator, ack *detect.AckMon
 	res.Latency.Merge(f.latency)
 	res.SuspectTrace = append(res.SuspectTrace[:0], f.trace...)
 	res.AtEnable, res.VictimDelivered, res.AckFlaggedAt = f.atEnable, f.victim, f.flagged
-}
-
-// saveLatches appends every link's flow latch to dst in link order, the
-// layout's MaxVCs slots a link. A link without a wire has empty latches.
-func (a *arena) saveLatches(dst []flowSlot) []flowSlot {
-	vcs := a.net.Layout().MaxVCs()
-	for _, w := range a.wires {
-		if w == nil {
-			dst = append(dst, make([]flowSlot, vcs)...)
-			continue
-		}
-		dst = w.saveFlows(dst)
-	}
-	return dst
-}
-
-// restoreLatches loads the latches saveLatches wrote into the links that
-// carry a wire this point. The others keep perfectWire, which latches
-// nothing.
-func (a *arena) restoreLatches(src []flowSlot) {
-	vcs := a.net.Layout().MaxVCs()
-	for id, w := range a.wires {
-		if w != nil {
-			w.restoreFlows(src[id*vcs : (id+1)*vcs])
-		}
-	}
 }
 
 // keptRun is the Results of the last simulated group member whose run
@@ -468,7 +432,6 @@ type runMode uint8
 const (
 	runWhole      runMode = iota // simulate every cycle, touch no checkpoint
 	runCheckpoint                // simulate every cycle, checkpoint the warm-up
-	runLatch                     // as runCheckpoint, latching flows on every wire until the save
 	runResume                    // resume from the stored checkpoint
 )
 
@@ -481,9 +444,7 @@ const (
 //     a copy of that member's Results, with its own Config;
 //   - a member whose pre-enable identity a later, different run shares
 //     checkpoints its warm-up at the end of cycle EnableCycle()-1, and the
-//     later members resume from the checkpoint. When a resuming member is
-//     s2s-lob, the warm-up runs its wires mitigated so the checkpoint holds
-//     their flow latches;
+//     later members resume from the checkpoint;
 //   - when the group holds an attacked rerouting member and its twin, the
 //     twin checkpoints again at the end of the cycle before the member's
 //     reroute cycle, and the member resumes there.
@@ -507,13 +468,11 @@ func (r *Runner) RunGroup(cfgs []ExperimentConfig, into func(i int) *Results, ea
 		case r.kept.ok && sameRun(c, &r.kept.cfg):
 			err = r.copyRun(*c, res)
 		default:
-			resume, latch, repeat := laterNeeds(c, cfgs, r.order[pos+1:])
+			resume, repeat := laterNeeds(c, cfgs, r.order[pos+1:])
 			mode := runWhole
 			switch {
 			case r.fork.resumable(c):
 				mode = runResume
-			case resume && (latch || c.Mitigation == S2SLOb):
-				mode = runLatch
 			case resume:
 				mode = runCheckpoint
 			}
@@ -599,12 +558,11 @@ func (r *Runner) copyRun(cfg ExperimentConfig, res *Results) error {
 
 // laterNeeds reports what the members of later, indices into cfgs, need
 // of c's run: resume, that one resumes c's warm-up (same pre-enable
-// identity, a different run); latch, that such a member is s2s-lob and
-// reads the warm-up's flow latches; repeat, that one repeats c's whole run
-// and copies its results. A rerouting member that will resume its twin
-// counts as resuming the warm-up: it falls back to it when the twin's
-// checkpoint is declined.
-func laterNeeds(c *ExperimentConfig, cfgs []ExperimentConfig, later []int) (resume, latch, repeat bool) {
+// identity, a different run); repeat, that one repeats c's whole run and
+// copies its results. A rerouting member that will resume its twin counts
+// as resuming the warm-up: it falls back to it when the twin's checkpoint
+// is declined.
+func laterNeeds(c *ExperimentConfig, cfgs []ExperimentConfig, later []int) (resume, repeat bool) {
 	for _, i := range later {
 		l := &cfgs[i]
 		switch {
@@ -613,8 +571,7 @@ func laterNeeds(c *ExperimentConfig, cfgs []ExperimentConfig, later []int) (resu
 			repeat = true
 		default:
 			resume = true
-			latch = latch || l.Mitigation == S2SLOb
 		}
 	}
-	return resume, latch, repeat
+	return resume, repeat
 }

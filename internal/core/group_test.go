@@ -313,13 +313,12 @@ func TestInertMitigationsAreOneRun(t *testing.T) {
 }
 
 // TestGroupMembersInAnyOrder: RunGroup's roles depend on the order of a
-// group — which member checkpoints, whether the warm-up is latched, which
-// run is kept for a copy, whether the attacked rerouting member comes
-// before or after its twin. Every rotation of a sweep group (clean and
-// attacked, each under none, s2s-lob and rerouting), forward and reversed,
-// gives every point its results alone. Among them, an attacked
-// unmitigated member checkpoints a latched warm-up and must not stay
-// mitigated after it, and a clean point under rerouting is kept and copied
+// group — which member checkpoints, which run is kept for a copy, whether
+// the attacked rerouting member comes before or after its twin. Every
+// rotation of a sweep group (clean and attacked, each under none, s2s-lob
+// and rerouting), forward and reversed, gives every point its results
+// alone. Among them, the attacked s2s-lob member resumes an unmitigated
+// member's warm-up, and a clean point under rerouting is kept and copied
 // to the others.
 func TestGroupMembersInAnyOrder(t *testing.T) {
 	var sweep []core.ExperimentConfig

@@ -194,9 +194,8 @@ func (r *Runner) arena(cfg noc.Config) (*arena, error) {
 }
 
 // wire returns link id's SecureWire, building it on the link's first
-// need. A point installs one only on a link it puts a fault source on, or
-// on every link during a latched warm-up (run), so a clean platform builds
-// none.
+// need. A point installs one only on a link it puts a fault source on
+// (run), so a clean platform builds none.
 func (a *arena) wire(id int) *SecureWire {
 	if w := a.built[id]; w != nil {
 		return w
@@ -456,27 +455,17 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 			chain = append(chain, tr)
 		}
 		a.chains[l.ID] = chain
-		if len(chain) == 0 && mode != runLatch {
+		if len(chain) == 0 {
 			// No fault can strike the link, so it keeps the perfectWire
 			// Reset installed: a SecureWire there would send every flit
-			// plain and change nothing but its flow latch, which only a
-			// resuming s2s-lob member reads, after a latched warm-up that
-			// wires every link.
+			// plain and change nothing.
 			continue
 		}
-		var tap fault.Adversary = fault.None
-		if len(chain) > 0 {
-			// *Chain (not Chain) keeps the interface assignment pointer-
-			// shaped: boxing the slice header would allocate per link.
-			tap = &a.chains[l.ID]
-		}
 		w := a.wire(l.ID)
-		w.Reset(tap, cfg.Seed^0x10b^uint64(l.ID))
-		// A latching warm-up runs every wire mitigated until the checkpoint,
-		// for the flow latches a later s2s-lob member resumes with. Before
-		// enable a mitigated wire sends every flit plain, as an unmitigated
-		// one does.
-		w.Mitigated = mitigated || mode == runLatch
+		// *Chain (not Chain) keeps the interface assignment pointer-shaped:
+		// boxing the slice header would allocate per link.
+		w.Reset(&a.chains[l.ID], cfg.Seed^0x10b^uint64(l.ID))
+		w.Mitigated = mitigated
 		w.Escalation = cfg.EscalationOrder
 		if w.Detector.Cap() != wantCap {
 			w.Detector = detect.New(wantCap)
@@ -585,24 +574,19 @@ func (r *Runner) run(cfg ExperimentConfig, res *Results, mode runMode, twinAt ui
 	total := cfg.Warmup + cfg.Measure
 	rerouted := false
 	if mode == runResume {
-		r.fork.restore(a, gen, ackmon, res, trojans, mitigated)
+		r.fork.restore(a, gen, ackmon, res, trojans)
 	}
 	for c := int(net.Cycle()); c < total; c++ {
 		if net.Cycle()+1 == enableAt {
-			if mode == runCheckpoint || mode == runLatch {
-				r.fork.save(&cfg, a, gen, ackmon, res, nil, mode == runLatch)
-				for _, w := range a.wires {
-					if w != nil {
-						w.Mitigated = mitigated
-					}
-				}
+			if mode == runCheckpoint {
+				r.fork.save(&cfg, a, gen, ackmon, res, nil)
 			}
 			for _, ht := range trojans {
 				ht.SetKillSwitch(true)
 			}
 		}
 		if net.Cycle()+1 == twinAt {
-			r.fork.save(&cfg, a, gen, ackmon, res, trojans, false)
+			r.fork.save(&cfg, a, gen, ackmon, res, trojans)
 		}
 		gen.TickInto(&a.scratch, a.injectFn)
 		net.Step()

@@ -132,7 +132,7 @@ func TestRunnerSteadyStateAllocs(t *testing.T) {
 		}
 		// Warm the arena, freelists and result storage past their high-water
 		// marks: early points occasionally grow a recycler (detector records,
-		// rx reassembly states, flow latches) to a new maximum.
+		// rx reassembly states) to a new maximum.
 		for i := 0; i < 40; i++ {
 			point()
 		}

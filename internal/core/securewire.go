@@ -39,9 +39,8 @@ type SecureWire struct {
 	Log *lob.MethodLog
 	// Mitigated enables the detector/L-Ob path; when false every traversal
 	// is the embedded PlainWire's (the paper's no-mitigation runs in
-	// Figure 11). Set it before the run starts: an unmitigated wire does
-	// not latch flows, so turning mitigation on mid-packet would find no
-	// flow for the packet's body flits.
+	// Figure 11). It may change at any cycle: every flit names its flow
+	// (flowOf), so the wire holds no per-packet state.
 	Mitigated bool
 	// Escalation is the L-Ob method order walked from attempt 2 on (nil =
 	// lob's default order). It belongs to the run, so concurrent runs with
@@ -51,12 +50,6 @@ type SecureWire struct {
 	layout  flit.Layout
 	windows *lob.Windows
 	key     *lob.Keystream
-	// flows is the L-Ob controller's flow latch, one slot per link VC: body
-	// flits carry no header, so the flow is latched when the head passes.
-	// The link's output port admits one packet per VC from VC allocation
-	// until its tail crosses, so a VC's slot only ever serves one packet's
-	// run of flits.
-	flows []flowSlot
 
 	// Counters of the mitigation hardware.
 	Obfuscated  uint64 // traversals sent under an L-Ob method
@@ -64,17 +57,9 @@ type SecureWire struct {
 	StallCycles uint64 // total undo penalty charged downstream
 }
 
-// flowSlot is one VC's latched flow: the packet whose head last passed on
-// the VC and the flow it declared. live is false once the tail has passed.
-type flowSlot struct {
-	id   uint64
-	key  lob.FlowKey
-	live bool
-}
-
 // NewSecureWire builds a mitigated link around the given fault tap. The
 // layout is the network's flit-header layout; both endpoints' hardware (the
-// L-Ob granularity windows and the flow latcher) is generated from it.
+// L-Ob granularity windows and the head decoder) is generated from it.
 func NewSecureWire(tap fault.Adversary, keySeed uint64, l flit.Layout) *SecureWire {
 	return newSecureWire(tap, keySeed, l, lob.WindowsFor(l))
 }
@@ -95,16 +80,15 @@ func newSecureWire(tap fault.Adversary, keySeed uint64, l flit.Layout, w *lob.Wi
 		layout:    l,
 		windows:   w,
 		key:       lob.NewKeystream(keySeed),
-		flows:     make([]flowSlot, l.MaxVCs()),
 	}
 }
 
 // Reset returns the wire to its post-NewSecureWire state for a new run
 // without allocating: the tap is replaced, the keystream rewound to keySeed,
-// and the detector, method log, flow latch and counters cleared. The
-// granularity windows are layout-derived and preserved — a wire belongs to
-// one network (hence one layout) for its whole life, which is exactly the
-// campaign arena's reuse pattern.
+// and the detector, method log and counters cleared. The granularity
+// windows are layout-derived and preserved — a wire belongs to one network
+// (hence one layout) for its whole life, which is exactly the campaign
+// arena's reuse pattern.
 func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 	if tap == nil {
 		tap = fault.None
@@ -115,37 +99,25 @@ func (w *SecureWire) Reset(tap fault.Adversary, keySeed uint64) {
 	w.Mitigated = true
 	w.Escalation = nil
 	w.key.Reseed(keySeed)
-	clear(w.flows)
 	w.Obfuscated, w.BISTScans, w.StallCycles = 0, 0, 0
 }
 
-// flowOf resolves the flow a flit belongs to, latching it from head flits.
-// A body or tail of another packet than the one its VC latched reads as an
-// unknown flow on that VC.
-func (w *SecureWire) flowOf(f *flit.Flit, vc uint8) lob.FlowKey {
-	slot := &w.flows[vc]
-	if f.IsHead() {
+// flowOf resolves the flow a flit belongs to on the given attempt. A head
+// declares its flow in its header. Body and tail flits carry no header, so
+// they read the stamp the forwarding router put on them, its packet's
+// header. The L-Ob controller releases a VC's flow on the tail's first
+// attempt, so a retried tail reads as an unknown flow on its link VC.
+func (w *SecureWire) flowOf(f *flit.Flit, vc uint8, attempt int) lob.FlowKey {
+	switch {
+	case f.IsHead():
 		l := &w.layout
-		k := lob.FlowKey{SrcR: l.SrcR(f.Payload), DstR: l.DstR(f.Payload), VC: l.VC(f.Payload)}
-		if !f.IsTail() {
-			*slot = flowSlot{id: f.PacketID, key: k, live: true}
-		}
-		return k
+		return lob.FlowKey{SrcR: l.SrcR(f.Payload), DstR: l.DstR(f.Payload), VC: l.VC(f.Payload)}
+	case f.IsTail() && attempt > 0:
+		return lob.FlowKey{VC: vc}
+	default:
+		return lob.FlowKey{SrcR: f.SrcR, DstR: f.DstR, VC: f.VC}
 	}
-	if slot.live && slot.id == f.PacketID {
-		if f.IsTail() {
-			slot.live = false
-		}
-		return slot.key
-	}
-	return lob.FlowKey{VC: vc}
 }
-
-// saveFlows appends the wire's flow latch to dst (the run-fork checkpoint).
-func (w *SecureWire) saveFlows(dst []flowSlot) []flowSlot { return append(dst, w.flows...) }
-
-// restoreFlows loads the wire's flow latch from src, as saveFlows wrote it.
-func (w *SecureWire) restoreFlows(src []flowSlot) { copy(w.flows, src) }
 
 // choose picks the obfuscation for this attempt on a mitigated wire.
 func (w *SecureWire) choose(flow lob.FlowKey, attempt int) lob.Choice {
@@ -170,7 +142,7 @@ func (w *SecureWire) Transmit(cycle uint64, f flit.Flit, vc uint8, attempt int) 
 	if !w.Mitigated {
 		return w.PlainWire.Transmit(cycle, f, vc, attempt)
 	}
-	flow := w.flowOf(&f, vc)
+	flow := w.flowOf(&f, vc, attempt)
 	choice := w.choose(flow, attempt)
 	if _, clean := w.Tap.(fault.Identity); clean && choice.Method == lob.None {
 		// A plain attempt on a clean link cannot fail, and the detector

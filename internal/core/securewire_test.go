@@ -157,15 +157,52 @@ func TestSecureWireBodyFlitFlowTracking(t *testing.T) {
 	if _, res := w.Transmit(4, head, 2, 2); !res.OK {
 		t.Fatal("head not delivered under scramble")
 	}
-	// A body flit of the same packet must resolve to the same flow and be
+	// A body flit of the same packet, stamped with the packet's header as
+	// the forwarding router stamps it, must resolve to the same flow and be
 	// obfuscated on its first attempt via the log.
-	body := flit.Flit{Kind: flit.Body, PacketID: 99, Index: 1, Payload: 0xbeef}
+	body := flit.Flit{Kind: flit.Body, PacketID: 99, Index: 1, Payload: 0xbeef, SrcR: 1, DstR: 9, VC: 2}
 	got, res := w.Transmit(6, body, 2, 0)
 	if !res.OK || res.Stall == 0 {
 		t.Fatalf("body flit did not use the logged method: %+v", res)
 	}
 	if got.Payload != 0xbeef {
 		t.Fatal("body payload corrupted")
+	}
+}
+
+// TestSecureWireFlowRules pins where each flit's flow comes from: a head
+// (or single) flit's header on every attempt, a body flit's stamp on every
+// attempt, a tail's stamp on its first attempt and, once the L-Ob
+// controller has released the VC's flow, an unknown flow on the link VC.
+func TestSecureWireFlowRules(t *testing.T) {
+	w := NewSecureWire(nil, 1, flit.Default)
+	// Every flit's payload encodes one flow and its stamp names another, so
+	// each case shows which of the two the wire read.
+	mk := func(k flit.Type) flit.Flit {
+		return flit.Flit{Kind: k, Payload: flit.Default.Encode(flit.Header{Kind: k, VC: 2, SrcR: 1, DstR: 9}),
+			SrcR: 4, DstR: 6, VC: 1}
+	}
+	declared := lob.FlowKey{SrcR: 1, DstR: 9, VC: 2}
+	stamped := lob.FlowKey{SrcR: 4, DstR: 6, VC: 1}
+	const vc = 3 // the link VC the flit crosses on
+	for _, c := range []struct {
+		name    string
+		f       flit.Flit
+		attempt int
+		want    lob.FlowKey
+	}{
+		{"head", mk(flit.Head), 0, declared},
+		{"retried head", mk(flit.Head), 1, declared},
+		{"single", mk(flit.Single), 0, declared},
+		{"retried single", mk(flit.Single), 2, declared},
+		{"body", mk(flit.Body), 0, stamped},
+		{"retried body", mk(flit.Body), 2, stamped},
+		{"tail", mk(flit.Tail), 0, stamped},
+		{"retried tail", mk(flit.Tail), 1, lob.FlowKey{VC: vc}},
+	} {
+		if got := w.flowOf(&c.f, vc, c.attempt); got != c.want {
+			t.Errorf("%s on attempt %d: flow %+v, want %+v", c.name, c.attempt, got, c.want)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"tasp/internal/noc"
 	"tasp/internal/tasp"
 )
 
@@ -57,35 +59,66 @@ func TestSecureWiresOnlyWhereAFaultCanStrike(t *testing.T) {
 	}
 }
 
-// TestLatchedGroupLeavesNoWireStateBehind: a latched warm-up wires every
-// link of its platform, and the wires stay with the arena. Later points on
-// the same Runner that install fewer of them, or none, get exactly their
-// results on a fresh Runner: a built wire a point does not install adds
-// nothing to them.
-func TestLatchedGroupLeavesNoWireStateBehind(t *testing.T) {
-	base := DefaultExperiment()
-	base.Warmup, base.Measure = 400, 200
+// lobGroup runs, on a fresh Runner, a group of a clean member and an
+// attacked s2s-lob member: the clean member checkpoints its warm-up and
+// the s2s-lob member resumes it. It returns the Runner, the s2s-lob
+// member's infected links and the cycles the group stepped.
+func lobGroup(t *testing.T, base ExperimentConfig) (r *Runner, infected []int, stepped int) {
+	t.Helper()
 	clean := base
 	clean.Attack.Enabled = false
 	lob := base
 	lob.Mitigation = S2SLOb
-	r := NewRunner()
-	res := &Results{}
-	// The clean member latches its warm-up for the s2s-lob member.
-	if err := r.RunGroup([]ExperimentConfig{clean, lob}, func(int) *Results { return res }, nil); err != nil {
+	r = NewRunner()
+	r.audit = func(*noc.Network) error { stepped++; return nil }
+	res := []*Results{{}, {}}
+	if err := r.RunGroup([]ExperimentConfig{clean, lob}, func(i int) *Results { return res[i] }, nil); err != nil {
 		t.Fatal(err)
 	}
+	r.audit = nil
+	return r, res[1].InfectedLinks, stepped
+}
+
+// TestResumedLObGroupWiresOnlyInfectedLinks: an s2s-lob member resumes a
+// clean member's warm-up with no wire state from it, so the group builds a
+// SecureWire only on the links the s2s-lob member infects. The flows its
+// wires read ride on the flits, in the network's checkpoint.
+func TestResumedLObGroupWiresOnlyInfectedLinks(t *testing.T) {
+	base := DefaultExperiment()
+	base.Warmup, base.Measure = 400, 200
+	r, infected, stepped := lobGroup(t, base)
+	if want := 600 + 201; stepped != want {
+		t.Fatalf("the group stepped %d cycles, want %d: the s2s-lob member did not resume", stepped, want)
+	}
+	if len(infected) == 0 {
+		t.Fatal("the s2s-lob member infected no link")
+	}
 	for id, w := range r.arenas[base.Noc].built {
-		if w == nil {
-			t.Fatalf("link %d: the latched warm-up built no wire", id)
+		if on := w != nil; on != slices.Contains(infected, id) {
+			t.Errorf("link %d has a built SecureWire: %v, infected links %v", id, on, infected)
 		}
 	}
+}
+
+// TestBuiltWiresLeaveNoStateBehind: the wires an arena builds stay with
+// it. Later points on the same Runner that install fewer of them, others,
+// or none, get exactly their results on a fresh Runner: a built wire a
+// point does not install adds nothing to them.
+func TestBuiltWiresLeaveNoStateBehind(t *testing.T) {
+	base := DefaultExperiment()
+	base.Warmup, base.Measure = 400, 200
+	r, _, _ := lobGroup(t, base)
+	clean := base
+	clean.Attack.Enabled = false
+	lob := base
+	lob.Mitigation = S2SLOb
 	other := lob
 	other.Attack.Target = tasp.ForDest(9)
 	located := lob
 	located.Locate = true
 	cleanLob := clean
 	cleanLob.Mitigation = S2SLOb
+	res := &Results{}
 	for _, cfg := range []ExperimentConfig{other, base, located, cleanLob, clean} {
 		want, err := Run(cfg)
 		if err != nil {
@@ -95,7 +128,7 @@ func TestLatchedGroupLeavesNoWireStateBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got, want := summarize(res), summarize(want); got != want {
-			t.Errorf("%s target %+v locate=%v after a latched group:\n%s\nfresh Runner:\n%s",
+			t.Errorf("%s target %+v locate=%v after a resumed s2s-lob group:\n%s\nfresh Runner:\n%s",
 				cfg.Mitigation, cfg.Attack.Target, cfg.Locate, got, want)
 		}
 	}

@@ -171,9 +171,6 @@ func mustLayout(l Layout, err error) Layout {
 	return l
 }
 
-// MaxVCs returns the vc-id capacity.
-func (l Layout) MaxVCs() int { return 1 << l.VCBits }
-
 // HeaderBits returns the number of low payload bits that carry header fields
 // (everything below the spare window) — the "header" granularity window the
 // L-Ob obfuscation block narrows to.
@@ -261,7 +258,7 @@ func (l *Layout) SrcR(w uint64) uint8 { return uint8((w >> l.SrcShift) & mask(l.
 func (l *Layout) DstR(w uint64) uint8 { return uint8((w >> l.DstShift) & mask(l.DstBits)) }
 
 // Flit is one 64-bit unit of a packet inside a router, before link encoding.
-// The two byte-sized fields sit together at the end, so a Flit packs into
+// The five byte-sized fields sit together at the end, so a Flit packs into
 // 32 bytes with no padding between words; every buffer in the router
 // pipeline holds flits by value, so the size is part of the hot path.
 type Flit struct {
@@ -271,6 +268,12 @@ type Flit struct {
 	InjectAt uint64 // cycle the packet was injected (latency accounting)
 	Kind     Type
 	Index    uint8 // position of this flit within its packet
+	// SrcR, DstR and VC are the packet's routing header as the router that
+	// last forwarded the flit routed it: the switch stamps them on every
+	// flit it moves, so a body or tail flit, which carries no header, still
+	// names its flow on the next link. Zero on a flit no router has
+	// forwarded yet.
+	SrcR, DstR, VC uint8
 }
 
 // Header decodes the routing header carried by a head or single flit under

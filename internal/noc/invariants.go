@@ -130,7 +130,7 @@ func (n *Network) CheckInvariants() error {
 // checkMasks rebuilds the router's occupancy/routing/request bitmaps and
 // dead-output mask from the buffer and port state and compares them bit for
 // bit with the incrementally maintained masks that SA/VA/RC actually scan;
-// it also checks each VA request's cached destination against its head.
+// it also checks each VA request's cached header fields against its head.
 func (r *Router) checkMasks(l *flit.Layout) error {
 	var occ, reqVA uint64
 	var routedTo [MaxPorts]uint64
@@ -149,9 +149,10 @@ func (r *Router) checkMasks(l *flit.Layout) error {
 				routedTo[ivc.route] |= bit
 				if f := ivc.front(); f != nil && f.f.IsHead() && !ivc.allocated {
 					reqVA |= bit
-					if dst := l.DstR(f.f.Payload); ivc.dst != dst {
-						return fmt.Errorf("r%d %s vc%d: cached destination %d, head carries %d",
-							r.id, PortName(p), v, ivc.dst, dst)
+					w := f.f.Payload
+					if src, dst, hvc := l.SrcR(w), l.DstR(w), l.VC(w); ivc.src != src || ivc.dst != dst || ivc.hvc != hvc {
+						return fmt.Errorf("r%d %s vc%d: cached header %d->%d vc%d, head carries %d->%d vc%d",
+							r.id, PortName(p), v, ivc.src, ivc.dst, ivc.hvc, src, dst, hvc)
 					}
 				}
 			}

@@ -220,9 +220,10 @@ func TestInvariantCatchesStaleDeadOutput(t *testing.T) {
 	}
 }
 
-// TestInvariantCatchesWrongCachedDestination corrupts the destination RC
+// TestInvariantCatchesWrongCachedDestination corrupts each header field RC
 // cached for a head waiting on VA: VA would allocate the VC class of the
-// wrong destination.
+// wrong destination, and ST would stamp the packet's flits with the wrong
+// flow.
 func TestInvariantCatchesWrongCachedDestination(t *testing.T) {
 	n := mkNet(t)
 	n.Inject(0, pkt(15, 0, 1, 2))
@@ -235,9 +236,16 @@ func TestInvariantCatchesWrongCachedDestination(t *testing.T) {
 			if err := n.CheckInvariants(); err != nil {
 				t.Fatalf("before corruption: %v", err)
 			}
-			r.ivcs[bits.TrailingZeros64(r.reqVA)].dst ^= 1
-			if err := n.CheckInvariants(); err == nil {
-				t.Fatal("wrong cached destination not caught")
+			ivc := &r.ivcs[bits.TrailingZeros64(r.reqVA)]
+			for _, c := range []struct {
+				name  string
+				field *uint8
+			}{{"destination", &ivc.dst}, {"source", &ivc.src}, {"header VC", &ivc.hvc}} {
+				*c.field ^= 1
+				if err := n.CheckInvariants(); err == nil {
+					t.Errorf("wrong cached %s not caught", c.name)
+				}
+				*c.field ^= 1
 			}
 			return
 		}

@@ -40,10 +40,12 @@ type wormhole struct {
 	// of wraparound topologies, where the VC class remap moves the packet
 	// between VC halves (see outputPort.vcClass). Valid while allocated.
 	outVC uint8
-	// dst is the routed head's destination router, cached by RC so VA
-	// never decodes the header. Valid while routed: an unallocated head
-	// stays at the front until VA grants it.
-	dst uint8
+	// dst, src and hvc are the routed head's destination router, source
+	// router and header VC, cached by RC: VA reads dst and never decodes
+	// the header, and ST stamps all three on each of the packet's flits.
+	// Valid while routed: an unallocated head stays at the front until VA
+	// grants it, and the tail's pop ends the packet.
+	dst, src, hvc uint8
 }
 
 func (v *inputVC) size() int { return len(v.buf) - v.head }
@@ -405,7 +407,8 @@ func (r *Router) phaseRC(route RouteFunc, l *flit.Layout, cycle uint64, cnt *Cou
 				r.unrouteInput(ivc.route, idx)
 			}
 			if f.f.IsHead() && !ivc.routed {
-				ivc.dst = l.DstR(f.f.Payload)
+				w := f.f.Payload
+				ivc.dst, ivc.src, ivc.hvc = l.DstR(w), l.SrcR(w), l.VC(w)
 				ivc.route = route(r.id, int(ivc.dst))
 				ivc.routed = true
 				r.routeInput(ivc.route, idx)
@@ -477,8 +480,8 @@ func (op *outputPort) outVCFor(vcs, v, dst int) int {
 
 // phaseSAST performs switch allocation and switch traversal: one winning
 // flit per output port (and at most one per input port) moves through the
-// crossbar into the output retransmission buffer. Freed input slots return
-// a credit upstream.
+// crossbar into the output retransmission buffer, stamped with its packet's
+// routing header. Freed input slots return a credit upstream.
 func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 	var inputUsed [MaxPorts]bool
 	capacity := retransCap(cfg)
@@ -532,6 +535,7 @@ func (r *Router) phaseSAST(cfg *Config, cycle uint64) {
 				}
 				// Grant: traverse the crossbar into the retransmission buffer.
 				fl := ivc.pop()
+				fl.SrcR, fl.DstR, fl.VC = ivc.src, ivc.dst, ivc.hvc
 				r.loseIn(1)
 				if ivc.empty() {
 					r.clearOccupied(uint(idx))
